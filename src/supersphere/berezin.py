@@ -111,8 +111,24 @@ def chart_pullback(omega: SuperForm, chart: Chart,
                            acc[2].to_trigpoly(), top.to_trigpoly())
 
 
+QUAD_ORDER_MAX = 4096
+
+
 def quad_order() -> int:
-    return int(os.environ.get("SUPERSPHERE_QUAD_ORDER", "64"))
+    """Gauss-Legendre order from SUPERSPHERE_QUAD_ORDER (default 64).
+
+    The value must be an integer in 1..QUAD_ORDER_MAX; the bound keeps the
+    order x order evaluation grid to a bounded amount of memory.
+    """
+    raw = os.environ.get("SUPERSPHERE_QUAD_ORDER", "64")
+    try:
+        order = int(raw)
+    except ValueError:
+        order = 0
+    if not 1 <= order <= QUAD_ORDER_MAX:
+        raise ValueError("SUPERSPHERE_QUAD_ORDER must be an integer in 1..%d, got %r"
+                         % (QUAD_ORDER_MAX, raw))
+    return order
 
 
 def quad_oracle(f: TrigPoly) -> complex:

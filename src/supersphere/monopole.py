@@ -657,45 +657,52 @@ def supertrace_p_dp_dp(proj: Projector) -> SuperForm:
 CHERN_SCALAR = Scalar.of(0, Fraction(1, 2), 1, -1)  # -(1/(2 pi i)) = i/(2 pi)
 
 
+def _pairing_chern_form(components: list[Element]) -> SuperForm:
+    """-(1/(2 pi i)) <d psi|d psi> for the given psi components."""
+    dpsi = [d(c) for c in components]
+    return pairing(dpsi, dpsi) * CHERN_SCALAR
+
+
 def chern_form(sign: str, n: int, reduced: bool = True,
                space: GroupSpace | None = None) -> SuperForm:
-    """First Chern 2-superform of the projector.
+    """First Chern 2-superform of the projector, from the O(d) pairing.
 
     Under the pairing and outer-product conventions fixed here the exact
-    identity Str(p (dp)^2) = -<d psi|d psi> holds (two odd 1-forms commute
-    with a +1 only through the bigraded rule), so the normalization that
-    reproduces the explicit closed 2-superform and the integer charges is
+    identity Str(p (dp)^2) = -<d psi|d psi> holds for normalized psi (two odd
+    1-forms commute with a +1 only through the bigraded rule), so the
+    normalization that reproduces the explicit closed 2-superform and the
+    integer charges is
 
         C1 = -(1/(2 pi i)) <d psi|d psi> = +(1/(2 pi i)) Str(p (dp)^2).
+
+    The pairing costs O(d) form products against O(d^3) for Str(p (dp)^2),
+    d = 2n + 1; supertrace_p_dp_dp stays as the test oracle.
     """
     sign = normalize_sign(sign)
     g = space or group_space()
-    proj = projector(psi(sign, n, g), space=g)
-    form = -supertrace_p_dp_dp(proj) * CHERN_SCALAR
+    form = _pairing_chern_form(psi(sign, n, g).components)
     return g.ideal.reduce(form) if reduced else form
 
 
 def chern_form_body(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
-    """Body projection of the Chern form, computed on the body projectors.
+    """Body projection of the Chern form, from the pairing of the body psi.
 
     The body map is an algebra morphism that commutes with d, wedge products
-    and the supertrace, so projecting the psi components first gives the same
-    form as body-projecting Str(p (dp)^2); the test suite checks the two
-    agree.  No relation reduction is needed: the chart pullback evaluates the
-    constraint exactly.
+    and the diamond, so pairing the differentials of the body components
+    gives the body of -(1/(2 pi i)) <d psi|d psi>; the test suite checks it
+    against the body of the Str(p (dp)^2) oracle.  No relation reduction is
+    needed: the chart pullback evaluates the constraint exactly.
     """
     sign = normalize_sign(sign)
     g = space or group_space()
     vec = psi(sign, n, g)
-    body_vec = PsiVector(vec.sign, vec.n, [c.body() for c in vec.components])
-    proj = projector(body_vec, reduce=False, space=g)
-    return -supertrace_p_dp_dp(proj).body_project() * CHERN_SCALAR
+    return _pairing_chern_form([c.body() for c in vec.components]).body_project()
 
 
 def chern_form_canonical(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
-    """Reduced closed-form representative, verified against the curvature route.
+    """Reduced closed-form representative, verified against the pairing route.
 
-    Raises SuperAlgebraError when the supertrace computation and the closed
+    Raises SuperAlgebraError when -(1/(2 pi i)) <d psi|d psi> and the closed
     form disagree modulo the differential ideal (they never should).
     """
     sign = normalize_sign(sign)
@@ -704,7 +711,7 @@ def chern_form_canonical(sign: str, n: int, space: GroupSpace | None = None) -> 
     computed = chern_form(sign, n, reduced=False, space=g)
     if not g.equal_mod(computed, closed):
         raise SuperAlgebraError(
-            "Chern curvature route disagrees with the closed form at n=%d" % n)
+            "Chern pairing route disagrees with the closed form at n=%d" % n)
     return g.ideal.reduce(closed)
 
 

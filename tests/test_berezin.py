@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from supersphere.berezin import (base_chart, base_chart_normalizer,
+from supersphere.berezin import (QUAD_ORDER_MAX, base_chart, base_chart_normalizer,
                                  berezin_chern_number, berezin_integral,
                                  chart_pullback, chern_number,
                                  group_chart_normalizer, group_section_chart,
-                                 quad_oracle)
+                                 quad_oracle, quad_order)
 from supersphere.monopole import (MINUS, PLUS, base_space, coordinate_chern_form,
                                   coordinate_volume_form)
 from supersphere.scalars import Scalar, rat
@@ -90,6 +90,21 @@ def test_quad_oracle_examples():
 def test_quad_order_env_override(monkeypatch):
     monkeypatch.setenv("SUPERSPHERE_QUAD_ORDER", "32")
     assert abs(quad_oracle(TrigPoly.monomial(q=1)) - 4 * math.pi) < 1e-9
+
+
+def test_quad_order_default(monkeypatch):
+    monkeypatch.delenv("SUPERSPHERE_QUAD_ORDER", raising=False)
+    assert quad_order() == 64
+
+
+@pytest.mark.parametrize("value", ["abc", "0", str(QUAD_ORDER_MAX + 1)])
+def test_quad_order_rejects_bad_values(monkeypatch, value):
+    # checked before any grid is built, so the huge value allocates nothing
+    monkeypatch.setenv("SUPERSPHERE_QUAD_ORDER", value)
+    with pytest.raises(ValueError, match="SUPERSPHERE_QUAD_ORDER"):
+        quad_order()
+    with pytest.raises(ValueError, match="SUPERSPHERE_QUAD_ORDER"):
+        quad_oracle(TrigPoly.monomial(q=1))
 
 
 def test_chart_normalizers():

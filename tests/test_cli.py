@@ -41,6 +41,19 @@ def test_chern_json_roundtrip(capsys):
     assert form.to_obj() == payload["chern_form"]
 
 
+def test_chern_form_failure_exits_1(capsys, monkeypatch):
+    from supersphere import cli
+    from supersphere.algebra import SuperAlgebraError
+
+    def broken(sign, n):
+        raise SuperAlgebraError("pairing route disagrees")
+    monkeypatch.setattr(cli, "chern_form_canonical", broken)
+    code, out, err = run_cli(capsys, "chern", "--sign", "minus", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert "exactness failure: pairing route disagrees" in err
+
+
 def test_chern_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "chern", "--sign", "minus", "--n", "0")
     assert code == 2

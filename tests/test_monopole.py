@@ -6,9 +6,10 @@ from importlib import resources
 
 import pytest
 
+from supersphere.berezin import chern_number
 from supersphere.forms import SuperForm, d
 from supersphere.matrices import BlockShape, EVEN_FIRST, SuperMatrix, sdet
-from supersphere.monopole import (MINUS, PLUS, CoordinateEmissionError,
+from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionError,
                                   base_coordinates, base_space, check_equivariance,
                                   chern_closed_form, chern_form, chern_form_body,
                                   chern_form_canonical, chern_intermediate_form,
@@ -445,10 +446,22 @@ def test_chern_form_canonical_matches_fixture(g):
     assert chern_form_canonical(MINUS, 1, g) == want
 
 
+def test_chern_pairing_route_at_larger_n(g):
+    """Chern numbers and the verified canonical form beyond the oracle's range."""
+    for n in (8, 12):
+        assert chern_number(MINUS, n, space=g) == n
+        assert chern_number(PLUS, n, space=g) == -n
+    for sign in (MINUS, PLUS):
+        want = g.ideal.reduce(chern_closed_form(sign, 6, g))
+        assert chern_form_canonical(sign, 6, g) == want, sign
+
+
 def test_chern_body_route_agrees_with_full_route(g):
+    """The body pairing route matches the body of the Str(p (dp)^2) oracle."""
     for n in (1, 2, 3):
         for sign in (MINUS, PLUS):
-            full = chern_form(sign, n, reduced=False, space=g).body_project()
+            oracle = -supertrace_p_dp_dp(projector(psi(sign, n, g))) * CHERN_SCALAR
+            full = oracle.body_project()
             fast = chern_form_body(sign, n, g)
             assert g.localizer.is_zero_mod(full - fast), (sign, n)
 
