@@ -367,6 +367,9 @@ class Element:
         return self.algebra == other.algebra and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant equals its scalar (and an int or Fraction), so it hashes as one
+        if self.terms.keys() <= {ONE_MONO}:
+            return hash(self.constant_term())
         return hash((self.algebra.names, tuple(sorted(self.terms.items(),
                     key=lambda kv: mono_key(kv[0], len(self.algebra))))))
 
@@ -380,15 +383,6 @@ class Element:
         if parities == {1}:
             return "odd"
         return "mixed"
-
-    def parity_bit(self) -> int:
-        """0/1 for homogeneous elements (zero counts as either); raises on mixed."""
-        p = self.parity()
-        if p == "even" or p == "zero":
-            return 0
-        if p == "odd":
-            return 1
-        raise ParityError("element of mixed parity has no parity bit")
 
     def even_part(self) -> "Element":
         return Element(self.algebra, {m: s for m, s in self.terms.items() if not mono_parity(m)})
@@ -405,9 +399,6 @@ class Element:
 
     def constant_term(self) -> Scalar:
         return self.terms.get(ONE_MONO, Scalar.zero())
-
-    def max_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
 
     # -- involution ----------------------------------------------------------
 
@@ -597,12 +588,6 @@ class RewriteSystem:
                 else:
                     work[m2] = s2
         return Element(self.algebra, normal)
-
-    def reduces_to_zero(self, x: Element) -> bool:
-        return self.reduce(x).is_zero
-
-    def equal_mod(self, x: Element, y: Element) -> bool:
-        return self.reduce(x - y).is_zero
 
 
 def graded_inverse(u: Element, rewrites: RewriteSystem | None = None) -> Element:

@@ -26,31 +26,27 @@ from .scalars import Scalar
 Wedge = tuple[int, ...]
 
 
-class FormError(Exception):
-    pass
-
-
-def merge_wedges(table: GeneratorTable, w1: Wedge, w2: Wedge) -> tuple[int, Wedge] | None:
-    """Sort the concatenation of two canonical wedges; None when it vanishes.
+def sort_wedge(table: GeneratorTable, items: Sequence[int]) -> tuple[int, Wedge] | None:
+    """Sort differential indices into a canonical wedge; None when it vanishes.
 
     Swapping adjacent differentials gives -1 unless both generators are odd;
     a repeated even-generator differential kills the term.
     """
-    items = list(w1) + list(w2)
+    work = list(items)
     sign = 1
     # insertion sort; counts of swaps decide the sign
-    for a in range(1, len(items)):
+    for a in range(1, len(work)):
         b = a
-        while b > 0 and items[b - 1] > items[b]:
-            g1, g2 = items[b - 1], items[b]
+        while b > 0 and work[b - 1] > work[b]:
+            g1, g2 = work[b - 1], work[b]
             if not (table.parities[g1] and table.parities[g2]):
                 sign = -sign
-            items[b - 1], items[b] = g2, g1
+            work[b - 1], work[b] = g2, g1
             b -= 1
-    for k in range(1, len(items)):
-        if items[k] == items[k - 1] and table.parities[items[k]] == 0:
+    for k in range(1, len(work)):
+        if work[k] == work[k - 1] and table.parities[work[k]] == 0:
             return None
-    return sign, tuple(items)
+    return sign, tuple(work)
 
 
 def wedge_grassmann_parity(table: GeneratorTable, w: Wedge) -> int:
@@ -132,18 +128,16 @@ class SuperForm:
         for w1, c1 in self.terms.items():
             odd_count = wedge_grassmann_parity(table, w1)
             for w2, c2 in other.terms.items():
+                merged = sort_wedge(table, w1 + w2)
+                if merged is None:
+                    continue
+                sign, w = merged
                 # move the even/odd parts of c2 through the differentials of w1
                 for c2_part, flip in ((c2.even_part(), False), (c2.odd_part(), True)):
                     if c2_part.is_zero:
                         continue
-                    merged = merge_wedges(table, w1, w2)
-                    if merged is None:
-                        continue
-                    sign, w = merged
-                    if flip and odd_count:
-                        sign = -sign
                     coeff = c1 * c2_part
-                    if sign < 0:
+                    if (sign < 0) != (flip and odd_count):
                         coeff = -coeff
                     out[w] = out[w] + coeff if w in out else coeff
         return SuperForm(self.algebra, out)
@@ -157,18 +151,6 @@ class SuperForm:
 
     def form_degrees(self) -> set[int]:
         return {len(w) for w in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        """Single form degree and single Grassmann parity across terms."""
-        degrees = self.form_degrees()
-        if len(degrees) > 1:
-            return False
-        parities = set()
-        for w, c in self.terms.items():
-            wp = wedge_grassmann_parity(self.algebra, w)
-            for mono in c.terms:
-                parities.add((mono_parity(mono) + wp) & 1)
-        return len(parities) <= 1
 
     def grassmann_parity(self) -> int:
         parities = set()
@@ -192,9 +174,10 @@ class SuperForm:
             for i in w:
                 sign *= table.diamond_sign[i]
                 image.append(table.diamond_partner[i])
-            s2, wn = merge_sorted(table, image)
-            if s2 == 0:
+            merged = sort_wedge(table, image)
+            if merged is None:
                 continue
+            s2, wn = merged
             coeff = c.diamond()
             if sign * s2 < 0:
                 coeff = -coeff
@@ -278,24 +261,6 @@ class SuperForm:
         return total
 
 
-def merge_sorted(table: GeneratorTable, items: list[int]) -> tuple[int, Wedge]:
-    """Insertion sort of differential indices with the wedge swap signs."""
-    work = list(items)
-    sign = 1
-    for a in range(1, len(work)):
-        b = a
-        while b > 0 and work[b - 1] > work[b]:
-            g1, g2 = work[b - 1], work[b]
-            if not (table.parities[g1] and table.parities[g2]):
-                sign = -sign
-            work[b - 1], work[b] = g2, g1
-            b -= 1
-    for k in range(1, len(work)):
-        if work[k] == work[k - 1] and table.parities[work[k]] == 0:
-            return 0, ()
-    return sign, tuple(work)
-
-
 def d(x: Element | SuperForm) -> SuperForm:
     """Exterior derivative.
 
@@ -315,12 +280,13 @@ def d(x: Element | SuperForm) -> SuperForm:
                     rest_even = tuple((j, ee - 1) if j == i else (j, ee)
                                       for j, ee in even_part)
                 quot: Monomial = (rest_even, odd_part)
-                c = coeff * e
-                _accumulate(out, (i,), Element(table, {quot: c}))
+                val = Element(table, {quot: coeff * e})
+                out[(i,)] = out[(i,)] + val if (i,) in out else val
             for k, i in enumerate(odd_part):
                 quot = (even_part, odd_part[:k] + odd_part[k + 1:])
                 c = coeff if (len(odd_part) - k - 1) % 2 == 0 else -coeff
-                _accumulate(out, (i,), Element(table, {quot: c}))
+                val = Element(table, {quot: c})
+                out[(i,)] = out[(i,)] + val if (i,) in out else val
         return SuperForm(table, out)
     if isinstance(x, SuperForm):
         total = SuperForm.zero(x.algebra)
@@ -328,7 +294,7 @@ def d(x: Element | SuperForm) -> SuperForm:
             dc = d(c)
             piece_terms: dict[Wedge, Element] = {}
             for (i,), ci in dc.terms.items():
-                merged = merge_wedges(x.algebra, (i,), w)
+                merged = sort_wedge(x.algebra, (i,) + w)
                 if merged is None:
                     continue
                 sign, wn = merged
@@ -337,13 +303,6 @@ def d(x: Element | SuperForm) -> SuperForm:
             total = total + SuperForm(x.algebra, piece_terms)
         return total
     raise TypeError("d expects an Element or SuperForm")
-
-
-def _accumulate(store: dict[Wedge, Element], w: Wedge, val: Element) -> None:
-    if w in store:
-        store[w] = store[w] + val
-    else:
-        store[w] = val
 
 
 def wedge(a: SuperForm | Element, b: SuperForm | Element) -> SuperForm:
@@ -391,19 +350,10 @@ class DifferentialIdeal:
             omega = omega.lift(self.algebra)
         work = omega.map_coefficients(self.rewrites.reduce)
         while True:
-            hit = None
-            for w, c in work.terms.items():
-                for gi, di, repl in self.form_rules:
-                    if di not in w:
-                        continue
-                    for mono in c.terms:
-                        if dict(mono[0]).get(gi, 0) >= 1:
-                            hit = (w, mono, gi, di, repl)
-                            break
-                    if hit:
-                        break
-                if hit:
-                    break
+            hit = next(((w, mono, gi, di, repl)
+                        for w, c in work.terms.items()
+                        for gi, di, repl in self.form_rules if di in w
+                        for mono in c.terms if dict(mono[0]).get(gi, 0) >= 1), None)
             if hit is None:
                 return work
             w, mono, gi, di, repl = hit
@@ -424,19 +374,10 @@ class DifferentialIdeal:
                               mono[1])
             # move the eliminated differential to the front of the wedge
             pos = w.index(di)
-            sign = 1
-            for j in range(pos):
-                if not (self.algebra.parities[w[j]] and self.algebra.parities[di]):
-                    sign = -sign
             rest = w[:pos] + w[pos + 1:]
+            sign, _ = sort_wedge(self.algebra, (di,) + rest)
             front = Element(self.algebra, {quot: coeff if sign > 0 else -coeff})
             piece = (SuperForm.from_element(front) * repl
                      * SuperForm(self.algebra, {rest: self.algebra.one()}))
             # base coefficients stay normal; only the new piece needs reducing
             work = base + piece.map_coefficients(self.rewrites.reduce)
-
-    def reduces_to_zero(self, omega: SuperForm) -> bool:
-        return self.reduce(omega).is_zero
-
-    def equal_mod(self, a: SuperForm, b: SuperForm) -> bool:
-        return self.reduce(a - b).is_zero

@@ -116,17 +116,25 @@ class SuperMatrix:
         return self.parity
 
     def validate_parity(self) -> bool:
-        """Check that every Element entry matches the declared parity pattern."""
+        """Check that every entry matches the declared parity pattern.
+
+        Element entries are checked by their parity, SuperForm entries by
+        their Grassmann parity; zero entries fit either parity.
+        """
         p = self._require_parity()
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
-                if not isinstance(entry, Element):
-                    return True
-                want = (self.shape.type_parity(i) + self.shape.type_parity(j) + p) % 2
-                got = entry.parity()
-                if got == "zero":
+                if entry.is_zero:
                     continue
-                if got == "mixed" or (got == "odd") != bool(want):
+                want = (self.shape.type_parity(i) + self.shape.type_parity(j) + p) % 2
+                if isinstance(entry, Element):
+                    got = {"even": 0, "odd": 1}.get(entry.parity())
+                else:
+                    try:
+                        got = entry.grassmann_parity()
+                    except ParityError:
+                        return False
+                if got != want:
                     return False
         return True
 

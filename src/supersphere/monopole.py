@@ -59,34 +59,24 @@ class LocalizedModel:
     exactly, which turns ideal-membership checks into plain zero tests in
     the free algebra on a, a*, b, b^(-1), eta, eta* with b b^(-1) -> 1.
     The two-rule rewrite reduction stays in use for canonical display, but
-    equality modulo the ideal is decided here.
+    equality modulo the ideal is decided here.  The model has no circle pair
+    w, w*, so it decides nothing over the extended table.
     """
 
-    def __init__(self, source: GeneratorTable):
-        with_circle = "w" in source.index
-        names = ["a", "a*", "b", "b~", "eta", "eta*"]
-        self_conj = [("a", EVEN), ("a*", EVEN), ("b", EVEN), ("b~", EVEN)]
-        if with_circle:
-            names += ["w", "w*"]
-            self_conj += [("w", EVEN), ("w*", EVEN)]
+    def __init__(self):
         self.table = GeneratorTable.build(
             conjugate_pairs=[("eta", "eta*", ODD)],
-            self_conjugate=self_conj, order=names)
+            self_conjugate=[("a", EVEN), ("a*", EVEN), ("b", EVEN), ("b~", EVEN)],
+            order=["a", "a*", "b", "b~", "eta", "eta*"])
         t = self.table
         binv = t.gen("b~")
-        rules = [(t.gen("b") * binv, t.one())]
-        if with_circle:
-            rules.append((t.gen("w") * t.gen("w*"), t.one()))
-        self.rewrites = RewriteSystem(t, rules)
+        self.rewrites = RewriteSystem(t, [(t.gen("b") * binv, t.one())])
         one_m = t.one() - t.gen("a") * t.gen("a*")
         self.images = {
             "a": t.gen("a"), "a*": t.gen("a*"), "b": t.gen("b"),
             "b*": one_m * binv,
             "eta": t.gen("eta"), "eta*": t.gen("eta*"),
         }
-        if with_circle:
-            self.images["w"] = t.gen("w")
-            self.images["w*"] = t.gen("w*")
         da = SuperForm.differential(t, "a")
         dad = SuperForm.differential(t, "a*")
         db = SuperForm.differential(t, "b")
@@ -149,7 +139,7 @@ def _build_group_space(extra_pairs=()) -> GroupSpace:
     dbd = SuperForm.differential(table, "b*")
     db_repl = -(a * dad + ad * da + b * dbd)
     ideal = DifferentialIdeal(rewrites, [(bd, SuperForm.differential(table, "b"), db_repl)])
-    return GroupSpace(table, rewrites, ideal, LocalizedModel(table))
+    return GroupSpace(table, rewrites, ideal, LocalizedModel())
 
 
 _group_space: GroupSpace | None = None
@@ -332,9 +322,6 @@ class CoordinateSet:
         return {"x0": self.x0, "x1": self.x1, "x2": self.x2,
                 "xi-": self.xim, "xi+": self.xip}
 
-    def as_list(self) -> list[tuple[str, Element]]:
-        return list(self.images().items())
-
 
 def base_coordinates(space: GroupSpace | None = None) -> CoordinateSet:
     """Extract the coordinates from the orbit map s (2/i A0) s^dagger.
@@ -495,52 +482,45 @@ def projector_shape(n: int) -> BlockShape:
     return BlockShape(n + 1, n, ODD_FIRST)
 
 
-def _outer_sign(psi_vec: PsiVector, alpha: int, beta: int) -> int:
-    """Koszul sign placement of the outer product |psi><psi|.
+def _signed_outer(psi_vec: PsiVector, kernel: SuperForm | None = None) -> list[list]:
+    """Rows of |psi> K <psi|: +-(psi_alpha K psi_beta^dia), K = 1 when None.
 
-    The charge +n family (built from the diamonded generators) carries the
-    sign on the column parity instead of the row parity; this is the unique
-    placement for which the explicit charge -1 and +1 projector matrices and
-    the supertransposition relation between the two families all hold
-    simultaneously (the test suite re-derives this by elimination).
+    Koszul sign placement: the charge +n family (built from the diamonded
+    generators) carries the sign on the column parity instead of the row
+    parity; this is the unique placement for which the explicit charge -1 and
+    +1 projector matrices and the supertransposition relation between the two
+    families all hold simultaneously (the test suite re-derives this by
+    elimination).
     """
-    parity = psi_vec.block_parity(alpha if psi_vec.sign == MINUS else beta)
-    return -1 if parity else 1
+    dia = psi_vec.diamonded()
+    on_rows = psi_vec.sign == MINUS
+    rows = []
+    for alpha, pa in enumerate(psi_vec.components):
+        left = pa if kernel is None else pa * kernel
+        row = []
+        for beta, pb in enumerate(dia):
+            entry = left * pb
+            if psi_vec.block_parity(alpha if on_rows else beta):
+                entry = -entry
+            row.append(entry)
+        rows.append(row)
+    return rows
 
 
 def projector(psi_vec: PsiVector, reduce: bool = True,
               space: GroupSpace | None = None) -> Projector:
-    """p[alpha][beta] = +-(psi_alpha psi_beta^dia), signs per _outer_sign."""
+    """p[alpha][beta] = +-(psi_alpha psi_beta^dia), signs per _signed_outer."""
     g = space or group_space()
-    n = psi_vec.n
-    dia = psi_vec.diamonded()
-    shape = projector_shape(n)
-    rows = []
-    for alpha, pa in enumerate(psi_vec.components):
-        row = []
-        for beta in range(2 * n + 1):
-            entry = pa * dia[beta]
-            if _outer_sign(psi_vec, alpha, beta) < 0:
-                entry = -entry
-            row.append(g.rewrites.reduce(entry) if reduce else entry)
-        rows.append(row)
-    return Projector(psi_vec.sign, n, SuperMatrix(shape, rows, parity=0))
+    rows = _signed_outer(psi_vec)
+    if reduce:
+        rows = [[g.rewrites.reduce(e) for e in row] for row in rows]
+    return Projector(psi_vec.sign, psi_vec.n,
+                     SuperMatrix(projector_shape(psi_vec.n), rows, parity=0))
 
 
 def outer_with_kernel(psi_vec: PsiVector, kernel: SuperForm) -> SuperMatrix:
     """|psi> K <psi| with the projector sign placement, K a scalar form."""
-    n = psi_vec.n
-    dia = psi_vec.diamonded()
-    rows = []
-    for alpha, pa in enumerate(psi_vec.components):
-        row = []
-        for beta in range(2 * n + 1):
-            entry = (pa * kernel) * dia[beta]
-            if _outer_sign(psi_vec, alpha, beta) < 0:
-                entry = -entry
-            row.append(entry)
-        rows.append(row)
-    return SuperMatrix(projector_shape(n), rows, parity=0)
+    return SuperMatrix(projector_shape(psi_vec.n), _signed_outer(psi_vec, kernel), parity=0)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,12 @@ class Scalar:
         return self._parts == other._parts
 
     def __hash__(self) -> int:
+        # a purely rational scalar equals its Fraction, so it hashes as one
+        if not self._parts:
+            return hash(_ZERO)
+        (key, (re, im)), *rest = self._parts.items()
+        if not rest and key == (1, 0) and im == 0:
+            return hash(re)
         return hash(self._key())
 
     # -- numeric / display ---------------------------------------------------

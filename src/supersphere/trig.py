@@ -127,10 +127,6 @@ class TrigPoly:
             total += c.to_complex() * np.outer(ct ** p * st ** q, cp ** r * sp ** s)
         return total
 
-    def swap_orientation(self) -> "TrigPoly":
-        """Negate, as when the two chart variables are interchanged."""
-        return -self
-
 
 def _wallis_half(p: int) -> Fraction:
     """(p-1)!! / p!! for even p >= 0."""

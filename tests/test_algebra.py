@@ -1,6 +1,7 @@
 """Graded-commutative algebra engine: normalization, involution, rewriting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -244,3 +245,11 @@ def test_serialization_order_is_canonical(table, gens):
     # leading (graded-lex greatest) term first
     assert obj[0]["even"] == {"b": 1, "b*": 1}
     assert obj[-1]["even"] == {}
+
+
+def test_hash_agrees_with_equality(table):
+    assert Scalar.one() == 1 and table.one() == 1
+    assert len({1, Scalar.one(), table.one()}) == 1
+    assert hash(Scalar.of(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(rat(3, 4) * table.one()) == hash(Fraction(3, 4))
+    assert hash(table.zero()) == hash(Scalar.zero()) == hash(0)

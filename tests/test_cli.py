@@ -72,6 +72,15 @@ def test_projector_base_golden_self_check(capsys):
     assert code == 0
 
 
+def test_projector_self_check_without_golden_file_exits_2(capsys):
+    for argv in (("--n", "2", "--coords", "base"), ("--n", "1", "--coords", "group")):
+        code, out, err = run_cli(capsys, "projector", "--sign", "minus", *argv,
+                                 "--self-check")
+        assert code == 2, argv
+        assert out == ""
+        assert "no golden file for" in err
+
+
 def test_projector_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "projector", "--sign", "minus", "--n", "1",
                            "--coords", "base", "--format", "json")

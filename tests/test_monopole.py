@@ -194,6 +194,12 @@ def test_projector_identities(g):
             assert mat.validate_parity()
 
 
+def test_validate_parity_checks_form_entries(g):
+    dp = projector(psi(MINUS, 1, g)).matrix.map_entries(d)
+    assert dp.validate_parity()
+    assert not SuperMatrix(dp.shape, dp.entries, parity=1).validate_parity()
+
+
 def test_supertrace_charge_three(g):
     assert g.rewrites.reduce(projector(psi(MINUS, 3, g)).matrix.supertrace()) \
         == g.table.one()
