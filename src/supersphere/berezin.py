@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .forms import SuperForm
 from .monopole import (GroupSpace, chern_form_body, coordinate_volume_form,

@@ -21,7 +21,6 @@ odd-block-first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -439,10 +438,10 @@ def psi(sign: str, n: int, space: GroupSpace | None = None) -> PsiVector:
         u, v, h = g.ad, g.bd, g.etad
     comps: list[Element] = []
     for k in range(n):
-        root = Scalar.sqrt_int(math.comb(n - 1, k))
+        root = Scalar.sqrt_binomial(n - 1, k)
         comps.append(rat(1, 2) * root * h * u ** (n - 1 - k) * v ** k)
     for k in range(n + 1):
-        root = Scalar.sqrt_int(math.comb(n, k))
+        root = Scalar.sqrt_binomial(n, k)
         comps.append(root * factor * u ** (n - k) * v ** k)
     return PsiVector(sign, n, comps)
 
@@ -815,23 +814,34 @@ def group_volume_body_form(space: GroupSpace | None = None) -> SuperForm:
 # ---------------------------------------------------------------------------
 # coordinate emission of projectors
 
-def _invariant_units(space: GroupSpace, base: BaseSpace) -> list[tuple[str, Element, Element]]:
+# (id(group space), id(base space)) -> (group space, base space, unit table);
+# holding both spaces keeps their ids from being reused
+_unit_tables: dict[tuple[int, int], tuple[GroupSpace, BaseSpace, dict[str, tuple[Element, Element]]]] = {}
+
+
+def _invariant_units(space: GroupSpace, base: BaseSpace) -> dict[str, tuple[Element, Element]]:
+    """Each bilinear invariant by name: (group element, base expression)."""
+    hit = _unit_tables.get((id(space), id(base)))
+    if hit is not None:
+        return hit[2]
     g, s = space, base
     one = s.table.one()
     i = Scalar.i()
     x0, x1, x2, xim, xip = s.x0, s.x1, s.x2, s.xim, s.xip
     one_fer = one + xim * xip
-    return [
-        ("eta eta*", g.eta * g.etad, 4 * (xim * xip)),
-        ("eta a*", g.eta * g.ad, -(x1 + i * x2) * xim + (one + x0) * xip),
-        ("eta b*", g.eta * g.bd, (x1 - i * x2) * xip - (one - x0) * xim),
-        ("a eta*", g.a * g.etad, -(x1 - i * x2) * xip - (one + x0) * xim),
-        ("b eta*", g.b * g.etad, -(x1 + i * x2) * xim - (one - x0) * xip),
-        ("a a*", g.a * g.ad, rat(1, 2) * (one + x0 * one_fer)),
-        ("b b*", g.b * g.bd, rat(1, 2) * (one - x0 * one_fer)),
-        ("a b*", g.a * g.bd, rat(1, 2) * (x1 - i * x2) * one_fer),
-        ("b a*", g.b * g.ad, rat(1, 2) * (x1 + i * x2) * one_fer),
-    ]
+    units = {
+        "eta eta*": (g.eta * g.etad, 4 * (xim * xip)),
+        "eta a*": (g.eta * g.ad, -(x1 + i * x2) * xim + (one + x0) * xip),
+        "eta b*": (g.eta * g.bd, (x1 - i * x2) * xip - (one - x0) * xim),
+        "a eta*": (g.a * g.etad, -(x1 - i * x2) * xip - (one + x0) * xim),
+        "b eta*": (g.b * g.etad, -(x1 + i * x2) * xim - (one - x0) * xip),
+        "a a*": (g.a * g.ad, rat(1, 2) * (one + x0 * one_fer)),
+        "b b*": (g.b * g.bd, rat(1, 2) * (one - x0 * one_fer)),
+        "a b*": (g.a * g.bd, rat(1, 2) * (x1 - i * x2) * one_fer),
+        "b a*": (g.b * g.ad, rat(1, 2) * (x1 + i * x2) * one_fer),
+    }
+    _unit_tables[(id(space), id(base))] = (space, base, units)
+    return units
 
 
 class CoordinateEmissionError(SuperAlgebraError):
@@ -849,8 +859,7 @@ def element_to_base(x: Element, space: GroupSpace | None = None,
     """
     g = space or group_space()
     s = base or base_space()
-    units = _invariant_units(g, s)
-    unit_by_name = {name: (ge, be) for name, ge, be in units}
+    unit_by_name = _invariant_units(g, s)
     out = s.table.zero()
     for mono, coeff in x.terms.items():
         counts = {name: 0 for name in ("a", "a*", "b", "b*")}

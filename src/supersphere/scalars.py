@@ -6,18 +6,27 @@ distinct (m, k) never merge; in the algebraic identities of this package at
 most one component ever survives, but exact integration of trigonometric
 polynomials legitimately produces sums of distinct pi powers, so the sum form
 is kept closed under + and *.
+
+Each component is stored as a record of plain integers (re, im, den) standing
+for (re + i*im)/den, in canonical form: den > 0, gcd(re, im, den) = 1, and a
+zero component is dropped.  Equal scalars therefore have equal records, so
+equality and hashing are dict operations, and arithmetic never builds a
+``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+# one canonical component: (re, im, den) for (re + i*im)/den
+Record = tuple[int, int, int]
 
 
 def squarefree_split(m: int) -> tuple[int, int]:
@@ -35,35 +44,87 @@ def squarefree_split(m: int) -> tuple[int, int]:
     return g, m0
 
 
+def _primes_upto(n: int) -> list[int]:
+    sieve = bytearray([1]) * (n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+def _canon(re: int, im: int, den: int) -> Record:
+    """Divide out gcd(re, im, den); den > 0 and (re, im) != (0, 0)."""
+    g = gcd(re, im, den)
+    if g == 1:
+        return (re, im, den)
+    return (re // g, im // g, den // g)
+
+
+def _record(re: RationalLike, im: RationalLike) -> Record | None:
+    """The canonical record of re + i*im, or None when it is zero."""
+    if type(re) is int and type(im) is int:
+        return (re, im, 1) if re or im else None
+    re, im = Fraction(re), Fraction(im)
+    if not re and not im:
+        return None
+    # over the lcm of two reduced denominators the record is already canonical
+    den = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+    return (re.numerator * (den // re.denominator),
+            im.numerator * (den // im.denominator), den)
+
+
+def _accumulate(parts: dict, key: tuple[int, int], rec: Record) -> None:
+    """Add the record rec to parts[key], dropping the component if it cancels."""
+    old = parts.get(key)
+    if old is None:
+        parts[key] = rec
+        return
+    re1, im1, d1 = old
+    re2, im2, d2 = rec
+    g = gcd(d1, d2)
+    f1, f2 = d2 // g, d1 // g
+    re = re1 * f1 + re2 * f2
+    im = im1 * f1 + im2 * f2
+    if re or im:
+        parts[key] = _canon(re, im, d1 * f1)
+    else:
+        del parts[key]
+
+
+def _parts_of(value) -> dict | None:
+    """The parts of a Scalar, int or Fraction; None for any other type."""
+    if isinstance(value, Scalar):
+        return value._parts
+    if isinstance(value, (int, Fraction)):
+        rec = _record(value, 0)
+        return {(1, 0): rec} if rec else {}
+    return None
+
+
 class Scalar:
-    """Immutable exact coefficient; do not mutate after construction."""
+    """Immutable exact coefficient; do not mutate after construction.
+
+    ``Scalar(parts)`` takes parts that are already canonical: squarefree
+    radicands and canonical records, no zero component.  ``Scalar.of`` builds
+    a scalar from arbitrary rationals and radicand.
+    """
 
     __slots__ = ("_parts",)
 
-    def __init__(self, parts: Mapping[tuple[int, int], tuple[Fraction, Fraction]] | None = None):
-        clean: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        if parts:
-            for (rad, pi), (re, im) in parts.items():
-                if re == 0 and im == 0:
-                    continue
-                g, m0 = squarefree_split(rad)
-                if g != 1:
-                    re, im = re * g, im * g
-                key = (m0, pi)
-                if key in clean:
-                    ore, oim = clean[key]
-                    re, im = ore + re, oim + im
-                    if re == 0 and im == 0:
-                        del clean[key]
-                        continue
-                clean[key] = (re, im)
-        self._parts = clean
+    def __init__(self, parts: dict[tuple[int, int], Record] | None = None):
+        self._parts = parts if parts is not None else {}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(re: RationalLike = 0, im: RationalLike = 0, radical: int = 1, pi: int = 0) -> "Scalar":
-        return Scalar({(radical, pi): (Fraction(re), Fraction(im))})
+        rec = _record(re, im)
+        if rec is None:
+            return Scalar()
+        g, m0 = squarefree_split(radical)
+        if g != 1:
+            rec = _canon(rec[0] * g, rec[1] * g, rec[2])
+        return Scalar({(m0, pi): rec})
 
     @staticmethod
     def zero() -> "Scalar":
@@ -83,6 +144,28 @@ class Scalar:
         return Scalar.of(1, 0, radical=m)
 
     @staticmethod
+    def sqrt_binomial(n: int, k: int) -> "Scalar":
+        """Exact sqrt of C(n, k) for 0 <= k <= n, with no trial division.
+
+        C(n, k) has no prime factor above n; Legendre's formula gives the
+        exponent of each prime p <= n as the sum over p**j of
+        floor(n/p**j) - floor(k/p**j) - floor((n-k)/p**j).
+        """
+        if not 0 <= k <= n:
+            raise ValueError("sqrt_binomial needs 0 <= k <= n, got n=%r, k=%r" % (n, k))
+        g = m0 = 1
+        for p in _primes_upto(n):
+            e = 0
+            q = p
+            while q <= n:
+                e += n // q - k // q - (n - k) // q
+                q *= p
+            g *= p ** (e >> 1)
+            if e & 1:
+                m0 *= p
+        return Scalar({(m0, 0): (g, 0, 1)})
+
+    @staticmethod
     def pi_power(k: int) -> "Scalar":
         return Scalar.of(1, 0, 1, k)
 
@@ -90,7 +173,7 @@ class Scalar:
     def coerce(value: "Scalar | RationalLike") -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        return Scalar.of(Fraction(value))
+        return Scalar.of(value)
 
     # -- structure ---------------------------------------------------------
 
@@ -105,20 +188,21 @@ class Scalar:
 
     def components(self) -> list[tuple[int, int, Fraction, Fraction]]:
         """Sorted (radical, pi, re, im) tuples."""
-        return [(rad, pi, re, im) for (rad, pi), (re, im) in sorted(self._parts.items())]
+        return [(rad, pi, Fraction(re, den), Fraction(im, den))
+                for (rad, pi), (re, im, den) in sorted(self._parts.items())]
 
-    def _single(self) -> tuple[int, int, Fraction, Fraction]:
-        if self.is_zero:
-            return (1, 0, _ZERO, _ZERO)
-        if not self.is_simple:
+    def _single(self) -> tuple[int, int, Record]:
+        if not self._parts:
+            return (1, 0, (0, 0, 1))
+        if len(self._parts) > 1:
             raise ValueError("scalar %s is not a single radical/pi component" % (self,))
-        (rad, pi), (re, im) = next(iter(self._parts.items()))
-        return (rad, pi, re, im)
+        (rad, pi), rec = next(iter(self._parts.items()))
+        return (rad, pi, rec)
 
     @property
     def gaussian(self) -> tuple[Fraction, Fraction]:
-        rad, pi, re, im = self._single()
-        return (re, im)
+        re, im, den = self._single()[2]
+        return (Fraction(re, den), Fraction(im, den))
 
     @property
     def radical(self) -> int:
@@ -131,22 +215,20 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar | RationalLike") -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
+        op = _parts_of(other)
+        if op is None:
             return NotImplemented
-        other = Scalar.coerce(other)
+        if not op:
+            return self
         merged = dict(self._parts)
-        for key, (re, im) in other._parts.items():
-            if key in merged:
-                ore, oim = merged[key]
-                merged[key] = (ore + re, oim + im)
-            else:
-                merged[key] = (re, im)
+        for key, rec in op.items():
+            _accumulate(merged, key, rec)
         return Scalar(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({k: (-re, -im) for k, (re, im) in self._parts.items()})
+        return Scalar({k: (-re, -im, den) for k, (re, im, den) in self._parts.items()})
 
     def __sub__(self, other: "Scalar | RationalLike") -> "Scalar":
         if not isinstance(other, (Scalar, int, Fraction)):
@@ -157,78 +239,67 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
+        op = _parts_of(other)
+        if op is None:
             return NotImplemented
-        other = Scalar.coerce(other)
-        out: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        for (rad1, pi1), (re1, im1) in self._parts.items():
-            for (rad2, pi2), (re2, im2) in other._parts.items():
-                # sqrt(m) * sqrt(m') = g * sqrt(m m' / g^2)
-                g, m0 = squarefree_split(rad1 * rad2)
-                re = (re1 * re2 - im1 * im2) * g
-                im = (re1 * im2 + im1 * re2) * g
-                key = (m0, pi1 + pi2)
-                if key in out:
-                    ore, oim = out[key]
-                    out[key] = (ore + re, oim + im)
-                else:
-                    out[key] = (re, im)
+        out: dict[tuple[int, int], Record] = {}
+        for (m1, k1), (re1, im1, d1) in self._parts.items():
+            for (m2, k2), (re2, im2, d2) in op.items():
+                # both radicands are squarefree, so with g = gcd(m1, m2)
+                # sqrt(m1) * sqrt(m2) = g * sqrt((m1/g) * (m2/g))
+                g = gcd(m1, m2)
+                # a product of nonzero Gaussian rationals is nonzero
+                _accumulate(out, ((m1 // g) * (m2 // g), k1 + k2),
+                            _canon((re1 * re2 - im1 * im2) * g, (re1 * im2 + im1 * re2) * g, d1 * d2))
         return Scalar(out)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         """Inverse of a single-component scalar: 1/(g sqrt(m) pi^k)."""
-        rad, pi, re, im = self._single()
-        if re == 0 and im == 0:
+        rad, pi, (re, im, den) = self._single()
+        if not re and not im:
             raise ZeroDivisionError("scalar zero has no inverse")
-        norm = re * re + im * im
-        # 1/sqrt(m) = sqrt(m)/m
-        return Scalar.of(re / norm / rad, -im / norm / rad, rad, -pi)
+        # den/(re + i im) = den (re - i im)/(re^2 + im^2), and 1/sqrt(m) = sqrt(m)/m
+        return Scalar({(rad, -pi): _canon(den * re, -den * im, (re * re + im * im) * rad)})
 
     def __truediv__(self, other: "Scalar | RationalLike") -> "Scalar":
         return self * Scalar.coerce(other).inverse()
 
     def conjugate(self) -> "Scalar":
-        return Scalar({k: (re, -im) for k, (re, im) in self._parts.items()})
+        return Scalar({k: (re, -im, den) for k, (re, im, den) in self._parts.items()})
 
     # -- comparison / hashing ------------------------------------------------
 
-    def _key(self):
-        return tuple(sorted(self._parts.items()))
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.coerce(other)
-        if not isinstance(other, Scalar):
+        op = _parts_of(other)
+        if op is None:
             return NotImplemented
-        return self._parts == other._parts
+        return self._parts == op
 
     def __hash__(self) -> int:
         # a purely rational scalar equals its Fraction, so it hashes as one
         if not self._parts:
             return hash(_ZERO)
-        (key, (re, im)), *rest = self._parts.items()
+        (key, (re, im, den)), *rest = self._parts.items()
         if not rest and key == (1, 0) and im == 0:
-            return hash(re)
-        return hash(self._key())
+            return hash(Fraction(re, den))
+        return hash(tuple(sorted(self._parts.items())))
 
     # -- numeric / display ---------------------------------------------------
 
     def to_complex(self) -> complex:
         total = 0j
-        for (rad, pi), (re, im) in self._parts.items():
-            total += complex(re + im * 1j) * math.sqrt(rad) * math.pi ** pi
+        for (rad, pi), (re, im, den) in self._parts.items():
+            total += complex(re / den, im / den) * math.sqrt(rad) * math.pi ** pi
         return total
 
     def as_int(self) -> int:
         """Exact integer value; raises ValueError if not an exact integer."""
-        if self.is_zero:
-            return 0
-        rad, pi, re, im = self._single()
-        if rad != 1 or pi != 0 or im != 0 or re.denominator != 1:
+        rad, pi, (re, im, den) = self._single()
+        if rad != 1 or pi != 0 or im != 0 or den != 1:
             raise ValueError("scalar %s is not an exact integer" % (self,))
-        return int(re)
+        return re
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -118,6 +118,12 @@ def test_chern_numbers_small():
         assert chern_number(PLUS, n) == -n
 
 
+def test_chern_number_beyond_the_radical_cliff():
+    # psi(48) has radicands up to C(48, 24) ~ 3.2e13, too many to trial-divide
+    assert chern_number(MINUS, 48) == 48
+    assert chern_number(PLUS, 48) == -48
+
+
 def test_chern_number_orientation_invariance():
     # swapping the chart orientation flips the density integral and the
     # normalizer together, leaving the quotient unchanged

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON round-trips, golden checks."""
 
+import io
 import json
+import os
 
 from supersphere.cli import main
 from supersphere.forms import SuperForm
@@ -52,6 +54,32 @@ def test_chern_form_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "exactness failure: pairing route disagrees" in err
+
+
+def test_closed_stdout_exits_1_without_traceback(monkeypatch, tmp_path, capsys):
+    from supersphere import cli
+
+    class ClosedPipe(io.StringIO):
+        """A stdout whose reader has gone: every write raises."""
+
+        def __init__(self, fd):
+            super().__init__()
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "wb") as fh:
+        monkeypatch.setattr(cli.sys, "stdout", ClosedPipe(fh.fileno()))
+        code = main(["chern", "--sign", "minus", "--n", "1"])
+        # the descriptor behind stdout now discards what is still buffered
+        os.write(fh.fileno(), b"late flush")
+    assert code == 1
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == ""
 
 
 def test_chern_usage_errors(capsys):

@@ -1,8 +1,11 @@
 """Exact scalar arithmetic: Gaussian rationals, radicals, pi powers."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersphere.scalars import Scalar, rat, squarefree_split
 
@@ -77,7 +80,98 @@ def test_serialization_roundtrip():
 
 
 def test_to_complex():
-    import math
     x = Scalar.of(1, 1, 2, 1)
     want = complex(1, 1) * math.sqrt(2) * math.pi
     assert abs(x.to_complex() - want) < 1e-12
+
+
+def test_sqrt_binomial_matches_trial_division():
+    for n in range(31):
+        for k in range(n + 1):
+            assert Scalar.sqrt_binomial(n, k) == Scalar.sqrt_int(math.comb(n, k)), (n, k)
+    with pytest.raises(ValueError):
+        Scalar.sqrt_binomial(3, 4)
+
+
+# Reference model: {(m, k): (Fraction re, Fraction im)} with every radical
+# product split again by trial division, as the kernel did before it kept
+# integer records.
+
+def ref_normal(items):
+    out = {}
+    for (rad, pi), (re, im) in items:
+        g, m0 = squarefree_split(rad)
+        ore, oim = out.get((m0, pi), (Fraction(0), Fraction(0)))
+        out[(m0, pi)] = (ore + re * g, oim + im * g)
+    return {key: v for key, v in out.items() if v != (0, 0)}
+
+
+def ref_of(terms):
+    return ref_normal(((rad, pi), (Fraction(re), Fraction(im))) for re, im, rad, pi in terms)
+
+
+def ref_add(x, y):
+    return ref_normal([*x.items(), *y.items()])
+
+
+def ref_neg(x):
+    return {key: (-re, -im) for key, (re, im) in x.items()}
+
+
+def ref_mul(x, y):
+    return ref_normal(((r1 * r2, p1 + p2), (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2))
+                      for (r1, p1), (a1, b1) in x.items() for (r2, p2), (a2, b2) in y.items())
+
+
+def ref_conjugate(x):
+    return {key: (re, -im) for key, (re, im) in x.items()}
+
+
+def ref_inverse(x):
+    ((rad, pi), (re, im)), = x.items()
+    norm = re * re + im * im
+    return {(rad, -pi): (re / norm / rad, -im / norm / rad)}
+
+
+def as_ref(x: Scalar):
+    return {(rad, pi): (re, im) for rad, pi, re, im in x.components()}
+
+
+def build(terms) -> Scalar:
+    total = Scalar.zero()
+    for re, im, rad, pi in terms:
+        total = total + Scalar.of(re, im, rad, pi)
+    return total
+
+
+rationals = st.one_of(st.integers(-6, 6),
+                      st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)))
+components = st.tuples(rationals, rationals, st.integers(1, 60), st.integers(-2, 2))
+sums = st.lists(components, max_size=4)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(sums, sums, rationals)
+def test_kernel_matches_reference_model(xs, ys, q):
+    x, y = build(xs), build(ys)
+    rx, ry = ref_of(xs), ref_of(ys)
+    assert as_ref(x) == rx
+    assert as_ref(x + y) == ref_add(rx, ry)
+    assert as_ref(x - y) == ref_add(rx, ref_neg(ry))
+    assert as_ref(x * y) == ref_mul(rx, ry)
+    assert as_ref(x * q) == as_ref(q * x) == ref_mul(rx, ref_of([(q, 0, 1, 0)]))
+    assert as_ref(x + q) == ref_add(rx, ref_of([(q, 0, 1, 0)]))
+    assert as_ref(-x) == ref_neg(rx)
+    assert as_ref(x.conjugate()) == ref_conjugate(rx)
+    assert (x == y) == (rx == ry)
+    # equal values built along different routes are equal and hash alike
+    for a, b in ((x * y, y * x), (x + y - y, x), (build(xs[::-1]), x)):
+        assert a == b and hash(a) == hash(b)
+    if set(rx) <= {(1, 0)} and all(im == 0 for _re, im in rx.values()):
+        value = rx.get((1, 0), (Fraction(0),))[0]
+        assert x == value and hash(x) == hash(value)
+    for term in xs:
+        c, rc = Scalar.of(*term), ref_of([term])
+        if rc:
+            assert as_ref(c.inverse()) == ref_inverse(rc)
+            assert c * c.inverse() == Scalar.one()
