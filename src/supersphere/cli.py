@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from . import monopole
 from .berezin import berezin_chern_number, chern_number
@@ -28,6 +29,50 @@ from .monopole import (MINUS, PLUS, base_space, chern_form_canonical,
 def _load_fixture(name: str) -> dict:
     with resources.files("supersphere.fixtures").joinpath(name).open() as fh:
         return json.load(fh)
+
+
+# pieces of text _print_json joins into one write
+_CHUNK_PIECES = 4096
+
+
+def _print_json(obj) -> None:
+    """Write json.dumps(obj, indent=1) + "\n" to stdout, a chunk at a time.
+
+    With indent set, json.dumps runs its pure-Python encoder; writing in
+    chunks keeps the whole document out of memory.  Dict keys must be str.
+    """
+    write = sys.stdout.write
+    buf: list[str] = []
+
+    def emit(o, pad: str) -> None:
+        if isinstance(o, str):
+            buf.append(encode_basestring_ascii(o))
+        elif isinstance(o, int) and not isinstance(o, bool):
+            buf.append(int.__repr__(o))
+        elif isinstance(o, dict):
+            inner = pad + " "
+            lead, sep = "{\n" + inner, ",\n" + inner
+            for key, value in o.items():
+                buf.append(lead + encode_basestring_ascii(key) + ": ")
+                lead = sep
+                emit(value, inner)
+            buf.append("\n" + pad + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            inner = pad + " "
+            lead, sep = "[\n" + inner, ",\n" + inner
+            for value in o:
+                buf.append(lead)
+                lead = sep
+                emit(value, inner)
+            buf.append("\n" + pad + "]" if o else "[]")
+        else:
+            buf.append(json.dumps(o))
+        if len(buf) >= _CHUNK_PIECES:
+            write("".join(buf))
+            buf.clear()
+
+    emit(obj, "")
+    write("".join(buf) + "\n")
 
 
 def _sign_flag(value: str) -> str:
@@ -401,7 +446,7 @@ def cmd_chern(args) -> int:
             "k_label": k_label,
             "chern_form": form.to_obj(),
         }
-        print(json.dumps(payload, indent=1))
+        _print_json(payload)
     else:
         print("charge (first Chern number): %d" % charge)
         print("K-label: (charge=%d, parity=even)" % charge)
@@ -435,8 +480,8 @@ def cmd_projector(args) -> int:
             print("golden mismatch for %s" % name, file=sys.stderr)
             return 1
     if args.format == "json":
-        print(json.dumps({"sign": args.sign, "n": n, "coords": algebra,
-                          "charge": proj.charge, "matrix": mat.to_obj()}, indent=1))
+        _print_json({"sign": args.sign, "n": n, "coords": algebra,
+                     "charge": proj.charge, "matrix": mat.to_obj()})
     else:
         print("projector for sign %s, n=%d (charge %d), %s coordinates:"
               % (args.sign, n, proj.charge, algebra))
@@ -453,8 +498,8 @@ def cmd_verify(args) -> int:
     records.sort(key=lambda c: c.key())
     ok = all(c.status == "pass" for c in records)
     if args.format == "json":
-        print(json.dumps({"status": "pass" if ok else "fail",
-                          "checks": [c.to_obj() for c in records]}, indent=1))
+        _print_json({"status": "pass" if ok else "fail",
+                     "checks": [c.to_obj() for c in records]})
     else:
         for c in records:
             tag = []
@@ -471,7 +516,10 @@ def cmd_verify(args) -> int:
 
 
 def _positive_int(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0  # reported below like any other value below 1
     if n < 1:
         raise argparse.ArgumentTypeError("n must be a positive integer")
     return n

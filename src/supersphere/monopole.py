@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Element, GeneratorTable, RewriteSystem, EVEN, ODD,
-                      SuperAlgebraError)
+from .algebra import (ONE_MONO, Element, GeneratorTable, Monomial, RewriteSystem, EVEN,
+                      ODD, SuperAlgebraError, mono_mul)
 from .forms import DifferentialIdeal, SuperForm, d
 from .matrices import BlockShape, SuperMatrix, EVEN_FIRST, ODD_FIRST, exp_nilpotent, sdet
 from .scalars import Scalar, rat
@@ -814,17 +814,12 @@ def group_volume_body_form(space: GroupSpace | None = None) -> SuperForm:
 # ---------------------------------------------------------------------------
 # coordinate emission of projectors
 
-# (id(group space), id(base space)) -> (group space, base space, unit table);
-# holding both spaces keeps their ids from being reused
-_unit_tables: dict[tuple[int, int], tuple[GroupSpace, BaseSpace, dict[str, tuple[Element, Element]]]] = {}
+class CoordinateEmissionError(SuperAlgebraError):
+    """Raised when an entry does not factor through the base invariants."""
 
 
-def _invariant_units(space: GroupSpace, base: BaseSpace) -> dict[str, tuple[Element, Element]]:
-    """Each bilinear invariant by name: (group element, base expression)."""
-    hit = _unit_tables.get((id(space), id(base)))
-    if hit is not None:
-        return hit[2]
-    g, s = space, base
+def _invariant_units(g: GroupSpace, s: BaseSpace) -> dict[str, tuple[Monomial, Element]]:
+    """Each bilinear invariant by name: (group monomial, base expression)."""
     one = s.table.one()
     i = Scalar.i()
     x0, x1, x2, xim, xip = s.x0, s.x1, s.x2, s.xim, s.xip
@@ -840,12 +835,79 @@ def _invariant_units(space: GroupSpace, base: BaseSpace) -> dict[str, tuple[Elem
         "a b*": (g.a * g.bd, rat(1, 2) * (x1 - i * x2) * one_fer),
         "b a*": (g.b * g.ad, rat(1, 2) * (x1 + i * x2) * one_fer),
     }
-    _unit_tables[(id(space), id(base))] = (space, base, units)
-    return units
+    table = {}
+    for name, (group, image) in units.items():
+        if list(group.terms.values()) != [Scalar.one()]:
+            raise CoordinateEmissionError("invariant %s is not a unit monomial: %r" % (name, group))
+        table[name] = (next(iter(group.terms)), image)
+    return table
 
 
-class CoordinateEmissionError(SuperAlgebraError):
-    """Raised when an entry does not factor through the base invariants."""
+def _factor_invariants(names: list[str], mono: Monomial) -> tuple[str, ...]:
+    """Names of the bilinear invariants whose product is +-mono, odd one first."""
+    counts = {name: 0 for name in ("a", "a*", "b", "b*")}
+    for i, e in mono[0]:
+        counts[names[i]] = e
+    odd_names = {names[i] for i in mono[1]}
+    has_eta, has_etad = "eta" in odd_names, "eta*" in odd_names
+    chosen: list[str] = []
+    if has_eta and has_etad:
+        chosen.append("eta eta*")
+    elif has_eta or has_etad:
+        partner = next((p for p in (("a*", "b*") if has_eta else ("a", "b")) if counts[p]), None)
+        if partner is None:
+            raise CoordinateEmissionError("unbalanced odd monomial %r" % (mono,))
+        counts[partner] -= 1
+        chosen.append("eta " + partner if has_eta else partner + " eta*")
+    for left, right in (("a", "a*"), ("a", "b*"), ("b", "a*"), ("b", "b*")):
+        k = min(counts[left], counts[right])
+        chosen += ["%s %s" % (left, right)] * k
+        counts[left] -= k
+        counts[right] -= k
+    if any(counts.values()):
+        raise CoordinateEmissionError("monomial %r is not U(1)-invariant" % (mono,))
+    return tuple(chosen)
+
+
+def _base_converter(space: GroupSpace, base: BaseSpace):
+    """A function taking U(1)-invariant group elements to sphere coordinates.
+
+    Its table maps each factorization (u1, ..., uk) into bilinear invariants
+    to (group monomial, sign, base image), each built from its prefix; the
+    entries of one matrix share most factorizations, so they share the table.
+    """
+    units = _invariant_units(space, base)
+    names = space.table.names
+    reduce = base.rewrites.reduce
+    table: dict[tuple[str, ...], tuple[Monomial, int, Element]] = {(): (ONE_MONO, 1, base.table.one())}
+
+    def image(key: tuple[str, ...]) -> tuple[Monomial, int, Element]:
+        hit = table.get(key)
+        if hit is None:
+            mono, sign, img = image(key[:-1])
+            unit_mono, unit_img = units[key[-1]]
+            # at most one unit is odd, so the product never vanishes
+            unit_sign, mono = mono_mul(mono, unit_mono)
+            hit = table[key] = (mono, sign * unit_sign, reduce(img * unit_img))
+        return hit
+
+    def to_base(x: Element) -> Element:
+        terms: dict[Monomial, Scalar] = {}
+        for mono, coeff in x.terms.items():
+            got, sign, img = image(_factor_invariants(names, mono))
+            # the candidate factorization must reproduce the monomial
+            if got != mono:
+                raise CoordinateEmissionError("factorization failed for %r" % (mono,))
+            if sign < 0:
+                coeff = -coeff
+            for m, c in img.terms.items():
+                c = coeff * c
+                terms[m] = terms[m] + c if m in terms else c
+        # reduce returns the unique normal form, so it is linear and a sum of
+        # reduced images is already reduced
+        return Element(base.table, terms)
+
+    return to_base
 
 
 def element_to_base(x: Element, space: GroupSpace | None = None,
@@ -857,70 +919,15 @@ def element_to_base(x: Element, space: GroupSpace | None = None,
     factorization is verified against the monomial, so a wrong pairing cannot
     produce a silent error.
     """
-    g = space or group_space()
-    s = base or base_space()
-    unit_by_name = _invariant_units(g, s)
-    out = s.table.zero()
-    for mono, coeff in x.terms.items():
-        counts = {name: 0 for name in ("a", "a*", "b", "b*")}
-        for i, e in mono[0]:
-            counts[g.table.names[i]] = e
-        odd_names = {g.table.names[i] for i in mono[1]}
-        has_eta = "eta" in odd_names
-        has_etad = "eta*" in odd_names
-        na, nad = counts["a"], counts["a*"]
-        nb, nbd = counts["b"], counts["b*"]
-        chosen: list[str] = []
-        if has_eta and has_etad:
-            chosen.append("eta eta*")
-        elif has_eta:
-            if nad:
-                chosen.append("eta a*"); nad -= 1
-            elif nbd:
-                chosen.append("eta b*"); nbd -= 1
-            else:
-                raise CoordinateEmissionError("unbalanced odd monomial %r" % (mono,))
-        elif has_etad:
-            if na:
-                chosen.append("a eta*"); na -= 1
-            elif nb:
-                chosen.append("b eta*"); nb -= 1
-            else:
-                raise CoordinateEmissionError("unbalanced odd monomial %r" % (mono,))
-        while na and nad:
-            chosen.append("a a*"); na -= 1; nad -= 1
-        while na and nbd:
-            chosen.append("a b*"); na -= 1; nbd -= 1
-        while nb and nad:
-            chosen.append("b a*"); nb -= 1; nad -= 1
-        while nb and nbd:
-            chosen.append("b b*"); nb -= 1; nbd -= 1
-        if na or nad or nb or nbd:
-            raise CoordinateEmissionError("monomial %r is not U(1)-invariant" % (mono,))
-        # verify the factorization reproduces the monomial up to sign
-        group_prod = g.table.one()
-        base_prod = s.table.one()
-        for name in chosen:
-            ge, be = unit_by_name[name]
-            group_prod = group_prod * ge
-            base_prod = base_prod * be
-        target = Element(g.table, {mono: Scalar.one()})
-        if group_prod == target:
-            signed = base_prod
-        elif group_prod == -target:
-            signed = -base_prod
-        else:
-            raise CoordinateEmissionError("factorization failed for %r" % (mono,))
-        out = out + coeff * signed
-    return s.rewrites.reduce(out)
+    return _base_converter(space or group_space(), base or base_space())(x)
 
 
 def projector_to_base(proj: Projector, space: GroupSpace | None = None,
                       base: BaseSpace | None = None) -> SuperMatrix:
     """The projector with every entry rewritten in sphere coordinates."""
-    s = base or base_space()
-    mat = proj.matrix.map_entries(lambda e: element_to_base(e, space, s))
-    return SuperMatrix(proj.matrix.shape, mat.entries, parity=0)
+    to_base = _base_converter(space or group_space(), base or base_space())
+    return SuperMatrix(proj.matrix.shape,
+                       [[to_base(e) for e in row] for row in proj.matrix.entries], parity=0)
 
 
 def group_identities_report(space: GroupSpace | None = None) -> list[IdentityCheck]:

@@ -1,13 +1,19 @@
 """Command-line interface: exit codes, JSON round-trips, golden checks."""
 
+import contextlib
 import io
 import json
 import os
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supersphere import cli
 from supersphere.cli import main
 from supersphere.forms import SuperForm
 from supersphere.matrices import SuperMatrix
-from supersphere.monopole import base_space, group_space
+from supersphere.monopole import base_space, group_space, projector, projector_to_base, psi
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +97,16 @@ def test_chern_usage_errors(capsys):
     assert code == 2
 
 
+def test_usage_error_for_non_integer_n(capsys):
+    for argv in (("chern", "--sign", "minus", "--n", "abc"),
+                 ("projector", "--sign", "minus", "--n", "abc"),
+                 ("verify", "--n-max", "abc")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "must be a positive integer" in err, argv
+        assert "_positive_int" not in err, argv
+
+
 def test_projector_base_golden_self_check(capsys):
     code, out, _ = run_cli(capsys, "projector", "--sign", "minus", "--n", "1",
                            "--coords", "base", "--self-check")
@@ -152,3 +168,100 @@ def test_verify_monopole_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "monopole", "--n-max", "1")
     assert code == 0
     assert "golden projector" in out
+
+
+# -- the streaming JSON writer ---------------------------------------------------------------
+
+class _Recorder(io.StringIO):
+    """A stdout that keeps every write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return super().write(text)
+
+
+def _written(obj) -> _Recorder:
+    out = _Recorder()
+    with contextlib.redirect_stdout(out):
+        cli._print_json(obj)
+    return out
+
+
+_strings = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                             st.characters()), max_size=8)
+_leaves = st.one_of(
+    _strings,
+    st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    st.integers(max_value=-2 ** 64, min_value=-2 ** 200),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _trees(depth):
+    if depth == 0:
+        return _leaves
+    sub = _trees(depth - 1)
+    return st.one_of(_leaves, st.lists(sub, max_size=3),
+                     st.dictionaries(_strings, sub, max_size=3))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_trees(6))
+def test_json_writer_matches_stdlib(obj):
+    assert _written(obj).getvalue() == json.dumps(obj, indent=1) + "\n"
+
+
+def test_json_writer_streams_large_payloads():
+    mat = projector_to_base(projector(psi("-", 4)))
+    payload = {"n": 4, "matrix": mat.to_obj()}
+    out = _written(payload)
+    assert len(out.chunks) > 1
+    assert "".join(out.chunks) == json.dumps(payload, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("projector", "--sign", "minus", "--n", "2", "--coords", "base"),
+    ("chern", "--sign", "minus", "--n", "2"),
+    ("verify", "--suite", "algebra", "--n-max", "1"),
+])
+def test_json_output_is_stdlib_layout(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
+
+def test_pipe_closed_mid_document_exits_1(monkeypatch, tmp_path, capsys):
+    class ClosingPipe(io.StringIO):
+        """A stdout whose reader goes away after the first chunk."""
+
+        def __init__(self, fd):
+            super().__init__()
+            self.fd = fd
+            self.writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "wb") as fh:
+        pipe = ClosingPipe(fh.fileno())
+        monkeypatch.setattr(cli.sys, "stdout", pipe)
+        code = main(["projector", "--sign", "minus", "--n", "4", "--coords", "base",
+                     "--format", "json"])
+    assert code == 1
+    assert pipe.writes == 2
+    with pytest.raises(json.JSONDecodeError):   # the reader got part of the document
+        json.loads(pipe.getvalue())
+    assert capsys.readouterr().err == ""

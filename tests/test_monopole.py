@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from supersphere.algebra import ODD, Element
 from supersphere.berezin import chern_number
 from supersphere.forms import SuperForm, d
 from supersphere.matrices import BlockShape, EVEN_FIRST, SuperMatrix, sdet
@@ -22,7 +23,8 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
                                   nilpotent_exp_report, osp_fixtures, outer_with_kernel,
                                   pairing, projector, projector_to_base, psi,
                                   section_to_equivariant, sphere_relation_check,
-                                  supertrace_p_dp_dp, u1_embedding, u1_images)
+                                  supertrace_p_dp_dp, u1_embedding, u1_images,
+                                  _build_group_space, _factor_invariants, _invariant_units)
 from supersphere.scalars import Scalar, rat
 
 
@@ -503,8 +505,64 @@ def test_element_to_base_roundtrip_n2(g):
             assert g.rewrites.reduce(pulled - proj.matrix.entries[i][j]).is_zero, (i, j)
 
 
+def _element_to_base_oracle(x, g, base):
+    """The per-monomial route: factor each monomial into the bilinear
+    invariants, multiply their group elements and base expressions, check the
+    group product against the monomial, and reduce the sum once."""
+    units = {name: (_unit_group(g, name), expr)
+             for name, (_, expr) in _invariant_units(g, base).items()}
+    out = base.table.zero()
+    for mono, coeff in x.terms.items():
+        group_prod, base_prod = g.table.one(), base.table.one()
+        for name in _factor_invariants(g.table.names, mono):
+            ge, be = units[name]
+            group_prod = group_prod * ge
+            base_prod = base_prod * be
+        target = Element(g.table, {mono: Scalar.one()})
+        if group_prod == target:
+            out = out + coeff * base_prod
+        else:
+            assert group_prod == -target, mono
+            out = out - coeff * base_prod
+    return base.rewrites.reduce(out)
+
+
+def _unit_group(g, name):
+    first, second = name.split()
+    return g.table.gen(first) * g.table.gen(second)
+
+
+@pytest.mark.parametrize("sign", [MINUS, PLUS])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projector_to_base_matches_per_monomial_oracle(g, sign, n):
+    base = base_space()
+    proj = projector(psi(sign, n, g))
+    emitted = projector_to_base(proj, g, base)
+    for row, got_row in zip(proj.matrix.entries, emitted.entries):
+        for entry, got in zip(row, got_row):
+            assert got == _element_to_base_oracle(entry, g, base)
+
+
+def test_element_to_base_matches_per_monomial_oracle(g):
+    base = base_space()
+    entries = projector(psi(PLUS, 2, g)).matrix.entries
+    one_entry = entries[4][4]
+    two_rows = entries[1][1] + entries[3][4]
+    for x in (one_entry, two_rows):
+        assert len(x.terms) > 1
+        assert element_to_base(x, g, base) == _element_to_base_oracle(x, g, base)
+
+
 def test_element_to_base_rejects_non_invariant(g):
     with pytest.raises(CoordinateEmissionError):
         element_to_base(g.a, g)
     with pytest.raises(CoordinateEmissionError):
         element_to_base(g.eta, g)
+
+
+def test_element_to_base_checks_the_factorization():
+    # the factorization ignores odd generators other than eta, eta*, so only
+    # the check of the units' product against the monomial catches a t
+    space = _build_group_space([("t", "t*", ODD)])
+    with pytest.raises(CoordinateEmissionError, match="factorization failed"):
+        element_to_base(space.a * space.ad * space.table.gen("t"), space)
