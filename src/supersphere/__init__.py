@@ -16,7 +16,7 @@ from .matrices import (BlockShape, SuperMatrix, EVEN_FIRST, ODD_FIRST, ShapeErro
                        graded_bracket, sdet, supertrace, exp_nilpotent)
 from .forms import SuperForm, DifferentialIdeal, d, wedge, body_project
 from .trig import TrigPoly, PhaseHalfAngle, wallis_integrate, ChartError
-from .monopole import (group_space, extended_space, base_space, group_element,
+from .monopole import (group_space, base_space, group_element,
                        osp_fixtures, base_coordinates, inversion_identities,
                        psi, pairing, projector, connection_form,
                        connection_closed_form, curvature, chern_form,
@@ -24,7 +24,7 @@ from .monopole import (group_space, extended_space, base_space, group_element,
                        chern_intermediate_form, chern_form_body,
                        coordinate_chern_form, coordinate_chern_report,
                        check_equivariance, section_to_equivariant,
-                       element_to_base, projector_to_base, nilpotent_exp_check,
+                       element_to_base, projector_to_base,
                        nilpotent_exp_report, group_identities_report,
                        sphere_relation_check, PsiVector, Projector,
                        supertrace_p_dp_dp, outer_with_kernel,

@@ -473,10 +473,6 @@ class Element:
             out = out + term
         return out
 
-    def lift(self, target: GeneratorTable) -> "Element":
-        """Reinterpret over a larger table containing the same generator names."""
-        return self.substitute({}, target)
-
     # -- display / serialization ----------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
@@ -511,15 +507,12 @@ class Element:
 
     @staticmethod
     def from_obj(algebra: GeneratorTable, obj: Iterable[dict]) -> "Element":
-        total = algebra.zero()
+        words = []
         for term in obj:
-            coeff = Scalar.from_obj([term["coeff"]])
-            word: list[str] = []
-            for name, e in term.get("even", {}).items():
-                word.extend([name] * e)
+            word = [name for name, e in term.get("even", {}).items() for _ in range(e)]
             word.extend(term.get("odd", []))
-            total = total + algebra.element([(coeff, word)])
-        return total
+            words.append((Scalar.from_obj([term["coeff"]]), word))
+        return algebra.element(words)
 
 
 class RewriteSystem:
@@ -559,8 +552,8 @@ class RewriteSystem:
         smaller ones, so the loop terminates; irreducible monomials are final
         regardless of coefficient and may be merged immediately.
         """
-        if x.algebra != self.algebra:
-            x = x.lift(self.algebra)
+        if x.algebra is not self.algebra and x.algebra != self.algebra:
+            raise AlgebraMismatchError("element lives over a different generator table")
         normal: dict[Monomial, Scalar] = {}
         work: dict[Monomial, Scalar] = dict(x.terms)
         while work:

@@ -11,15 +11,16 @@ with every differential and square to zero; differentials of odd generators
 commute with each other and dh ^ dh survives; functions commute with a
 differential unless both are odd.  The exterior derivative has form degree 1
 and Grassmann parity 0, obeys the graded Leibniz rule and d . d = 0, and
-commutes with the diamond involution extended by (dg)^diamond = d(g^diamond).
+commutes with the diamond involution, carried to forms by
+(dg)^diamond = d(g^diamond).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import (Element, GeneratorTable, Monomial, ParityError,
-                      RewriteSystem, mono_parity)
+from .algebra import (AlgebraMismatchError, Element, GeneratorTable, Monomial,
+                      ParityError, RewriteSystem, mono_parity)
 from .scalars import Scalar
 
 # wedge monomial: tuple of generator indices, sorted ascending
@@ -228,9 +229,6 @@ class SuperForm:
             total = total + term
         return total
 
-    def lift(self, target: GeneratorTable) -> "SuperForm":
-        return self.substitute({}, target)
-
     # -- display / serialization -----------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -346,8 +344,8 @@ class DifferentialIdeal:
         """Coefficients to normal form, then eliminate rule pairs to fixpoint."""
         if isinstance(omega, Element):
             omega = SuperForm.from_element(omega)
-        if omega.algebra != self.algebra:
-            omega = omega.lift(self.algebra)
+        if omega.algebra is not self.algebra and omega.algebra != self.algebra:
+            raise AlgebraMismatchError("form lives over a different generator table")
         work = omega.map_coefficients(self.rewrites.reduce)
         while True:
             hit = next(((w, mono, gi, di, repl)

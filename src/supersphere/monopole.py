@@ -58,8 +58,7 @@ class LocalizedModel:
     exactly, which turns ideal-membership checks into plain zero tests in
     the free algebra on a, a*, b, b^(-1), eta, eta* with b b^(-1) -> 1.
     The two-rule rewrite reduction stays in use for canonical display, but
-    equality modulo the ideal is decided here.  The model has no circle pair
-    w, w*, so it decides nothing over the extended table.
+    equality modulo the ideal is decided here.
     """
 
     def __init__(self):
@@ -124,40 +123,24 @@ class GroupSpace:
         return SuperForm.differential(self.table, name)
 
 
-def _build_group_space(extra_pairs=()) -> GroupSpace:
-    table = GeneratorTable.build(conjugate_pairs=[
-        ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD), *extra_pairs])
-    a, ad = table.gen("a"), table.gen("a*")
-    b, bd = table.gen("b"), table.gen("b*")
-    rules = [(b * bd, table.one() - a * ad)]
-    if ("w", "w*", EVEN) in tuple(extra_pairs):
-        rules.append((table.gen("w") * table.gen("w*"), table.one()))
-    rewrites = RewriteSystem(table, rules)
-    da = SuperForm.differential(table, "a")
-    dad = SuperForm.differential(table, "a*")
-    dbd = SuperForm.differential(table, "b*")
-    db_repl = -(a * dad + ad * da + b * dbd)
-    ideal = DifferentialIdeal(rewrites, [(bd, SuperForm.differential(table, "b"), db_repl)])
-    return GroupSpace(table, rewrites, ideal, LocalizedModel())
-
-
 _group_space: GroupSpace | None = None
-_extended_space: GroupSpace | None = None
 
 
 def group_space() -> GroupSpace:
     global _group_space
     if _group_space is None:
-        _group_space = _build_group_space()
+        table = GeneratorTable.build(conjugate_pairs=[
+            ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD)])
+        a, ad = table.gen("a"), table.gen("a*")
+        b, bd = table.gen("b"), table.gen("b*")
+        rewrites = RewriteSystem(table, [(b * bd, table.one() - a * ad)])
+        da = SuperForm.differential(table, "a")
+        dad = SuperForm.differential(table, "a*")
+        dbd = SuperForm.differential(table, "b*")
+        db_repl = -(a * dad + ad * da + b * dbd)
+        ideal = DifferentialIdeal(rewrites, [(bd, SuperForm.differential(table, "b"), db_repl)])
+        _group_space = GroupSpace(table, rewrites, ideal, LocalizedModel())
     return _group_space
-
-
-def extended_space() -> GroupSpace:
-    """Group algebra extended by the circle pair w, w* with w w* = 1."""
-    global _extended_space
-    if _extended_space is None:
-        _extended_space = _build_group_space([("w", "w*", EVEN)])
-    return _extended_space
 
 
 @dataclass(frozen=True)
@@ -242,14 +225,6 @@ def group_element(space: GroupSpace | None = None) -> SuperMatrix:
     return SuperMatrix(block_shape_1_2(), rows, parity=0)
 
 
-def u1_embedding(space: GroupSpace) -> SuperMatrix:
-    """diag(1, w, w*) in the w-extended algebra."""
-    t = space.table
-    z = t.zero()
-    rows = [[t.one(), z, z], [z, t.gen("w"), z], [z, z, t.gen("w*")]]
-    return SuperMatrix(block_shape_1_2(), rows, parity=0)
-
-
 @dataclass
 class NilpotentExpReport:
     """Comparison of the two odd exponential factorizations.
@@ -296,11 +271,6 @@ def nilpotent_exp_report(space: GroupSpace | None = None) -> NilpotentExpReport:
     terminates = all(e.is_zero for row in cube.entries for e in row)
     return NilpotentExpReport(product, sum_form, diff, zero, bch_equal,
                               sum_matches, terminates)
-
-
-def nilpotent_exp_check(space: GroupSpace | None = None) -> bool:
-    """True when the naive product = sum exponential identity holds."""
-    return nilpotent_exp_report(space).product_equals_sum
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +495,30 @@ def outer_with_kernel(psi_vec: PsiVector, kernel: SuperForm) -> SuperMatrix:
 # ---------------------------------------------------------------------------
 # equivariance
 
-def u1_images(space: GroupSpace) -> dict[str, Element]:
-    t = space.table
-    w, wd = t.gen("w"), t.gen("w*")
-    return {
-        "a": t.gen("a") * w, "a*": t.gen("a*") * wd,
-        "b": t.gen("b") * w, "b*": t.gen("b*") * wd,
-        "eta": t.gen("eta") * w, "eta*": t.gen("eta*") * wd,
-    }
+# U(1) charge of each group generator.  The circle acts by a -> a w,
+# b -> b w, eta -> eta w, and each starred generator picks up w* = w^(-1), so
+# a monomial of charge q (the sum over its factors) is multiplied by w^q.
+# The only rewrite rule, b b* -> 1 - a a*, has charge 0 on both sides, so
+# every rewrite step keeps the charge of a monomial and the normal form of x
+# is the sum of the normal forms of its charge-homogeneous parts x_q.  With
+# w, w* adjoined and w w* -> 1, the substitution test
+# reduce(x(a w, ...) - w^n x) = 0 therefore reads
+# sum_q (w^q - w^n) reduce(x_q) = 0; distinct powers of w keep the terms
+# apart, so it holds exactly when reduce(x_q) = 0 for every q != n, that is
+# when reduce(x) is homogeneous of charge n.  Reading charges off the normal
+# form is a complete decision procedure, and w is never built.
+U1_CHARGE = {"a": 1, "b": 1, "eta": 1, "a*": -1, "b*": -1, "eta*": -1}
+
+
+def u1_charge(table: GeneratorTable, mono: Monomial) -> int:
+    """U(1) charge of a monomial over the group generators."""
+    names = table.names
+    return (sum(U1_CHARGE[names[i]] * e for i, e in mono[0])
+            + sum(U1_CHARGE[names[i]] for i in mono[1]))
+
+
+def _has_charge(x: Element, charge: int) -> bool:
+    return all(u1_charge(x.algebra, mono) == charge for mono in x.terms)
 
 
 @dataclass
@@ -544,29 +530,19 @@ class EquivarianceReport:
 
 
 def check_equivariance(sign: str, n: int) -> EquivarianceReport:
-    """psi picks up w^n (sign -) or (w*)^n (sign +); p is invariant."""
+    """psi picks up w^n (sign -) or (w*)^n (sign +); p is invariant.
+
+    Decided by the U(1) charge grading: every monomial of every reduced psi
+    component has charge n (sign -) or -n (sign +), and every monomial of
+    every projector entry has charge 0.
+    """
     sign = normalize_sign(sign)
-    ext = extended_space()
-    images = u1_images(ext)
+    g = group_space()
     vec = psi(sign, n)
-    w_pow = ext.table.gen("w" if sign == MINUS else "w*") ** n
-    covariant = True
-    for comp in vec.components:
-        lifted = comp.lift(ext.table)
-        moved = comp.substitute(images, ext.table)
-        if not ext.rewrites.reduce(moved - w_pow * lifted).is_zero:
-            covariant = False
-            break
-    proj = projector(vec)
-    invariant = True
-    for row in proj.matrix.entries:
-        for entry in row:
-            moved = entry.substitute(images, ext.table)
-            if not ext.rewrites.reduce(moved - entry.lift(ext.table)).is_zero:
-                invariant = False
-                break
-        if not invariant:
-            break
+    want = n if sign == MINUS else -n
+    covariant = all(_has_charge(g.rewrites.reduce(c), want) for c in vec.components)
+    invariant = all(_has_charge(entry, 0)
+                    for row in projector(vec).matrix.entries for entry in row)
     return EquivarianceReport(sign, n, covariant, invariant)
 
 

@@ -56,6 +56,13 @@ def test_mul_table_mismatch(table, gens):
         gens["a"] * other.gen("a")
 
 
+def test_reduce_rejects_another_table(table, group_rewrites):
+    # same names as a subset: reduce must not reinterpret it over its own table
+    other = GeneratorTable.build(conjugate_pairs=[("a", "a*", EVEN), ("b", "b*", EVEN)])
+    with pytest.raises(AlgebraMismatchError):
+        group_rewrites.reduce(other.gen("b") * other.gen("b*"))
+
+
 def _diamond_oracle(x: Element) -> Element:
     """Independent diamond: apply the involution factor by factor."""
     table = x.algebra

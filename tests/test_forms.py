@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from supersphere.algebra import EVEN, AlgebraMismatchError, GeneratorTable
 from supersphere.berezin import base_chart, chart_pullback, group_section_chart
 from supersphere.forms import SuperForm, body_project, d, wedge
 from supersphere.monopole import base_space, group_space
@@ -28,6 +29,16 @@ def test_d_examples(g, diffs):
     assert d(g.table.one()).is_zero
     assert d(g.a * g.etad) == diffs["a"] * g.etad + g.a * diffs["eta*"]
     assert d(d(g.a * g.b)).is_zero
+
+
+def test_ideal_reduce_rejects_another_table(g):
+    # the group generators without eta, eta*: same names, different table
+    other = GeneratorTable.build(conjugate_pairs=[("a", "a*", EVEN), ("b", "b*", EVEN)])
+    omega = other.gen("b*") * SuperForm.differential(other, "b")
+    with pytest.raises(AlgebraMismatchError):
+        g.ideal.reduce(omega)
+    with pytest.raises(AlgebraMismatchError):
+        g.ideal.reduce(SuperForm.zero(other))
 
 
 def test_d_squared_random(g):

@@ -1,12 +1,17 @@
 """The monopole construction: group element, coordinates, projectors, forms."""
 
+import dataclasses
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from supersphere.algebra import ODD, Element
+from supersphere import monopole
+from supersphere.algebra import EVEN, ODD, Element, GeneratorTable, RewriteSystem, mono_mul
 from supersphere.berezin import chern_number
 from supersphere.forms import SuperForm, d
 from supersphere.matrices import BlockShape, EVEN_FIRST, SuperMatrix, sdet
@@ -17,15 +22,16 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
                                   connection_closed_form, connection_form,
                                   coordinate_chern_form, coordinate_chern_report,
                                   coordinate_images, curvature, element_to_base,
-                                  extended_space, group_element,
+                                  EquivarianceReport, group_element,
                                   group_identities_report, group_space,
-                                  inversion_identities, nilpotent_exp_check,
-                                  nilpotent_exp_report, osp_fixtures, outer_with_kernel,
-                                  pairing, projector, projector_to_base, psi,
-                                  section_to_equivariant, sphere_relation_check,
-                                  supertrace_p_dp_dp, u1_embedding, u1_images,
-                                  _build_group_space, _factor_invariants, _invariant_units)
+                                  inversion_identities, nilpotent_exp_report,
+                                  osp_fixtures, outer_with_kernel, pairing, projector,
+                                  projector_to_base, psi, section_to_equivariant,
+                                  sphere_relation_check, supertrace_p_dp_dp, u1_charge,
+                                  Projector, PsiVector, block_shape_1_2,
+                                  _factor_invariants, _invariant_units)
 from supersphere.scalars import Scalar, rat
+from supersphere.tests_support import random_element
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +83,6 @@ def test_exponential_product_vs_sum(g):
     sum form is the odd factor of the parametrized group element.
     """
     rep = nilpotent_exp_report(g)
-    assert nilpotent_exp_check(g) is False
     assert rep.product_equals_sum is False
     fix = osp_fixtures(g)
     bch_term = fix["A0"].scale(Scalar.of(0, Fraction(-1, 4)) * (g.eta * g.etad))
@@ -299,33 +304,159 @@ def test_equivariance_reports(g):
             assert rep.psi_covariant and rep.projector_invariant, (sign, n)
 
 
+# The circle action by substitution, the oracle for the charge test: the group
+# generators with the circle pair w, w* adjoined, and w w* -> 1.
+CIRCLE_TABLE = GeneratorTable.build(conjugate_pairs=[
+    ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD), ("w", "w*", EVEN)])
+CIRCLE_REWRITES = RewriteSystem(CIRCLE_TABLE, [
+    (CIRCLE_TABLE.gen("b") * CIRCLE_TABLE.gen("b*"),
+     CIRCLE_TABLE.one() - CIRCLE_TABLE.gen("a") * CIRCLE_TABLE.gen("a*")),
+    (CIRCLE_TABLE.gen("w") * CIRCLE_TABLE.gen("w*"), CIRCLE_TABLE.one())])
+
+
+def u1_images() -> dict[str, Element]:
+    t = CIRCLE_TABLE
+    w, wd = t.gen("w"), t.gen("w*")
+    return {
+        "a": t.gen("a") * w, "a*": t.gen("a*") * wd,
+        "b": t.gen("b") * w, "b*": t.gen("b*") * wd,
+        "eta": t.gen("eta") * w, "eta*": t.gen("eta*") * wd,
+    }
+
+
+def u1_embedding() -> SuperMatrix:
+    """diag(1, w, w*) over the circle table."""
+    t = CIRCLE_TABLE
+    z = t.zero()
+    rows = [[t.one(), z, z], [z, t.gen("w"), z], [z, z, t.gen("w*")]]
+    return SuperMatrix(block_shape_1_2(), rows, parity=0)
+
+
+def _lift(x: Element) -> Element:
+    return x.substitute({}, CIRCLE_TABLE)
+
+
+def _substitution_report(sign, n) -> EquivarianceReport:
+    """psi(a w, ...) = w^n psi (or w*^n) and p(a w, ...) = p, by substitution.
+
+    Reads psi and projector through the module, so a patched one is checked.
+    """
+    images = u1_images()
+    vec = monopole.psi(sign, n)
+    w_pow = CIRCLE_TABLE.gen("w" if sign == MINUS else "w*") ** n
+    covariant = all(
+        CIRCLE_REWRITES.reduce(c.substitute(images, CIRCLE_TABLE) - w_pow * _lift(c)).is_zero
+        for c in vec.components)
+    invariant = all(
+        CIRCLE_REWRITES.reduce(e.substitute(images, CIRCLE_TABLE) - _lift(e)).is_zero
+        for row in monopole.projector(vec).matrix.entries for e in row)
+    return EquivarianceReport(sign, n, covariant, invariant)
+
+
+def test_charge_check_matches_substitution_oracle():
+    for n in (1, 2):
+        for sign in (MINUS, PLUS):
+            assert check_equivariance(sign, n) == _substitution_report(sign, n), (sign, n)
+
+
+def test_wrong_charge_in_psi_component_is_caught(g, monkeypatch):
+    original = monopole.psi
+
+    def bad_psi(sign, n, space=None):
+        vec = original(sign, n, space)
+        comps = list(vec.components)
+        comps[-1] = comps[-1] + g.ad ** n          # charge -n beside charge +n
+        return PsiVector(vec.sign, vec.n, comps)
+
+    monkeypatch.setattr(monopole, "psi", bad_psi)
+    rep = check_equivariance(MINUS, 2)
+    assert not rep.psi_covariant
+    assert rep == _substitution_report(MINUS, 2)
+
+
+def test_zero_of_wrong_charge_is_not_a_witness(g, monkeypatch):
+    # (a a* + b b* - 1) a^2 vanishes modulo the relation: only the normal form
+    # of a component counts, so the check stays covariant
+    original = monopole.psi
+    relation = g.a * g.ad + g.b * g.bd - g.table.one()
+
+    def padded_psi(sign, n, space=None):
+        vec = original(sign, n, space)
+        comps = list(vec.components)
+        comps[0] = comps[0] + relation * g.a ** 2
+        return PsiVector(vec.sign, vec.n, comps)
+
+    monkeypatch.setattr(monopole, "psi", padded_psi)
+    rep = check_equivariance(MINUS, 1)
+    assert rep.psi_covariant
+    assert rep == _substitution_report(MINUS, 1)
+
+
+def test_wrong_charge_in_projector_entry_is_caught(g, monkeypatch):
+    original = monopole.projector
+
+    def bad_projector(vec, reduce=True, space=None):
+        proj = original(vec, reduce, space)
+        rows = [list(row) for row in proj.matrix.entries]
+        rows[0][0] = rows[0][0] + g.a * g.bd * g.b   # charge +1
+        return Projector(proj.sign, proj.n, SuperMatrix(proj.matrix.shape, rows, parity=0))
+
+    monkeypatch.setattr(monopole, "projector", bad_projector)
+    rep = check_equivariance(PLUS, 2)
+    assert rep.psi_covariant and not rep.projector_invariant
+    assert rep == _substitution_report(PLUS, 2)
+
+
+def _charges(x: Element) -> set[int]:
+    return {u1_charge(x.algebra, mono) for mono in x.terms}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_charge_is_a_grading(seed):
+    """Products add charges, the diamond negates them, reduce keeps them."""
+    g = group_space()
+    rng = random.Random(seed)
+    x = random_element(g.table, rng)
+    y = random_element(g.table, rng)
+    for m1 in x.terms:
+        for m2 in y.terms:
+            prod = mono_mul(m1, m2)
+            if prod is not None:
+                assert u1_charge(g.table, prod[1]) == (u1_charge(g.table, m1)
+                                                       + u1_charge(g.table, m2))
+    assert _charges(x * y) <= {p + q for p in _charges(x) for q in _charges(y)}
+    assert _charges(x.diamond()) == {-q for q in _charges(x)}
+    for q in _charges(x):
+        part = Element(g.table, {m: c for m, c in x.terms.items()
+                                 if u1_charge(g.table, m) == q})
+        assert _charges(g.rewrites.reduce(part)) <= {q}
+
+
 def test_psi_covariance_exact_power(g):
-    ext = extended_space()
-    images = u1_images(ext)
+    images = u1_images()
     v = psi(MINUS, 1, g)
-    w = ext.table.gen("w")
+    w = CIRCLE_TABLE.gen("w")
     for comp in v.components:
-        moved = comp.substitute(images, ext.table)
-        assert ext.rewrites.reduce(moved - w * comp.lift(ext.table)).is_zero
+        moved = comp.substitute(images, CIRCLE_TABLE)
+        assert CIRCLE_REWRITES.reduce(moved - w * _lift(comp)).is_zero
 
 
 def test_unit_circle_substitution_is_identity(g):
-    ext = extended_space()
-    images = {name: img.substitute({"w": ext.table.one(), "w*": ext.table.one()},
-                                   ext.table)
-              for name, img in u1_images(ext).items()}
-    x = (g.a * g.etad + g.b * g.bd).lift(ext.table)
-    assert x.substitute(images, ext.table) == x
+    t = CIRCLE_TABLE
+    images = {name: img.substitute({"w": t.one(), "w*": t.one()}, t)
+              for name, img in u1_images().items()}
+    x = _lift(g.a * g.etad + g.b * g.bd)
+    assert x.substitute(images, t) == x
 
 
 def test_circle_action_is_right_multiplication(g):
     """s(aw, bw, eta w) equals s(a,b,eta) diag(1, w, w*) mod w w* = 1."""
-    ext = extended_space()
-    s = group_element(g).substitute({}, ext.table)
-    moved = s.substitute(u1_images(ext), ext.table)
-    prod = s @ u1_embedding(ext)
+    s = group_element(g).substitute({}, CIRCLE_TABLE)
+    moved = s.substitute(u1_images(), CIRCLE_TABLE)
+    prod = s @ u1_embedding()
     diff = moved - prod
-    assert all(ext.rewrites.reduce(e).is_zero for row in diff.entries for e in row)
+    assert all(CIRCLE_REWRITES.reduce(e).is_zero for row in diff.entries for e in row)
 
 
 # -- sections and equivariant maps --------------------------------------------------------
@@ -563,6 +694,9 @@ def test_element_to_base_rejects_non_invariant(g):
 def test_element_to_base_checks_the_factorization():
     # the factorization ignores odd generators other than eta, eta*, so only
     # the check of the units' product against the monomial catches a t
-    space = _build_group_space([("t", "t*", ODD)])
+    # element_to_base reads only the table of the group space
+    table = GeneratorTable.build(conjugate_pairs=[
+        ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD), ("t", "t*", ODD)])
+    space = dataclasses.replace(group_space(), table=table)
     with pytest.raises(CoordinateEmissionError, match="factorization failed"):
         element_to_base(space.a * space.ad * space.table.gen("t"), space)
