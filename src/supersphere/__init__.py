@@ -28,7 +28,7 @@ from .monopole import (group_space, base_space, group_element,
                        nilpotent_exp_report, group_identities_report,
                        sphere_relation_check, PsiVector, Projector,
                        supertrace_p_dp_dp, outer_with_kernel,
-                       coordinate_volume_form, group_volume_body_form)
+                       coordinate_volume_form)
 from .berezin import (chern_number, berezin_integral, berezin_chern_number,
                       quad_oracle, chart_pullback, group_section_chart,
                       base_chart, ExactnessError)

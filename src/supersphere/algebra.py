@@ -170,13 +170,42 @@ class GeneratorTable:
         Reordering two adjacent generators multiplies by (-1)^(p1*p2); a word
         with a repeated odd generator is zero.
         """
-        total = self.zero()
+        out: dict[Monomial, Scalar] = {}
         for coeff, word in raw:
-            term = self.scalar(coeff)
+            even: dict[int, int] = {}
+            odd: list[int] = []
             for name in word:
-                term = term * self.gen(name)
-            total = total + term
-        return total
+                i = self._idx(name)
+                if self.parities[i] == ODD:
+                    odd.append(i)
+                else:
+                    even[i] = even.get(i, 0) + 1
+            sign = _sort_odd(odd)
+            if sign == 0:
+                continue
+            s = Scalar.coerce(coeff)
+            mono: Monomial = (tuple(sorted(even.items())), tuple(odd))
+            if sign < 0:
+                s = -s
+            out[mono] = out[mono] + s if mono in out else s
+        return Element(self, out)
+
+
+def _sort_odd(indices: list[int]) -> int:
+    """Sort odd generator indices in place; the sign of the reordering.
+
+    Every swap of two odd generators flips the sign; 0 when one repeats.
+    """
+    sign = 1
+    for a in range(1, len(indices)):
+        b = a
+        while b > 0 and indices[b - 1] > indices[b]:
+            indices[b - 1], indices[b] = indices[b], indices[b - 1]
+            sign = -sign
+            b -= 1
+    if any(indices[k] == indices[k - 1] for k in range(1, len(indices))):
+        return 0
+    return sign
 
 
 def mono_degree(mono: Monomial) -> int:
@@ -421,13 +450,7 @@ class Element:
             for i in mono[1]:
                 sign *= alg.diamond_sign[i]
                 img.append(alg.diamond_partner[i])
-            # insertion sort counting odd-odd swaps
-            for a in range(1, len(img)):
-                b = a
-                while b > 0 and img[b - 1] > img[b]:
-                    img[b - 1], img[b] = img[b], img[b - 1]
-                    sign = -sign
-                    b -= 1
+            sign *= _sort_odd(img)
             if sign < 0:
                 s = -s
             new_mono: Monomial = (tuple(sorted(even_acc.items())), tuple(img))
@@ -446,32 +469,7 @@ class Element:
         Generators absent from the mapping must exist in the target table and
         map to themselves.  Images must preserve parity (zero is allowed).
         """
-        if target is None:
-            target = next((im.algebra for im in images.values()), self.algebra)
-        image_by_idx: dict[int, Element] = {}
-        for name, im in images.items():
-            i = self.algebra._idx(name)
-            want = self.algebra.parities[i]
-            got = im.parity()
-            if got != "zero" and got != ("odd" if want else "even"):
-                raise ParityError("image of %s must be %s, got %s"
-                                  % (name, "odd" if want else "even", got))
-            image_by_idx[i] = im
-        out = Element(target, {})
-        for mono, coeff in self.terms.items():
-            term = target.scalar(coeff)
-            for i, e in mono[0]:
-                base = image_by_idx.get(i)
-                if base is None:
-                    base = target.gen(self.algebra.names[i])
-                term = term * base ** e
-            for i in mono[1]:
-                base = image_by_idx.get(i)
-                if base is None:
-                    base = target.gen(self.algebra.names[i])
-                term = term * base
-            out = out + term
-        return out
+        return SubstitutionMap(self.algebra, images, target).apply(self)
 
     # -- display / serialization ----------------------------------------------
 
@@ -513,6 +511,55 @@ class Element:
             word.extend(term.get("odd", []))
             words.append((Scalar.from_obj([term["coeff"]]), word))
         return algebra.element(words)
+
+
+class SubstitutionMap:
+    """An algebra homomorphism from `source` to `target`, with its powers.
+
+    The images' parities are checked once.  Each generator keeps the list of
+    its image's powers, grown by one product at a time, so every power is
+    built once however many monomials or form coefficients use it.
+    """
+
+    def __init__(self, source: GeneratorTable, images: Mapping[str, Element],
+                 target: GeneratorTable | None = None):
+        if target is None:
+            target = next((im.algebra for im in images.values()), source)
+        self.source = source
+        self.target = target
+        self._powers: dict[int, list[Element]] = {}
+        for name, im in images.items():
+            i = source._idx(name)
+            want = source.parities[i]
+            got = im.parity()
+            if got != "zero" and got != ("odd" if want else "even"):
+                raise ParityError("image of %s must be %s, got %s"
+                                  % (name, "odd" if want else "even", got))
+            if im.algebra is not target and im.algebra != target:
+                raise AlgebraMismatchError("image of %s lives over another table" % name)
+            self._powers[i] = [im]
+
+    def power(self, i: int, e: int) -> Element:
+        """The image of source generator i, raised to e >= 1."""
+        pows = self._powers.get(i)
+        if pows is None:
+            pows = self._powers[i] = [self.target.gen(self.source.names[i])]
+        while len(pows) < e:
+            pows.append(pows[-1] * pows[0])
+        return pows[e - 1]
+
+    def apply(self, x: Element) -> Element:
+        """The image of x, summed into one dict."""
+        out: dict[Monomial, Scalar] = {}
+        for mono, coeff in x.terms.items():
+            factors = [self.power(i, e) for i, e in mono[0]]
+            factors.extend(self.power(i, 1) for i in mono[1])
+            term = factors[0] * coeff if factors else self.target.scalar(coeff)
+            for f in factors[1:]:
+                term = term * f
+            for m, s in term.terms.items():
+                out[m] = out[m] + s if m in out else s
+        return Element(self.target, out)
 
 
 class RewriteSystem:

@@ -4,8 +4,10 @@ The Berezin integral over the supersphere reduces to body projection
 followed by an ordinary integral over the underlying two-sphere.  Forms are
 pulled back through an exact trigonometric chart, integrated with closed
 Wallis-type formulas, and normalized by the chart's own integral of the
-reference volume form, fixed to +4 pi; a product Gauss-Legendre rule serves
-as an independent numeric oracle.
+reference volume form.  That integral is a constant of the chart, -4 pi for
+the group section chart and +4 pi for the base chart; the tests derive it
+again from the volume forms.  A product Gauss-Legendre rule serves as an
+independent numeric oracle.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .forms import SuperForm
-from .monopole import (GroupSpace, chern_form_body, coordinate_volume_form,
-                       group_space, group_volume_body_form, normalize_sign)
+from .monopole import GroupSpace, chern_form_body, group_space, normalize_sign
 from .scalars import Scalar
 from .trig import ChartError, PhaseHalfAngle, TrigPoly, wallis_integrate
 
@@ -70,6 +71,11 @@ def _wedge2(u: _FourTuple, v: _FourTuple) -> _FourTuple:
             u0 * v12 + u12 * v0 + u1 * v2 - u2 * v1)
 
 
+def _check_orientation(orientation: int) -> None:
+    if orientation not in (1, -1):
+        raise ValueError("orientation must be 1 or -1, got %r" % (orientation,))
+
+
 def chart_pullback(omega: SuperForm, chart: Chart,
                    orientation: int = 1) -> PullbackDensity:
     """Pull a body-projected form back to exact trig densities.
@@ -79,7 +85,23 @@ def chart_pullback(omega: SuperForm, chart: Chart,
     = -1 integrates against d phi ^ d theta instead, flipping the top
     component.
     """
+    _check_orientation(orientation)
     table = omega.algebra
+
+    # generator index -> [expr, expr^2, ...], each power built once per call
+    powers: dict[int, list[PhaseHalfAngle]] = {}
+
+    def power(idx: int, exp: int) -> PhaseHalfAngle:
+        pows = powers.get(idx)
+        if pows is None:
+            name = table.names[idx]
+            if name not in chart:
+                raise ChartError("chart does not supply generator %r" % name)
+            pows = powers[idx] = [chart[name]]
+        while len(pows) < exp:
+            pows.append(pows[-1] * pows[0])
+        return pows[exp - 1]
+
     zero = PhaseHalfAngle.zero()
     acc: _FourTuple = (zero, zero, zero, zero)
     for w, coeff in omega.terms.items():
@@ -91,17 +113,11 @@ def chart_pullback(omega: SuperForm, chart: Chart,
                 raise ChartError("form still contains odd generators; body-project first")
             part = PhaseHalfAngle.constant(scal)
             for idx, exp in mono[0]:
-                name = table.names[idx]
-                if name not in chart:
-                    raise ChartError("chart does not supply generator %r" % name)
-                part = part * chart[name] ** exp
+                part = part * power(idx, exp)
             value = value + part
         term: _FourTuple = (value, zero, zero, zero)
         for idx in w:
-            name = table.names[idx]
-            if name not in chart:
-                raise ChartError("chart does not supply generator %r" % name)
-            expr = chart[name]
+            expr = power(idx, 1)
             diff: _FourTuple = (zero, expr.partial_theta(), expr.partial_phi(), zero)
             term = _wedge2(term, diff)
         acc = tuple(a + b for a, b in zip(acc, term))  # type: ignore[assignment]
@@ -145,24 +161,16 @@ def quad_oracle(f: TrigPoly) -> complex:
 
 FOUR_PI = Scalar.of(4, 0, 1, 1)
 
-
-def _orientation_scale(reference_integral: Scalar) -> Scalar:
-    """4 pi / R for the chart's reference-volume integral R = +-4 pi."""
-    if reference_integral.is_zero:
-        raise ExactnessError("chart reference volume integral vanished")
-    return FOUR_PI * reference_integral.inverse()
-
-
-def group_chart_normalizer(orientation: int = 1) -> Scalar:
-    vol = group_volume_body_form()
-    dens = chart_pullback(vol, group_section_chart(), orientation)
-    return wallis_integrate(dens.top)
+# Each chart's integral of the reference volume form at orientation +1.  The
+# group section chart runs against the base orientation.  Both constants are
+# re-derived from the volume forms in the tests.
+GROUP_CHART_VOLUME = -FOUR_PI
+BASE_CHART_VOLUME = FOUR_PI
 
 
-def base_chart_normalizer(orientation: int = 1) -> Scalar:
-    vol = coordinate_volume_form()
-    dens = chart_pullback(vol.body_project(), base_chart(), orientation)
-    return wallis_integrate(dens.top)
+def _orientation_scale(chart_volume: Scalar, orientation: int) -> Scalar:
+    """4 pi / R for the chart's reference-volume integral R = orientation * chart_volume."""
+    return FOUR_PI * (chart_volume * orientation).inverse()
 
 
 def chern_number(sign: str, n: int, orientation: int = 1,
@@ -170,18 +178,17 @@ def chern_number(sign: str, n: int, orientation: int = 1,
     """Exact first Chern number: +n for the '-' family, -n for '+'.
 
     Pipeline: Chern form, body projection, pullback through the group
-    section chart, exact integration, division by the orientation
-    normalizer.  The result must be an exact integer.
+    section chart, exact integration, division by the chart's reference
+    volume integral.  The result must be an exact integer.
     """
     sign = normalize_sign(sign)
     if n < 1:
         raise ValueError("n must be a positive integer")
+    _check_orientation(orientation)
     g = space or group_space()
     body_form = chern_form_body(sign, n, g)
     dens = chart_pullback(body_form, group_section_chart(), orientation)
-    integral = wallis_integrate(dens.top)
-    ref = group_chart_normalizer(orientation)
-    value = integral * _orientation_scale(ref)
+    value = wallis_integrate(dens.top) * _orientation_scale(GROUP_CHART_VOLUME, orientation)
     try:
         return value.as_int()
     except ValueError:
@@ -195,11 +202,9 @@ def berezin_integral(omega: SuperForm, orientation: int = 1) -> Scalar:
     through the cartesian chart and integrated exactly, with the orientation
     fixed by the reference volume integral = +4 pi.
     """
-    body_form = omega.body_project()
-    dens = chart_pullback(body_form, base_chart(), orientation)
-    integral = wallis_integrate(dens.top)
-    ref = base_chart_normalizer(orientation)
-    return integral * _orientation_scale(ref)
+    _check_orientation(orientation)
+    dens = chart_pullback(omega.body_project(), base_chart(), orientation)
+    return wallis_integrate(dens.top) * _orientation_scale(BASE_CHART_VOLUME, orientation)
 
 
 def berezin_chern_number(sign: str, n: int) -> int:

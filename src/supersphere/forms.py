@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (AlgebraMismatchError, Element, GeneratorTable, Monomial,
-                      ParityError, RewriteSystem, mono_parity)
+                      ParityError, RewriteSystem, SubstitutionMap, mono_parity)
 from .scalars import Scalar
 
 # wedge monomial: tuple of generator indices, sorted ascending
@@ -206,13 +206,13 @@ class SuperForm:
                    ) -> "SuperForm":
         """Pull the form through an algebra map: coefficients substitute and
         each differential dg maps to d(image of g), unless an explicit 1-form
-        image for dg is supplied."""
-        if target is None:
-            target = next((im.algebra for im in images.values()), self.algebra)
+        image for dg is supplied.  One substitution map serves every
+        coefficient, so each power of an image is built once."""
+        smap = SubstitutionMap(self.algebra, images, target)
         diff_images: dict[int, SuperForm] = {}
-        total = SuperForm.zero(target)
+        out: dict[Wedge, Element] = {}
         for w, c in self.terms.items():
-            term = SuperForm.from_element(c.substitute(images, target))
+            term = SuperForm.from_element(smap.apply(c))
             for i in w:
                 img = diff_images.get(i)
                 if img is None:
@@ -220,14 +220,12 @@ class SuperForm:
                     if differential_images and name in differential_images:
                         img = differential_images[name]
                     else:
-                        base = images.get(name)
-                        if base is None:
-                            base = target.gen(name)
-                        img = d(base)
+                        img = d(smap.power(i, 1))
                     diff_images[i] = img
                 term = term * img
-            total = total + term
-        return total
+            for wn, cn in term.terms.items():
+                out[wn] = out[wn] + cn if wn in out else cn
+        return SuperForm(smap.target, out)
 
     # -- display / serialization -----------------------------------------------------------
 

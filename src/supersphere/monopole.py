@@ -778,15 +778,6 @@ def coordinate_volume_form(base: BaseSpace | None = None) -> SuperForm:
     return s.x0 * dx1 * dx2 + s.x1 * dx2 * dx0 + s.x2 * dx0 * dx1
 
 
-def group_volume_body_form(space: GroupSpace | None = None) -> SuperForm:
-    """The reference volume form pushed to the group generators, body part."""
-    g = space or group_space()
-    coords = base_coordinates(g)
-    sig = [coords.x0.body(), coords.x1.body(), coords.x2.body()]
-    ds = [d(x) for x in sig]
-    return sig[0] * ds[1] * ds[2] + sig[1] * ds[2] * ds[0] + sig[2] * ds[0] * ds[1]
-
-
 # ---------------------------------------------------------------------------
 # coordinate emission of projectors
 

@@ -213,12 +213,6 @@ class PhaseHalfAngle:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "PhaseHalfAngle":
-        result = PhaseHalfAngle.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseHalfAngle):
             return NotImplemented

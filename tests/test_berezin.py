@@ -6,15 +6,39 @@ from fractions import Fraction
 
 import pytest
 
-from supersphere.berezin import (QUAD_ORDER_MAX, base_chart, base_chart_normalizer,
-                                 berezin_chern_number, berezin_integral,
-                                 chart_pullback, chern_number,
-                                 group_chart_normalizer, group_section_chart,
+import supersphere.berezin as berezin
+from supersphere.berezin import (BASE_CHART_VOLUME, GROUP_CHART_VOLUME, QUAD_ORDER_MAX,
+                                 base_chart, berezin_chern_number, berezin_integral,
+                                 chart_pullback, chern_number, group_section_chart,
                                  quad_oracle, quad_order)
-from supersphere.monopole import (MINUS, PLUS, base_space, coordinate_chern_form,
-                                  coordinate_volume_form)
+from supersphere.forms import d
+from supersphere.monopole import (MINUS, PLUS, base_coordinates, base_space,
+                                  coordinate_chern_form, coordinate_volume_form,
+                                  group_space)
 from supersphere.scalars import Scalar, rat
 from supersphere.trig import TrigPoly, wallis_integrate
+
+
+# Oracle for the chart normalisers: each chart's integral of the reference
+# volume form, derived from the volume forms themselves.  Production uses the
+# constants GROUP_CHART_VOLUME and BASE_CHART_VOLUME instead.
+
+def group_volume_body_form():
+    """The reference volume form pushed to the group generators, body part."""
+    coords = base_coordinates(group_space())
+    sig = [coords.x0.body(), coords.x1.body(), coords.x2.body()]
+    ds = [d(x) for x in sig]
+    return sig[0] * ds[1] * ds[2] + sig[1] * ds[2] * ds[0] + sig[2] * ds[0] * ds[1]
+
+
+def group_chart_normalizer(orientation=1):
+    dens = chart_pullback(group_volume_body_form(), group_section_chart(), orientation)
+    return wallis_integrate(dens.top)
+
+
+def base_chart_normalizer(orientation=1):
+    dens = chart_pullback(coordinate_volume_form().body_project(), base_chart(), orientation)
+    return wallis_integrate(dens.top)
 
 
 def test_trigpoly_normal_form():
@@ -110,6 +134,36 @@ def test_quad_order_rejects_bad_values(monkeypatch, value):
 def test_chart_normalizers():
     assert base_chart_normalizer() == Scalar.of(4, 0, 1, 1)
     assert group_chart_normalizer() == Scalar.of(-4, 0, 1, 1)
+    # the constants production divides by are these derivations, both ways round
+    for orientation in (1, -1):
+        assert GROUP_CHART_VOLUME * orientation == group_chart_normalizer(orientation)
+        assert BASE_CHART_VOLUME * orientation == base_chart_normalizer(orientation)
+
+
+def test_chern_number_pulls_back_once(monkeypatch):
+    calls = []
+    original = berezin.chart_pullback
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(berezin, "chart_pullback", counting)
+    assert chern_number(MINUS, 2) == 2
+    assert len(calls) == 1
+    calls.clear()
+    assert berezin_integral(coordinate_volume_form()) == Scalar.of(4, 0, 1, 1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("orientation", [0, 2, -2])
+def test_orientation_must_be_plus_or_minus_one(orientation):
+    # a constant normaliser would silently scale by a wrong orientation
+    with pytest.raises(ValueError, match="orientation"):
+        chern_number(MINUS, 1, orientation=orientation)
+    with pytest.raises(ValueError, match="orientation"):
+        berezin_integral(coordinate_volume_form(), orientation=orientation)
+    with pytest.raises(ValueError, match="orientation"):
+        chart_pullback(group_volume_body_form(), group_section_chart(), orientation)
 
 
 def test_chern_numbers_small():

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from supersphere.algebra import EVEN, AlgebraMismatchError, GeneratorTable
+from supersphere.algebra import EVEN, ODD, AlgebraMismatchError, GeneratorTable, ParityError
 from supersphere.berezin import base_chart, chart_pullback, group_section_chart
 from supersphere.forms import SuperForm, body_project, d, wedge
 from supersphere.monopole import base_space, group_space
@@ -224,3 +226,114 @@ def test_form_serialization_roundtrip(g):
 
 def test_wedge_function(g):
     assert wedge(g.a, g.differential("b")) == g.a * g.differential("b")
+
+
+# Oracle for substitution: the route production used before the substitution
+# map, one square-and-multiply power per monomial factor and a running sum.
+
+def _old_image(images, target, name):
+    base = images.get(name)
+    return target.gen(name) if base is None else base
+
+
+def _old_substitute(x, images, target):
+    for name, im in images.items():
+        want = "odd" if x.algebra.parity_of_name(name) == ODD else "even"
+        if im.parity() not in ("zero", want):
+            raise ParityError("image of %s must be %s" % (name, want))
+    out = target.zero()
+    for mono, coeff in x.terms.items():
+        term = target.scalar(coeff)
+        for i, e in mono[0]:
+            term = term * _old_image(images, target, x.algebra.names[i]) ** e
+        for i in mono[1]:
+            term = term * _old_image(images, target, x.algebra.names[i])
+        out = out + term
+    return out
+
+
+def _old_form_substitute(omega, images, target, differential_images=None):
+    total = SuperForm.zero(target)
+    for w, c in omega.terms.items():
+        term = SuperForm.from_element(_old_substitute(c, images, target))
+        for i in w:
+            name = omega.algebra.names[i]
+            if differential_images and name in differential_images:
+                term = term * differential_images[name]
+            else:
+                term = term * d(_old_image(images, target, name))
+        total = total + term
+    return total
+
+
+def _high_power_element(table, rng):
+    """A few terms, each one or two generators to a power up to 6, maybe odd factors."""
+    total = table.zero()
+    odd_names = [nm for nm in table.names if table.parity_of_name(nm) == ODD]
+    even_names = [nm for nm in table.names if table.parity_of_name(nm) == EVEN]
+    for _ in range(rng.randint(1, 3)):
+        word = []
+        for name in rng.sample(even_names, rng.randint(0, 2)):
+            word.extend([name] * rng.randint(1, 6))
+        word.extend(rng.sample(odd_names, rng.randint(0, 2)))
+        total = total + table.element([(Scalar.of(rng.randint(-3, 3), rng.randint(-3, 3)), word)])
+    return total
+
+
+def _random_form(table, rng):
+    total = SuperForm.zero(table)
+    for _ in range(rng.randint(1, 3)):
+        piece = SuperForm.from_element(_high_power_element(table, rng))
+        for name in rng.sample(table.names, rng.randint(0, 2)):
+            piece = piece * SuperForm.differential(table, name)
+        total = total + piece
+    return total
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_substitution_matches_the_per_monomial_route(seed):
+    g = group_space()
+    rng = random.Random(seed)
+    x = _high_power_element(g.table, rng)
+    omega = _random_form(g.table, rng)
+    if rng.random() < 0.3:
+        # the localizer's own images, b* -> (1 - a a*) b^(-1)
+        loc = g.localizer
+        target, images, diff_images = loc.table, loc.images, loc.differential_images
+    else:
+        # each generator kept, sent to zero, or sent to a random image of its parity
+        target, images, diff_images = g.table, {}, {}
+        for name in g.table.names:
+            parity = g.table.parity_of_name(name)
+            pick = rng.randrange(3)
+            if pick == 1:
+                images[name] = g.table.zero()
+            elif pick == 2:
+                images[name] = random_element(g.table, rng, parity=parity,
+                                              max_terms=2, max_word=2)
+            if rng.random() < 0.3:
+                diff_images[name] = d(random_element(g.table, rng, parity=parity,
+                                                     max_terms=2, max_word=2))
+    assert x.substitute(images, target) == _old_substitute(x, images, target)
+    if rng.random() < 0.5:
+        diff_images = None
+    assert (omega.substitute(images, target, diff_images)
+            == _old_form_substitute(omega, images, target, diff_images))
+
+
+def test_substitution_checks_image_parity(g):
+    x = g.a * g.eta
+    for bad in ({"eta": g.a}, {"a": g.eta}, {"a": g.a + g.eta}):
+        with pytest.raises(ParityError):
+            x.substitute(bad, g.table)
+        with pytest.raises(ParityError):
+            _old_substitute(x, bad, g.table)
+        with pytest.raises(ParityError):
+            SuperForm.from_element(x).substitute(bad, g.table)
+        # checked even when the form has no coefficient using the generator
+        with pytest.raises(ParityError):
+            g.differential("b").substitute(bad, g.table)
+    other = GeneratorTable.build(conjugate_pairs=[("a", "a*", EVEN)])
+    with pytest.raises(AlgebraMismatchError):
+        g.a.substitute({"a": other.gen("a")}, g.table)
