@@ -15,7 +15,8 @@ from .algebra import (EVEN, ODD, Element, GeneratorTable, RewriteSystem,
 from .matrices import (BlockShape, SuperMatrix, EVEN_FIRST, ODD_FIRST, ShapeError,
                        graded_bracket, sdet, supertrace, exp_nilpotent)
 from .forms import SuperForm, DifferentialIdeal, d, wedge, body_project
-from .trig import TrigPoly, PhaseHalfAngle, wallis_integrate, ChartError
+from .trig import (TrigPoly, PhaseHalfAngle, integrate_half_angle, wallis_integrate,
+                   ChartError)
 from .monopole import (group_space, base_space, group_element,
                        osp_fixtures, base_coordinates, inversion_identities,
                        psi, pairing, projector, connection_form,

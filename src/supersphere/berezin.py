@@ -2,12 +2,15 @@
 
 The Berezin integral over the supersphere reduces to body projection
 followed by an ordinary integral over the underlying two-sphere.  Forms are
-pulled back through an exact trigonometric chart, integrated with closed
-Wallis-type formulas, and normalized by the chart's own integral of the
-reference volume form.  That integral is a constant of the chart, -4 pi for
-the group section chart and +4 pi for the base chart; the tests derive it
-again from the volume forms.  A product Gauss-Legendre rule serves as an
-independent numeric oracle.
+pulled back through an exact trigonometric chart to half-angle densities
+c * cos^a(t/2) sin^b(t/2) e^(i k phi), integrated in closed form (each
+monomial is a Beta value B((a+1)/2, (b+1)/2) times 2 pi delta_k0), and
+normalized by the chart's own integral of the reference volume form.  That
+integral is a constant of the chart, -4 pi for the group section chart and
++4 pi for the base chart; the tests derive it again from the volume forms.
+The whole-angle TrigPoly expansion with Wallis formulas is the exact oracle
+for the integrator, and a product Gauss-Legendre rule an independent
+numeric one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from .forms import SuperForm
 from .monopole import GroupSpace, chern_form_body, group_space, normalize_sign
 from .scalars import Scalar
-from .trig import ChartError, PhaseHalfAngle, TrigPoly, wallis_integrate
+from .trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle
 
 Chart = dict[str, PhaseHalfAngle]
 
@@ -53,10 +56,10 @@ def base_chart() -> Chart:
 class PullbackDensity:
     """Components of a pulled-back form on the (theta, phi) chart."""
 
-    constant: TrigPoly
-    d_theta: TrigPoly
-    d_phi: TrigPoly
-    top: TrigPoly       # coefficient of d theta ^ d phi
+    constant: PhaseHalfAngle
+    d_theta: PhaseHalfAngle
+    d_phi: PhaseHalfAngle
+    top: PhaseHalfAngle     # coefficient of d theta ^ d phi
 
 
 _FourTuple = tuple[PhaseHalfAngle, PhaseHalfAngle, PhaseHalfAngle, PhaseHalfAngle]
@@ -78,7 +81,7 @@ def _check_orientation(orientation: int) -> None:
 
 def chart_pullback(omega: SuperForm, chart: Chart,
                    orientation: int = 1) -> PullbackDensity:
-    """Pull a body-projected form back to exact trig densities.
+    """Pull a body-projected form back to exact half-angle densities.
 
     Each surviving generator must appear in the chart; differentials are the
     formal theta/phi derivatives of the chart expressions.  `orientation`
@@ -122,8 +125,7 @@ def chart_pullback(omega: SuperForm, chart: Chart,
             term = _wedge2(term, diff)
         acc = tuple(a + b for a, b in zip(acc, term))  # type: ignore[assignment]
     top = acc[3] if orientation > 0 else -acc[3]
-    return PullbackDensity(acc[0].to_trigpoly(), acc[1].to_trigpoly(),
-                           acc[2].to_trigpoly(), top.to_trigpoly())
+    return PullbackDensity(acc[0], acc[1], acc[2], top)
 
 
 QUAD_ORDER_MAX = 4096
@@ -146,8 +148,8 @@ def quad_order() -> int:
     return order
 
 
-def quad_oracle(f: TrigPoly) -> complex:
-    """Product Gauss-Legendre approximation of the Wallis integral."""
+def quad_oracle(f: PhaseHalfAngle | TrigPoly) -> complex:
+    """Product Gauss-Legendre approximation of the exact double integral."""
     import numpy as np
     order = quad_order()
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -188,7 +190,7 @@ def chern_number(sign: str, n: int, orientation: int = 1,
     g = space or group_space()
     body_form = chern_form_body(sign, n, g)
     dens = chart_pullback(body_form, group_section_chart(), orientation)
-    value = wallis_integrate(dens.top) * _orientation_scale(GROUP_CHART_VOLUME, orientation)
+    value = integrate_half_angle(dens.top) * _orientation_scale(GROUP_CHART_VOLUME, orientation)
     try:
         return value.as_int()
     except ValueError:
@@ -204,7 +206,7 @@ def berezin_integral(omega: SuperForm, orientation: int = 1) -> Scalar:
     """
     _check_orientation(orientation)
     dens = chart_pullback(omega.body_project(), base_chart(), orientation)
-    return wallis_integrate(dens.top) * _orientation_scale(BASE_CHART_VOLUME, orientation)
+    return integrate_half_angle(dens.top) * _orientation_scale(BASE_CHART_VOLUME, orientation)
 
 
 def berezin_chern_number(sign: str, n: int) -> int:

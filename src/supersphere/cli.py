@@ -16,7 +16,8 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from . import monopole
-from .berezin import berezin_chern_number, chern_number
+from .berezin import (base_chart, berezin_chern_number, chart_pullback, chern_number,
+                      group_section_chart)
 from .forms import d
 from .matrices import SuperMatrix
 from .monopole import (MINUS, PLUS, base_space, chern_form_canonical,
@@ -24,6 +25,7 @@ from .monopole import (MINUS, PLUS, base_space, chern_form_canonical,
                        connection_form, group_space, group_identities_report,
                        inversion_identities, nilpotent_exp_report, projector,
                        projector_to_base, psi)
+from .trig import integrate_half_angle, wallis_integrate
 
 
 def _load_fixture(name: str) -> dict:
@@ -401,6 +403,22 @@ def suite_chern(n_max: int) -> list[Check]:
                     return
         _run(Check("Chern form chain (curvature route = closed form)", None, n),
              chain, checks)
+    for n in range(1, min(n_max, 3) + 1):
+        def integral(check, n=n):
+            # the whole-angle Wallis oracle, not the Beta values used in production
+            for sign in (MINUS, PLUS):
+                densities = [chart_pullback(monopole.chern_form_body(sign, n, g),
+                                            group_section_chart()).top]
+                if n <= 2:
+                    densities.append(chart_pullback(
+                        monopole.coordinate_chern_form(sign, n).body_project(),
+                        base_chart()).top)
+                for top in densities:
+                    if integrate_half_angle(top) != wallis_integrate(top.to_trigpoly()):
+                        check.fail("half-angle integral vs Wallis route, sign %s" % sign)
+                        return
+        _run(Check("closed-form half-angle integral = Wallis route", None, n),
+             integral, checks)
     for n in (1, 2):
         if n > n_max:
             break

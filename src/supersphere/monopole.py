@@ -400,19 +400,18 @@ def psi(sign: str, n: int, space: GroupSpace | None = None) -> PsiVector:
     if n < 1:
         raise ValueError("n must be a positive integer")
     g = space or group_space()
-    one = g.table.one()
-    factor = one - rat(1, 8) * g.eta * g.etad
-    if sign == MINUS:
-        u, v, h = g.a, g.b, g.eta
-    else:
-        u, v, h = g.ad, g.bd, g.etad
+    element = g.table.element
+    u, v, h = ("a", "b", "eta") if sign == MINUS else ("a*", "b*", "eta*")
+    half, minus_eighth = rat(1, 2), rat(-1, 8)
     comps: list[Element] = []
     for k in range(n):
         root = Scalar.sqrt_binomial(n - 1, k)
-        comps.append(rat(1, 2) * root * h * u ** (n - 1 - k) * v ** k)
+        comps.append(element([(half * root, [h] + [u] * (n - 1 - k) + [v] * k)]))
+    # (1 - eta eta*/8) u^(n-k) v^k
     for k in range(n + 1):
         root = Scalar.sqrt_binomial(n, k)
-        comps.append(root * factor * u ** (n - k) * v ** k)
+        w = [u] * (n - k) + [v] * k
+        comps.append(element([(root, w), (minus_eighth * root, ["eta", "eta*"] + w)]))
     return PsiVector(sign, n, comps)
 
 

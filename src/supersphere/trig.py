@@ -1,11 +1,16 @@
-"""Exact trigonometric polynomials on the (theta, phi) rectangle.
+"""Exact half-angle polynomials on the (theta, phi) rectangle and their integrals.
+
+PhaseHalfAngle is the working representation for chart pullbacks: monomials
+cos^hc(theta/2) sin^hs(theta/2) e^(i k phi) with exact Scalar coefficients,
+closed under d/dtheta and d/dphi.  integrate_half_angle integrates one over
+theta in [0, pi], phi in [0, 2 pi] in closed form: each monomial gives a
+Beta value B((hc+1)/2, (hs+1)/2) times 2 pi for k = 0, and nothing else.
 
 TrigPoly stores cos^p(theta) sin^q(theta) cos^r(phi) sin^s(phi) monomials
-with q, s in {0, 1} after eliminating sin^2 = 1 - cos^2; coefficients are
-exact Scalars.  PhaseHalfAngle is the working representation for chart
-pullbacks: monomials cos^hc(theta/2) sin^hs(theta/2) e^(i k phi), closed
-under d/dtheta and d/dphi, convertible to TrigPoly whenever every monomial
-has even total half-angle degree.
+with q, s in {0, 1} after eliminating sin^2 = 1 - cos^2.  It, the whole-angle
+expansion PhaseHalfAngle.to_trigpoly and wallis_integrate are the
+independent oracle for integrate_half_angle, used by the tests and by
+`verify --suite chern`; production does not call them.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import Scalar
+from .scalars import Scalar, rat
 
 
 class ChartError(Exception):
@@ -28,6 +33,10 @@ def _acc(store: dict, key, val: Scalar) -> None:
         store[key] = val
 
 
+# The oracle: bench/tracer.py binds TrigPoly.__mul__, PhaseHalfAngle.to_trigpoly
+# and wallis_integrate by name (tests/test_bench_contract.py checks it), so
+# deleting them has to come with the benchmark change that retargets its
+# trig ops.
 class TrigPoly:
     """Normal form: q, s in {0, 1}; no zero coefficients stored."""
 
@@ -223,6 +232,15 @@ class PhaseHalfAngle:
                 for (hc, hs, k), v in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"
 
+    def evaluate_grid(self, thetas, phis):
+        """Vectorized evaluation on the outer grid (numpy arrays)."""
+        import numpy as np
+        total = np.zeros((len(thetas), len(phis)), dtype=complex)
+        ch, sh = np.cos(thetas / 2), np.sin(thetas / 2)
+        for (hc, hs, k), v in self.terms.items():
+            total += v.to_complex() * np.outer(ch ** hc * sh ** hs, np.exp(1j * k * phis))
+        return total
+
     def partial_theta(self) -> "PhaseHalfAngle":
         """d/dtheta with theta the full angle: d cos(t/2) = -sin(t/2)/2 dt."""
         out: dict[tuple[int, int, int], Scalar] = {}
@@ -249,10 +267,7 @@ class PhaseHalfAngle:
         one = TrigPoly.constant(1)
         half = Scalar.of(Fraction(1, 2))
         for (hc, hs, k), v in self.terms.items():
-            if (hc + hs) % 2:
-                raise ChartError(
-                    "monomial cos^%d sin^%d of the half angle has no whole-angle form"
-                    % (hc, hs))
+            _check_whole_angle(hc, hs)
             part = TrigPoly.constant(v)
             if hc % 2:  # one cos(t/2) sin(t/2) pair -> sin(t)/2
                 part = part * sin_t * half
@@ -265,6 +280,40 @@ class PhaseHalfAngle:
                 part = part * (one - cos_t) * half
             total = total + part * _phase_to_trig(k)
         return total
+
+
+def _check_whole_angle(hc: int, hs: int) -> None:
+    if (hc + hs) % 2:
+        raise ChartError(
+            "monomial cos^%d sin^%d of the half angle has no whole-angle form" % (hc, hs))
+
+
+_TWO_PI = Scalar.of(2, 0, 1, 1)
+_TWO_PI_SQUARED = Scalar.of(2, 0, 1, 2)
+
+
+def integrate_half_angle(f: PhaseHalfAngle) -> Scalar:
+    """Exact double integral over theta in [0, pi], phi in [0, 2 pi].
+
+    The phase integrates to 2 pi for k = 0 and to 0 otherwise, and
+    int_0^pi cos^hc(t/2) sin^hs(t/2) dt = B((hc+1)/2, (hs+1)/2):
+    p! q!/(p+q+1)! for hc = 2p+1, hs = 2q+1, and
+    pi (2p)! (2q)!/(4^(p+q) p! q! (p+q)!) for hc = 2p, hs = 2q.
+    Every monomial needs hc + hs even, as for to_trigpoly.
+    """
+    fact = math.factorial
+    odd = even = Scalar.zero()      # the rational and the pi-times-rational parts
+    for (hc, hs, k), v in f.terms.items():
+        _check_whole_angle(hc, hs)
+        if k:
+            continue
+        p, q = hc >> 1, hs >> 1
+        if hc & 1:
+            odd = odd + v * rat(fact(p) * fact(q), fact(p + q + 1))
+        else:
+            even = even + v * rat(fact(2 * p) * fact(2 * q),
+                                  4 ** (p + q) * fact(p) * fact(q) * fact(p + q))
+    return odd * _TWO_PI + even * _TWO_PI_SQUARED
 
 
 def _phase_to_trig(k: int) -> TrigPoly:

@@ -19,7 +19,7 @@ from supersphere.monopole import (MINUS, PLUS, base_space, chern_closed_form,
                                   supertrace_p_dp_dp)
 from supersphere.scalars import Scalar
 from supersphere.tests_support import random_element, random_supermatrix
-from supersphere.trig import TrigPoly, wallis_integrate
+from supersphere.trig import PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
 
 from test_monopole import _fixture
 
@@ -165,7 +165,7 @@ def test_criterion_8_property_suites():
         omega = x * g.differential(rng.choice(g.table.names))
         if not d(d(x)).is_zero or not d(d(omega)).is_zero:
             failures += 1
-    # exact Wallis integration vs numeric quadrature on >= 100 polynomials
+    # exact Wallis integration (the oracle) vs numeric quadrature on >= 100 polynomials
     from fractions import Fraction
     for _ in range(110):
         terms = {}
@@ -176,6 +176,18 @@ def test_criterion_8_property_suites():
                                    Fraction(rng.randrange(-3, 4)))
         f = TrigPoly(terms)
         if abs(quad_oracle(f) - wallis_integrate(f).to_complex()) > 1e-9:
+            failures += 1
+    # closed-form half-angle integration vs numeric quadrature on >= 100
+    # polynomials of even half-angle degree
+    for _ in range(110):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            hc, hs = rng.randrange(9), rng.randrange(9)
+            key = (hc, hs + (hc + hs) % 2, rng.randint(-3, 3))
+            terms[key] = Scalar.of(Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)),
+                                   Fraction(rng.randrange(-3, 4)))
+        f = PhaseHalfAngle(terms)
+        if abs(quad_oracle(f) - integrate_half_angle(f).to_complex()) > 1e-9:
             failures += 1
     assert failures == 0
     _report(8, "randomized property suites, zero failures")

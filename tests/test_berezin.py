@@ -1,10 +1,12 @@
-"""Exact integration: Wallis formulas, charts, Chern numbers, quad oracle."""
+"""Exact integration: Beta closed forms, the Wallis oracle, charts, Chern numbers, quad oracle."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supersphere.berezin as berezin
 from supersphere.berezin import (BASE_CHART_VOLUME, GROUP_CHART_VOLUME, QUAD_ORDER_MAX,
@@ -16,7 +18,7 @@ from supersphere.monopole import (MINUS, PLUS, base_coordinates, base_space,
                                   coordinate_chern_form, coordinate_volume_form,
                                   group_space)
 from supersphere.scalars import Scalar, rat
-from supersphere.trig import TrigPoly, wallis_integrate
+from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
 
 
 # Oracle for the chart normalisers: each chart's integral of the reference
@@ -33,12 +35,12 @@ def group_volume_body_form():
 
 def group_chart_normalizer(orientation=1):
     dens = chart_pullback(group_volume_body_form(), group_section_chart(), orientation)
-    return wallis_integrate(dens.top)
+    return wallis_integrate(dens.top.to_trigpoly())
 
 
 def base_chart_normalizer(orientation=1):
     dens = chart_pullback(coordinate_volume_form().body_project(), base_chart(), orientation)
-    return wallis_integrate(dens.top)
+    return wallis_integrate(dens.top.to_trigpoly())
 
 
 def test_trigpoly_normal_form():
@@ -108,7 +110,51 @@ def test_quad_oracle_examples():
     dens = chart_pullback(chern_form_body(MINUS, 2), group_section_chart())
     normalizer = group_chart_normalizer().to_complex() / (4 * math.pi)
     assert abs(quad_oracle(dens.top) - 2 * normalizer) < 1e-9
-    assert abs(quad_oracle(dens.top) - wallis_integrate(dens.top).to_complex()) < 1e-9
+    assert abs(quad_oracle(dens.top) - wallis_integrate(dens.top.to_trigpoly()).to_complex()) < 1e-9
+
+
+def test_half_angle_beta_examples():
+    # sin t = 2 cos(t/2) sin(t/2): B(1, 1) = 1, times 2 pi
+    assert integrate_half_angle(PhaseHalfAngle.monomial(1, 1, coeff=2)) == Scalar.of(4, 0, 1, 1)
+    # the constant: B(1/2, 1/2) = pi, times 2 pi
+    assert integrate_half_angle(PhaseHalfAngle.constant(1)) == Scalar.of(2, 0, 1, 2)
+    # cos^4(t/2) sin^2(t/2): B(5/2, 3/2) = pi/16
+    assert integrate_half_angle(PhaseHalfAngle.monomial(4, 2)) == Scalar.of(Fraction(1, 8), 0, 1, 2)
+    # cos^3(t/2) sin^5(t/2): B(2, 3) = 1/12
+    assert integrate_half_angle(PhaseHalfAngle.monomial(3, 5)) == Scalar.of(Fraction(1, 6), 0, 1, 1)
+    assert integrate_half_angle(PhaseHalfAngle.monomial(1, 1, k=2)).is_zero
+    assert integrate_half_angle(PhaseHalfAngle.zero()).is_zero
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_half_angle_odd_degree_raises(k):
+    f = PhaseHalfAngle.monomial(2, 2) + PhaseHalfAngle.monomial(1, 2, k=k)
+    with pytest.raises(ChartError, match="whole-angle"):
+        integrate_half_angle(f)
+    with pytest.raises(ChartError, match="whole-angle"):
+        f.to_trigpoly()
+
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_coeffs = st.builds(Scalar.of, _rationals, _rationals,
+                    st.sampled_from([1, 2, 3, 6]), st.integers(-1, 1))
+# (hc, hs, k) with hc + hs even
+_even_keys = st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(-3, 3)).map(
+    lambda key: (key[0], key[1] + (key[0] + key[1]) % 2, key[2]))
+half_angle_polys = st.dictionaries(_even_keys, _coeffs, max_size=6).map(PhaseHalfAngle)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(half_angle_polys)
+def test_half_angle_integral_matches_wallis_oracle(f):
+    assert integrate_half_angle(f) == wallis_integrate(f.to_trigpoly())
+
+
+def test_quad_oracle_takes_half_angle_polynomials():
+    assert abs(quad_oracle(PhaseHalfAngle.monomial(1, 1, coeff=2)) - 4 * math.pi) < 1e-9
+    f = PhaseHalfAngle({(4, 2, 0): Scalar.of(1, 2), (3, 1, -1): Scalar.of(5)})
+    assert abs(quad_oracle(f) - integrate_half_angle(f).to_complex()) < 1e-9
+    assert abs(quad_oracle(f) - quad_oracle(f.to_trigpoly())) < 1e-9
 
 
 def test_quad_order_env_override(monkeypatch):
@@ -176,6 +222,12 @@ def test_chern_number_beyond_the_radical_cliff():
     # psi(48) has radicands up to C(48, 24) ~ 3.2e13, too many to trial-divide
     assert chern_number(MINUS, 48) == 48
     assert chern_number(PLUS, 48) == -48
+
+
+def test_chern_number_at_production_scale():
+    for n in (64, 128):
+        assert chern_number(MINUS, n) == n
+        assert chern_number(PLUS, n) == -n
 
 
 def test_chern_number_orientation_invariance():

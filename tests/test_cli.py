@@ -153,6 +153,30 @@ def test_verify_chern_suite(capsys):
     assert "overall: PASS" in out
 
 
+def _half_angle_checks(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "chern", "--n-max", "3",
+                           "--format", "json")
+    checks = [c for c in json.loads(out)["checks"]
+              if c["name"] == "closed-form half-angle integral = Wallis route"]
+    return code, checks
+
+
+def test_verify_half_angle_integral_check(capsys):
+    code, checks = _half_angle_checks(capsys)
+    assert code == 0
+    assert [c["n"] for c in checks] == [1, 2, 3]
+    assert all(c["status"] == "pass" for c in checks)
+
+
+def test_verify_half_angle_integral_check_catches_a_wrong_integral(capsys, monkeypatch):
+    # every Chern density integrates to a nonzero value, so doubling shows
+    right = cli.integrate_half_angle
+    monkeypatch.setattr(cli, "integrate_half_angle", lambda f: right(f) * 2)
+    code, checks = _half_angle_checks(capsys)
+    assert code == 1
+    assert checks and all(c["status"] == "fail" for c in checks)
+
+
 def test_verify_algebra_suite_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "algebra",
                            "--format", "json")

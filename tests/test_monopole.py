@@ -161,6 +161,23 @@ def test_psi_minus_two_has_sqrt2(g):
     assert v.components[1] == rat(1, 2) * g.eta * g.b
 
 
+def _psi_by_products(g, sign, n):
+    """Oracle for psi: the components as products of generator Elements."""
+    factor = g.table.one() - rat(1, 8) * g.eta * g.etad
+    u, v, h = (g.a, g.b, g.eta) if sign == MINUS else (g.ad, g.bd, g.etad)
+    comps = [rat(1, 2) * Scalar.sqrt_binomial(n - 1, k) * h * u ** (n - 1 - k) * v ** k
+             for k in range(n)]
+    comps += [Scalar.sqrt_binomial(n, k) * factor * u ** (n - k) * v ** k
+              for k in range(n + 1)]
+    return comps
+
+
+def test_psi_matches_product_oracle(g):
+    for n in range(1, 9):
+        for sign in (MINUS, PLUS):
+            assert psi(sign, n, g).components == _psi_by_products(g, sign, n), (sign, n)
+
+
 def test_psi_normalized(g):
     one = g.table.one()
     for n in (1, 2, 3):
