@@ -13,8 +13,8 @@ from .algebra import (EVEN, ODD, Element, GeneratorTable, RewriteSystem,
                       SuperAlgebraError, UnknownGeneratorError, AlgebraMismatchError,
                       ParityError, InvertibilityError, graded_inverse)
 from .matrices import (BlockShape, SuperMatrix, EVEN_FIRST, ODD_FIRST, ShapeError,
-                       graded_bracket, sdet, supertrace, exp_nilpotent)
-from .forms import SuperForm, DifferentialIdeal, d, wedge, body_project
+                       graded_bracket, sdet, exp_nilpotent)
+from .forms import SuperForm, DifferentialIdeal, d
 from .trig import (TrigPoly, PhaseHalfAngle, integrate_half_angle, wallis_integrate,
                    ChartError)
 from .monopole import (group_space, base_space, group_element,

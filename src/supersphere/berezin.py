@@ -2,8 +2,9 @@
 
 The Berezin integral over the supersphere reduces to body projection
 followed by an ordinary integral over the underlying two-sphere.  Forms are
-pulled back through an exact trigonometric chart to half-angle densities
-c * cos^a(t/2) sin^b(t/2) e^(i k phi), integrated in closed form (each
+pulled back through an exact trigonometric chart to their top density, the
+d theta ^ d phi coefficient, a sum of half-angle monomials
+c * cos^a(t/2) sin^b(t/2) e^(i k phi); it is integrated in closed form (each
 monomial is a Beta value B((a+1)/2, (b+1)/2) times 2 pi delta_k0), and
 normalized by the chart's own integral of the reference volume form.  That
 integral is a constant of the chart, -4 pi for the group section chart and
@@ -14,9 +15,6 @@ numeric one.
 """
 
 from __future__ import annotations
-
-import os
-from dataclasses import dataclass
 
 from .forms import SuperForm
 from .monopole import GroupSpace, chern_form_body, group_space, normalize_sign
@@ -52,43 +50,14 @@ def base_chart() -> Chart:
     }
 
 
-@dataclass
-class PullbackDensity:
-    """Components of a pulled-back form on the (theta, phi) chart."""
-
-    constant: PhaseHalfAngle
-    d_theta: PhaseHalfAngle
-    d_phi: PhaseHalfAngle
-    top: PhaseHalfAngle     # coefficient of d theta ^ d phi
-
-
-_FourTuple = tuple[PhaseHalfAngle, PhaseHalfAngle, PhaseHalfAngle, PhaseHalfAngle]
-
-
-def _wedge2(u: _FourTuple, v: _FourTuple) -> _FourTuple:
-    u0, u1, u2, u12 = u
-    v0, v1, v2, v12 = v
-    return (u0 * v0,
-            u0 * v1 + u1 * v0,
-            u0 * v2 + u2 * v0,
-            u0 * v12 + u12 * v0 + u1 * v2 - u2 * v1)
-
-
-def _check_orientation(orientation: int) -> None:
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be 1 or -1, got %r" % (orientation,))
-
-
-def chart_pullback(omega: SuperForm, chart: Chart,
-                   orientation: int = 1) -> PullbackDensity:
-    """Pull a body-projected form back to exact half-angle densities.
+def chart_pullback(omega: SuperForm, chart: Chart) -> PhaseHalfAngle:
+    """Pull a body-projected form back to its exact d theta ^ d phi density.
 
     Each surviving generator must appear in the chart; differentials are the
-    formal theta/phi derivatives of the chart expressions.  `orientation`
-    = -1 integrates against d phi ^ d theta instead, flipping the top
-    component.
+    formal theta/phi derivatives of the chart expressions, so d x_i ^ d x_j
+    pulls back to their Jacobian.  Terms of form degree other than 2 have no
+    top component and contribute nothing, but are validated all the same.
     """
-    _check_orientation(orientation)
     table = omega.algebra
 
     # generator index -> [expr, expr^2, ...], each power built once per call
@@ -105,54 +74,35 @@ def chart_pullback(omega: SuperForm, chart: Chart,
             pows.append(pows[-1] * pows[0])
         return pows[exp - 1]
 
-    zero = PhaseHalfAngle.zero()
-    acc: _FourTuple = (zero, zero, zero, zero)
+    top: dict[tuple[int, int, int], Scalar] = {}
     for w, coeff in omega.terms.items():
         if any(table.parities[i] for i in w):
             raise ChartError("form still contains odd differentials; body-project first")
-        value = PhaseHalfAngle.zero()
+        value: dict[tuple[int, int, int], Scalar] = {}
         for mono, scal in coeff.terms.items():
             if mono[1]:
                 raise ChartError("form still contains odd generators; body-project first")
             part = PhaseHalfAngle.constant(scal)
             for idx, exp in mono[0]:
                 part = part * power(idx, exp)
-            value = value + part
-        term: _FourTuple = (value, zero, zero, zero)
-        for idx in w:
-            expr = power(idx, 1)
-            diff: _FourTuple = (zero, expr.partial_theta(), expr.partial_phi(), zero)
-            term = _wedge2(term, diff)
-        acc = tuple(a + b for a, b in zip(acc, term))  # type: ignore[assignment]
-    top = acc[3] if orientation > 0 else -acc[3]
-    return PullbackDensity(acc[0], acc[1], acc[2], top)
+            for key, c in part.terms.items():
+                value[key] = value[key] + c if key in value else c
+        exprs = [power(idx, 1) for idx in w]
+        if len(exprs) == 2:
+            u, v = exprs
+            jacobian = u.partial_theta() * v.partial_phi() - u.partial_phi() * v.partial_theta()
+            for key, c in (PhaseHalfAngle(value) * jacobian).terms.items():
+                top[key] = top[key] + c if key in top else c
+    return PhaseHalfAngle(top)
 
 
-QUAD_ORDER_MAX = 4096
-
-
-def quad_order() -> int:
-    """Gauss-Legendre order from SUPERSPHERE_QUAD_ORDER (default 64).
-
-    The value must be an integer in 1..QUAD_ORDER_MAX; the bound keeps the
-    order x order evaluation grid to a bounded amount of memory.
-    """
-    raw = os.environ.get("SUPERSPHERE_QUAD_ORDER", "64")
-    try:
-        order = int(raw)
-    except ValueError:
-        order = 0
-    if not 1 <= order <= QUAD_ORDER_MAX:
-        raise ValueError("SUPERSPHERE_QUAD_ORDER must be an integer in 1..%d, got %r"
-                         % (QUAD_ORDER_MAX, raw))
-    return order
+QUAD_ORDER = 64   # Gauss-Legendre points per axis
 
 
 def quad_oracle(f: PhaseHalfAngle | TrigPoly) -> complex:
     """Product Gauss-Legendre approximation of the exact double integral."""
     import numpy as np
-    order = quad_order()
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
     thetas = (nodes + 1.0) * (np.pi / 2.0)
     phis = (nodes + 1.0) * np.pi
     grid = f.evaluate_grid(thetas, phis)
@@ -163,20 +113,21 @@ def quad_oracle(f: PhaseHalfAngle | TrigPoly) -> complex:
 
 FOUR_PI = Scalar.of(4, 0, 1, 1)
 
-# Each chart's integral of the reference volume form at orientation +1.  The
-# group section chart runs against the base orientation.  Both constants are
-# re-derived from the volume forms in the tests.
+# Each chart's integral of the reference volume form against d theta ^ d phi.
+# The group section chart runs against the base orientation.  Both constants
+# are re-derived from the volume forms in the tests.
 GROUP_CHART_VOLUME = -FOUR_PI
 BASE_CHART_VOLUME = FOUR_PI
 
 
-def _orientation_scale(chart_volume: Scalar, orientation: int) -> Scalar:
-    """4 pi / R for the chart's reference-volume integral R = orientation * chart_volume."""
-    return FOUR_PI * (chart_volume * orientation).inverse()
+def _exact_int(value: Scalar, what: str) -> int:
+    try:
+        return value.as_int()
+    except ValueError:
+        raise ExactnessError("%s is not an exact integer: %r" % (what, value)) from None
 
 
-def chern_number(sign: str, n: int, orientation: int = 1,
-                 space: GroupSpace | None = None) -> int:
+def chern_number(sign: str, n: int, space: GroupSpace | None = None) -> int:
     """Exact first Chern number: +n for the '-' family, -n for '+'.
 
     Pipeline: Chern form, body projection, pullback through the group
@@ -186,35 +137,24 @@ def chern_number(sign: str, n: int, orientation: int = 1,
     sign = normalize_sign(sign)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    _check_orientation(orientation)
-    g = space or group_space()
-    body_form = chern_form_body(sign, n, g)
-    dens = chart_pullback(body_form, group_section_chart(), orientation)
-    value = integrate_half_angle(dens.top) * _orientation_scale(GROUP_CHART_VOLUME, orientation)
-    try:
-        return value.as_int()
-    except ValueError:
-        raise ExactnessError("Chern integral is not an exact integer: %r" % (value,)) from None
+    body_form = chern_form_body(sign, n, space or group_space())
+    top = chart_pullback(body_form, group_section_chart())
+    return _exact_int(integrate_half_angle(top) * FOUR_PI / GROUP_CHART_VOLUME, "Chern integral")
 
 
-def berezin_integral(omega: SuperForm, orientation: int = 1) -> Scalar:
+def berezin_integral(omega: SuperForm) -> Scalar:
     """Berezin integral of a 2-superform written in the sphere coordinates.
 
-    Body projection sends xi and d xi to zero; what remains is pulled back
-    through the cartesian chart and integrated exactly, with the orientation
-    fixed by the reference volume integral = +4 pi.
+    Body projection sends xi and d xi to zero; the top density of what
+    remains is pulled back through the cartesian chart and integrated
+    exactly, normalised so that the reference volume integrates to 4 pi.
     """
-    _check_orientation(orientation)
-    dens = chart_pullback(omega.body_project(), base_chart(), orientation)
-    return integrate_half_angle(dens.top) * _orientation_scale(BASE_CHART_VOLUME, orientation)
+    top = chart_pullback(omega.body_project(), base_chart())
+    return integrate_half_angle(top) * FOUR_PI / BASE_CHART_VOLUME
 
 
 def berezin_chern_number(sign: str, n: int) -> int:
     """Chern number along the base-coordinate path (coordinate Chern form)."""
     from .monopole import coordinate_chern_form
-    value = berezin_integral(coordinate_chern_form(sign, n))
-    try:
-        return value.as_int()
-    except ValueError:
-        raise ExactnessError("coordinate Chern integral is not an integer: %r"
-                             % (value,)) from None
+    return _exact_int(berezin_integral(coordinate_chern_form(sign, n)),
+                      "coordinate Chern integral")

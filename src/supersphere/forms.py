@@ -17,6 +17,7 @@ commutes with the diamond involution, carried to forms by
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (AlgebraMismatchError, Element, GeneratorTable, Monomial,
@@ -82,7 +83,7 @@ class SuperForm:
             return other
         if isinstance(other, Element):
             return SuperForm.from_element(other)
-        if isinstance(other, (Scalar, int)):
+        if isinstance(other, (Scalar, int, Fraction)):
             return SuperForm.from_element(self.algebra.scalar(other))
         raise TypeError("cannot coerce %r to a form" % (other,))
 
@@ -111,7 +112,7 @@ class SuperForm:
         return self._coerce(other) - self
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Element, int, Scalar)):
+        if isinstance(other, (Element, Scalar, int, Fraction)):
             other = self._coerce(other)
         if not isinstance(other, SuperForm):
             return NotImplemented
@@ -121,7 +122,7 @@ class SuperForm:
 
     def __mul__(self, other) -> "SuperForm":
         """Wedge product; the exterior product symbol is left implicit."""
-        if isinstance(other, (Scalar, int)):
+        if isinstance(other, (Scalar, int, Fraction)):
             return SuperForm(self.algebra, {w: c * other for w, c in self.terms.items()})
         other = self._coerce(other)
         table = self.algebra
@@ -144,7 +145,7 @@ class SuperForm:
         return SuperForm(self.algebra, out)
 
     def __rmul__(self, other) -> "SuperForm":
-        if isinstance(other, (Element, Scalar, int)):
+        if isinstance(other, (Element, Scalar, int, Fraction)):
             return self._coerce(other) * self
         return NotImplemented
 
@@ -299,16 +300,6 @@ def d(x: Element | SuperForm) -> SuperForm:
             total = total + SuperForm(x.algebra, piece_terms)
         return total
     raise TypeError("d expects an Element or SuperForm")
-
-
-def wedge(a: SuperForm | Element, b: SuperForm | Element) -> SuperForm:
-    if isinstance(a, Element):
-        a = SuperForm.from_element(a)
-    return a * b
-
-
-def body_project(omega: SuperForm) -> SuperForm:
-    return omega.body_project()
 
 
 class DifferentialIdeal:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .algebra import (Element, GeneratorTable, InvertibilityError, ParityError,
-                      RewriteSystem)
+                      RewriteSystem, graded_inverse)
 from .scalars import Scalar
 
 EVEN_FIRST = "even_first"
@@ -280,10 +280,6 @@ def graded_bracket(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
     return x @ y - yx
 
 
-def supertrace(x: SuperMatrix):
-    return x.supertrace()
-
-
 def _blocks(x: SuperMatrix) -> tuple[list[int], list[int]]:
     even_idx = [i for i in range(x.shape.dim) if x.shape.type_parity(i) == 0]
     odd_idx = [i for i in range(x.shape.dim) if x.shape.type_parity(i) == 1]
@@ -310,7 +306,7 @@ def _matrix_inverse_even(entries: list[list[Element]], algebra: GeneratorTable,
     """Adjugate over determinant; entries must be even elements."""
     d = len(entries)
     det = rewrites.reduce(_det(entries, algebra))
-    det_inv = graded_inverse_element(det, rewrites)
+    det_inv = graded_inverse(det, rewrites)
     if d == 1:
         return [[det_inv]]
     inv = [[algebra.zero()] * d for _ in range(d)]
@@ -323,11 +319,6 @@ def _matrix_inverse_even(entries: list[list[Element]], algebra: GeneratorTable,
                 cof = -cof
             inv[j][i] = rewrites.reduce(cof * det_inv)
     return inv
-
-
-def graded_inverse_element(u: Element, rewrites: RewriteSystem) -> Element:
-    from .algebra import graded_inverse as _gi
-    return rewrites.reduce(_gi(u, rewrites))
 
 
 def sdet(x: SuperMatrix, rewrites: RewriteSystem) -> Element:
@@ -366,9 +357,9 @@ def sdet(x: SuperMatrix, rewrites: RewriteSystem) -> Element:
             schur[i][j] = rewrites.reduce(acc)
     det_schur = rewrites.reduce(_det(schur, algebra))
     # the GL precondition wants the even-type block invertible as well
-    graded_inverse_element(det_schur, rewrites)
+    graded_inverse(det_schur, rewrites)
     det_D = rewrites.reduce(_det(D, algebra))
-    return rewrites.reduce(det_schur * graded_inverse_element(det_D, rewrites))
+    return rewrites.reduce(det_schur * graded_inverse(det_D, rewrites))
 
 
 def exp_nilpotent(x: SuperMatrix, algebra: GeneratorTable, max_order: int = 12) -> SuperMatrix:

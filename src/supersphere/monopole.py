@@ -338,28 +338,18 @@ class IdentityCheck:
 
 
 def inversion_identities(space: GroupSpace | None = None) -> list[IdentityCheck]:
-    """Verify the inversion formulas expressing group invariants in x, xi.
+    """Verify the inversion formulas expressing the bilinear invariants in x, xi.
 
-    Substitutes the coordinate expressions into each right-hand side and
-    reduces; mismatches are reported, never patched.
+    Substitutes the coordinate expressions into each base image of the
+    emission table and reduces against its group monomial; mismatches are
+    reported, never patched.
     """
     g = space or group_space()
-    coords = base_coordinates(g)
-    one = g.table.one()
-    i = Scalar.i()
-    x0, x1, x2, xim, xip = coords.x0, coords.x1, coords.x2, coords.xim, coords.xip
-    one_fer = one + xim * xip
-    cases = [
-        ("quarter-eta-eta* = xi- xi+", rat(1, 4) * g.eta * g.etad, xim * xip),
-        ("a a*", g.a * g.ad, rat(1, 2) * (one + x0 * one_fer)),
-        ("b b*", g.b * g.bd, rat(1, 2) * (one - x0 * one_fer)),
-        ("a b*", g.a * g.bd, rat(1, 2) * (x1 - i * x2) * one_fer),
-        ("eta a*", g.eta * g.ad, -(x1 + i * x2) * xim + (one + x0) * xip),
-        ("eta b*", g.eta * g.bd, (x1 - i * x2) * xip - (one - x0) * xim),
-    ]
+    images = coordinate_images(g)
     out = []
-    for name, lhs, rhs in cases:
-        diff = g.rewrites.reduce(lhs - rhs)
+    for name, (mono, image) in _invariant_units(g, base_space()).items():
+        unit = Element(g.table, {mono: Scalar.one()})
+        diff = g.rewrites.reduce(unit - image.substitute(images, g.table))
         out.append(IdentityCheck(name, diff.is_zero, None if diff.is_zero else diff))
     return out
 

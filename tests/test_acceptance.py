@@ -113,7 +113,7 @@ def test_criterion_6_group_identities():
     assert sdet(s, g.rewrites) == g.table.one()
     assert sphere_relation_check(g)
     checks = inversion_identities(g)
-    assert len(checks) == 6 and all(item.holds for item in checks)
+    assert len(checks) == 9 and all(item.holds for item in checks)
     _report(6, "group unitarity, Sdet = 1, sphere relation, inversion identities")
 
 

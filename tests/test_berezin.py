@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supersphere.berezin as berezin
-from supersphere.berezin import (BASE_CHART_VOLUME, GROUP_CHART_VOLUME, QUAD_ORDER_MAX,
-                                 base_chart, berezin_chern_number, berezin_integral,
-                                 chart_pullback, chern_number, group_section_chart,
-                                 quad_oracle, quad_order)
+from supersphere.berezin import (BASE_CHART_VOLUME, FOUR_PI, GROUP_CHART_VOLUME, base_chart,
+                                 berezin_chern_number, berezin_integral, chart_pullback,
+                                 chern_number, group_section_chart, quad_oracle)
 from supersphere.forms import d
 from supersphere.monopole import (MINUS, PLUS, base_coordinates, base_space,
-                                  coordinate_chern_form, coordinate_volume_form,
-                                  group_space)
+                                  chern_form_body, coordinate_chern_form,
+                                  coordinate_volume_form, group_space)
 from supersphere.scalars import Scalar, rat
 from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
 
@@ -33,14 +32,14 @@ def group_volume_body_form():
     return sig[0] * ds[1] * ds[2] + sig[1] * ds[2] * ds[0] + sig[2] * ds[0] * ds[1]
 
 
-def group_chart_normalizer(orientation=1):
-    dens = chart_pullback(group_volume_body_form(), group_section_chart(), orientation)
-    return wallis_integrate(dens.top.to_trigpoly())
+def group_chart_normalizer(chart=None):
+    dens = chart_pullback(group_volume_body_form(), chart or group_section_chart())
+    return wallis_integrate(dens.to_trigpoly())
 
 
-def base_chart_normalizer(orientation=1):
-    dens = chart_pullback(coordinate_volume_form().body_project(), base_chart(), orientation)
-    return wallis_integrate(dens.top.to_trigpoly())
+def base_chart_normalizer(chart=None):
+    dens = chart_pullback(coordinate_volume_form().body_project(), chart or base_chart())
+    return wallis_integrate(dens.to_trigpoly())
 
 
 def test_trigpoly_normal_form():
@@ -106,11 +105,10 @@ def test_quad_oracle_examples():
     assert quad_oracle(TrigPoly.zero()) == 0
     # pulled-back Chern density for n = 2 integrates to 2 x the normalizer,
     # the normalizer being the reference volume integral divided by 4 pi
-    from supersphere.monopole import chern_form_body
     dens = chart_pullback(chern_form_body(MINUS, 2), group_section_chart())
     normalizer = group_chart_normalizer().to_complex() / (4 * math.pi)
-    assert abs(quad_oracle(dens.top) - 2 * normalizer) < 1e-9
-    assert abs(quad_oracle(dens.top) - wallis_integrate(dens.top.to_trigpoly()).to_complex()) < 1e-9
+    assert abs(quad_oracle(dens) - 2 * normalizer) < 1e-9
+    assert abs(quad_oracle(dens) - wallis_integrate(dens.to_trigpoly()).to_complex()) < 1e-9
 
 
 def test_half_angle_beta_examples():
@@ -157,33 +155,10 @@ def test_quad_oracle_takes_half_angle_polynomials():
     assert abs(quad_oracle(f) - quad_oracle(f.to_trigpoly())) < 1e-9
 
 
-def test_quad_order_env_override(monkeypatch):
-    monkeypatch.setenv("SUPERSPHERE_QUAD_ORDER", "32")
-    assert abs(quad_oracle(TrigPoly.monomial(q=1)) - 4 * math.pi) < 1e-9
-
-
-def test_quad_order_default(monkeypatch):
-    monkeypatch.delenv("SUPERSPHERE_QUAD_ORDER", raising=False)
-    assert quad_order() == 64
-
-
-@pytest.mark.parametrize("value", ["abc", "0", str(QUAD_ORDER_MAX + 1)])
-def test_quad_order_rejects_bad_values(monkeypatch, value):
-    # checked before any grid is built, so the huge value allocates nothing
-    monkeypatch.setenv("SUPERSPHERE_QUAD_ORDER", value)
-    with pytest.raises(ValueError, match="SUPERSPHERE_QUAD_ORDER"):
-        quad_order()
-    with pytest.raises(ValueError, match="SUPERSPHERE_QUAD_ORDER"):
-        quad_oracle(TrigPoly.monomial(q=1))
-
-
 def test_chart_normalizers():
-    assert base_chart_normalizer() == Scalar.of(4, 0, 1, 1)
-    assert group_chart_normalizer() == Scalar.of(-4, 0, 1, 1)
-    # the constants production divides by are these derivations, both ways round
-    for orientation in (1, -1):
-        assert GROUP_CHART_VOLUME * orientation == group_chart_normalizer(orientation)
-        assert BASE_CHART_VOLUME * orientation == base_chart_normalizer(orientation)
+    # the constants production divides by are these derivations
+    assert base_chart_normalizer() == BASE_CHART_VOLUME == Scalar.of(4, 0, 1, 1)
+    assert group_chart_normalizer() == GROUP_CHART_VOLUME == Scalar.of(-4, 0, 1, 1)
 
 
 def test_chern_number_pulls_back_once(monkeypatch):
@@ -199,17 +174,6 @@ def test_chern_number_pulls_back_once(monkeypatch):
     calls.clear()
     assert berezin_integral(coordinate_volume_form()) == Scalar.of(4, 0, 1, 1)
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize("orientation", [0, 2, -2])
-def test_orientation_must_be_plus_or_minus_one(orientation):
-    # a constant normaliser would silently scale by a wrong orientation
-    with pytest.raises(ValueError, match="orientation"):
-        chern_number(MINUS, 1, orientation=orientation)
-    with pytest.raises(ValueError, match="orientation"):
-        berezin_integral(coordinate_volume_form(), orientation=orientation)
-    with pytest.raises(ValueError, match="orientation"):
-        chart_pullback(group_volume_body_form(), group_section_chart(), orientation)
 
 
 def test_chern_numbers_small():
@@ -230,14 +194,24 @@ def test_chern_number_at_production_scale():
         assert chern_number(PLUS, n) == -n
 
 
+def _mirrored(chart):
+    """The chart composed with phi -> -phi, which reverses d theta ^ d phi."""
+    return {name: PhaseHalfAngle({(hc, hs, -k): v for (hc, hs, k), v in expr.terms.items()})
+            for name, expr in chart.items()}
+
+
 def test_chern_number_orientation_invariance():
-    # swapping the chart orientation flips the density integral and the
-    # normalizer together, leaving the quotient unchanged
-    assert group_chart_normalizer(-1) == -group_chart_normalizer(1)
-    assert base_chart_normalizer(-1) == -base_chart_normalizer(1)
+    # reversing the chart orientation flips the density integral and the
+    # chart's reference volume integral together, leaving the quotient unchanged
+    group_mirror, base_mirror = _mirrored(group_section_chart()), _mirrored(base_chart())
+    assert group_chart_normalizer(group_mirror) == -GROUP_CHART_VOLUME
+    assert base_chart_normalizer(base_mirror) == -BASE_CHART_VOLUME
     for n in (1, 2):
-        assert chern_number(MINUS, n, orientation=-1) == n
-        assert chern_number(PLUS, n, orientation=-1) == -n
+        for sign, want in ((MINUS, n), (PLUS, -n)):
+            top = chart_pullback(chern_form_body(sign, n), group_mirror)
+            assert integrate_half_angle(top) * FOUR_PI / -GROUP_CHART_VOLUME == want
+            top = chart_pullback(coordinate_chern_form(sign, n).body_project(), base_mirror)
+            assert integrate_half_angle(top) * FOUR_PI / -BASE_CHART_VOLUME == want
 
 
 def test_chern_number_requires_positive_n():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from supersphere.algebra import EVEN, ODD, AlgebraMismatchError, GeneratorTable, ParityError
 from supersphere.berezin import base_chart, chart_pullback, group_section_chart
-from supersphere.forms import SuperForm, body_project, d, wedge
+from supersphere.forms import SuperForm, d
 from supersphere.monopole import base_space, group_space
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
@@ -102,10 +102,10 @@ def test_d_commutes_with_diamond(g):
 
 
 def test_body_project_examples(g, diffs):
-    assert body_project(diffs["eta"] * diffs["eta*"]).is_zero
+    assert (diffs["eta"] * diffs["eta*"]).body_project().is_zero
     one = g.table.one()
     omega = (one - rat(1, 4) * g.eta * g.etad) * (diffs["a"] * diffs["a*"])
-    assert body_project(omega) == diffs["a"] * diffs["a*"]
+    assert omega.body_project() == diffs["a"] * diffs["a*"]
 
 
 def test_body_project_is_algebra_map(g):
@@ -114,7 +114,7 @@ def test_body_project_is_algebra_map(g):
     for _ in range(60):
         omega = random_element(g.table, rng) * g.differential(rng.choice(names))
         tau = random_element(g.table, rng) * g.differential(rng.choice(names))
-        assert body_project(omega * tau) == body_project(omega) * body_project(tau)
+        assert (omega * tau).body_project() == omega.body_project() * tau.body_project()
 
 
 def test_differential_ideal_group_relation(g):
@@ -158,49 +158,85 @@ def test_localized_model_decides_ideal_membership(g):
     assert not loc.is_zero_mod(g.b * d(g.bd))
 
 
+def test_pullback_of_low_degree_forms_is_zero(g):
+    """Only 2-forms have a d theta ^ d phi component."""
+    s = base_space()
+    assert chart_pullback(SuperForm.from_element(s.x1 * s.x2), base_chart()).is_zero
+    assert chart_pullback(s.differential("x0").body_project(), base_chart()).is_zero
+    assert chart_pullback(g.a * g.differential("b*"), group_section_chart()).is_zero
+
+
 def test_pullback_of_base_differential():
     """d x0 under x0 = cos theta -> -sin theta d theta."""
-    s = base_space()
-    dens = chart_pullback(s.differential("x0").body_project(), base_chart())
-    assert dens.d_theta.to_trigpoly() == TrigPoly.monomial(q=1, coeff=Scalar.of(-1))
-    assert dens.d_phi.is_zero and dens.top.is_zero
+    x0 = base_chart()["x0"]
+    assert x0.partial_theta().to_trigpoly() == TrigPoly.monomial(q=1, coeff=Scalar.of(-1))
+    assert x0.partial_phi().is_zero
 
 
-def _numeric_two_form_density(chart, fa, fb, theta, phi, h=1e-6):
+def _ev(expr, t, p):
+    """Numeric value of a half-angle polynomial at (theta, phi)."""
+    total = 0j
+    for (hc, hs, k), v in expr.terms.items():
+        total += (v.to_complex() * math.cos(t / 2) ** hc * math.sin(t / 2) ** hs
+                  * complex(math.cos(k * p), math.sin(k * p)))
+    return total
+
+
+def _numeric_jacobian(chart, fa, fb, theta, phi, h=1e-6):
     """Finite-difference oracle for the d(fa) ^ d(fb) density at a point."""
-    def ev(expr, t, p):
-        total = 0j
-        for (hc, hs, k), v in expr.terms.items():
-            total += (v.to_complex() * math.cos(t / 2) ** hc
-                      * math.sin(t / 2) ** hs
-                      * complex(math.cos(k * p), math.sin(k * p)))
-        return total
-
     a, b = chart[fa], chart[fb]
-    da_t = (ev(a, theta + h, phi) - ev(a, theta - h, phi)) / (2 * h)
-    da_p = (ev(a, theta, phi + h) - ev(a, theta, phi - h)) / (2 * h)
-    db_t = (ev(b, theta + h, phi) - ev(b, theta - h, phi)) / (2 * h)
-    db_p = (ev(b, theta, phi + h) - ev(b, theta, phi - h)) / (2 * h)
+    da_t = (_ev(a, theta + h, phi) - _ev(a, theta - h, phi)) / (2 * h)
+    da_p = (_ev(a, theta, phi + h) - _ev(a, theta, phi - h)) / (2 * h)
+    db_t = (_ev(b, theta + h, phi) - _ev(b, theta - h, phi)) / (2 * h)
+    db_p = (_ev(b, theta, phi + h) - _ev(b, theta, phi - h)) / (2 * h)
     return da_t * db_p - da_p * db_t
+
+
+def _random_body_two_form(rng, space, names):
+    """A sum over several wedge pairs with coefficients of degree <= 3, and its terms."""
+    table = space.table
+    pairs = [(p, q) for i, p in enumerate(names) for q in names[i + 1:]]
+    omega = SuperForm.zero(table)
+    spec = []
+    for fa, fb in rng.sample(pairs, rng.randint(2, min(4, len(pairs)))):
+        if rng.random() < 0.5:
+            fa, fb = fb, fa
+        for _ in range(rng.randint(1, 3)):
+            c = Scalar.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+            word = [rng.choice(names) for _ in range(rng.randint(0, 3))]
+            coeff = table.scalar(c)
+            for name in word:
+                coeff = coeff * table.gen(name)
+            omega = omega + coeff * space.differential(fa) * space.differential(fb)
+            spec.append((c, word, fa, fb))
+    return omega, spec
 
 
 def test_pullback_da_dastar_matches_numeric_oracle(g):
     omega = g.differential("a") * g.differential("a*")
     dens = chart_pullback(omega.body_project(), group_section_chart())
     # exact value: (i/2) sin theta
-    assert dens.top.to_trigpoly() == TrigPoly.monomial(q=1, coeff=Scalar.of(0, Fraction(1, 2)))
-    chart = group_section_chart()
-    for theta, phi in ((0.7, 1.1), (2.0, 4.0)):
-        want = _numeric_two_form_density(chart, "a", "a*", theta, phi)
-        got = dens.top.to_trigpoly().evaluate(theta, phi)
-        assert abs(got - want) < 1e-6
+    assert dens.to_trigpoly() == TrigPoly.monomial(q=1, coeff=Scalar.of(0, Fraction(1, 2)))
+    rng = random.Random(38)
+    cases = [(g, ("a", "a*", "b", "b*"), group_section_chart()),
+             (base_space(), ("x0", "x1", "x2"), base_chart())]
+    for space, names, chart in cases:
+        for _ in range(30):
+            omega, spec = _random_body_two_form(rng, space, names)
+            dens = chart_pullback(omega, chart)
+            for _ in range(2):
+                theta, phi = rng.uniform(0.1, math.pi - 0.1), rng.uniform(0, 2 * math.pi)
+                want = sum(c.to_complex() * math.prod(_ev(chart[nm], theta, phi) for nm in word)
+                           * _numeric_jacobian(chart, fa, fb, theta, phi)
+                           for c, word, fa, fb in spec)
+                assert abs(_ev(dens, theta, phi) - want) < 1e-6
 
 
 def test_pullback_volume_form_orientation():
     from supersphere.monopole import coordinate_volume_form
     vol = coordinate_volume_form().body_project()
     dens = chart_pullback(vol, base_chart())
-    assert dens.top.to_trigpoly() == TrigPoly.monomial(q=1)  # + sin theta d theta d phi
+    assert dens.to_trigpoly() == TrigPoly.monomial(q=1)  # + sin theta d theta d phi
 
 
 def test_pullback_requires_body_projection(g):
@@ -225,7 +261,17 @@ def test_form_serialization_roundtrip(g):
 
 
 def test_wedge_function(g):
-    assert wedge(g.a, g.differential("b")) == g.a * g.differential("b")
+    # an Element on the left is wedged as a 0-form
+    assert SuperForm.from_element(g.a) * g.differential("b") == g.a * g.differential("b")
+
+
+def test_forms_accept_fraction_scalars(g):
+    half = Fraction(1, 2)
+    da = g.differential("a")
+    assert da * half == da * rat(1, 2)
+    assert half * da == rat(1, 2) * da
+    assert da + half == da + rat(1, 2)
+    assert SuperForm.from_element(g.table.scalar(half)) == half
 
 
 # Oracle for substitution: the route production used before the substitution

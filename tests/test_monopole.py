@@ -132,9 +132,23 @@ def test_quarter_eta_identity(g):
 
 def test_inversion_identities_hold(g):
     checks = inversion_identities(g)
-    assert len(checks) == 6
+    assert len(checks) == 9
     for item in checks:
         assert item.holds, item.name
+
+
+def test_inversion_identities_check_the_emission_table(g, monkeypatch):
+    # the identities are the emission table's own base images, so a wrong
+    # sign in one of them is reported under its name
+    original = monopole._invariant_units
+
+    def flipped(space, base):
+        units = original(space, base)
+        mono, image = units["b a*"]
+        units["b a*"] = (mono, -image)
+        return units
+    monkeypatch.setattr(monopole, "_invariant_units", flipped)
+    assert [item.name for item in inversion_identities(g) if not item.holds] == ["b a*"]
 
 
 def test_inversion_identities_degenerate_without_eta(g):
