@@ -168,18 +168,25 @@ class GeneratorTable:
         """Normalize a list of (scalar, generator-name sequence) words.
 
         Reordering two adjacent generators multiplies by (-1)^(p1*p2); a word
-        with a repeated odd generator is zero.
+        with a repeated odd generator is zero.  Each distinct name is looked
+        up once and counted by ``word.count``, so a power costs one step
+        however long it is.
         """
         out: dict[Monomial, Scalar] = {}
+        index, parities = self.index, self.parities
         for coeff, word in raw:
             even: dict[int, int] = {}
             odd: list[int] = []
-            for name in word:
-                i = self._idx(name)
-                if self.parities[i] == ODD:
-                    odd.append(i)
+            # names in order of first appearance: an odd name that appears
+            # once keeps its written place among the odd names, and one that
+            # repeats makes the word zero wherever it stands
+            for name in dict.fromkeys(word):
+                # _idx raises UnknownGeneratorError for an undeclared name
+                i = index[name] if name in index else self._idx(name)
+                if parities[i] == ODD:
+                    odd.extend([i] * word.count(name))
                 else:
-                    even[i] = even.get(i, 0) + 1
+                    even[i] = word.count(name)
             sign = _sort_odd(odd)
             if sign == 0:
                 continue
@@ -196,6 +203,8 @@ def _sort_odd(indices: list[int]) -> int:
 
     Every swap of two odd generators flips the sign; 0 when one repeats.
     """
+    if len(indices) < 2:
+        return 1
     sign = 1
     for a in range(1, len(indices)):
         b = a

@@ -93,9 +93,16 @@ class Check:
         self.witness: str | None = None
         self.elapsed = 0.0
 
+    # longest witness kept; the rest is summarised by its length
+    WITNESS_CHARS = 2000
+
     def fail(self, witness) -> None:
         self.status = "fail"
-        self.witness = repr(witness)
+        text = repr(witness)
+        extra = len(text) - self.WITNESS_CHARS
+        if extra > 0:
+            text = "%s... (%d more characters)" % (text[:self.WITNESS_CHARS], extra)
+        self.witness = text
 
     def key(self):
         return (self.name, self.n if self.n is not None else -1, self.sign or "")

@@ -27,6 +27,7 @@ from fractions import Fraction
 from .algebra import (ONE_MONO, Element, GeneratorTable, Monomial, RewriteSystem, EVEN,
                       ODD, SuperAlgebraError, mono_mul)
 from .forms import DifferentialIdeal, SuperForm, d
+from .localized import LocalizedModel, TorusForm
 from .matrices import BlockShape, SuperMatrix, EVEN_FIRST, ODD_FIRST, exp_nilpotent, sdet
 from .scalars import Scalar, rat
 
@@ -48,50 +49,6 @@ class ExpansionError(SuperAlgebraError):
 
 # ---------------------------------------------------------------------------
 # algebras
-
-class LocalizedModel:
-    """Faithful model of forms on the group: b* := (1 - a a*) b^(-1).
-
-    The relation hypersurface a a* + b b* = 1 is smooth, so its module of
-    Kahler differentials is torsion free and injects into the localization
-    at b.  Substituting b* and db* accordingly kills the differential ideal
-    exactly, which turns ideal-membership checks into plain zero tests in
-    the free algebra on a, a*, b, b^(-1), eta, eta* with b b^(-1) -> 1.
-    The two-rule rewrite reduction stays in use for canonical display, but
-    equality modulo the ideal is decided here.
-    """
-
-    def __init__(self):
-        self.table = GeneratorTable.build(
-            conjugate_pairs=[("eta", "eta*", ODD)],
-            self_conjugate=[("a", EVEN), ("a*", EVEN), ("b", EVEN), ("b~", EVEN)],
-            order=["a", "a*", "b", "b~", "eta", "eta*"])
-        t = self.table
-        binv = t.gen("b~")
-        self.rewrites = RewriteSystem(t, [(t.gen("b") * binv, t.one())])
-        one_m = t.one() - t.gen("a") * t.gen("a*")
-        self.images = {
-            "a": t.gen("a"), "a*": t.gen("a*"), "b": t.gen("b"),
-            "b*": one_m * binv,
-            "eta": t.gen("eta"), "eta*": t.gen("eta*"),
-        }
-        da = SuperForm.differential(t, "a")
-        dad = SuperForm.differential(t, "a*")
-        db = SuperForm.differential(t, "b")
-        self.differential_images = {
-            "b*": -(binv * (t.gen("a") * dad + t.gen("a*") * da))
-                  - (binv * binv * one_m) * db,
-        }
-
-    def project(self, x: Element | SuperForm):
-        if isinstance(x, Element):
-            return self.rewrites.reduce(x.substitute(self.images, self.table))
-        out = x.substitute(self.images, self.table, self.differential_images)
-        return out.map_coefficients(self.rewrites.reduce)
-
-    def is_zero_mod(self, x: Element | SuperForm) -> bool:
-        return self.project(x).is_zero
-
 
 @dataclass(frozen=True)
 class GroupSpace:
@@ -139,7 +96,7 @@ def group_space() -> GroupSpace:
         dbd = SuperForm.differential(table, "b*")
         db_repl = -(a * dad + ad * da + b * dbd)
         ideal = DifferentialIdeal(rewrites, [(bd, SuperForm.differential(table, "b"), db_repl)])
-        _group_space = GroupSpace(table, rewrites, ideal, LocalizedModel())
+        _group_space = GroupSpace(table, rewrites, ideal, LocalizedModel(table))
     return _group_space
 
 
@@ -740,7 +697,7 @@ class CoordinateChernReport:
     n: int
     verbatim_matches: bool
     corrected_matches: bool
-    difference: SuperForm | None
+    difference: TorusForm | None
 
 
 def coordinate_chern_report(n: int, space: GroupSpace | None = None) -> CoordinateChernReport:

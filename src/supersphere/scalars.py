@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Union
 
@@ -342,3 +343,43 @@ class Scalar:
 def rat(num: int, den: int = 1) -> Scalar:
     """Shorthand for a rational scalar."""
     return Scalar.of(Fraction(num, den))
+
+
+@lru_cache(maxsize=None)
+def _one_minus_t_power(l: int) -> tuple[int, ...]:
+    """The coefficients (-1)^k C(l, k) of (1 - t)^l."""
+    return tuple((-1) ** k * math.comb(l, k) for k in range(l + 1))
+
+
+def binomial_sum(terms: Iterable[tuple[int, Scalar, int, int]]) -> tuple[Scalar, ...]:
+    """sum sign * s * t^m * (1 - t)^l over (sign, s, m, l), as the
+    coefficients of t^0, t^1, ... with trailing zeros stripped.
+
+    Each (radical, pi) component is summed as two dense integer lists over
+    one common denominator, so the expansion multiplies plain integers only.
+    """
+    by_key: dict[tuple[int, int], list] = {}
+    size = 0
+    for sign, s, m, l in terms:
+        size = max(size, m + l + 1)
+        for key, rec in s._parts.items():
+            by_key.setdefault(key, []).append((sign, rec, m, l))
+    dense = []
+    for key, recs in by_key.items():
+        den = math.lcm(*(rec[2] for _, rec, _, _ in recs))
+        re_list, im_list = [0] * size, [0] * size
+        for sign, (re, im, d), m, l in recs:
+            row = _one_minus_t_power(l)
+            end = m + l + 1
+            f = sign * (den // d)
+            for acc, part in ((re_list, re), (im_list, im)):
+                if part:
+                    c = f * part
+                    acc[m:end] = [x + c * y for x, y in zip(acc[m:end], row)]
+        dense.append((key, re_list, im_list, den))
+    out = [Scalar({key: _canon(re_list[k], im_list[k], den)
+                   for key, re_list, im_list, den in dense if re_list[k] or im_list[k]})
+           for k in range(size)]
+    while out and out[-1].is_zero:
+        out.pop()
+    return tuple(out)

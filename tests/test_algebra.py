@@ -39,6 +39,18 @@ def test_normalize_examples(table, gens):
     assert table.element([(1, ["b", "a"])]) == gens["a"] * gens["b"]
 
 
+def test_normalize_counts_each_name_once(table, gens):
+    a, ad, eta, etad = gens["a"], gens["a*"], gens["eta"], gens["eta*"]
+    word = ["a"] * 5 + ["eta*", "a*", "eta"] + ["a"] * 2
+    assert table.element([(1, word)]) == -(a ** 7 * ad * eta * etad)
+    assert table.element([(1, ("eta", "a*", "eta*", "a"))]) == a * ad * eta * etad
+    # a repeated odd generator vanishes next to itself and apart
+    assert table.element([(1, ["a", "eta", "eta", "a"])]).is_zero
+    assert table.element([(1, ["eta", "a", "eta*", "a", "eta"])]).is_zero
+    # the even letters may stand in any order
+    assert table.element([(2, ["a", "a", "b", "a"])]) == table.element([(2, ["a", "b", "a", "a"])])
+
+
 def test_normalize_unknown_generator(table):
     with pytest.raises(UnknownGeneratorError):
         table.element([(1, ["nope"])])

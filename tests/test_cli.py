@@ -177,6 +177,18 @@ def test_verify_half_angle_integral_check_catches_a_wrong_integral(capsys, monke
     assert checks and all(c["status"] == "fail" for c in checks)
 
 
+def test_failure_witness_is_capped():
+    check = cli.Check("oversized")
+    check.fail("x" * (cli.Check.WITNESS_CHARS + 1000))
+    assert check.status == "fail"
+    # the repr adds two quotes to the string
+    assert check.witness.endswith("... (1002 more characters)")
+    assert len(check.witness) == cli.Check.WITNESS_CHARS + len("... (1002 more characters)")
+    small = cli.Check("small")
+    small.fail("x")
+    assert small.witness == "'x'"
+
+
 def test_verify_algebra_suite_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "algebra",
                            "--format", "json")

@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 from supersphere.algebra import EVEN, ODD, AlgebraMismatchError, GeneratorTable, ParityError
 from supersphere.berezin import base_chart, chart_pullback, group_section_chart
 from supersphere.forms import SuperForm, d
-from supersphere.monopole import base_space, group_space
+from supersphere.monopole import base_space, chern_closed_form, chern_form, group_space
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 from supersphere.trig import ChartError, TrigPoly
+
+from oracles import SubstitutionLocalizer
+
+ORACLE = SubstitutionLocalizer()
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +160,71 @@ def test_localized_model_decides_ideal_membership(g):
     assert loc.is_zero_mod(hidden)
     assert not loc.is_zero_mod(g.differential("a"))
     assert not loc.is_zero_mod(g.b * d(g.bd))
+
+
+def test_localized_model_rejects_another_table(g):
+    s = base_space()
+    with pytest.raises(AlgebraMismatchError):
+        g.localizer.project(s.x0 * s.differential("x1"))
+    with pytest.raises(AlgebraMismatchError):
+        g.localizer.is_zero_mod(s.x0)
+
+
+def test_torus_form_repr_is_bounded(g):
+    big = g.localizer.project(sum((g.a ** k * g.differential("a") for k in range(200)),
+                                  SuperForm.zero(g.table)))
+    assert len(big.terms) == 200
+    text = repr(big)
+    assert len(text) <= big.REPR_LIMIT + len("TorusForm(... (200 more keys))")
+    assert text.endswith(" more keys))")
+    small = g.localizer.project((g.bd * g.eta) * g.differential("eta"))
+    assert repr(small) == "TorusForm(b^-1 eta deta: [1, -1])"
+    assert repr(g.localizer.project(g.table.zero())) == "TorusForm()"
+
+
+def test_torus_form_reads_the_closed_form_difference(g):
+    diff = g.localizer.project(chern_form("-", 3, reduced=False, space=g)
+                               - chern_closed_form("-", 4, g))
+    # -(1/(2 pi i)) (da da* + db db*), with db* pushed into the localization
+    assert set(diff.terms) == {((0, 1), (), 0, 0), ((0, 2), (), -1, -1), ((1, 2), (), 1, -1)}
+    assert all(poly == (Scalar.of(0, Fraction(-1, 2), 1, -1),) for poly in diff.terms.values())
+
+
+def _random_wedge(table, rng, with_dbd):
+    names = rng.sample(table.names, rng.randint(0, 2))
+    if with_dbd and "b*" not in names:
+        names.insert(rng.randrange(len(names) + 1), "b*")
+    return names
+
+
+def _random_small_form(table, rng, with_dbd=False):
+    total = SuperForm.zero(table)
+    for _ in range(rng.randint(1, 2)):
+        piece = SuperForm.from_element(random_element(table, rng))
+        for name in _random_wedge(table, rng, with_dbd and rng.random() < 0.7):
+            piece = piece * SuperForm.differential(table, name)
+        total = total + piece
+    return total
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_torus_projection_agrees_with_the_substitution_oracle(seed):
+    g = group_space()
+    rng = random.Random(seed)
+    x = _random_small_form(g.table, rng)
+    if rng.random() < 0.5:
+        # an ideal member r rel h + d(rel) h, often with db* in the wedge of h
+        rel = g.a * g.ad + g.b * g.bd - g.table.one()
+        h = _random_small_form(g.table, rng, with_dbd=True)
+        y = x + random_element(g.table, rng) * rel * h + d(rel) * h
+    else:
+        y = x + _random_small_form(g.table, rng, with_dbd=rng.random() < 0.5)
+    px, py = g.localizer.project(x), g.localizer.project(y)
+    assert (px == py) == ORACLE.is_zero_mod(x - y)
+    assert g.localizer.project(x - y).terms == ORACLE.torus_terms(x - y)
+    if px == py:
+        assert hash(px) == hash(py)
 
 
 def test_pullback_of_low_degree_forms_is_zero(g):
@@ -344,8 +413,8 @@ def test_substitution_matches_the_per_monomial_route(seed):
     x = _high_power_element(g.table, rng)
     omega = _random_form(g.table, rng)
     if rng.random() < 0.3:
-        # the localizer's own images, b* -> (1 - a a*) b^(-1)
-        loc = g.localizer
+        # the substitution oracle's images, b* -> (1 - a a*) b^(-1)
+        loc = ORACLE
         target, images, diff_images = loc.table, loc.images, loc.differential_images
     else:
         # each generator kept, sent to zero, or sent to a random image of its parity

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supersphere.scalars import Scalar, rat, squarefree_split
+from supersphere.scalars import Scalar, binomial_sum, rat, squarefree_split
 
 
 def test_squarefree_split():
@@ -175,3 +175,18 @@ def test_kernel_matches_reference_model(xs, ys, q):
         if rc:
             assert as_ref(c.inverse()) == ref_inverse(rc)
             assert c * c.inverse() == Scalar.one()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), sums, st.integers(0, 3), st.integers(0, 5)),
+                max_size=5))
+def test_binomial_sum_matches_scalar_arithmetic(terms):
+    """sum sign s t^m (1 - t)^l, against the expansion in Scalar arithmetic."""
+    want = [Scalar.zero()] * 9
+    for sign, xs, m, l in terms:
+        for k in range(l + 1):
+            want[m + k] = want[m + k] + build(xs) * (sign * (-1) ** k * math.comb(l, k))
+    while want and want[-1].is_zero:
+        want.pop()
+    got = binomial_sum([(sign, build(xs), m, l) for sign, xs, m, l in terms])
+    assert got == tuple(want)
