@@ -8,6 +8,7 @@ with.  JSON output round-trips through the package serialization formats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -550,7 +551,9 @@ def _positive_int(value: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards."""
     parser = argparse.ArgumentParser(
         prog="supersphere",
         description="Exact monopole projectors and Chern numbers over the supersphere")
@@ -580,8 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

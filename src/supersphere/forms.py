@@ -202,13 +202,10 @@ class SuperForm:
         return SuperForm(self.algebra, {w: fn(c) for w, c in self.terms.items()})
 
     def substitute(self, images: Mapping[str, Element],
-                   target: GeneratorTable | None = None,
-                   differential_images: Mapping[str, "SuperForm"] | None = None
-                   ) -> "SuperForm":
+                   target: GeneratorTable | None = None) -> "SuperForm":
         """Pull the form through an algebra map: coefficients substitute and
-        each differential dg maps to d(image of g), unless an explicit 1-form
-        image for dg is supplied.  One substitution map serves every
-        coefficient, so each power of an image is built once."""
+        each differential dg maps to d(image of g).  One substitution map
+        serves every coefficient, so each power of an image is built once."""
         smap = SubstitutionMap(self.algebra, images, target)
         diff_images: dict[int, SuperForm] = {}
         out: dict[Wedge, Element] = {}
@@ -217,12 +214,7 @@ class SuperForm:
             for i in w:
                 img = diff_images.get(i)
                 if img is None:
-                    name = self.algebra.names[i]
-                    if differential_images and name in differential_images:
-                        img = differential_images[name]
-                    else:
-                        img = d(smap.power(i, 1))
-                    diff_images[i] = img
+                    img = diff_images[i] = d(smap.power(i, 1))
                 term = term * img
             for wn, cn in term.terms.items():
                 out[wn] = out[wn] + cn if wn in out else cn

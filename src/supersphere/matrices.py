@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import (Element, GeneratorTable, InvertibilityError, ParityError,
+from .algebra import (ODD, Element, GeneratorTable, InvertibilityError, ParityError,
                       RewriteSystem, graded_inverse)
 from .scalars import Scalar
 
@@ -362,12 +362,16 @@ def sdet(x: SuperMatrix, rewrites: RewriteSystem) -> Element:
     return rewrites.reduce(det_schur * graded_inverse(det_D, rewrites))
 
 
-def exp_nilpotent(x: SuperMatrix, algebra: GeneratorTable, max_order: int = 12) -> SuperMatrix:
-    """Finite exponential series; requires x to be nilpotent entrywise."""
+def exp_nilpotent(x: SuperMatrix, algebra: GeneratorTable) -> SuperMatrix:
+    """Finite exponential series; requires x to be nilpotent entrywise.
+
+    Every monomial of an entrywise nilpotent x carries an odd generator, so
+    x^k vanishes once k exceeds the number of odd generators.
+    """
     acc = SuperMatrix.identity(x.shape, algebra)
     power = SuperMatrix.identity(x.shape, algebra)
     fact = Fraction(1)
-    for k in range(1, max_order + 1):
+    for k in range(1, sum(1 for p in algebra.parities if p == ODD) + 2):
         power = power @ x
         fact = fact * k
         if all(e.is_zero for row in power.entries for e in row):

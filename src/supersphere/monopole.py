@@ -397,8 +397,8 @@ def projector_shape(n: int) -> BlockShape:
     return BlockShape(n + 1, n, ODD_FIRST)
 
 
-def _signed_outer(psi_vec: PsiVector, kernel: SuperForm | None = None) -> list[list]:
-    """Rows of |psi> K <psi|: +-(psi_alpha K psi_beta^dia), K = 1 when None.
+def _signed_outer(psi_vec: PsiVector) -> list[list]:
+    """Rows of |psi><psi|: +-(psi_alpha psi_beta^dia).
 
     Koszul sign placement: the charge +n family (built from the diamonded
     generators) carries the sign on the column parity instead of the row
@@ -411,10 +411,9 @@ def _signed_outer(psi_vec: PsiVector, kernel: SuperForm | None = None) -> list[l
     on_rows = psi_vec.sign == MINUS
     rows = []
     for alpha, pa in enumerate(psi_vec.components):
-        left = pa if kernel is None else pa * kernel
         row = []
         for beta, pb in enumerate(dia):
-            entry = left * pb
+            entry = pa * pb
             if psi_vec.block_parity(alpha if on_rows else beta):
                 entry = -entry
             row.append(entry)
@@ -422,20 +421,13 @@ def _signed_outer(psi_vec: PsiVector, kernel: SuperForm | None = None) -> list[l
     return rows
 
 
-def projector(psi_vec: PsiVector, reduce: bool = True,
-              space: GroupSpace | None = None) -> Projector:
-    """p[alpha][beta] = +-(psi_alpha psi_beta^dia), signs per _signed_outer."""
+def projector(psi_vec: PsiVector, space: GroupSpace | None = None) -> Projector:
+    """p[alpha][beta] = +-(psi_alpha psi_beta^dia), signs per _signed_outer,
+    each entry in rewrite normal form."""
     g = space or group_space()
-    rows = _signed_outer(psi_vec)
-    if reduce:
-        rows = [[g.rewrites.reduce(e) for e in row] for row in rows]
+    rows = [[g.rewrites.reduce(e) for e in row] for row in _signed_outer(psi_vec)]
     return Projector(psi_vec.sign, psi_vec.n,
                      SuperMatrix(projector_shape(psi_vec.n), rows, parity=0))
-
-
-def outer_with_kernel(psi_vec: PsiVector, kernel: SuperForm) -> SuperMatrix:
-    """|psi> K <psi| with the projector sign placement, K a scalar form."""
-    return SuperMatrix(projector_shape(psi_vec.n), _signed_outer(psi_vec, kernel), parity=0)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +500,10 @@ def section_to_equivariant(sign: str, n: int, f, space: GroupSpace | None = None
 # ---------------------------------------------------------------------------
 # connection, curvature, Chern forms
 
-def connection_form(psi_vec: PsiVector, reduced: bool = True,
-                    space: GroupSpace | None = None) -> SuperForm:
-    """A = <psi|d psi>; anti-hermitian 1-superform."""
+def connection_form(psi_vec: PsiVector, space: GroupSpace | None = None) -> SuperForm:
+    """A = <psi|d psi>; anti-hermitian 1-superform, reduced by the ideal rules."""
     g = space or group_space()
-    acc = pairing(psi_vec.components, [d(c) for c in psi_vec.components])
-    return g.ideal.reduce(acc) if reduced else acc
+    return g.ideal.reduce(pairing(psi_vec.components, [d(c) for c in psi_vec.components]))
 
 
 def connection_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
@@ -564,8 +554,7 @@ def _pairing_chern_form(components: list[Element]) -> SuperForm:
     return pairing(dpsi, dpsi) * CHERN_SCALAR
 
 
-def chern_form(sign: str, n: int, reduced: bool = True,
-               space: GroupSpace | None = None) -> SuperForm:
+def chern_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
     """First Chern 2-superform of the projector, from the O(d) pairing.
 
     Under the pairing and outer-product conventions fixed here the exact
@@ -577,12 +566,13 @@ def chern_form(sign: str, n: int, reduced: bool = True,
         C1 = -(1/(2 pi i)) <d psi|d psi> = +(1/(2 pi i)) Str(p (dp)^2).
 
     The pairing costs O(d) form products against O(d^3) for Str(p (dp)^2),
-    d = 2n + 1; supertrace_p_dp_dp stays as the test oracle.
+    d = 2n + 1; supertrace_p_dp_dp stays as the test oracle.  The form is
+    returned as computed, not rewritten: chern_form_canonical gives the
+    verified representative.
     """
     sign = normalize_sign(sign)
     g = space or group_space()
-    form = _pairing_chern_form(psi(sign, n, g).components)
-    return g.ideal.reduce(form) if reduced else form
+    return _pairing_chern_form(psi(sign, n, g).components)
 
 
 def chern_form_body(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
@@ -601,19 +591,19 @@ def chern_form_body(sign: str, n: int, space: GroupSpace | None = None) -> Super
 
 
 def chern_form_canonical(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
-    """Reduced closed-form representative, verified against the pairing route.
+    """The paper's expanded expression of C1, verified against the pairing route.
 
-    Raises SuperAlgebraError when -(1/(2 pi i)) <d psi|d psi> and the closed
-    form disagree modulo the differential ideal (they never should).
+    Raises SuperAlgebraError when -(1/(2 pi i)) <d psi|d psi> and the
+    expanded expression disagree modulo the differential ideal (they never
+    should).
     """
     sign = normalize_sign(sign)
     g = space or group_space()
-    closed = chern_closed_form(sign, n, g)
-    computed = chern_form(sign, n, reduced=False, space=g)
-    if not g.equal_mod(computed, closed):
+    expanded = chern_intermediate_form(sign, n, g)
+    if not g.equal_mod(chern_form(sign, n, g), expanded):
         raise SuperAlgebraError(
-            "Chern pairing route disagrees with the closed form at n=%d" % n)
-    return g.ideal.reduce(closed)
+            "Chern pairing route disagrees with the expanded expression at n=%d" % n)
+    return expanded
 
 
 def chern_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
@@ -708,7 +698,7 @@ def coordinate_chern_report(n: int, space: GroupSpace | None = None) -> Coordina
     """
     g = space or group_space()
     images = coordinate_images(g)
-    group_form = chern_form(MINUS, n, reduced=False, space=g)
+    group_form = chern_form(MINUS, n, g)
     verbatim = coordinate_chern_form(MINUS, n).substitute(images, g.table)
     corrected = coordinate_chern_form(MINUS, n, corrected=True).substitute(images, g.table)
     v_ok = g.equal_mod(verbatim, group_form)

@@ -45,12 +45,14 @@ def squarefree_split(m: int) -> tuple[int, int]:
     return g, m0
 
 
-def _primes_upto(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _primes_upto(n: int) -> tuple[int, ...]:
+    """The primes <= n, sieved once per n (psi takes 2n + 1 roots at one n)."""
     sieve = bytearray([1]) * (n + 1)
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(2, n + 1) if sieve[p]]
+    return tuple(p for p in range(2, n + 1) if sieve[p])
 
 
 def _canon(re: int, im: int, den: int) -> Record:

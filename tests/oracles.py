@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from supersphere.algebra import Element, GeneratorTable, RewriteSystem, EVEN, ODD
-from supersphere.forms import SuperForm
+from supersphere.algebra import (Element, GeneratorTable, RewriteSystem, SubstitutionMap,
+                                 EVEN, ODD)
+from supersphere.forms import SuperForm, d
 from supersphere.scalars import Scalar
 
 
@@ -42,8 +43,20 @@ class SubstitutionLocalizer:
     def project(self, x: Element | SuperForm):
         if isinstance(x, Element):
             return self.rewrites.reduce(x.substitute(self.images, self.table))
-        out = x.substitute(self.images, self.table, self.differential_images)
-        return out.map_coefficients(self.rewrites.reduce)
+        return self._substitute_form(x).map_coefficients(self.rewrites.reduce)
+
+    def _substitute_form(self, omega: SuperForm) -> SuperForm:
+        """omega pulled through the images, db* sent to its explicit 1-form."""
+        smap = SubstitutionMap(omega.algebra, self.images, self.table)
+        total = SuperForm.zero(self.table)
+        for w, c in omega.terms.items():
+            term = SuperForm.from_element(smap.apply(c))
+            for i in w:
+                name = omega.algebra.names[i]
+                img = self.differential_images.get(name)
+                term = term * (d(smap.power(i, 1)) if img is None else img)
+            total = total + term
+        return total
 
     def is_zero_mod(self, x: Element | SuperForm) -> bool:
         return self.project(x).is_zero

@@ -96,10 +96,10 @@ def test_criterion_5_chern_form_chain():
                            [d(c) for c in vec.components])
             # under the conventions here Str(p (dp)^2) = -<d psi|d psi> exactly
             assert g.localizer.is_zero_mod(stra + kern), (sign, n)
-            computed = chern_form(sign, n, reduced=False, space=g)
+            computed = chern_form(sign, n, space=g)
             assert g.equal_mod(computed, chern_closed_form(sign, n, g)), (sign, n)
-        cm = chern_form(MINUS, n, reduced=False, space=g)
-        cp = chern_form(PLUS, n, reduced=False, space=g)
+        cm = chern_form(MINUS, n, space=g)
+        cp = chern_form(PLUS, n, space=g)
         assert g.equal_mod(cp, -cm), n
     _report(5, "Chern-form chain and C1(p+) = -C1(p-) for n=1..3")
 

@@ -183,7 +183,7 @@ def test_torus_form_repr_is_bounded(g):
 
 
 def test_torus_form_reads_the_closed_form_difference(g):
-    diff = g.localizer.project(chern_form("-", 3, reduced=False, space=g)
+    diff = g.localizer.project(chern_form("-", 3, space=g)
                                - chern_closed_form("-", 4, g))
     # -(1/(2 pi i)) (da da* + db db*), with db* pushed into the localization
     assert set(diff.terms) == {((0, 1), (), 0, 0), ((0, 2), (), -1, -1), ((1, 2), (), 1, -1)}
@@ -367,16 +367,12 @@ def _old_substitute(x, images, target):
     return out
 
 
-def _old_form_substitute(omega, images, target, differential_images=None):
+def _old_form_substitute(omega, images, target):
     total = SuperForm.zero(target)
     for w, c in omega.terms.items():
         term = SuperForm.from_element(_old_substitute(c, images, target))
         for i in w:
-            name = omega.algebra.names[i]
-            if differential_images and name in differential_images:
-                term = term * differential_images[name]
-            else:
-                term = term * d(_old_image(images, target, name))
+            term = term * d(_old_image(images, target, omega.algebra.names[i]))
         total = total + term
     return total
 
@@ -414,11 +410,10 @@ def test_substitution_matches_the_per_monomial_route(seed):
     omega = _random_form(g.table, rng)
     if rng.random() < 0.3:
         # the substitution oracle's images, b* -> (1 - a a*) b^(-1)
-        loc = ORACLE
-        target, images, diff_images = loc.table, loc.images, loc.differential_images
+        target, images = ORACLE.table, ORACLE.images
     else:
         # each generator kept, sent to zero, or sent to a random image of its parity
-        target, images, diff_images = g.table, {}, {}
+        target, images = g.table, {}
         for name in g.table.names:
             parity = g.table.parity_of_name(name)
             pick = rng.randrange(3)
@@ -427,14 +422,8 @@ def test_substitution_matches_the_per_monomial_route(seed):
             elif pick == 2:
                 images[name] = random_element(g.table, rng, parity=parity,
                                               max_terms=2, max_word=2)
-            if rng.random() < 0.3:
-                diff_images[name] = d(random_element(g.table, rng, parity=parity,
-                                                     max_terms=2, max_word=2))
     assert x.substitute(images, target) == _old_substitute(x, images, target)
-    if rng.random() < 0.5:
-        diff_images = None
-    assert (omega.substitute(images, target, diff_images)
-            == _old_form_substitute(omega, images, target, diff_images))
+    assert omega.substitute(images, target) == _old_form_substitute(omega, images, target)
 
 
 def test_substitution_checks_image_parity(g):

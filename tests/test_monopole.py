@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supersphere import monopole
-from supersphere.algebra import EVEN, ODD, Element, GeneratorTable, RewriteSystem, mono_mul
+from supersphere.algebra import (EVEN, ODD, Element, GeneratorTable, RewriteSystem,
+                                 SuperAlgebraError, mono_mul)
 from supersphere.berezin import chern_number
 from supersphere.forms import SuperForm, d
 from supersphere.matrices import BlockShape, EVEN_FIRST, SuperMatrix, sdet
@@ -25,7 +26,7 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
                                   EquivarianceReport, group_element,
                                   group_identities_report, group_space,
                                   inversion_identities, nilpotent_exp_report,
-                                  osp_fixtures, outer_with_kernel, pairing, projector,
+                                  osp_fixtures, pairing, projector,
                                   projector_to_base, psi, section_to_equivariant,
                                   sphere_relation_check, supertrace_p_dp_dp, u1_charge,
                                   Projector, PsiVector, block_shape_1_2,
@@ -426,8 +427,8 @@ def test_zero_of_wrong_charge_is_not_a_witness(g, monkeypatch):
 def test_wrong_charge_in_projector_entry_is_caught(g, monkeypatch):
     original = monopole.projector
 
-    def bad_projector(vec, reduce=True, space=None):
-        proj = original(vec, reduce, space)
+    def bad_projector(vec, space=None):
+        proj = original(vec, space)
         rows = [list(row) for row in proj.matrix.entries]
         rows[0][0] = rows[0][0] + g.a * g.bd * g.b   # charge +1
         return Projector(proj.sign, proj.n, SuperMatrix(proj.matrix.shape, rows, parity=0))
@@ -571,7 +572,8 @@ def test_curvature_equals_outer_kernel_up_to_convention_sign(g):
         cur = curvature(proj)
         kernel = pairing([d(c) for c in vec.components],
                          [d(c) for c in vec.components])
-        rhs = outer_with_kernel(vec, kernel)
+        # |psi> K <psi| = p K, as K is Grassmann-even
+        rhs = proj.matrix.map_entries(lambda e: e * kernel)
         dim = 2 * n + 1
         for i in range(dim):
             for j in range(dim):
@@ -592,7 +594,7 @@ def test_supertrace_curvature_vs_pairing(g):
 def test_chern_form_chain(g):
     for n in (1, 2):
         for sign in (MINUS, PLUS):
-            computed = chern_form(sign, n, reduced=False, space=g)
+            computed = chern_form(sign, n, space=g)
             assert g.equal_mod(computed, chern_closed_form(sign, n, g)), (sign, n)
             assert g.equal_mod(computed, chern_intermediate_form(sign, n, g)), (sign, n)
 
@@ -606,8 +608,8 @@ def test_chern_form_smoncf_lines_equal_under_display_reduction(g):
 
 def test_chern_form_sign_flip(g):
     for n in (1, 2):
-        cm = chern_form(MINUS, n, reduced=False, space=g)
-        cp = chern_form(PLUS, n, reduced=False, space=g)
+        cm = chern_form(MINUS, n, space=g)
+        cp = chern_form(PLUS, n, space=g)
         assert g.equal_mod(cp, -cm)
 
 
@@ -621,9 +623,24 @@ def test_chern_pairing_route_at_larger_n(g):
     for n in (8, 12):
         assert chern_number(MINUS, n, space=g) == n
         assert chern_number(PLUS, n, space=g) == -n
-    for sign in (MINUS, PLUS):
-        want = g.ideal.reduce(chern_closed_form(sign, 6, g))
-        assert chern_form_canonical(sign, 6, g) == want, sign
+    # oracle: the closed form through the ideal rules
+    for n in range(1, 9):
+        for sign in (MINUS, PLUS):
+            want = g.ideal.reduce(chern_closed_form(sign, n, g))
+            assert chern_form_canonical(sign, n, g) == want, (sign, n)
+
+
+def test_chern_form_canonical_raises_when_the_pairing_disagrees(g, monkeypatch):
+    """A psi that is not normalized gives a pairing that is not C1."""
+    original = monopole.psi
+
+    def scaled_psi(sign, n, space=None):
+        vec = original(sign, n, space)
+        return PsiVector(vec.sign, vec.n, [c * rat(2) for c in vec.components])
+
+    monkeypatch.setattr(monopole, "psi", scaled_psi)
+    with pytest.raises(SuperAlgebraError, match="disagrees"):
+        chern_form_canonical(MINUS, 1, g)
 
 
 def test_chern_body_route_agrees_with_full_route(g):
