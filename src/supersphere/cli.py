@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from . import monopole
 from .berezin import (base_chart, berezin_chern_number, chart_pullback, chern_number,
                       group_section_chart)
-from .forms import d
+from .forms import SuperForm, d
 from .matrices import SuperMatrix
 from .monopole import (MINUS, PLUS, base_space, chern_form_canonical,
                        check_equivariance, connection_closed_form,
@@ -348,6 +348,12 @@ def suite_monopole(n_max: int) -> list[Check]:
             check.fail("charge +1 projector differs from golden matrix")
     _run(Check("golden projector matrices (charge -1 and +1)"), golden, checks)
 
+    def golden_connection(check):
+        want = SuperForm.from_obj(g.table, _load_fixture("a_minus_1.json")["form"])
+        if connection_form(psi(MINUS, 1)) != want:
+            check.fail("connection form of psi(-, 1) differs from a_minus_1.json")
+    _run(Check("golden connection 1-form (sign minus, n = 1)"), golden_connection, checks)
+
     for n in range(1, n_max + 1):
         for sign in (MINUS, PLUS):
             def proj_ident(check, n=n, sign=sign):
@@ -361,6 +367,18 @@ def suite_monopole(n_max: int) -> list[Check]:
                 if g.rewrites.reduce(mat.supertrace()) != g.table.one():
                     check.fail("Str p != 1")
             _run(Check("projector identities", sign, n), proj_ident, checks)
+
+            def outer(check, n=n, sign=sign):
+                # projector fills its lower triangle from p = p-dagger; this
+                # compares every entry with the product it stands for
+                vec = psi(sign, n)
+                got = projector(vec).matrix.entries
+                for alpha, row in enumerate(monopole._signed_outer(vec)):
+                    for beta, entry in enumerate(row):
+                        if got[alpha][beta] != g.rewrites.reduce(entry):
+                            check.fail("entry (%d, %d)" % (alpha, beta))
+                            return
+            _run(Check("projector = |psi><psi| entrywise", sign, n), outer, checks)
 
         def st_pair(check, n=n):
             pm = projector(psi(MINUS, n)).matrix
@@ -392,6 +410,12 @@ def suite_monopole(n_max: int) -> list[Check]:
 def suite_chern(n_max: int) -> list[Check]:
     g = group_space()
     checks: list[Check] = []
+
+    def golden_chern_form(check):
+        want = SuperForm.from_obj(g.table, _load_fixture("c1_minus_1.json")["form"])
+        if chern_form_canonical(MINUS, 1) != want:
+            check.fail("chern_form_canonical(-, 1) differs from c1_minus_1.json")
+    _run(Check("golden Chern 2-superform (sign minus, n = 1)"), golden_chern_form, checks)
     for n in range(1, n_max + 1):
         for sign in (MINUS, PLUS):
             def chern(check, n=n, sign=sign):

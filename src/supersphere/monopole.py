@@ -397,6 +397,14 @@ def projector_shape(n: int) -> BlockShape:
     return BlockShape(n + 1, n, ODD_FIRST)
 
 
+def _outer_entry(psi_vec: PsiVector, dia: list[Element], alpha: int, beta: int) -> Element:
+    """+-(psi_alpha psi_beta^dia), the Koszul sign placed as in _signed_outer."""
+    entry = psi_vec.components[alpha] * dia[beta]
+    if psi_vec.block_parity(alpha if psi_vec.sign == MINUS else beta):
+        entry = -entry
+    return entry
+
+
 def _signed_outer(psi_vec: PsiVector) -> list[list]:
     """Rows of |psi><psi|: +-(psi_alpha psi_beta^dia).
 
@@ -408,26 +416,46 @@ def _signed_outer(psi_vec: PsiVector) -> list[list]:
     elimination).
     """
     dia = psi_vec.diamonded()
-    on_rows = psi_vec.sign == MINUS
-    rows = []
-    for alpha, pa in enumerate(psi_vec.components):
-        row = []
-        for beta, pb in enumerate(dia):
-            entry = pa * pb
-            if psi_vec.block_parity(alpha if on_rows else beta):
-                entry = -entry
-            row.append(entry)
-        rows.append(row)
-    return rows
+    dim = len(dia)
+    return [[_outer_entry(psi_vec, dia, alpha, beta) for beta in range(dim)]
+            for alpha in range(dim)]
+
+
+def _self_adjoint(shape: BlockShape, upper) -> SuperMatrix:
+    """The even matrix p = p^dagger whose entry (i, j), i <= j, is upper(i, j).
+
+    On an even matrix the adjoint is the entrywise diamond followed by the
+    supertranspose, so for i < j
+    p[j][i] = (-1)^(tau_j (tau_j + tau_i)) p[i][j]^dia
+    with tau the storage parity.  The diamond commutes with the group rewrite
+    b b* -> 1 - a a* and with the coordinate emission, so a mirrored entry of
+    a reduced or emitted projector is the one computing it would give.
+    """
+    dim = shape.dim
+    tau = [shape.storage_parity(i) for i in range(dim)]
+    rows: list[list] = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            entry = rows[i][j] = upper(i, j)
+            if j > i:
+                mirror = entry.diamond()
+                rows[j][i] = -mirror if tau[j] * (tau[j] + tau[i]) % 2 else mirror
+    return SuperMatrix(shape, rows, parity=0)
 
 
 def projector(psi_vec: PsiVector, space: GroupSpace | None = None) -> Projector:
     """p[alpha][beta] = +-(psi_alpha psi_beta^dia), signs per _signed_outer,
-    each entry in rewrite normal form."""
+    each entry in rewrite normal form.
+
+    Only the entries with alpha <= beta are multiplied and reduced;
+    _self_adjoint mirrors the rest.
+    """
     g = space or group_space()
-    rows = [[g.rewrites.reduce(e) for e in row] for row in _signed_outer(psi_vec)]
-    return Projector(psi_vec.sign, psi_vec.n,
-                     SuperMatrix(projector_shape(psi_vec.n), rows, parity=0))
+    dia = psi_vec.diamonded()
+    reduce = g.rewrites.reduce
+    matrix = _self_adjoint(projector_shape(psi_vec.n),
+                           lambda alpha, beta: reduce(_outer_entry(psi_vec, dia, alpha, beta)))
+    return Projector(psi_vec.sign, psi_vec.n, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +855,14 @@ def element_to_base(x: Element, space: GroupSpace | None = None,
 
 def projector_to_base(proj: Projector, space: GroupSpace | None = None,
                       base: BaseSpace | None = None) -> SuperMatrix:
-    """The projector with every entry rewritten in sphere coordinates."""
+    """The projector with every entry rewritten in sphere coordinates.
+
+    Only the entries with alpha <= beta are converted; _self_adjoint mirrors
+    the rest, since image(u^dia) = image(u)^dia for every bilinear invariant u.
+    """
     to_base = _base_converter(space or group_space(), base or base_space())
-    return SuperMatrix(proj.matrix.shape,
-                       [[to_base(e) for e in row] for row in proj.matrix.entries], parity=0)
+    entries = proj.matrix.entries
+    return _self_adjoint(proj.matrix.shape, lambda alpha, beta: to_base(entries[alpha][beta]))
 
 
 def group_identities_report(space: GroupSpace | None = None) -> list[IdentityCheck]:

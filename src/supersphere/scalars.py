@@ -325,12 +325,13 @@ class Scalar:
     # -- serialization -------------------------------------------------------
 
     def to_obj(self) -> list[dict]:
-        return [
-            {"re": [re.numerator, re.denominator],
-             "im": [im.numerator, im.denominator],
-             "radical": rad, "pi": pi}
-            for rad, pi, re, im in self.components()
-        ]
+        """Sorted components, each part a reduced [numerator, denominator]."""
+        out = []
+        for (rad, pi), (re, im, den) in sorted(self._parts.items()):
+            g_re, g_im = gcd(re, den), gcd(im, den)
+            out.append({"re": [re // g_re, den // g_re], "im": [im // g_im, den // g_im],
+                        "radical": rad, "pi": pi})
+        return out
 
     @staticmethod
     def from_obj(obj: Iterable[dict]) -> "Scalar":

@@ -206,6 +206,40 @@ def test_verify_monopole_suite(capsys):
     assert "golden projector" in out
 
 
+def _verify_statuses(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n-max", "1",
+                           "--format", "json")
+    return code, {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+
+
+@pytest.mark.parametrize("suite, function, check", [
+    ("monopole", "connection_form", "golden connection 1-form (sign minus, n = 1)"),
+    ("chern", "chern_form_canonical", "golden Chern 2-superform (sign minus, n = 1)"),
+])
+def test_verify_catches_drift_from_the_golden_forms(capsys, monkeypatch, suite, function,
+                                                    check):
+    right = getattr(cli, function)
+    monkeypatch.setattr(cli, function, lambda *args: right(*args) * 2)
+    code, statuses = _verify_statuses(capsys, suite)
+    assert code == 1
+    assert statuses[check] == "fail"
+
+
+def test_verify_catches_a_projector_that_is_not_the_outer_product(capsys, monkeypatch):
+    """A wrong mirrored entry fails the entrywise comparison with |psi><psi|."""
+    right = cli.projector
+
+    def mirrored_wrong(vec):
+        proj = right(vec)
+        proj.matrix.entries[1][0] = -proj.matrix.entries[1][0]
+        return proj
+
+    monkeypatch.setattr(cli, "projector", mirrored_wrong)
+    code, statuses = _verify_statuses(capsys, "monopole")
+    assert code == 1
+    assert statuses["projector = |psi><psi| entrywise"] == "fail"
+
+
 # -- the streaming JSON writer ---------------------------------------------------------------
 
 class _Recorder(io.StringIO):

@@ -1,6 +1,7 @@
 """The monopole construction: group element, coordinates, projectors, forms."""
 
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -30,7 +31,8 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
                                   projector_to_base, psi, section_to_equivariant,
                                   sphere_relation_check, supertrace_p_dp_dp, u1_charge,
                                   Projector, PsiVector, block_shape_1_2,
-                                  _factor_invariants, _invariant_units)
+                                  _base_converter, _factor_invariants, _invariant_units,
+                                  _signed_outer)
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 
@@ -231,6 +233,16 @@ def test_projector_identities(g):
             assert mat.dagger().reduce(g.rewrites) == mat, ("dagger", sign, n)
             assert g.rewrites.reduce(mat.supertrace()) == one, ("Str", sign, n)
             assert mat.validate_parity()
+
+
+def test_projector_matches_full_outer_oracle(g):
+    """projector computes the upper triangle and mirrors the rest by
+    p = p^dagger; every entry equals the reduced product it stands for."""
+    for n in range(1, 7):
+        for sign in (MINUS, PLUS):
+            vec = psi(sign, n, g)
+            full = [[g.rewrites.reduce(e) for e in row] for row in _signed_outer(vec)]
+            assert projector(vec, g).matrix.entries == full, (sign, n)
 
 
 def test_validate_parity_checks_form_entries(g):
@@ -720,6 +732,37 @@ def test_projector_to_base_matches_per_monomial_oracle(g, sign, n):
     for row, got_row in zip(proj.matrix.entries, emitted.entries):
         for entry, got in zip(row, got_row):
             assert got == _element_to_base_oracle(entry, g, base)
+
+
+@pytest.mark.parametrize("sign", [MINUS, PLUS])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_projector_to_base_matches_entrywise_conversion(g, sign, n):
+    """The mirrored lower triangle equals converting every entry."""
+    base = base_space()
+    proj = projector(psi(sign, n, g))
+    to_base = _base_converter(g, base)
+    want = [[to_base(e) for e in row] for row in proj.matrix.entries]
+    assert projector_to_base(proj, g, base).entries == want
+
+
+def test_base_converter_commutes_with_diamond(g):
+    """image(x^dia) = image(x)^dia on the nine bilinear invariants and on all
+    their products of up to three factors, before and after reduction."""
+    base = base_space()
+    to_base = _base_converter(g, base)
+    units = [Element(g.table, {mono: Scalar.one()})
+             for mono, _ in _invariant_units(g, base).values()]
+    assert len(units) == 9
+    seen = 0
+    for k in (1, 2, 3):
+        for factors in itertools.combinations_with_replacement(units, k):
+            x = factors[0]
+            for f in factors[1:]:
+                x = x * f
+            for y in (x, g.rewrites.reduce(x)):
+                assert to_base(y.diamond()) == to_base(y).diamond(), factors
+            seen += not x.is_zero
+    assert seen > 100   # a product with eta or eta* twice vanishes
 
 
 def test_element_to_base_matches_per_monomial_oracle(g):

@@ -190,3 +190,22 @@ def test_binomial_sum_matches_scalar_arithmetic(terms):
         want.pop()
     got = binomial_sum([(sign, build(xs), m, l) for sign, xs, m, l in terms])
     assert got == tuple(want)
+
+
+def _to_obj_by_fractions(x: Scalar) -> list[dict]:
+    """The serialization read off components(), one Fraction per part."""
+    return [{"re": [re.numerator, re.denominator], "im": [im.numerator, im.denominator],
+             "radical": rad, "pi": pi}
+            for rad, pi, re, im in x.components()]
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(sums)
+def test_to_obj_matches_fraction_route(xs):
+    """to_obj reads the integer records directly; the output is the one the
+    Fraction route gives, with plain int leaves, and it reads back."""
+    x = build(xs)
+    obj = x.to_obj()
+    assert obj == _to_obj_by_fractions(x)
+    assert all(type(v) is int for comp in obj for part in ("re", "im") for v in comp[part])
+    assert Scalar.from_obj(obj) == x
