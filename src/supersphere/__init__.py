@@ -23,14 +23,14 @@ from .monopole import (group_space, base_space, group_element,
                        connection_closed_form, curvature, chern_form,
                        chern_form_canonical, chern_closed_form,
                        chern_intermediate_form, chern_form_body,
-                       coordinate_chern_form, coordinate_chern_report,
+                       coordinate_chern_form,
                        check_equivariance, section_to_equivariant,
                        element_to_base, projector_to_base,
                        nilpotent_exp_report, group_identities_report,
                        sphere_relation_check, PsiVector, Projector,
                        supertrace_p_dp_dp, coordinate_volume_form)
-from .berezin import (chern_number, berezin_integral, berezin_chern_number,
-                      quad_oracle, chart_pullback, group_section_chart,
+from .berezin import (chern_number, chern_integral, berezin_integral,
+                      berezin_chern_number, chart_pullback, group_section_chart,
                       base_chart, ExactnessError)
 from .linear import solve_exact, expand_in_basis
 

@@ -10,16 +10,16 @@ normalized by the chart's own integral of the reference volume form.  That
 integral is a constant of the chart, -4 pi for the group section chart and
 +4 pi for the base chart; the tests derive it again from the volume forms.
 The whole-angle TrigPoly expansion with Wallis formulas is the exact oracle
-for the integrator, and a product Gauss-Legendre rule an independent
-numeric one.
+for the integrator; the test suite adds a numeric one, a product
+Gauss-Legendre rule.
 """
 
 from __future__ import annotations
 
 from .forms import SuperForm
-from .monopole import GroupSpace, chern_form_body, group_space, normalize_sign
+from .monopole import chern_form_body, normalize_sign
 from .scalars import Scalar
-from .trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle
+from .trig import ChartError, PhaseHalfAngle, integrate_half_angle
 
 Chart = dict[str, PhaseHalfAngle]
 
@@ -96,21 +96,6 @@ def chart_pullback(omega: SuperForm, chart: Chart) -> PhaseHalfAngle:
     return PhaseHalfAngle(top)
 
 
-QUAD_ORDER = 64   # Gauss-Legendre points per axis
-
-
-def quad_oracle(f: PhaseHalfAngle | TrigPoly) -> complex:
-    """Product Gauss-Legendre approximation of the exact double integral."""
-    import numpy as np
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
-    thetas = (nodes + 1.0) * (np.pi / 2.0)
-    phis = (nodes + 1.0) * np.pi
-    grid = f.evaluate_grid(thetas, phis)
-    w_t = weights * (np.pi / 2.0)
-    w_p = weights * np.pi
-    return complex(w_t @ grid @ w_p)
-
-
 FOUR_PI = Scalar.of(4, 0, 1, 1)
 
 # Each chart's integral of the reference volume form against d theta ^ d phi.
@@ -127,19 +112,28 @@ def _exact_int(value: Scalar, what: str) -> int:
         raise ExactnessError("%s is not an exact integer: %r" % (what, value)) from None
 
 
-def chern_number(sign: str, n: int, space: GroupSpace | None = None) -> int:
+def chern_integral(omega: SuperForm) -> int:
+    """Exact integral of a Chern 2-superform written in the group generators.
+
+    Body projection, pullback through the group section chart, exact
+    integration, division by the chart's reference volume integral.  The
+    chart satisfies a a* + b b* = 1, so forms equal modulo the differential
+    ideal give the same value.  The result must be an exact integer.
+    """
+    top = chart_pullback(omega.body_project(), group_section_chart())
+    return _exact_int(integrate_half_angle(top) * FOUR_PI / GROUP_CHART_VOLUME, "Chern integral")
+
+
+def chern_number(sign: str, n: int) -> int:
     """Exact first Chern number: +n for the '-' family, -n for '+'.
 
-    Pipeline: Chern form, body projection, pullback through the group
-    section chart, exact integration, division by the chart's reference
-    volume integral.  The result must be an exact integer.
+    The Chern integral of the body pairing form, which skips the odd
+    components of psi.
     """
     sign = normalize_sign(sign)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    body_form = chern_form_body(sign, n, space or group_space())
-    top = chart_pullback(body_form, group_section_chart())
-    return _exact_int(integrate_half_angle(top) * FOUR_PI / GROUP_CHART_VOLUME, "Chern integral")
+    return chern_integral(chern_form_body(sign, n))
 
 
 def berezin_integral(omega: SuperForm) -> Scalar:

@@ -17,8 +17,8 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from . import monopole
-from .berezin import (base_chart, berezin_chern_number, chart_pullback, chern_number,
-                      group_section_chart)
+from .berezin import (base_chart, berezin_chern_number, chart_pullback, chern_integral,
+                      chern_number, group_section_chart)
 from .forms import SuperForm, d
 from .matrices import SuperMatrix
 from .monopole import (MINUS, PLUS, base_space, chern_form_canonical,
@@ -203,8 +203,8 @@ def suite_matrix(n_max: int) -> list[Check]:
 
     def st_law(check):
         for _ in range(50):
-            x = random_supermatrix(g, rng, parity=rng.randint(0, 1))
-            y = random_supermatrix(g, rng, parity=rng.randint(0, 1))
+            x = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
+            y = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
             sign = -1 if x.parity and y.parity else 1
             lhs = (x @ y).supertranspose()
             rhs = (y.supertranspose() @ x.supertranspose())
@@ -216,8 +216,8 @@ def suite_matrix(n_max: int) -> list[Check]:
 
     def str_laws(check):
         for _ in range(50):
-            x = random_supermatrix(g, rng, parity=rng.randint(0, 1))
-            y = random_supermatrix(g, rng, parity=rng.randint(0, 1))
+            x = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
+            y = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
             if x.supertranspose().supertrace() != x.supertrace():
                 check.fail("Str st")
                 return
@@ -232,8 +232,8 @@ def suite_matrix(n_max: int) -> list[Check]:
     def sdet_laws(check):
         from .matrices import sdet
         for _ in range(12):
-            x = random_supermatrix(g, rng, parity=0, invertible=True)
-            y = random_supermatrix(g, rng, parity=0, invertible=True)
+            x = random_supermatrix(g.table, rng, parity=0, invertible=True)
+            y = random_supermatrix(g.table, rng, parity=0, invertible=True)
             sx, sy = sdet(x, g.rewrites), sdet(y, g.rewrites)
             sxy = sdet(x @ y, g.rewrites)
             if not g.rewrites.reduce(sxy - sx * sy).is_zero:
@@ -340,13 +340,13 @@ def suite_monopole(n_max: int) -> list[Check]:
         want = SuperMatrix.from_obj(base_space().table, payload["matrix"])
         got = projector_to_base(projector(psi(MINUS, 1)))
         if got != want:
-            check.fail("charge -1 projector differs from golden matrix")
+            check.fail("sign minus projector differs from p_minus_1.json")
             return
         payload = _load_fixture("p_plus_1.json")
         want = SuperMatrix.from_obj(base_space().table, payload["matrix"])
         if projector_to_base(projector(psi(PLUS, 1))) != want:
-            check.fail("charge +1 projector differs from golden matrix")
-    _run(Check("golden projector matrices (charge -1 and +1)"), golden, checks)
+            check.fail("sign plus projector differs from p_plus_1.json")
+    _run(Check("golden projector matrices (signs minus and plus, n = 1)"), golden, checks)
 
     def golden_connection(check):
         want = SuperForm.from_obj(g.table, _load_fixture("a_minus_1.json")["form"])
@@ -428,9 +428,9 @@ def suite_chern(n_max: int) -> list[Check]:
         def chain(check, n=n):
             # the O(d^3) Str(p (dp)^2) oracle, not the pairing used in production
             for sign in (MINUS, PLUS):
-                proj = projector(psi(sign, n, g), space=g)
+                proj = projector(psi(sign, n))
                 computed = -monopole.supertrace_p_dp_dp(proj) * monopole.CHERN_SCALAR
-                if not g.equal_mod(computed, monopole.chern_closed_form(sign, n, g)):
+                if not g.equal_mod(computed, monopole.chern_closed_form(sign, n)):
                     check.fail("curvature route vs closed form, sign %s" % sign)
                     return
         _run(Check("Chern form chain (curvature route = closed form)", None, n),
@@ -439,7 +439,7 @@ def suite_chern(n_max: int) -> list[Check]:
         def integral(check, n=n):
             # the whole-angle Wallis oracle, not the Beta values used in production
             for sign in (MINUS, PLUS):
-                densities = [chart_pullback(monopole.chern_form_body(sign, n, g),
+                densities = [chart_pullback(monopole.chern_form_body(sign, n),
                                             group_section_chart())]
                 if n <= 2:
                     densities.append(chart_pullback(
@@ -482,8 +482,9 @@ def cmd_chern(args) -> int:
     sign = _sign_flag(args.sign)
     n = args.n
     try:
-        charge = chern_number(sign, n)
         form = chern_form_canonical(sign, n)
+        # the printed number is the integral of the printed form
+        charge = chern_integral(form)
     except Exception as ex:
         print("exactness failure: %s" % ex, file=sys.stderr)
         return 1

@@ -1,13 +1,16 @@
 """Monopole projectors over the (2,2)-supersphere.
 
 Builds the unitary group element, the sphere coordinates, the normalized
-supervectors psi for either sign of the charge, the projectors p = |psi><psi|,
+supervectors psi of either sign family, the projectors p = |psi><psi|,
 their connection and curvature forms, and the Chern 2-superform, all as exact
 identities modulo the unit-superdeterminant relation b b* -> 1 - a a*.
 
-Conventions fixed against the explicit charge -1 and +1 projectors and the
-explicit connection form (re-derived in the test suite by elimination over
-the four candidate sign placements):
+The two families are named by sign: at n the sign-minus family, built from
+a, b, eta, has Chern number +n, and the sign-plus family, built from the
+diamonded generators, has -n.  Conventions fixed against the explicit
+sign-minus and sign-plus projectors at n = 1 and the explicit connection form
+(re-derived in the test suite by elimination over the four candidate sign
+placements):
 
     <phi|chi> = sum_alpha phi_alpha (chi_alpha)^diamond
 
@@ -21,13 +24,14 @@ odd-block-first.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (ONE_MONO, Element, GeneratorTable, Monomial, RewriteSystem, EVEN,
                       ODD, SuperAlgebraError, mono_mul)
 from .forms import DifferentialIdeal, SuperForm, d
-from .localized import LocalizedModel, TorusForm
+from .localized import LocalizedModel
 from .matrices import BlockShape, SuperMatrix, EVEN_FIRST, ODD_FIRST, exp_nilpotent, sdet
 from .scalars import Scalar, rat
 
@@ -80,24 +84,20 @@ class GroupSpace:
         return SuperForm.differential(self.table, name)
 
 
-_group_space: GroupSpace | None = None
-
-
+@functools.cache
 def group_space() -> GroupSpace:
-    global _group_space
-    if _group_space is None:
-        table = GeneratorTable.build(conjugate_pairs=[
-            ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD)])
-        a, ad = table.gen("a"), table.gen("a*")
-        b, bd = table.gen("b"), table.gen("b*")
-        rewrites = RewriteSystem(table, [(b * bd, table.one() - a * ad)])
-        da = SuperForm.differential(table, "a")
-        dad = SuperForm.differential(table, "a*")
-        dbd = SuperForm.differential(table, "b*")
-        db_repl = -(a * dad + ad * da + b * dbd)
-        ideal = DifferentialIdeal(rewrites, [(bd, SuperForm.differential(table, "b"), db_repl)])
-        _group_space = GroupSpace(table, rewrites, ideal, LocalizedModel(table))
-    return _group_space
+    """The group algebra, built on the first call and shared afterwards."""
+    table = GeneratorTable.build(conjugate_pairs=[
+        ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD)])
+    a, ad = table.gen("a"), table.gen("a*")
+    b, bd = table.gen("b"), table.gen("b*")
+    rewrites = RewriteSystem(table, [(b * bd, table.one() - a * ad)])
+    da = SuperForm.differential(table, "a")
+    dad = SuperForm.differential(table, "a*")
+    dbd = SuperForm.differential(table, "b*")
+    db_repl = -(a * dad + ad * da + b * dbd)
+    ideal = DifferentialIdeal(rewrites, [(bd, SuperForm.differential(table, "b"), db_repl)])
+    return GroupSpace(table, rewrites, ideal, LocalizedModel(table))
 
 
 @dataclass(frozen=True)
@@ -122,24 +122,20 @@ class BaseSpace:
         return SuperForm.differential(self.table, name)
 
 
-_base_space: BaseSpace | None = None
-
-
+@functools.cache
 def base_space() -> BaseSpace:
-    global _base_space
-    if _base_space is None:
-        # x0 is declared last so x0^2 leads the sphere relation; normal forms
-        # then keep xi- xi+ monomials, matching the displayed projectors
-        table = GeneratorTable.build(
-            self_conjugate=[("x0", EVEN), ("x1", EVEN), ("x2", EVEN)],
-            conjugate_pairs=[("xi-", "xi+", ODD)],
-            order=["xi-", "xi+", "x2", "x1", "x0"])
-        one = table.one()
-        x0, x1, x2 = (table.gen(n) for n in ("x0", "x1", "x2"))
-        ferm = table.gen("xi-") * table.gen("xi+")
-        rewrites = RewriteSystem(table, [(x0 * x0, one - x1 ** 2 - x2 ** 2 - 2 * ferm)])
-        _base_space = BaseSpace(table, rewrites)
-    return _base_space
+    """The coordinate algebra, built on the first call and shared afterwards."""
+    # x0 is declared last so x0^2 leads the sphere relation; normal forms
+    # then keep xi- xi+ monomials, matching the displayed projectors
+    table = GeneratorTable.build(
+        self_conjugate=[("x0", EVEN), ("x1", EVEN), ("x2", EVEN)],
+        conjugate_pairs=[("xi-", "xi+", ODD)],
+        order=["xi-", "xi+", "x2", "x1", "x0"])
+    one = table.one()
+    x0, x1, x2 = (table.gen(n) for n in ("x0", "x1", "x2"))
+    ferm = table.gen("xi-") * table.gen("xi+")
+    rewrites = RewriteSystem(table, [(x0 * x0, one - x1 ** 2 - x2 ** 2 - 2 * ferm)])
+    return BaseSpace(table, rewrites)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +164,9 @@ def osp_fixtures(space: GroupSpace | None = None) -> dict[str, SuperMatrix]:
     }
 
 
-def group_element(space: GroupSpace | None = None) -> SuperMatrix:
+def group_element() -> SuperMatrix:
     """The parametrized unitary 3x3 supermatrix s(a, b, eta)."""
-    g = space or group_space()
+    g = group_space()
     one = g.table.one()
     a, ad, b, bd, eta, etad = g.a, g.ad, g.b, g.bd, g.eta, g.etad
     e8 = one - rat(1, 8) * eta * etad
@@ -204,9 +200,9 @@ class NilpotentExpReport:
     terminates_at_order_two: bool
 
 
-def nilpotent_exp_report(space: GroupSpace | None = None) -> NilpotentExpReport:
-    g = space or group_space()
-    fix = osp_fixtures(g)
+def nilpotent_exp_report() -> NilpotentExpReport:
+    g = group_space()
+    fix = osp_fixtures()
     X = fix["R+"].scale(g.eta)
     Y = fix["R-"].scale(g.etad)
     product = exp_nilpotent(X, g.table) @ exp_nilpotent(Y, g.table)
@@ -219,7 +215,7 @@ def nilpotent_exp_report(space: GroupSpace | None = None) -> NilpotentExpReport:
     bch = exp_nilpotent(total + comm, g.table)
     bch_equal = all((a - b).is_zero for r1, r2 in zip(product.entries, bch.entries)
                     for a, b in zip(r1, r2))
-    s_odd = group_element(g).substitute(
+    s_odd = group_element().substitute(
         {"a": g.table.one(), "a*": g.table.one(),
          "b": g.table.zero(), "b*": g.table.zero()})
     sum_matches = sum_form == s_odd
@@ -249,14 +245,14 @@ class CoordinateSet:
                 "xi-": self.xim, "xi+": self.xip}
 
 
-def base_coordinates(space: GroupSpace | None = None) -> CoordinateSet:
+def base_coordinates() -> CoordinateSet:
     """Extract the coordinates from the orbit map s (2/i A0) s^dagger.
 
     The result is expanded over the fixture basis 2/i A_k and 2 R_alpha; a
     failure of the expansion raises ExpansionError.
     """
-    g = space or group_space()
-    s = group_element(g)
+    g = group_space()
+    s = group_element()
     # (2/i) A0 = diag(0, 1, -1)
     mid = SuperMatrix.from_rational(block_shape_1_2(), g.table,
                                     [[0, 0, 0], [0, 1, 0], [0, 0, -1]], 0)
@@ -284,7 +280,9 @@ def base_coordinates(space: GroupSpace | None = None) -> CoordinateSet:
 
 
 def coordinate_images(space: GroupSpace | None = None) -> dict[str, Element]:
-    return base_coordinates(space).images()
+    """Base generator names to group expressions.  ``space`` is not read: the
+    only group algebra is group_space()."""
+    return base_coordinates().images()
 
 
 @dataclass
@@ -294,15 +292,15 @@ class IdentityCheck:
     witness: Element | None = None
 
 
-def inversion_identities(space: GroupSpace | None = None) -> list[IdentityCheck]:
+def inversion_identities() -> list[IdentityCheck]:
     """Verify the inversion formulas expressing the bilinear invariants in x, xi.
 
     Substitutes the coordinate expressions into each base image of the
     emission table and reduces against its group monomial; mismatches are
     reported, never patched.
     """
-    g = space or group_space()
-    images = coordinate_images(g)
+    g = group_space()
+    images = coordinate_images()
     out = []
     for name, (mono, image) in _invariant_units(g, base_space()).items():
         unit = Element(g.table, {mono: Scalar.one()})
@@ -311,10 +309,10 @@ def inversion_identities(space: GroupSpace | None = None) -> list[IdentityCheck]
     return out
 
 
-def sphere_relation_check(space: GroupSpace | None = None) -> bool:
+def sphere_relation_check() -> bool:
     """sum x_mu^2 + 2 xi- xi+ reduces to 1."""
-    g = space or group_space()
-    c = base_coordinates(g)
+    g = group_space()
+    c = base_coordinates()
     total = c.x0 ** 2 + c.x1 ** 2 + c.x2 ** 2 + 2 * (c.xim * c.xip)
     return g.rewrites.reduce(total - g.table.one()).is_zero
 
@@ -342,7 +340,7 @@ class PsiVector:
 
 
 def psi(sign: str, n: int, space: GroupSpace | None = None) -> PsiVector:
-    """The normalized (n, n+1) supervector for charge -sign n."""
+    """The normalized (n, n+1) supervector of the given sign family."""
     sign = normalize_sign(sign)
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -389,7 +387,7 @@ class Projector:
 
     @property
     def charge(self) -> int:
-        """First Chern number carried by this projector."""
+        """First Chern number carried by this projector: +n for sign minus."""
         return self.n if self.sign == MINUS else -self.n
 
 
@@ -408,12 +406,12 @@ def _outer_entry(psi_vec: PsiVector, dia: list[Element], alpha: int, beta: int) 
 def _signed_outer(psi_vec: PsiVector) -> list[list]:
     """Rows of |psi><psi|: +-(psi_alpha psi_beta^dia).
 
-    Koszul sign placement: the charge +n family (built from the diamonded
+    Koszul sign placement: the sign-plus family (built from the diamonded
     generators) carries the sign on the column parity instead of the row
-    parity; this is the unique placement for which the explicit charge -1 and
-    +1 projector matrices and the supertransposition relation between the two
-    families all hold simultaneously (the test suite re-derives this by
-    elimination).
+    parity; this is the unique placement for which the explicit sign-minus and
+    sign-plus projector matrices at n = 1 and the supertransposition relation
+    between the two families all hold simultaneously (the test suite
+    re-derives this by elimination).
     """
     dia = psi_vec.diamonded()
     dim = len(dia)
@@ -512,9 +510,9 @@ def check_equivariance(sign: str, n: int) -> EquivarianceReport:
     return EquivarianceReport(sign, n, covariant, invariant)
 
 
-def section_to_equivariant(sign: str, n: int, f, space: GroupSpace | None = None) -> Element:
+def section_to_equivariant(sign: str, n: int, f) -> Element:
     """Image of a section column under the module isomorphism: sum psi_alpha f_alpha."""
-    vec = psi(sign, n, space)
+    vec = psi(sign, n)
     f_list = list(f)
     if len(f_list) != 2 * n + 1:
         raise ValueError("section must have 2n+1 components")
@@ -528,17 +526,17 @@ def section_to_equivariant(sign: str, n: int, f, space: GroupSpace | None = None
 # ---------------------------------------------------------------------------
 # connection, curvature, Chern forms
 
-def connection_form(psi_vec: PsiVector, space: GroupSpace | None = None) -> SuperForm:
+def connection_form(psi_vec: PsiVector) -> SuperForm:
     """A = <psi|d psi>; anti-hermitian 1-superform, reduced by the ideal rules."""
-    g = space or group_space()
-    return g.ideal.reduce(pairing(psi_vec.components, [d(c) for c in psi_vec.components]))
+    comps = psi_vec.components
+    return group_space().ideal.reduce(pairing(comps, [d(c) for c in comps]))
 
 
-def connection_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
+def connection_closed_form(sign: str, n: int) -> SuperForm:
     """(n - 1/4 eta eta*)(a da* + b db*) + 1/8 (eta deta* + eta* deta), negated
     for the + sign."""
     sign = normalize_sign(sign)
-    g = space or group_space()
+    g = group_space()
     one = g.table.one()
     da_d = g.differential("a*")
     db_d = g.differential("b*")
@@ -582,7 +580,7 @@ def _pairing_chern_form(components: list[Element]) -> SuperForm:
     return pairing(dpsi, dpsi) * CHERN_SCALAR
 
 
-def chern_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
+def chern_form(sign: str, n: int) -> SuperForm:
     """First Chern 2-superform of the projector, from the O(d) pairing.
 
     Under the pairing and outer-product conventions fixed here the exact
@@ -598,37 +596,33 @@ def chern_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
     returned as computed, not rewritten: chern_form_canonical gives the
     verified representative.
     """
-    sign = normalize_sign(sign)
-    g = space or group_space()
-    return _pairing_chern_form(psi(sign, n, g).components)
+    return _pairing_chern_form(psi(normalize_sign(sign), n).components)
 
 
-def chern_form_body(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
+def chern_form_body(sign: str, n: int) -> SuperForm:
     """Body projection of the Chern form, from the pairing of the body psi.
 
     The body map is an algebra morphism that commutes with d, wedge products
     and the diamond, so pairing the differentials of the body components
     gives the body of -(1/(2 pi i)) <d psi|d psi>; the test suite checks it
-    against the body of the Str(p (dp)^2) oracle.  No relation reduction is
-    needed: the chart pullback evaluates the constraint exactly.
+    against the body of the Str(p (dp)^2) oracle.  The body components hold
+    no odd generator, so the pairing is a body form as it stands.  No
+    relation reduction is needed: the chart pullback evaluates the constraint
+    exactly.
     """
-    sign = normalize_sign(sign)
-    g = space or group_space()
-    vec = psi(sign, n, g)
-    return _pairing_chern_form([c.body() for c in vec.components]).body_project()
+    vec = psi(normalize_sign(sign), n)
+    return _pairing_chern_form([c.body() for c in vec.components])
 
 
-def chern_form_canonical(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
+def chern_form_canonical(sign: str, n: int) -> SuperForm:
     """The paper's expanded expression of C1, verified against the pairing route.
 
     Raises SuperAlgebraError when -(1/(2 pi i)) <d psi|d psi> and the
     expanded expression disagree modulo the differential ideal (they never
     should).
     """
-    sign = normalize_sign(sign)
-    g = space or group_space()
-    expanded = chern_intermediate_form(sign, n, g)
-    if not g.equal_mod(chern_form(sign, n, g), expanded):
+    expanded = chern_intermediate_form(sign, n)
+    if not group_space().equal_mod(chern_form(sign, n), expanded):
         raise SuperAlgebraError(
             "Chern pairing route disagrees with the expanded expression at n=%d" % n)
     return expanded
@@ -651,12 +645,12 @@ def chern_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> Sup
     return form if sign == MINUS else -form
 
 
-def chern_intermediate_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
+def chern_intermediate_form(sign: str, n: int) -> SuperForm:
     """The equivalent expanded expression:
     -(1/(2 pi i)) [(da da* + db db*)(n - 1/4 eta eta*)
     + 1/4 (a da* + b db*)(eta deta* - eta* deta) + 1/4 deta deta*]."""
     sign = normalize_sign(sign)
-    g = space or group_space()
+    g = group_space()
     da = g.differential("a")
     dad = g.differential("a*")
     db = g.differential("b")
@@ -670,8 +664,7 @@ def chern_intermediate_form(sign: str, n: int, space: GroupSpace | None = None) 
     return form if sign == MINUS else -form
 
 
-def coordinate_chern_form(sign: str, n: int, base: BaseSpace | None = None,
-                          corrected: bool = False) -> SuperForm:
+def coordinate_chern_form(sign: str, n: int) -> SuperForm:
     """The Chern 2-superform written in the sphere coordinates.
 
     (n / 4 pi) (x0 dx1 dx2 + x1 dx2 dx0 + x2 dx0 dx1)(1 + 3 xi- xi+)
@@ -680,14 +673,13 @@ def coordinate_chern_form(sign: str, n: int, base: BaseSpace | None = None,
        - (x1 + i x2) dxi- dxi- - 2 x0 dxi- dxi+ ],
     negated for the + sign.
 
-    With corrected=True the last fermionic term enters as +2 x0 dxi- dxi+;
-    that sign is the unique choice matching the group-space curvature
-    computation (see coordinate_chern_report), while the default transcribes
-    the source expression verbatim.  The two variants have the same body, so
+    This transcribes the source expression verbatim.  The group-space
+    curvature computation needs +2 x0 dxi- dxi+ in the last term; the test
+    suite checks that one-term correction.  Both have the same body, so
     Berezin integrals are unaffected.
     """
     sign = normalize_sign(sign)
-    s = base or base_space()
+    s = base_space()
     one = s.table.one()
     i = Scalar.i()
     x0, x1, x2 = s.x0, s.x1, s.x2
@@ -698,46 +690,18 @@ def coordinate_chern_form(sign: str, n: int, base: BaseSpace | None = None,
     bos = (x0 * dx1 * dx2 + x1 * dx2 * dx0 + x2 * dx0 * dx1) * (one + 3 * xim * xip)
     bos = bos * over_4pi
     quarter_pi_i = Scalar.of(0, Fraction(-1, 4), 1, -1)  # 1/(4 pi i) = -i/(4 pi)
-    last = 2 * (x0 * dxm * dxp)
     fer = ((dx1 - i * dx2) * xip * dxp - (dx1 + i * dx2) * xim * dxm
            + dx0 * (xim * dxp + xip * dxm)
            + (x1 - i * x2) * dxp * dxp - (x1 + i * x2) * dxm * dxm
-           + (last if corrected else -last))
+           - 2 * (x0 * dxm * dxp))
     fer = fer * quarter_pi_i
     form = bos + fer
     return form if sign == MINUS else -form
 
 
-@dataclass
-class CoordinateChernReport:
-    """Comparison of the coordinate Chern expression with the curvature route."""
-
-    n: int
-    verbatim_matches: bool
-    corrected_matches: bool
-    difference: TorusForm | None
-
-
-def coordinate_chern_report(n: int, space: GroupSpace | None = None) -> CoordinateChernReport:
-    """Check both coordinate variants against the group-space Chern form.
-
-    The group-space computation is authoritative; a mismatch of the verbatim
-    transcription is reported with its witness, never patched silently.
-    """
-    g = space or group_space()
-    images = coordinate_images(g)
-    group_form = chern_form(MINUS, n, g)
-    verbatim = coordinate_chern_form(MINUS, n).substitute(images, g.table)
-    corrected = coordinate_chern_form(MINUS, n, corrected=True).substitute(images, g.table)
-    v_ok = g.equal_mod(verbatim, group_form)
-    c_ok = g.equal_mod(corrected, group_form)
-    witness = None if v_ok else g.localizer.project(verbatim - group_form)
-    return CoordinateChernReport(n, v_ok, c_ok, witness)
-
-
-def coordinate_volume_form(base: BaseSpace | None = None) -> SuperForm:
+def coordinate_volume_form() -> SuperForm:
     """x0 dx1 dx2 + x1 dx2 dx0 + x2 dx0 dx1 in the coordinate algebra."""
-    s = base or base_space()
+    s = base_space()
     dx0, dx1, dx2 = (s.differential(nm) for nm in ("x0", "x1", "x2"))
     return s.x0 * dx1 * dx2 + s.x1 * dx2 * dx0 + s.x2 * dx0 * dx1
 
@@ -841,8 +805,7 @@ def _base_converter(space: GroupSpace, base: BaseSpace):
     return to_base
 
 
-def element_to_base(x: Element, space: GroupSpace | None = None,
-                    base: BaseSpace | None = None) -> Element:
+def element_to_base(x: Element) -> Element:
     """Rewrite a U(1)-invariant group element in sphere coordinates.
 
     Each monomial is factored into the bilinear invariants aa*, ab*, eta a*,
@@ -850,25 +813,24 @@ def element_to_base(x: Element, space: GroupSpace | None = None,
     factorization is verified against the monomial, so a wrong pairing cannot
     produce a silent error.
     """
-    return _base_converter(space or group_space(), base or base_space())(x)
+    return _base_converter(group_space(), base_space())(x)
 
 
-def projector_to_base(proj: Projector, space: GroupSpace | None = None,
-                      base: BaseSpace | None = None) -> SuperMatrix:
+def projector_to_base(proj: Projector) -> SuperMatrix:
     """The projector with every entry rewritten in sphere coordinates.
 
     Only the entries with alpha <= beta are converted; _self_adjoint mirrors
     the rest, since image(u^dia) = image(u)^dia for every bilinear invariant u.
     """
-    to_base = _base_converter(space or group_space(), base or base_space())
+    to_base = _base_converter(group_space(), base_space())
     entries = proj.matrix.entries
     return _self_adjoint(proj.matrix.shape, lambda alpha, beta: to_base(entries[alpha][beta]))
 
 
-def group_identities_report(space: GroupSpace | None = None) -> list[IdentityCheck]:
+def group_identities_report() -> list[IdentityCheck]:
     """Unitarity and unit superdeterminant of the group element."""
-    g = space or group_space()
-    s = group_element(g)
+    g = group_space()
+    s = group_element()
     ident = SuperMatrix.identity(s.shape, g.table)
     ssd = (s @ s.dagger()).reduce(g.rewrites)
     sds = (s.dagger() @ s).reduce(g.rewrites)
@@ -878,6 +840,6 @@ def group_identities_report(space: GroupSpace | None = None) -> list[IdentityChe
         IdentityCheck("s-dagger s = 1", sds == ident),
         IdentityCheck("Sdet(s) = 1", det == g.table.one(),
                       None if det == g.table.one() else det - g.table.one()),
-        IdentityCheck("sphere relation", sphere_relation_check(g)),
+        IdentityCheck("sphere relation", sphere_relation_check()),
     ]
     return out

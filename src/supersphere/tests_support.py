@@ -6,7 +6,6 @@ import random
 
 from .algebra import Element, GeneratorTable, ODD
 from .matrices import BlockShape, EVEN_FIRST, SuperMatrix
-from .monopole import GroupSpace
 from .scalars import Scalar
 
 
@@ -29,15 +28,14 @@ def random_element(table: GeneratorTable, rng: random.Random,
     return total
 
 
-def random_supermatrix(space: GroupSpace, rng: random.Random, parity: int = 0,
+def random_supermatrix(table: GeneratorTable, rng: random.Random, parity: int = 0,
                        shape: BlockShape | None = None,
                        invertible: bool = False) -> SuperMatrix:
-    """Random homogeneous supermatrix over the group algebra.
+    """Random homogeneous supermatrix over the given algebra.
 
     With invertible=True the diagonal blocks get nonzero rational bodies and
     soul corrections, so both blocks are invertible over the even subring.
     """
-    table = space.table
     shape = shape or BlockShape(1, 1, EVEN_FIRST)
     d = shape.dim
     rows = []

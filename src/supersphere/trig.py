@@ -10,7 +10,8 @@ TrigPoly stores cos^p(theta) sin^q(theta) cos^r(phi) sin^s(phi) monomials
 with q, s in {0, 1} after eliminating sin^2 = 1 - cos^2.  It, the whole-angle
 expansion PhaseHalfAngle.to_trigpoly and wallis_integrate are the
 independent oracle for integrate_half_angle, used by the tests and by
-`verify --suite chern`; production does not call them.
+`verify --suite chern`; production does not call them.  The numeric
+quadrature oracle over both representations lives in the test suite.
 """
 
 from __future__ import annotations
@@ -118,24 +119,6 @@ class TrigPoly:
             bits.append("(%r)%s" % (c, mono or "1"))
         return " + ".join(bits)
 
-    def evaluate(self, theta: float, phi: float) -> complex:
-        total = 0j
-        ct, st = math.cos(theta), math.sin(theta)
-        cp, sp = math.cos(phi), math.sin(phi)
-        for (p, q, r, s), c in self.terms.items():
-            total += c.to_complex() * ct ** p * st ** q * cp ** r * sp ** s
-        return total
-
-    def evaluate_grid(self, thetas, phis):
-        """Vectorized evaluation on the outer grid (numpy arrays)."""
-        import numpy as np
-        total = np.zeros((len(thetas), len(phis)), dtype=complex)
-        ct, st = np.cos(thetas), np.sin(thetas)
-        cp, sp = np.cos(phis), np.sin(phis)
-        for (p, q, r, s), c in self.terms.items():
-            total += c.to_complex() * np.outer(ct ** p * st ** q, cp ** r * sp ** s)
-        return total
-
 
 def _wallis_half(p: int) -> Fraction:
     """(p-1)!! / p!! for even p >= 0."""
@@ -231,15 +214,6 @@ class PhaseHalfAngle:
         bits = ["(%r)c%ds%de%d" % (v, hc, hs, k)
                 for (hc, hs, k), v in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"
-
-    def evaluate_grid(self, thetas, phis):
-        """Vectorized evaluation on the outer grid (numpy arrays)."""
-        import numpy as np
-        total = np.zeros((len(thetas), len(phis)), dtype=complex)
-        ch, sh = np.cos(thetas / 2), np.sin(thetas / 2)
-        for (hc, hs, k), v in self.terms.items():
-            total += v.to_complex() * np.outer(ch ** hc * sh ** hs, np.exp(1j * k * phis))
-        return total
 
     def partial_theta(self) -> "PhaseHalfAngle":
         """d/dtheta with theta the full angle: d cos(t/2) = -sin(t/2)/2 dt."""

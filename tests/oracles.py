@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
 from supersphere.algebra import (Element, GeneratorTable, RewriteSystem, SubstitutionMap,
                                  EVEN, ODD)
 from supersphere.forms import SuperForm, d
+from supersphere.localized import TorusForm
+from supersphere.monopole import (MINUS, base_space, chern_form, coordinate_chern_form,
+                                  coordinate_images, group_space, normalize_sign)
 from supersphere.scalars import Scalar
+from supersphere.trig import PhaseHalfAngle, TrigPoly
 
 
 class SubstitutionLocalizer:
@@ -80,3 +89,86 @@ class SubstitutionLocalizer:
                 polys.setdefault(key, {})[min(e.get(a, 0), e.get(ad, 0))] = s
         return {key: tuple(poly.get(m, Scalar.zero()) for m in range(max(poly) + 1))
                 for key, poly in polys.items()}
+
+
+# -- numeric quadrature -------------------------------------------------------
+
+QUAD_ORDER = 64   # Gauss-Legendre points per axis
+
+
+def evaluate_trigpoly(f: TrigPoly, theta: float, phi: float) -> complex:
+    """f at one point: sum c cos^p(theta) sin^q(theta) cos^r(phi) sin^s(phi)."""
+    total = 0j
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    for (p, q, r, s), c in f.terms.items():
+        total += c.to_complex() * ct ** p * st ** q * cp ** r * sp ** s
+    return total
+
+
+def evaluate_grid(f: PhaseHalfAngle | TrigPoly, thetas, phis):
+    """f on the outer grid thetas x phis (numpy arrays)."""
+    total = np.zeros((len(thetas), len(phis)), dtype=complex)
+    if isinstance(f, TrigPoly):
+        ct, st = np.cos(thetas), np.sin(thetas)
+        cp, sp = np.cos(phis), np.sin(phis)
+        for (p, q, r, s), c in f.terms.items():
+            total += c.to_complex() * np.outer(ct ** p * st ** q, cp ** r * sp ** s)
+    else:
+        ch, sh = np.cos(thetas / 2), np.sin(thetas / 2)
+        for (hc, hs, k), v in f.terms.items():
+            total += v.to_complex() * np.outer(ch ** hc * sh ** hs, np.exp(1j * k * phis))
+    return total
+
+
+def quad_oracle(f: PhaseHalfAngle | TrigPoly) -> complex:
+    """Product Gauss-Legendre approximation of the exact double integral
+    over theta in [0, pi], phi in [0, 2 pi]."""
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    thetas = (nodes + 1.0) * (np.pi / 2.0)
+    phis = (nodes + 1.0) * np.pi
+    grid = evaluate_grid(f, thetas, phis)
+    w_t = weights * (np.pi / 2.0)
+    w_p = weights * np.pi
+    return complex(w_t @ grid @ w_p)
+
+
+# -- the coordinate Chern form against the group-space one ---------------------
+
+def coordinate_chern_form_corrected(sign: str, n: int) -> SuperForm:
+    """coordinate_chern_form with +2 x0 dxi- dxi+ in its last term.
+
+    The verbatim term is -2 x0 dxi- dxi+ times 1/(4 pi i), so the corrected
+    form adds 4 x0 dxi- dxi+ / (4 pi i) = -(i/pi) x0 dxi- dxi+, negated for
+    the + sign like the rest of the form.
+    """
+    s = base_space()
+    fix = (s.x0 * s.differential("xi-") * s.differential("xi+")) * Scalar.of(0, -1, 1, -1)
+    return coordinate_chern_form(sign, n) + (fix if normalize_sign(sign) == MINUS else -fix)
+
+
+@dataclass
+class CoordinateChernReport:
+    """Comparison of the coordinate Chern expression with the curvature route."""
+
+    n: int
+    verbatim_matches: bool
+    corrected_matches: bool
+    difference: TorusForm | None
+
+
+def coordinate_chern_report(n: int) -> CoordinateChernReport:
+    """Check both coordinate variants against the group-space Chern form.
+
+    The group-space computation is authoritative; a mismatch of the verbatim
+    transcription is reported with its witness, never patched silently.
+    """
+    g = group_space()
+    images = coordinate_images()
+    group_form = chern_form(MINUS, n)
+    verbatim = coordinate_chern_form(MINUS, n).substitute(images, g.table)
+    corrected = coordinate_chern_form_corrected(MINUS, n).substitute(images, g.table)
+    v_ok = g.equal_mod(verbatim, group_form)
+    c_ok = g.equal_mod(corrected, group_form)
+    witness = None if v_ok else g.localizer.project(verbatim - group_form)
+    return CoordinateChernReport(n, v_ok, c_ok, witness)

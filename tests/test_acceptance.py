@@ -7,7 +7,7 @@ canonical forms (zero tolerance), the numeric oracle uses 1e-9.
 import random
 import time
 
-from supersphere.berezin import (berezin_chern_number, chern_number, quad_oracle)
+from supersphere.berezin import berezin_chern_number, chern_number
 from supersphere.forms import d
 from supersphere.matrices import SuperMatrix, sdet
 from supersphere.monopole import (MINUS, PLUS, base_space, chern_closed_form,
@@ -21,6 +21,7 @@ from supersphere.scalars import Scalar
 from supersphere.tests_support import random_element, random_supermatrix
 from supersphere.trig import PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
 
+from oracles import quad_oracle
 from test_monopole import _fixture
 
 
@@ -41,19 +42,19 @@ def test_criterion_1_chern_numbers_to_six():
 def test_criterion_2_golden_projector():
     g = group_space()
     base = base_space()
-    images = coordinate_images(g)
+    images = coordinate_images()
     golden = SuperMatrix.from_obj(base.table, _fixture("p_minus_1.json")["matrix"])
-    proj = projector(psi(MINUS, 1, g)).matrix
+    proj = projector(psi(MINUS, 1)).matrix
     # coordinate entries substituted into group variables match entry by entry
     for i in range(3):
         for j in range(3):
             pulled = golden.entries[i][j].substitute(images, g.table)
             assert g.rewrites.reduce(pulled - proj.entries[i][j]).is_zero, (i, j)
     # and the emitted coordinate matrix is the golden one on the nose
-    assert projector_to_base(projector(psi(MINUS, 1, g))) == golden
+    assert projector_to_base(projector(psi(MINUS, 1))) == golden
     golden_plus = SuperMatrix.from_obj(base.table, _fixture("p_plus_1.json")["matrix"])
-    st = projector_to_base(projector(psi(MINUS, 1, g)))  # base-coordinate matrix
-    st_group = projector(psi(MINUS, 1, g)).matrix.supertranspose()
+    st = projector_to_base(projector(psi(MINUS, 1)))  # base-coordinate matrix
+    st_group = projector(psi(MINUS, 1)).matrix.supertranspose()
     for i in range(3):
         for j in range(3):
             pulled = golden_plus.entries[i][j].substitute(images, g.table)
@@ -67,7 +68,7 @@ def test_criterion_3_projector_identities():
     for n in range(1, 5):
         mats = {}
         for sign in (MINUS, PLUS):
-            mat = projector(psi(sign, n, g)).matrix
+            mat = projector(psi(sign, n)).matrix
             mats[sign] = mat
             assert (mat @ mat).reduce(g.rewrites) == mat, ("p^2", sign, n)
             assert mat.dagger().reduce(g.rewrites) == mat, ("dagger", sign, n)
@@ -79,9 +80,9 @@ def test_criterion_3_projector_identities():
 def test_criterion_4_connection_forms():
     g = group_space()
     for n in range(1, 5):
-        a_minus = connection_form(psi(MINUS, n, g), space=g)
-        assert a_minus == g.ideal.reduce(connection_closed_form(MINUS, n, g)), n
-        a_plus = connection_form(psi(PLUS, n, g), space=g)
+        a_minus = connection_form(psi(MINUS, n))
+        assert a_minus == g.ideal.reduce(connection_closed_form(MINUS, n)), n
+        a_plus = connection_form(psi(PLUS, n))
         assert g.ideal.reduce(a_plus + a_minus).is_zero, n
     _report(4, "connection 1-forms match the closed expression, A+n = -A-n, n=1..4")
 
@@ -90,29 +91,29 @@ def test_criterion_5_chern_form_chain():
     g = group_space()
     for n in range(1, 4):
         for sign in (MINUS, PLUS):
-            vec = psi(sign, n, g)
+            vec = psi(sign, n)
             stra = supertrace_p_dp_dp(projector(vec))
             kern = pairing([d(c) for c in vec.components],
                            [d(c) for c in vec.components])
             # under the conventions here Str(p (dp)^2) = -<d psi|d psi> exactly
             assert g.localizer.is_zero_mod(stra + kern), (sign, n)
-            computed = chern_form(sign, n, space=g)
-            assert g.equal_mod(computed, chern_closed_form(sign, n, g)), (sign, n)
-        cm = chern_form(MINUS, n, space=g)
-        cp = chern_form(PLUS, n, space=g)
+            computed = chern_form(sign, n)
+            assert g.equal_mod(computed, chern_closed_form(sign, n)), (sign, n)
+        cm = chern_form(MINUS, n)
+        cp = chern_form(PLUS, n)
         assert g.equal_mod(cp, -cm), n
     _report(5, "Chern-form chain and C1(p+) = -C1(p-) for n=1..3")
 
 
 def test_criterion_6_group_identities():
     g = group_space()
-    s = group_element(g)
+    s = group_element()
     ident = SuperMatrix.identity(s.shape, g.table)
     assert (s @ s.dagger()).reduce(g.rewrites) == ident
     assert (s.dagger() @ s).reduce(g.rewrites) == ident
     assert sdet(s, g.rewrites) == g.table.one()
-    assert sphere_relation_check(g)
-    checks = inversion_identities(g)
+    assert sphere_relation_check()
+    checks = inversion_identities()
     assert len(checks) == 9 and all(item.holds for item in checks)
     _report(6, "group unitarity, Sdet = 1, sphere relation, inversion identities")
 
@@ -142,8 +143,8 @@ def test_criterion_8_property_suites():
             failures += 1
     # supertranspose, supertrace and superdeterminant laws on >= 50 matrices
     for k in range(50):
-        x = random_supermatrix(g, rng, parity=rng.randint(0, 1))
-        y = random_supermatrix(g, rng, parity=rng.randint(0, 1))
+        x = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
+        y = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
         sign = -1 if x.parity and y.parity else 1
         rhs = y.supertranspose() @ x.supertranspose()
         if (x @ y).supertranspose() != (rhs if sign > 0 else -rhs):
@@ -152,8 +153,8 @@ def test_criterion_8_property_suites():
             failures += 1
         if not ((x @ y).supertrace() - sign * (y @ x).supertrace()).is_zero:
             failures += 1
-        xi = random_supermatrix(g, rng, parity=0, invertible=True)
-        yi = random_supermatrix(g, rng, parity=0, invertible=True)
+        xi = random_supermatrix(g.table, rng, parity=0, invertible=True)
+        yi = random_supermatrix(g.table, rng, parity=0, invertible=True)
         sx, sy = sdet(xi, g.rewrites), sdet(yi, g.rewrites)
         if not g.rewrites.reduce(sdet(xi @ yi, g.rewrites) - sx * sy).is_zero:
             failures += 1

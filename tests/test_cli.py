@@ -4,12 +4,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supersphere import cli
+from supersphere import cli, monopole
+from supersphere.berezin import chern_number
 from supersphere.cli import main
 from supersphere.forms import SuperForm
 from supersphere.matrices import SuperMatrix
@@ -60,6 +64,46 @@ def test_chern_form_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "exactness failure: pairing route disagrees" in err
+
+
+def test_chern_builds_psi_once_and_integrates_the_printed_form(capsys, monkeypatch):
+    calls = []
+    right = monopole.psi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return right(*args, **kwargs)
+    monkeypatch.setattr(monopole, "psi", counting)
+    for n in (1, 2, 3, 4):
+        for flag, sign in (("minus", "-"), ("plus", "+")):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "chern", "--sign", flag, "--n", str(n),
+                                   "--format", "json")
+            assert code == 0
+            assert len(calls) == 1, (flag, n)
+            assert json.loads(out)["chern_number"] == chern_number(sign, n), (flag, n)
+
+
+_NO_NUMPY = """
+import contextlib, io, sys
+from supersphere.cli import main
+for argv in (["chern", "--sign", "minus", "--n", "2", "--format", "json"],
+             ["projector", "--sign", "plus", "--n", "2", "--coords", "base"],
+             ["verify", "--n-max", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+def test_commands_run_without_numpy():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_closed_stdout_exits_1_without_traceback(monkeypatch, tmp_path, capsys):

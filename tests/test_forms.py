@@ -183,8 +183,8 @@ def test_torus_form_repr_is_bounded(g):
 
 
 def test_torus_form_reads_the_closed_form_difference(g):
-    diff = g.localizer.project(chern_form("-", 3, space=g)
-                               - chern_closed_form("-", 4, g))
+    diff = g.localizer.project(chern_form("-", 3)
+                               - chern_closed_form("-", 4))
     # -(1/(2 pi i)) (da da* + db db*), with db* pushed into the localization
     assert set(diff.terms) == {((0, 1), (), 0, 0), ((0, 2), (), -1, -1), ((1, 2), (), 1, -1)}
     assert all(poly == (Scalar.of(0, Fraction(-1, 2), 1, -1),) for poly in diff.terms.values())

@@ -21,7 +21,7 @@ def g():
 
 @pytest.fixture(scope="module")
 def fixtures(g):
-    return osp_fixtures(g)
+    return osp_fixtures()
 
 
 # -- oracles -----------------------------------------------------------------
@@ -124,13 +124,13 @@ def test_dagger_reproduces_group_adjoint(g):
         [rat(1, 2) * etad, ad * e8, bd * e8],
         [rat(1, 2) * eta, -b * e8, a * e8],
     ], parity=0)
-    assert group_element(g).dagger() == want
+    assert group_element().dagger() == want
 
 
 def test_matmul_identity_and_shape_errors(g):
     sh = BlockShape(1, 2, EVEN_FIRST)
     rng = random.Random(21)
-    x = random_supermatrix(g, rng, parity=0, shape=sh)
+    x = random_supermatrix(g.table, rng, parity=0, shape=sh)
     ident = SuperMatrix.identity(sh, g.table)
     assert x @ ident == x and ident @ x == x
     other = SuperMatrix.identity(BlockShape(1, 1, EVEN_FIRST), g.table)
@@ -142,9 +142,9 @@ def test_matmul_associativity_random(g):
     rng = random.Random(22)
     sh = BlockShape(1, 1, EVEN_FIRST)
     for _ in range(20):
-        x = random_supermatrix(g, rng, parity=rng.randint(0, 1), shape=sh)
-        y = random_supermatrix(g, rng, parity=rng.randint(0, 1), shape=sh)
-        z = random_supermatrix(g, rng, parity=rng.randint(0, 1), shape=sh)
+        x = random_supermatrix(g.table, rng, parity=rng.randint(0, 1), shape=sh)
+        y = random_supermatrix(g.table, rng, parity=rng.randint(0, 1), shape=sh)
+        z = random_supermatrix(g.table, rng, parity=rng.randint(0, 1), shape=sh)
         assert (x @ y) @ z == x @ (y @ z)
 
 
@@ -161,7 +161,7 @@ def test_supertranspose_block_diagonal(g):
 def test_supertranspose_twice_flips_offdiagonal(g):
     rng = random.Random(23)
     for shape in (BlockShape(1, 2, EVEN_FIRST), BlockShape(2, 1, ODD_FIRST)):
-        x = random_supermatrix(g, rng, parity=0, shape=shape)
+        x = random_supermatrix(g.table, rng, parity=0, shape=shape)
         st2 = x.supertranspose().supertranspose()
         for i in range(shape.dim):
             for j in range(shape.dim):
@@ -176,8 +176,8 @@ def test_supertranspose_product_law_random(g):
     for shape in (BlockShape(1, 1, EVEN_FIRST), BlockShape(1, 2, EVEN_FIRST),
                   BlockShape(2, 1, ODD_FIRST)):
         for _ in range(20):
-            x = random_supermatrix(g, rng, parity=rng.randint(0, 1), shape=shape)
-            y = random_supermatrix(g, rng, parity=rng.randint(0, 1), shape=shape)
+            x = random_supermatrix(g.table, rng, parity=rng.randint(0, 1), shape=shape)
+            y = random_supermatrix(g.table, rng, parity=rng.randint(0, 1), shape=shape)
             sign = -1 if x.parity and y.parity else 1
             lhs = (x @ y).supertranspose()
             rhs = y.supertranspose() @ x.supertranspose()
@@ -195,8 +195,8 @@ def test_supertrace_laws_random(g):
     rng = random.Random(25)
     for _ in range(60):
         shape = BlockShape(1, 1, EVEN_FIRST)
-        x = random_supermatrix(g, rng, parity=rng.randint(0, 1), shape=shape)
-        y = random_supermatrix(g, rng, parity=rng.randint(0, 1), shape=shape)
+        x = random_supermatrix(g.table, rng, parity=rng.randint(0, 1), shape=shape)
+        y = random_supermatrix(g.table, rng, parity=rng.randint(0, 1), shape=shape)
         assert x.supertranspose().supertrace() == x.supertrace()
         sign = -1 if x.parity and y.parity else 1
         assert ((x @ y).supertrace() - sign * (y @ x).supertrace()).is_zero
@@ -205,10 +205,10 @@ def test_supertrace_laws_random(g):
 def test_supertrace_conjugation_invariance(g):
     """Str(H X H^-1) = Str(X) with H the group element, H^-1 its adjoint."""
     rng = random.Random(26)
-    s = group_element(g)
+    s = group_element()
     s_dag = s.dagger()
     for parity in (0, 1):
-        x = random_supermatrix(g, rng, parity=parity, shape=BlockShape(1, 2, EVEN_FIRST))
+        x = random_supermatrix(g.table, rng, parity=parity, shape=BlockShape(1, 2, EVEN_FIRST))
         conj = (s @ x @ s_dag).supertrace()
         assert g.rewrites.reduce(conj - x.supertrace()).is_zero
 
@@ -228,7 +228,7 @@ def test_sdet_examples(g):
     block = SuperMatrix.from_rational(sh, g.table,
                                       [[2, 0, 0], [0, 3, 0], [0, 0, 1]], 0)
     assert sdet(block, g.rewrites) == g.table.scalar(Fraction(2, 3))
-    assert sdet(group_element(g), g.rewrites) == g.table.one()
+    assert sdet(group_element(), g.rewrites) == g.table.one()
 
 
 def test_sdet_not_invertible(g):
@@ -242,8 +242,8 @@ def test_sdet_not_invertible(g):
 def test_sdet_laws_random(g):
     rng = random.Random(27)
     for _ in range(50):
-        x = random_supermatrix(g, rng, parity=0, invertible=True)
-        y = random_supermatrix(g, rng, parity=0, invertible=True)
+        x = random_supermatrix(g.table, rng, parity=0, invertible=True)
+        y = random_supermatrix(g.table, rng, parity=0, invertible=True)
         sx, sy = sdet(x, g.rewrites), sdet(y, g.rewrites)
         assert g.rewrites.reduce(sdet(x @ y, g.rewrites) - sx * sy).is_zero
         assert g.rewrites.reduce(sdet(x.supertranspose(), g.rewrites) - sx).is_zero

@@ -22,7 +22,7 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
                                   chern_closed_form, chern_form, chern_form_body,
                                   chern_form_canonical, chern_intermediate_form,
                                   connection_closed_form, connection_form,
-                                  coordinate_chern_form, coordinate_chern_report,
+                                  coordinate_chern_form,
                                   coordinate_images, curvature, element_to_base,
                                   EquivarianceReport, group_element,
                                   group_identities_report, group_space,
@@ -35,6 +35,8 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
                                   _signed_outer)
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
+
+from oracles import coordinate_chern_form_corrected, coordinate_chern_report
 
 
 @pytest.fixture(scope="module")
@@ -50,31 +52,31 @@ def _fixture(name):
 # -- group element -------------------------------------------------------------
 
 def test_group_element_unitary(g):
-    s = group_element(g)
+    s = group_element()
     ident = SuperMatrix.identity(s.shape, g.table)
     assert (s @ s.dagger()).reduce(g.rewrites) == ident
     assert (s.dagger() @ s).reduce(g.rewrites) == ident
 
 
 def test_group_element_sdet_one(g):
-    assert sdet(group_element(g), g.rewrites) == g.table.one()
+    assert sdet(group_element(), g.rewrites) == g.table.one()
 
 
 def test_group_element_at_unit_parameters(g):
-    s = group_element(g).substitute({"a": g.table.one(), "a*": g.table.one(),
+    s = group_element().substitute({"a": g.table.one(), "a*": g.table.one(),
                                      "b": g.table.zero(), "b*": g.table.zero(),
                                      "eta": g.table.zero(), "eta*": g.table.zero()})
     assert s == SuperMatrix.identity(BlockShape(1, 2, EVEN_FIRST), g.table)
 
 
 def test_group_identities_report(g):
-    assert all(item.holds for item in group_identities_report(g))
+    assert all(item.holds for item in group_identities_report())
 
 
 # -- nilpotent exponentials ------------------------------------------------------
 
 def test_exponential_series_terminates_at_order_two(g):
-    rep = nilpotent_exp_report(g)
+    rep = nilpotent_exp_report()
     assert rep.terminates_at_order_two
 
 
@@ -85,9 +87,9 @@ def test_exponential_product_vs_sum(g):
     (1/8) eta eta* diag(0, 1, -1); the corrected factorization holds and the
     sum form is the odd factor of the parametrized group element.
     """
-    rep = nilpotent_exp_report(g)
+    rep = nilpotent_exp_report()
     assert rep.product_equals_sum is False
-    fix = osp_fixtures(g)
+    fix = osp_fixtures()
     bch_term = fix["A0"].scale(Scalar.of(0, Fraction(-1, 4)) * (g.eta * g.etad))
     assert rep.difference == bch_term
     assert rep.bch_equal
@@ -97,7 +99,7 @@ def test_exponential_product_vs_sum(g):
 # -- coordinates -------------------------------------------------------------------
 
 def test_coordinates_match_displayed_formulas(g):
-    c = base_coordinates(g)
+    c = base_coordinates()
     one = g.table.one()
     fer = one - rat(1, 4) * g.eta * g.etad
     i = Scalar.i()
@@ -111,7 +113,7 @@ def test_coordinates_match_displayed_formulas(g):
 
 
 def test_coordinates_reality_properties(g):
-    c = base_coordinates(g)
+    c = base_coordinates()
     R = g.rewrites
     for x in (c.x0, c.x1, c.x2):
         assert R.reduce(x.diamond() - x).is_zero
@@ -124,17 +126,17 @@ def test_coordinates_reality_properties(g):
 
 
 def test_sphere_relation(g):
-    assert sphere_relation_check(g)
+    assert sphere_relation_check()
 
 
 def test_quarter_eta_identity(g):
-    c = base_coordinates(g)
+    c = base_coordinates()
     target = rat(1, 4) * g.eta * g.etad - c.xim * c.xip
     assert g.rewrites.reduce(target).is_zero
 
 
 def test_inversion_identities_hold(g):
-    checks = inversion_identities(g)
+    checks = inversion_identities()
     assert len(checks) == 9
     for item in checks:
         assert item.holds, item.name
@@ -151,13 +153,13 @@ def test_inversion_identities_check_the_emission_table(g, monkeypatch):
         units["b a*"] = (mono, -image)
         return units
     monkeypatch.setattr(monopole, "_invariant_units", flipped)
-    assert [item.name for item in inversion_identities(g) if not item.holds] == ["b a*"]
+    assert [item.name for item in inversion_identities() if not item.holds] == ["b a*"]
 
 
 def test_inversion_identities_degenerate_without_eta(g):
     """With eta = 0 the fermionic identities collapse to 0 = 0."""
     kill = {"eta": g.table.zero(), "eta*": g.table.zero()}
-    c = base_coordinates(g)
+    c = base_coordinates()
     for expr in (c.xim, c.xip):
         assert expr.substitute(kill, g.table).is_zero
 
@@ -165,14 +167,14 @@ def test_inversion_identities_degenerate_without_eta(g):
 # -- psi vectors ----------------------------------------------------------------------
 
 def test_psi_minus_one_components(g):
-    v = psi(MINUS, 1, g)
+    v = psi(MINUS, 1)
     one = g.table.one()
     e8 = one - rat(1, 8) * g.eta * g.etad
     assert v.components == [rat(1, 2) * g.eta, e8 * g.a, e8 * g.b]
 
 
 def test_psi_minus_two_has_sqrt2(g):
-    v = psi(MINUS, 2, g)
+    v = psi(MINUS, 2)
     e8 = g.table.one() - rat(1, 8) * g.eta * g.etad
     assert v.components[3] == g.table.scalar(Scalar.sqrt_int(2)) * e8 * g.a * g.b
     assert v.components[1] == rat(1, 2) * g.eta * g.b
@@ -192,30 +194,30 @@ def _psi_by_products(g, sign, n):
 def test_psi_matches_product_oracle(g):
     for n in range(1, 9):
         for sign in (MINUS, PLUS):
-            assert psi(sign, n, g).components == _psi_by_products(g, sign, n), (sign, n)
+            assert psi(sign, n).components == _psi_by_products(g, sign, n), (sign, n)
 
 
 def test_psi_normalized(g):
     one = g.table.one()
     for n in (1, 2, 3):
         for sign in (MINUS, PLUS):
-            v = psi(sign, n, g)
+            v = psi(sign, n)
             assert g.rewrites.reduce(pairing(v, v) - one).is_zero, (sign, n)
 
 
 def test_psi_requires_positive_n(g):
     with pytest.raises(ValueError):
-        psi(MINUS, 0, g)
+        psi(MINUS, 0)
 
 
 def test_psi_families_related_by_diamond(g):
     for n in (1, 2, 3):
-        vm, vp = psi(MINUS, n, g), psi(PLUS, n, g)
+        vm, vp = psi(MINUS, n), psi(PLUS, n)
         assert [c.diamond() for c in vm.components] == vp.components
 
 
 def test_pairing_zero_and_shape_mismatch(g):
-    v = psi(MINUS, 1, g)
+    v = psi(MINUS, 1)
     zero = [g.table.zero()] * 3
     assert pairing(zero, v.components).is_zero
     with pytest.raises(ValueError):
@@ -228,7 +230,7 @@ def test_projector_identities(g):
     one = g.table.one()
     for n in (1, 2, 3):
         for sign in (MINUS, PLUS):
-            mat = projector(psi(sign, n, g)).matrix
+            mat = projector(psi(sign, n)).matrix
             assert (mat @ mat).reduce(g.rewrites) == mat, ("p^2", sign, n)
             assert mat.dagger().reduce(g.rewrites) == mat, ("dagger", sign, n)
             assert g.rewrites.reduce(mat.supertrace()) == one, ("Str", sign, n)
@@ -240,26 +242,26 @@ def test_projector_matches_full_outer_oracle(g):
     p = p^dagger; every entry equals the reduced product it stands for."""
     for n in range(1, 7):
         for sign in (MINUS, PLUS):
-            vec = psi(sign, n, g)
+            vec = psi(sign, n)
             full = [[g.rewrites.reduce(e) for e in row] for row in _signed_outer(vec)]
-            assert projector(vec, g).matrix.entries == full, (sign, n)
+            assert projector(vec).matrix.entries == full, (sign, n)
 
 
 def test_validate_parity_checks_form_entries(g):
-    dp = projector(psi(MINUS, 1, g)).matrix.map_entries(d)
+    dp = projector(psi(MINUS, 1)).matrix.map_entries(d)
     assert dp.validate_parity()
     assert not SuperMatrix(dp.shape, dp.entries, parity=1).validate_parity()
 
 
 def test_supertrace_charge_three(g):
-    assert g.rewrites.reduce(projector(psi(MINUS, 3, g)).matrix.supertrace()) \
+    assert g.rewrites.reduce(projector(psi(MINUS, 3)).matrix.supertrace()) \
         == g.table.one()
 
 
 def test_projector_diagonal_is_radical_free(g):
     """The square-root binomial factors always cancel on the diagonal."""
     for n in (2, 3):
-        mat = projector(psi(MINUS, n, g)).matrix
+        mat = projector(psi(MINUS, n)).matrix
         for k in range(2 * n + 1):
             for coeff in mat.entries[k][k].terms.values():
                 assert all(rad == 1 for rad, _, _, _ in coeff.components())
@@ -267,21 +269,25 @@ def test_projector_diagonal_is_radical_free(g):
 
 def test_projector_supertranspose_relation(g):
     for n in (1, 2, 3):
-        pm = projector(psi(MINUS, n, g)).matrix
-        pp = projector(psi(PLUS, n, g)).matrix
+        pm = projector(psi(MINUS, n)).matrix
+        pp = projector(psi(PLUS, n)).matrix
         assert pm.supertranspose() == pp
 
 
 def test_projector_charge_labels(g):
-    assert projector(psi(MINUS, 2, g)).charge == 2
-    assert projector(psi(PLUS, 2, g)).charge == -2
+    assert projector(psi(MINUS, 2)).charge == 2
+    assert projector(psi(PLUS, 2)).charge == -2
+    # one label per family: the charge a projector reports is its Chern number
+    for n in (1, 2, 3):
+        for sign in (MINUS, PLUS):
+            assert projector(psi(sign, n)).charge == chern_number(sign, n), (sign, n)
 
 
 def test_golden_projectors_via_coordinate_emission(g):
     base = base_space()
     for sign, fname in ((MINUS, "p_minus_1.json"), (PLUS, "p_plus_1.json")):
         want = SuperMatrix.from_obj(base.table, _fixture(fname)["matrix"])
-        got = projector_to_base(projector(psi(sign, 1, g)))
+        got = projector_to_base(projector(psi(sign, 1)))
         assert got == want, sign
 
 
@@ -289,10 +295,10 @@ def test_golden_projector_via_pullback_substitution(g):
     """Substituting the coordinate expressions into the golden entries
     reproduces the group-space projector exactly."""
     base = base_space()
-    images = coordinate_images(g)
+    images = coordinate_images()
     for sign, fname in ((MINUS, "p_minus_1.json"), (PLUS, "p_plus_1.json")):
         golden = SuperMatrix.from_obj(base.table, _fixture(fname)["matrix"])
-        proj = projector(psi(sign, 1, g)).matrix
+        proj = projector(psi(sign, 1)).matrix
         for i in range(3):
             for j in range(3):
                 pulled = golden.entries[i][j].substitute(images, g.table)
@@ -302,12 +308,12 @@ def test_golden_projector_via_pullback_substitution(g):
 def test_projector_sign_placement_uniquely_fixed(g):
     """Brute-force elimination over the four Koszul sign placements.
 
-    Exactly one placement per charge family reproduces the displayed
+    Exactly one placement per sign family reproduces the displayed
     matrices: the row parity for the minus family and the column parity for
     the plus family (the latter equals the supertranspose of the former).
     """
     base = base_space()
-    images = coordinate_images(g)
+    images = coordinate_images()
 
     def build(vec, placement):
         n = vec.n
@@ -333,7 +339,7 @@ def test_projector_sign_placement_uniquely_fixed(g):
                    for j in range(3)] for i in range(3)]
         matches = []
         for placement in ("none", "row", "col", "both"):
-            rows = build(psi(sign, 1, g), placement)
+            rows = build(psi(sign, 1), placement)
             if all(rows[i][j] == target[i][j] for i in range(3) for j in range(3)):
                 matches.append(placement)
         assert matches == [expected], (sign, matches)
@@ -406,8 +412,8 @@ def test_charge_check_matches_substitution_oracle():
 def test_wrong_charge_in_psi_component_is_caught(g, monkeypatch):
     original = monopole.psi
 
-    def bad_psi(sign, n, space=None):
-        vec = original(sign, n, space)
+    def bad_psi(sign, n):
+        vec = original(sign, n)
         comps = list(vec.components)
         comps[-1] = comps[-1] + g.ad ** n          # charge -n beside charge +n
         return PsiVector(vec.sign, vec.n, comps)
@@ -424,8 +430,8 @@ def test_zero_of_wrong_charge_is_not_a_witness(g, monkeypatch):
     original = monopole.psi
     relation = g.a * g.ad + g.b * g.bd - g.table.one()
 
-    def padded_psi(sign, n, space=None):
-        vec = original(sign, n, space)
+    def padded_psi(sign, n):
+        vec = original(sign, n)
         comps = list(vec.components)
         comps[0] = comps[0] + relation * g.a ** 2
         return PsiVector(vec.sign, vec.n, comps)
@@ -439,8 +445,8 @@ def test_zero_of_wrong_charge_is_not_a_witness(g, monkeypatch):
 def test_wrong_charge_in_projector_entry_is_caught(g, monkeypatch):
     original = monopole.projector
 
-    def bad_projector(vec, space=None):
-        proj = original(vec, space)
+    def bad_projector(vec):
+        proj = original(vec)
         rows = [list(row) for row in proj.matrix.entries]
         rows[0][0] = rows[0][0] + g.a * g.bd * g.b   # charge +1
         return Projector(proj.sign, proj.n, SuperMatrix(proj.matrix.shape, rows, parity=0))
@@ -479,7 +485,7 @@ def test_charge_is_a_grading(seed):
 
 def test_psi_covariance_exact_power(g):
     images = u1_images()
-    v = psi(MINUS, 1, g)
+    v = psi(MINUS, 1)
     w = CIRCLE_TABLE.gen("w")
     for comp in v.components:
         moved = comp.substitute(images, CIRCLE_TABLE)
@@ -496,7 +502,7 @@ def test_unit_circle_substitution_is_identity(g):
 
 def test_circle_action_is_right_multiplication(g):
     """s(aw, bw, eta w) equals s(a,b,eta) diag(1, w, w*) mod w w* = 1."""
-    s = group_element(g).substitute({}, CIRCLE_TABLE)
+    s = group_element().substitute({}, CIRCLE_TABLE)
     moved = s.substitute(u1_images(), CIRCLE_TABLE)
     prod = s @ u1_embedding()
     diff = moved - prod
@@ -506,14 +512,14 @@ def test_circle_action_is_right_multiplication(g):
 # -- sections and equivariant maps --------------------------------------------------------
 
 def test_section_to_equivariant_zero(g):
-    assert section_to_equivariant(MINUS, 2, [g.table.zero()] * 5, g).is_zero
+    assert section_to_equivariant(MINUS, 2, [g.table.zero()] * 5).is_zero
 
 
 def test_section_to_equivariant_unit_slots(g):
     n, k = 3, 1
     f = [g.table.zero()] * (2 * n + 1)
     f[n + k] = g.table.one()           # unit vector in slot k of the even block
-    got = section_to_equivariant(MINUS, n, f, g)
+    got = section_to_equivariant(MINUS, n, f)
     e8 = g.table.one() - rat(1, 8) * g.eta * g.etad
     import math
     want = g.table.scalar(Scalar.sqrt_int(math.comb(n, k))) * e8 * \
@@ -524,34 +530,34 @@ def test_section_to_equivariant_unit_slots(g):
 def test_section_to_equivariant_general_shape(g):
     n = 2
     f = [g.table.scalar(j + 1) for j in range(2 * n + 1)]
-    phi = section_to_equivariant(MINUS, n, f, g)
-    v = psi(MINUS, n, g)
+    phi = section_to_equivariant(MINUS, n, f)
+    v = psi(MINUS, n)
     want = sum((comp * fj for comp, fj in zip(v.components, f)), g.table.zero())
     assert phi == want
     with pytest.raises(ValueError):
-        section_to_equivariant(MINUS, n, f[:-1], g)
+        section_to_equivariant(MINUS, n, f[:-1])
 
 
 # -- connection forms -----------------------------------------------------------------------
 
 def test_connection_closed_form(g):
     for n in (1, 2, 3, 4):
-        a_form = connection_form(psi(MINUS, n, g), space=g)
-        closed = g.ideal.reduce(connection_closed_form(MINUS, n, g))
+        a_form = connection_form(psi(MINUS, n))
+        closed = g.ideal.reduce(connection_closed_form(MINUS, n))
         assert a_form == closed, n
 
 
 def test_connection_antihermitian_and_sign_flip(g):
     for n in (1, 2, 3):
-        am = connection_form(psi(MINUS, n, g), space=g)
-        ap = connection_form(psi(PLUS, n, g), space=g)
+        am = connection_form(psi(MINUS, n))
+        ap = connection_form(psi(PLUS, n))
         assert g.ideal.reduce(am.diamond() + am).is_zero
         assert g.ideal.reduce(ap + am).is_zero
 
 
 def test_connection_matches_golden_fixture(g):
     want = SuperForm.from_obj(g.table, _fixture("a_minus_1.json")["form"])
-    assert connection_form(psi(MINUS, 1, g), space=g) == want
+    assert connection_form(psi(MINUS, 1)) == want
 
 
 # -- curvature and Chern forms -----------------------------------------------------------------
@@ -559,7 +565,7 @@ def test_connection_matches_golden_fixture(g):
 def test_curvature_entries_are_even_two_forms(g):
     """Form degree 2 throughout, Grassmann-even in the block sense: the
     parity of each entry matches the row/column type parities."""
-    proj = projector(psi(MINUS, 1, g))
+    proj = projector(psi(MINUS, 1))
     cur = curvature(proj)
     shape = proj.matrix.shape
     for i, row in enumerate(cur.entries):
@@ -579,7 +585,7 @@ def test_curvature_equals_outer_kernel_up_to_convention_sign(g):
     flips the kernel, see the package documentation.
     """
     for n in (1, 2):
-        vec = psi(MINUS, n, g)
+        vec = psi(MINUS, n)
         proj = projector(vec)
         cur = curvature(proj)
         kernel = pairing([d(c) for c in vec.components],
@@ -596,7 +602,7 @@ def test_curvature_equals_outer_kernel_up_to_convention_sign(g):
 def test_supertrace_curvature_vs_pairing(g):
     for n in (1, 2):
         for sign in (MINUS, PLUS):
-            vec = psi(sign, n, g)
+            vec = psi(sign, n)
             S = supertrace_p_dp_dp(projector(vec))
             K = pairing([d(c) for c in vec.components],
                         [d(c) for c in vec.components])
@@ -606,62 +612,62 @@ def test_supertrace_curvature_vs_pairing(g):
 def test_chern_form_chain(g):
     for n in (1, 2):
         for sign in (MINUS, PLUS):
-            computed = chern_form(sign, n, space=g)
-            assert g.equal_mod(computed, chern_closed_form(sign, n, g)), (sign, n)
-            assert g.equal_mod(computed, chern_intermediate_form(sign, n, g)), (sign, n)
+            computed = chern_form(sign, n)
+            assert g.equal_mod(computed, chern_closed_form(sign, n)), (sign, n)
+            assert g.equal_mod(computed, chern_intermediate_form(sign, n)), (sign, n)
 
 
 def test_chern_form_smoncf_lines_equal_under_display_reduction(g):
     for n in (1, 2):
-        lhs = g.ideal.reduce(chern_intermediate_form(MINUS, n, g))
-        rhs = g.ideal.reduce(chern_closed_form(MINUS, n, g))
+        lhs = g.ideal.reduce(chern_intermediate_form(MINUS, n))
+        rhs = g.ideal.reduce(chern_closed_form(MINUS, n))
         assert lhs == rhs
 
 
 def test_chern_form_sign_flip(g):
     for n in (1, 2):
-        cm = chern_form(MINUS, n, space=g)
-        cp = chern_form(PLUS, n, space=g)
+        cm = chern_form(MINUS, n)
+        cp = chern_form(PLUS, n)
         assert g.equal_mod(cp, -cm)
 
 
 def test_chern_form_canonical_matches_fixture(g):
     want = SuperForm.from_obj(g.table, _fixture("c1_minus_1.json")["form"])
-    assert chern_form_canonical(MINUS, 1, g) == want
+    assert chern_form_canonical(MINUS, 1) == want
 
 
 def test_chern_pairing_route_at_larger_n(g):
     """Chern numbers and the verified canonical form beyond the oracle's range."""
     for n in (8, 12):
-        assert chern_number(MINUS, n, space=g) == n
-        assert chern_number(PLUS, n, space=g) == -n
+        assert chern_number(MINUS, n) == n
+        assert chern_number(PLUS, n) == -n
     # oracle: the closed form through the ideal rules
     for n in range(1, 9):
         for sign in (MINUS, PLUS):
-            want = g.ideal.reduce(chern_closed_form(sign, n, g))
-            assert chern_form_canonical(sign, n, g) == want, (sign, n)
+            want = g.ideal.reduce(chern_closed_form(sign, n))
+            assert chern_form_canonical(sign, n) == want, (sign, n)
 
 
 def test_chern_form_canonical_raises_when_the_pairing_disagrees(g, monkeypatch):
     """A psi that is not normalized gives a pairing that is not C1."""
     original = monopole.psi
 
-    def scaled_psi(sign, n, space=None):
-        vec = original(sign, n, space)
+    def scaled_psi(sign, n):
+        vec = original(sign, n)
         return PsiVector(vec.sign, vec.n, [c * rat(2) for c in vec.components])
 
     monkeypatch.setattr(monopole, "psi", scaled_psi)
     with pytest.raises(SuperAlgebraError, match="disagrees"):
-        chern_form_canonical(MINUS, 1, g)
+        chern_form_canonical(MINUS, 1)
 
 
 def test_chern_body_route_agrees_with_full_route(g):
     """The body pairing route matches the body of the Str(p (dp)^2) oracle."""
     for n in (1, 2, 3):
         for sign in (MINUS, PLUS):
-            oracle = -supertrace_p_dp_dp(projector(psi(sign, n, g))) * CHERN_SCALAR
+            oracle = -supertrace_p_dp_dp(projector(psi(sign, n))) * CHERN_SCALAR
             full = oracle.body_project()
-            fast = chern_form_body(sign, n, g)
+            fast = chern_form_body(sign, n)
             assert g.localizer.is_zero_mod(full - fast), (sign, n)
 
 
@@ -670,7 +676,7 @@ def test_coordinate_chern_report(g):
     fermionic sign; the corrected variant (+2 x0 dxi- dxi+) matches.  The
     discrepancy is reported with a witness, never patched silently."""
     for n in (1, 2):
-        rep = coordinate_chern_report(n, g)
+        rep = coordinate_chern_report(n)
         assert rep.corrected_matches, n
         assert not rep.verbatim_matches, n
         assert rep.difference is not None and not rep.difference.is_zero
@@ -679,17 +685,16 @@ def test_coordinate_chern_report(g):
 def test_coordinate_chern_variants_share_body(g):
     for n in (1, 2):
         verbatim = coordinate_chern_form(MINUS, n)
-        corrected = coordinate_chern_form(MINUS, n, corrected=True)
+        corrected = coordinate_chern_form_corrected(MINUS, n)
         assert verbatim.body_project() == corrected.body_project()
 
 
 # -- coordinate emission --------------------------------------------------------------------
 
 def test_element_to_base_roundtrip_n2(g):
-    base = base_space()
-    images = coordinate_images(g)
-    proj = projector(psi(MINUS, 2, g))
-    emitted = projector_to_base(proj, g, base)
+    images = coordinate_images()
+    proj = projector(psi(MINUS, 2))
+    emitted = projector_to_base(proj)
     for i in range(5):
         for j in range(5):
             pulled = emitted.entries[i][j].substitute(images, g.table)
@@ -727,8 +732,8 @@ def _unit_group(g, name):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_projector_to_base_matches_per_monomial_oracle(g, sign, n):
     base = base_space()
-    proj = projector(psi(sign, n, g))
-    emitted = projector_to_base(proj, g, base)
+    proj = projector(psi(sign, n))
+    emitted = projector_to_base(proj)
     for row, got_row in zip(proj.matrix.entries, emitted.entries):
         for entry, got in zip(row, got_row):
             assert got == _element_to_base_oracle(entry, g, base)
@@ -739,10 +744,10 @@ def test_projector_to_base_matches_per_monomial_oracle(g, sign, n):
 def test_projector_to_base_matches_entrywise_conversion(g, sign, n):
     """The mirrored lower triangle equals converting every entry."""
     base = base_space()
-    proj = projector(psi(sign, n, g))
+    proj = projector(psi(sign, n))
     to_base = _base_converter(g, base)
     want = [[to_base(e) for e in row] for row in proj.matrix.entries]
-    assert projector_to_base(proj, g, base).entries == want
+    assert projector_to_base(proj).entries == want
 
 
 def test_base_converter_commutes_with_diamond(g):
@@ -767,27 +772,28 @@ def test_base_converter_commutes_with_diamond(g):
 
 def test_element_to_base_matches_per_monomial_oracle(g):
     base = base_space()
-    entries = projector(psi(PLUS, 2, g)).matrix.entries
+    entries = projector(psi(PLUS, 2)).matrix.entries
     one_entry = entries[4][4]
     two_rows = entries[1][1] + entries[3][4]
     for x in (one_entry, two_rows):
         assert len(x.terms) > 1
-        assert element_to_base(x, g, base) == _element_to_base_oracle(x, g, base)
+        assert element_to_base(x) == _element_to_base_oracle(x, g, base)
 
 
 def test_element_to_base_rejects_non_invariant(g):
     with pytest.raises(CoordinateEmissionError):
-        element_to_base(g.a, g)
+        element_to_base(g.a)
     with pytest.raises(CoordinateEmissionError):
-        element_to_base(g.eta, g)
+        element_to_base(g.eta)
 
 
 def test_element_to_base_checks_the_factorization():
     # the factorization ignores odd generators other than eta, eta*, so only
     # the check of the units' product against the monomial catches a t
-    # element_to_base reads only the table of the group space
+    # the converter reads only the table of the group space
     table = GeneratorTable.build(conjugate_pairs=[
         ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD), ("t", "t*", ODD)])
     space = dataclasses.replace(group_space(), table=table)
+    to_base = _base_converter(space, base_space())
     with pytest.raises(CoordinateEmissionError, match="factorization failed"):
-        element_to_base(space.a * space.ad * space.table.gen("t"), space)
+        to_base(space.a * space.ad * space.table.gen("t"))
