@@ -15,8 +15,10 @@ import sys
 import time
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from . import monopole
+from .algebra import Element, Monomial
 from .berezin import (base_chart, berezin_chern_number, chart_pullback, chern_integral,
                       chern_number, group_section_chart)
 from .forms import SuperForm, d
@@ -38,14 +40,52 @@ def _load_fixture(name: str) -> dict:
 _CHUNK_PIECES = 4096
 
 
+def _element_writer(names: tuple[str, ...], pad: str) -> Callable[[Element], str]:
+    """A function giving json.dumps(x.to_obj(), indent=1) for an Element x over
+    the generators names, indented as a value at pad.
+
+    Each term is one %-template per coefficient component followed by its
+    monomial's "even"/"odd" text, which is built once per monomial.
+    """
+    p2, p3, p4 = ("\n" + pad + " " * k for k in (2, 3, 4))
+    part = "[" + p4 + "%d," + p4 + "%d" + p3 + "]"
+    coeff = ("{" + p2 + '"coeff": {' + p3 + '"re": ' + part + "," + p3 + '"im": ' + part
+             + "," + p3 + '"radical": %d,' + p3 + '"pi": %d' + p2 + "}," + p2)
+    quoted = [encode_basestring_ascii(name) for name in names]
+    inner = "\n" + pad + " "
+    tails: dict[Monomial, str] = {}
+
+    def tail(mono) -> str:
+        even = ("{" + ",".join(p3 + "%s: %d" % (quoted[i], e) for i, e in mono[0]) + p2 + "}"
+                if mono[0] else "{}")
+        odd = "[" + ",".join(p3 + quoted[i] for i in mono[1]) + p2 + "]" if mono[1] else "[]"
+        return '"even": ' + even + "," + p2 + '"odd": ' + odd + inner + "}"
+
+    def render(x: Element) -> str:
+        texts = []
+        for mono, s in x.sorted_terms():
+            text = tails.get(mono)
+            if text is None:
+                text = tails[mono] = tail(mono)
+            texts += [coeff % fields + text for fields in s.reduced_parts()]
+        return "[" + inner + ("," + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
+    return render
+
+
 def _print_json(obj) -> None:
-    """Write json.dumps(obj, indent=1) + "\n" to stdout, a chunk at a time.
+    """Write json.dumps(obj, indent=1, default=Element.to_obj) + "\n" to
+    stdout, a chunk at a time.
 
     With indent set, json.dumps runs its pure-Python encoder; writing in
-    chunks keeps the whole document out of memory.  Dict keys must be str.
+    chunks keeps the whole document out of memory.  An Element is rendered
+    from its terms, not through to_obj, and written out as soon as its text
+    is built; other text goes out _CHUNK_PIECES pieces at a time.  Dict keys
+    must be str.
     """
     write = sys.stdout.write
     buf: list[str] = []
+    # one writer per (generator names, indent), for this call only
+    writers: dict[tuple[tuple[str, ...], str], Callable[[Element], str]] = {}
 
     def emit(o, pad: str) -> None:
         if isinstance(o, str):
@@ -68,6 +108,14 @@ def _print_json(obj) -> None:
                 lead = sep
                 emit(value, inner)
             buf.append("\n" + pad + "]" if o else "[]")
+        elif isinstance(o, Element):
+            key = (o.algebra.names, pad)
+            render = writers.get(key)
+            if render is None:
+                render = writers[key] = _element_writer(*key)
+            buf.append(render(o))
+            write("".join(buf))
+            buf.clear()
         else:
             buf.append(json.dumps(o))
         if len(buf) >= _CHUNK_PIECES:
@@ -532,7 +580,11 @@ def cmd_projector(args) -> int:
             return 1
     if args.format == "json":
         _print_json({"sign": args.sign, "n": n, "coords": algebra,
-                     "charge": proj.charge, "matrix": mat.to_obj()})
+                     "charge": proj.charge,
+                     # the entries are written from their terms; SuperMatrix.to_obj
+                     # is the reference layout
+                     "matrix": {"shape": mat.shape.to_obj(), "parity": mat.parity,
+                                "entries": mat.entries}})
     else:
         print("projector for sign %s, n=%d (charge %d), %s coordinates:"
               % (args.sign, n, proj.charge, algebra))

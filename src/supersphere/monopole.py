@@ -33,7 +33,7 @@ from .algebra import (ONE_MONO, Element, GeneratorTable, Monomial, RewriteSystem
 from .forms import DifferentialIdeal, SuperForm, d
 from .localized import LocalizedModel
 from .matrices import BlockShape, SuperMatrix, EVEN_FIRST, ODD_FIRST, exp_nilpotent, sdet
-from .scalars import Scalar, rat
+from .scalars import GaussianVector, Scalar, combine, gaussian_vector, rat
 
 MINUS = "-"
 PLUS = "+"
@@ -768,39 +768,45 @@ def _base_converter(space: GroupSpace, base: BaseSpace):
     """A function taking U(1)-invariant group elements to sphere coordinates.
 
     Its table maps each factorization (u1, ..., uk) into bilinear invariants
-    to (group monomial, sign, base image), each built from its prefix; the
-    entries of one matrix share most factorizations, so they share the table.
+    to (group monomial, sign, base image, signed image as a Gaussian vector),
+    each built from its prefix; the entries of one matrix share most
+    factorizations, so they share the table.
     """
     units = _invariant_units(space, base)
     names = space.table.names
     reduce = base.rewrites.reduce
-    table: dict[tuple[str, ...], tuple[Monomial, int, Element]] = {(): (ONE_MONO, 1, base.table.one())}
+    one = base.table.one()
+    table: dict[tuple[str, ...], tuple[Monomial, int, Element, GaussianVector]] = {
+        (): (ONE_MONO, 1, one, gaussian_vector(one.terms))}
 
-    def image(key: tuple[str, ...]) -> tuple[Monomial, int, Element]:
+    def image(key: tuple[str, ...]) -> tuple[Monomial, int, Element, GaussianVector]:
         hit = table.get(key)
         if hit is None:
-            mono, sign, img = image(key[:-1])
+            mono, sign, img, _ = image(key[:-1])
             unit_mono, unit_img = units[key[-1]]
             # at most one unit is odd, so the product never vanishes
             unit_sign, mono = mono_mul(mono, unit_mono)
-            hit = table[key] = (mono, sign * unit_sign, reduce(img * unit_img))
+            sign *= unit_sign
+            img = reduce(img * unit_img)
+            vec = gaussian_vector((img if sign > 0 else -img).terms)
+            # every image coefficient is a Gaussian rational; to_base relies on it
+            if vec is None:
+                raise CoordinateEmissionError("image of %r is not over the Gaussian rationals"
+                                              % (key,))
+            hit = table[key] = (mono, sign, img, vec)
         return hit
 
     def to_base(x: Element) -> Element:
-        terms: dict[Monomial, Scalar] = {}
+        pairs = []
         for mono, coeff in x.terms.items():
-            got, sign, img = image(_factor_invariants(names, mono))
+            got, _, _, vec = image(_factor_invariants(names, mono))
             # the candidate factorization must reproduce the monomial
             if got != mono:
                 raise CoordinateEmissionError("factorization failed for %r" % (mono,))
-            if sign < 0:
-                coeff = -coeff
-            for m, c in img.terms.items():
-                c = coeff * c
-                terms[m] = terms[m] + c if m in terms else c
+            pairs.append((coeff, vec))
         # reduce returns the unique normal form, so it is linear and a sum of
         # reduced images is already reduced
-        return Element(base.table, terms)
+        return Element(base.table, combine(pairs))
 
     return to_base
 

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Union
+from typing import Hashable, Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -324,14 +324,19 @@ class Scalar:
 
     # -- serialization -------------------------------------------------------
 
-    def to_obj(self) -> list[dict]:
-        """Sorted components, each part a reduced [numerator, denominator]."""
+    def reduced_parts(self) -> list[tuple[int, int, int, int, int, int]]:
+        """Sorted components as (re num, re den, im num, im den, radical, pi),
+        each part reduced on its own: the numbers to_obj lays out."""
         out = []
         for (rad, pi), (re, im, den) in sorted(self._parts.items()):
             g_re, g_im = gcd(re, den), gcd(im, den)
-            out.append({"re": [re // g_re, den // g_re], "im": [im // g_im, den // g_im],
-                        "radical": rad, "pi": pi})
+            out.append((re // g_re, den // g_re, im // g_im, den // g_im, rad, pi))
         return out
+
+    def to_obj(self) -> list[dict]:
+        """Sorted components, each part a reduced [numerator, denominator]."""
+        return [{"re": [re, re_den], "im": [im, im_den], "radical": rad, "pi": pi}
+                for re, re_den, im, im_den, rad, pi in self.reduced_parts()]
 
     @staticmethod
     def from_obj(obj: Iterable[dict]) -> "Scalar":
@@ -386,3 +391,52 @@ def binomial_sum(terms: Iterable[tuple[int, Scalar, int, int]]) -> tuple[Scalar,
     while out and out[-1].is_zero:
         out.pop()
     return tuple(out)
+
+
+# a map key -> Gaussian rational as (den, [(key, re, im), ...]): each value is
+# (re + i*im)/den over one common denominator
+GaussianVector = tuple[int, list[tuple[Hashable, int, int]]]
+
+
+def gaussian_vector(values: Mapping[Hashable, Scalar]) -> GaussianVector | None:
+    """The Gaussian-rational scalars in values over their common denominator,
+    or None when one of them carries a radical or a power of pi."""
+    recs = []
+    for key, s in values.items():
+        if s._parts.keys() != {(1, 0)}:
+            return None
+        recs.append((key, s._parts[1, 0]))
+    den = math.lcm(*(d for _, (_, _, d) in recs))
+    return den, [(key, re * (den // d), im * (den // d)) for key, (re, im, d) in recs]
+
+
+def combine(terms: Iterable[tuple[Scalar, GaussianVector]]) -> dict[Hashable, Scalar]:
+    """sum s * v over (s, v), with zero values dropped.
+
+    The products are grouped by the (radical, pi) component of s and summed
+    as plain integers over one common denominator per component; v is a
+    Gaussian vector, so a component's radical and pi power pass to the sum
+    unchanged and each output key gets one canonical record per component.
+    """
+    by_part: dict[tuple[int, int], list] = {}
+    for s, (den, recs) in terms:
+        for part, (re, im, d) in s._parts.items():
+            by_part.setdefault(part, []).append((re, im, d * den, recs))
+    out: dict[Hashable, dict] = {}
+    for part, rows in by_part.items():
+        den = math.lcm(*(d for _, _, d, _ in rows))
+        acc: dict[Hashable, list[int]] = {}
+        for s_re, s_im, d, recs in rows:
+            f = den // d
+            s_re, s_im = s_re * f, s_im * f
+            for key, re, im in recs:
+                got = acc.get(key)
+                if got is None:
+                    acc[key] = [s_re * re - s_im * im, s_re * im + s_im * re]
+                else:
+                    got[0] += s_re * re - s_im * im
+                    got[1] += s_re * im + s_im * re
+        for key, (re, im) in acc.items():
+            if re or im:
+                out.setdefault(key, {})[part] = _canon(re, im, den)
+    return {key: Scalar(parts) for key, parts in out.items()}

@@ -4,20 +4,25 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supersphere import cli, monopole
+from supersphere.algebra import ODD, Element
 from supersphere.berezin import chern_number
 from supersphere.cli import main
 from supersphere.forms import SuperForm
 from supersphere.matrices import SuperMatrix
 from supersphere.monopole import base_space, group_space, projector, projector_to_base, psi
+from supersphere.scalars import Scalar
+from supersphere.tests_support import random_element
 
 
 def run_cli(capsys, *argv):
@@ -317,19 +322,47 @@ _leaves = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
+_rationals = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
+                                                         max_denominator=6))
+# sums of components, so a coefficient may have several (radical, pi) parts
+# and parts whose real or imaginary half is zero
+_scalars = st.lists(st.builds(Scalar.of, _rationals, _rationals, st.sampled_from((1, 2, 6)),
+                              st.integers(-1, 1)),
+                    min_size=1, max_size=3).map(lambda parts: sum(parts, Scalar.zero()))
+
+
+@st.composite
+def _elements(draw):
+    """A random Element over either table, with constant and odd-only
+    monomials possible, times a random coefficient (zero gives [])."""
+    table = draw(st.sampled_from((group_space().table, base_space().table)))
+    odd = [nm for nm in table.names if table.parity_of_name(nm) == ODD]
+    x = random_element(table, random.Random(draw(st.integers(0, 2 ** 32))),
+                       max_word=draw(st.integers(0, 3)))
+    x = x + table.element([(draw(_scalars), draw(st.lists(st.sampled_from(odd), max_size=2)))])
+    return x * draw(_scalars)
+
 
 def _trees(depth):
     if depth == 0:
-        return _leaves
+        return st.one_of(_leaves, _elements())
     sub = _trees(depth - 1)
-    return st.one_of(_leaves, st.lists(sub, max_size=3),
+    return st.one_of(_leaves, _elements(), st.lists(sub, max_size=3),
                      st.dictionaries(_strings, sub, max_size=3))
+
+
+_g, _s = group_space(), base_space()
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(_trees(6))
+@example(_g.table.zero())
+@example([_g.table.scalar(Scalar.of(Fraction(-1, 2), 0, 2, 1)), _s.table.one()])
+@example({"odd-only": _g.eta * _g.etad * Scalar.of(0, Fraction(2, 3), 3),
+          "two parts": [[_s.xim * (Scalar.of(1, 1, 2) + Scalar.of(Fraction(1, 2), 0, 1, -1))]]})
 def test_json_writer_matches_stdlib(obj):
-    assert _written(obj).getvalue() == json.dumps(obj, indent=1) + "\n"
+    """Element leaves are written as json.dumps writes their to_obj()."""
+    assert _written(obj).getvalue() == json.dumps(obj, indent=1, default=Element.to_obj) + "\n"
 
 
 def test_json_writer_streams_large_payloads():
@@ -349,6 +382,22 @@ def test_json_output_is_stdlib_layout(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("coords", ["base", "group"])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_projector_json_is_the_to_obj_document(capsys, n, sign, coords):
+    """The writer renders the entries from their terms; the text, term order
+    included, must be json.dumps of the to_obj reference layout."""
+    code, out, _ = run_cli(capsys, "projector", "--sign", sign, "--n", str(n),
+                           "--coords", coords, "--format", "json")
+    assert code == 0
+    proj = projector(psi(sign, n))
+    mat = projector_to_base(proj) if coords == "base" else proj.matrix
+    want = {"sign": sign, "n": n, "coords": coords, "charge": proj.charge,
+            "matrix": mat.to_obj()}
+    assert out == json.dumps(want, indent=1) + "\n"
 
 
 def test_pipe_closed_mid_document_exits_1(monkeypatch, tmp_path, capsys):

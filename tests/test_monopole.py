@@ -780,6 +780,47 @@ def test_element_to_base_matches_per_monomial_oracle(g):
         assert element_to_base(x) == _element_to_base_oracle(x, g, base)
 
 
+_rationals = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
+                                                         max_denominator=6))
+# coefficients with up to three (radical, pi) parts
+_scalars = st.lists(st.builds(Scalar.of, _rationals, _rationals, st.sampled_from((1, 2, 6)),
+                              st.integers(-1, 1)),
+                    min_size=1, max_size=3).map(lambda parts: sum(parts, Scalar.zero()))
+_UNIT_NAMES = tuple(_invariant_units(group_space(), base_space()))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(_scalars, st.lists(st.sampled_from(_UNIT_NAMES), max_size=3),
+                          st.booleans()), min_size=1, max_size=4))
+def test_base_converter_matches_per_monomial_oracle_on_invariant_sums(terms):
+    """Random sums of products of the nine invariants with multi-part
+    coefficients.  A term times aa* + bb* - 1 has images that cancel to 0,
+    so its output coefficients must be dropped."""
+    g, base = group_space(), base_space()
+    units = {name: Element(g.table, {mono: Scalar.one()})
+             for name, (mono, _) in _invariant_units(g, base).items()}
+    relation = units["a a*"] + units["b b*"] - 1
+    x = g.table.zero()
+    for coeff, names, cancel in terms:
+        term = g.table.scalar(coeff)
+        for name in names:
+            term = term * units[name]
+        x = x + (term * relation if cancel else term)
+    assert _base_converter(g, base)(x) == _element_to_base_oracle(x, g, base)
+
+
+def test_base_converter_rejects_an_image_off_the_gaussian_rationals(g, monkeypatch):
+    base = base_space()
+    units = dict(_invariant_units(g, base))
+    mono, image = units["a a*"]
+    units["a a*"] = (mono, image * Scalar.sqrt_int(2))
+    monkeypatch.setattr(monopole, "_invariant_units", lambda space, s: units)
+    to_base = _base_converter(g, base)
+    assert to_base(g.b * g.bd) == _element_to_base_oracle(g.b * g.bd, g, base)
+    with pytest.raises(CoordinateEmissionError, match="Gaussian rationals"):
+        to_base(g.a * g.ad)
+
+
 def test_element_to_base_rejects_non_invariant(g):
     with pytest.raises(CoordinateEmissionError):
         element_to_base(g.a)
