@@ -282,31 +282,6 @@ def mono_mul(m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
     return sign, (even_part, odd_part)
 
 
-def mono_divides(lead: Monomial, mono: Monomial) -> bool:
-    le, lo = lead
-    me, mo = mono
-    if not set(lo) <= set(mo):
-        return False
-    exps = dict(me)
-    return all(exps.get(i, 0) >= e for i, e in le)
-
-
-def mono_divide(mono: Monomial, lead: Monomial) -> tuple[int, Monomial]:
-    """mono = sign * quotient * lead; requires mono_divides(lead, mono)."""
-    exps = dict(mono[0])
-    for i, e in lead[0]:
-        exps[i] -= e
-    even_part = tuple(sorted((i, e) for i, e in exps.items() if e > 0))
-    lead_odd = set(lead[1])
-    quot_odd = tuple(i for i in mono[1] if i not in lead_odd)
-    sign = 1
-    for q in quot_odd:
-        for l in lead[1]:
-            if q > l:
-                sign = -sign
-    return sign, (even_part, quot_odd)
-
-
 class Element:
     """Canonical sum of scalar-weighted monomials over a generator table."""
 
@@ -572,71 +547,66 @@ class SubstitutionMap:
 
 
 class RewriteSystem:
-    """Ordered rewrite rules lead-monomial -> replacement element.
+    """Rewrite rules lead -> replacement, applied in closed form.
 
-    Every rule must strictly decrease the graded-lex order, which guarantees
-    termination of exhaustive rewriting.
+    Each lead is a monomial in even generators with coefficient 1, and no
+    lead shares a generator with another lead or with any replacement.  So
+    leads with no common generator form a Groebner basis (Buchberger's first
+    criterion), and a monomial q * lead_1^k_1 * lead_2^k_2 ... (largest k_i)
+    has the unique normal form q * repl_1^k_1 * repl_2^k_2 ..., which no rule
+    rewrites again.  Every rule must strictly decrease the graded-lex order.
     """
 
-    def __init__(self, algebra: GeneratorTable,
-                 rules: Sequence[tuple[Element, Element]] | Sequence[tuple[Monomial, Element]] = ()):
+    def __init__(self, algebra: GeneratorTable, rules: Sequence[tuple[Element, Element]] = ()):
         self.algebra = algebra
         self.rules: list[tuple[Monomial, Element]] = []
+        n = len(algebra)
         for lead, repl in rules:
-            if isinstance(lead, Element):
-                if len(lead.terms) != 1:
-                    raise ValueError("rule lead must be a single monomial")
-                (mono, coeff), = lead.terms.items()
-                if coeff != Scalar.one():
-                    raise ValueError("rule lead must have coefficient 1")
-                lead = mono
-            self._add(lead, repl)
+            mono = next(iter(lead.terms), None)
+            if len(lead.terms) != 1 or lead.terms[mono] != Scalar.one() or mono[1] or not mono[0]:
+                raise ValueError("rule lead must be a monomial in even generators, coefficient 1")
+            if any(mono_key(m, n) >= mono_key(mono, n) for m in repl.terms):
+                raise RewriteOrderError("replacement monomial does not decrease the term order")
+            self.rules.append((mono, repl))
+        lead_gens = [i for lead, _ in self.rules for i, _ in lead[0]]
+        # leads hold only even generators, so only even ones can clash
+        repl_gens = {i for _, repl in self.rules for m in repl.terms for i, _ in m[0]}
+        if len(set(lead_gens)) != len(lead_gens) or repl_gens.intersection(lead_gens):
+            raise ValueError("a rule lead shares a generator with another lead or a replacement")
+        # _powers[r][k] is repl_r^k, each power built from the one below it
+        self._powers: list[list[Element]] = [[algebra.one()] for _ in self.rules]
 
-    def _add(self, lead: Monomial, repl: Element) -> None:
-        n = len(self.algebra)
-        lk = mono_key(lead, n)
-        for m in repl.terms:
-            if mono_key(m, n) >= lk:
-                raise RewriteOrderError(
-                    "replacement monomial does not decrease the term order")
-        self.rules.append((lead, repl))
+    def _power(self, r: int, k: int) -> Element:
+        pows = self._powers[r]
+        while len(pows) <= k:
+            pows.append(pows[-1] * self.rules[r][1])
+        return pows[k]
 
     def reduce(self, x: Element) -> Element:
-        """Unique normal form under exhaustive rewriting; idempotent.
-
-        Worklist algorithm: every rewrite replaces a monomial by strictly
-        smaller ones, so the loop terminates; irreducible monomials are final
-        regardless of coefficient and may be merged immediately.
-        """
+        """The unique normal form: each monomial is rewritten once."""
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise AlgebraMismatchError("element lives over a different generator table")
-        normal: dict[Monomial, Scalar] = {}
-        work: dict[Monomial, Scalar] = dict(x.terms)
-        while work:
-            mono, coeff = work.popitem()
-            if coeff.is_zero:
+        out: dict[Monomial, Scalar] = {}
+        for mono, coeff in x.terms.items():
+            exps = dict(mono[0])
+            ks = tuple(min(exps.get(i, 0) // e for i, e in lead[0]) for lead, _ in self.rules)
+            if not any(ks):
+                out[mono] = out[mono] + coeff if mono in out else coeff
                 continue
-            hit = None
-            for lead, repl in self.rules:
-                if mono_divides(lead, mono):
-                    hit = (lead, repl)
-                    break
-            if hit is None:
-                acc = normal.get(mono)
-                normal[mono] = coeff if acc is None else acc + coeff
-                continue
-            lead, repl = hit
-            sign, quot = mono_divide(mono, lead)
-            s = coeff if sign > 0 else -coeff
-            piece = Element(self.algebra, {quot: s}) * repl
-            for m2, s2 in piece.terms.items():
-                if m2 in work:
-                    work[m2] = work[m2] + s2
-                elif m2 in normal:
-                    normal[m2] = normal[m2] + s2
-                else:
-                    work[m2] = s2
-        return Element(self.algebra, normal)
+            drop = {i: k * e for (lead, _), k in zip(self.rules, ks) for i, e in lead[0]}
+            quot: Monomial = (tuple((i, e - drop.get(i, 0)) for i, e in mono[0]
+                                    if e != drop.get(i, 0)), mono[1])
+            power = self._power(0, ks[0])
+            for r in range(1, len(ks)):
+                power = power * self._power(r, ks[r])
+            for m, s in power.terms.items():
+                prod = mono_mul(quot, m)
+                if prod is None:
+                    continue
+                sign, m = prod
+                s = coeff * s if sign > 0 else -(coeff * s)
+                out[m] = out[m] + s if m in out else s
+        return Element(self.algebra, out)
 
 
 def graded_inverse(u: Element, rewrites: RewriteSystem | None = None) -> Element:

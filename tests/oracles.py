@@ -17,6 +17,16 @@ from supersphere.scalars import Scalar
 from supersphere.trig import PhaseHalfAngle, TrigPoly
 
 
+# The circle action by substitution, the oracle for the charge tests: the group
+# generators with the circle pair w, w* adjoined, and w w* -> 1.
+CIRCLE_TABLE = GeneratorTable.build(conjugate_pairs=[
+    ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD), ("w", "w*", EVEN)])
+CIRCLE_REWRITES = RewriteSystem(CIRCLE_TABLE, [
+    (CIRCLE_TABLE.gen("b") * CIRCLE_TABLE.gen("b*"),
+     CIRCLE_TABLE.one() - CIRCLE_TABLE.gen("a") * CIRCLE_TABLE.gen("a*")),
+    (CIRCLE_TABLE.gen("w") * CIRCLE_TABLE.gen("w*"), CIRCLE_TABLE.one())])
+
+
 class SubstitutionLocalizer:
     """Forms on the group in the localization at b, by plain substitution.
 

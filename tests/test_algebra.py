@@ -4,13 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersphere.algebra import (EVEN, ODD, AlgebraMismatchError, Element,
-                                 GeneratorTable, InvertibilityError, ParityError,
+                                 GeneratorTable, InvertibilityError, Monomial, ParityError,
                                  RewriteSystem, RewriteOrderError,
-                                 UnknownGeneratorError, graded_inverse)
+                                 UnknownGeneratorError, graded_inverse, mono_key)
+from supersphere.monopole import base_space, group_space
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
+
+from oracles import CIRCLE_REWRITES
 
 
 @pytest.fixture(scope="module")
@@ -146,21 +151,44 @@ def test_graded_commutativity_on_random_homogeneous(table):
         assert x * y == sign * (y * x)
 
 
+def mono_divides(lead: Monomial, mono: Monomial) -> bool:
+    le, lo = lead
+    me, mo = mono
+    if not set(lo) <= set(mo):
+        return False
+    exps = dict(me)
+    return all(exps.get(i, 0) >= e for i, e in le)
+
+
+def mono_divide(mono: Monomial, lead: Monomial) -> tuple[int, Monomial]:
+    """mono = sign * quotient * lead; requires mono_divides(lead, mono)."""
+    exps = dict(mono[0])
+    for i, e in lead[0]:
+        exps[i] -= e
+    even_part = tuple(sorted((i, e) for i, e in exps.items() if e > 0))
+    lead_odd = set(lead[1])
+    quot_odd = tuple(i for i in mono[1] if i not in lead_odd)
+    sign = 1
+    for q in quot_odd:
+        for l in lead[1]:
+            if q > l:
+                sign = -sign
+    return sign, (even_part, quot_odd)
+
+
 def _naive_single_step_reduce(x: Element, rewrites: RewriteSystem) -> Element:
-    """Oracle: repeat a single leftmost rewrite until no rule applies."""
-    from supersphere.algebra import mono_divides, mono_divide
+    """Oracle: rewrite the largest reducible monomial by one rule until none is.
+
+    This is the division algorithm; taking the largest monomial first lets
+    every contribution to a monomial merge before it is rewritten.
+    """
+    n = len(x.algebra)
     while True:
-        hit = None
-        for mono in sorted(x.terms):
-            for lead, repl in rewrites.rules:
-                if mono_divides(lead, mono):
-                    hit = (mono, lead, repl)
-                    break
-            if hit:
-                break
-        if hit is None:
+        hits = [(mono, lead, repl) for mono in x.terms
+                for lead, repl in rewrites.rules if mono_divides(lead, mono)]
+        if not hits:
             return x
-        mono, lead, repl = hit
+        mono, lead, repl = max(hits, key=lambda hit: mono_key(hit[0], n))
         coeff = x.terms[mono]
         sign, quot = mono_divide(mono, lead)
         piece = Element(x.algebra, {quot: coeff if sign > 0 else -coeff}) * repl
@@ -184,6 +212,56 @@ def test_reduce_matches_naive_oracle_on_random(table, group_rewrites):
     for _ in range(40):
         x = random_element(table, rng, max_terms=3, max_word=4)
         assert group_rewrites.reduce(x) == _naive_single_step_reduce(x, group_rewrites)
+
+
+_PRODUCTION_REWRITES = {
+    "group": lambda: group_space().rewrites,
+    "base": lambda: base_space().rewrites,
+    "circle": lambda: CIRCLE_REWRITES,
+}
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(_PRODUCTION_REWRITES)), st.integers(0, 2 ** 32 - 1))
+def test_reduce_matches_naive_oracle_on_lead_powers(name, seed):
+    """The closed form against single-step rewriting, up to lead^12."""
+    rewrites = _PRODUCTION_REWRITES[name]()
+    table = rewrites.algebra
+    rng = random.Random(seed)
+    x = random_element(table, rng)
+    for lead, _ in rewrites.rules:
+        x = x * Element(table, {lead: Scalar.one()}) ** rng.randint(0, 12)
+    rx = rewrites.reduce(x)
+    assert rx == _naive_single_step_reduce(x, rewrites)
+    assert rewrites.reduce(rx) == rx
+
+
+def test_reduce_signs_an_odd_replacement_into_the_quotient():
+    # eta, t and eta* are declared before a and a*, so a a* -> eta eta*
+    # decreases the order, and t standing between them brings a sign
+    t = GeneratorTable.build(
+        conjugate_pairs=[("eta", "eta*", ODD), ("t", "t*", ODD), ("a", "a*", EVEN)],
+        order=["eta", "t", "eta*", "t*", "a", "a*"])
+    rules = RewriteSystem(t, [(t.gen("a") * t.gen("a*"), t.gen("eta") * t.gen("eta*"))])
+    x = t.gen("t") * t.gen("a") ** 2 * t.gen("a*")
+    assert rules.reduce(x) == t.gen("t") * t.gen("a") * t.gen("eta") * t.gen("eta*")
+    rng = random.Random(16)
+    for _ in range(40):
+        x = random_element(t, rng, max_terms=3, max_word=5)
+        assert rules.reduce(x) == _naive_single_step_reduce(x, rules)
+
+
+def test_rewrite_system_rejects_rules_without_a_closed_form(table, gens):
+    a, b, eta, etad = gens["a"], gens["b"], gens["eta"], gens["eta*"]
+    zero = table.zero()
+    # with a b -> 0 and a^2 -> b, exhaustive rewriting of a^2 b gives 0 or
+    # b^2 by rule order; b^2 lies in the ideal yet stays irreducible
+    for rules in ([(a * b, zero), (a * a, b)], [(a * a, b), (a * b, zero)],
+                  [(a * eta, zero)],  # an odd lead
+                  [(eta * etad, zero)],  # even, but on odd generators
+                  [(a * a, a)]):  # the replacement shares the lead's a
+        with pytest.raises(ValueError):
+            RewriteSystem(table, rules)
 
 
 def test_reduce_idempotent_and_homomorphism(table, group_rewrites):

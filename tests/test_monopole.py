@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supersphere import monopole
-from supersphere.algebra import (EVEN, ODD, Element, GeneratorTable, RewriteSystem,
-                                 SuperAlgebraError, mono_mul)
+from supersphere.algebra import (EVEN, ODD, Element, GeneratorTable, SuperAlgebraError,
+                                 mono_mul)
 from supersphere.berezin import chern_number
 from supersphere.forms import SuperForm, d
 from supersphere.matrices import BlockShape, EVEN_FIRST, SuperMatrix, sdet
@@ -36,7 +36,8 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 
-from oracles import coordinate_chern_form_corrected, coordinate_chern_report
+from oracles import (CIRCLE_REWRITES, CIRCLE_TABLE, coordinate_chern_form_corrected,
+                     coordinate_chern_report)
 
 
 @pytest.fixture(scope="module")
@@ -352,16 +353,6 @@ def test_equivariance_reports(g):
         for sign in (MINUS, PLUS):
             rep = check_equivariance(sign, n)
             assert rep.psi_covariant and rep.projector_invariant, (sign, n)
-
-
-# The circle action by substitution, the oracle for the charge test: the group
-# generators with the circle pair w, w* adjoined, and w w* -> 1.
-CIRCLE_TABLE = GeneratorTable.build(conjugate_pairs=[
-    ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD), ("w", "w*", EVEN)])
-CIRCLE_REWRITES = RewriteSystem(CIRCLE_TABLE, [
-    (CIRCLE_TABLE.gen("b") * CIRCLE_TABLE.gen("b*"),
-     CIRCLE_TABLE.one() - CIRCLE_TABLE.gen("a") * CIRCLE_TABLE.gen("a*")),
-    (CIRCLE_TABLE.gen("w") * CIRCLE_TABLE.gen("w*"), CIRCLE_TABLE.one())])
 
 
 def u1_images() -> dict[str, Element]:
