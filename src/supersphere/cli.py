@@ -24,10 +24,9 @@ from .berezin import (base_chart, berezin_chern_number, chart_pullback, chern_in
 from .forms import SuperForm, d
 from .matrices import SuperMatrix
 from .monopole import (MINUS, PLUS, base_space, chern_form_canonical,
-                       check_equivariance, connection_closed_form,
-                       connection_form, group_space, group_identities_report,
-                       inversion_identities, nilpotent_exp_report, projector,
-                       projector_to_base, psi)
+                       check_equivariance, connection_form, group_space,
+                       group_identities_report, inversion_identities,
+                       nilpotent_exp_report, projector, projector_to_base, psi)
 from .trig import integrate_half_angle, wallis_integrate
 
 
@@ -339,7 +338,7 @@ def suite_forms(n_max: int) -> list[Check]:
 
     def group_diff_relation(check):
         rel = (g.a * d(g.ad) + g.ad * d(g.a) + g.b * d(g.bd) + g.bd * d(g.b))
-        if not g.ideal.reduce(rel).is_zero:
+        if not g.localizer.is_zero_mod(rel):
             check.fail(rel)
     _run(Check("differential of the unit-superdeterminant relation reduces to 0"),
          group_diff_relation, checks)
@@ -445,10 +444,8 @@ def suite_monopole(n_max: int) -> list[Check]:
 
         for sign in (MINUS, PLUS):
             def connection(check, n=n, sign=sign):
+                # raises, and so fails the check, unless <psi|d psi> is its closed form
                 a_form = connection_form(psi(sign, n))
-                if not g.equal_mod(a_form, connection_closed_form(sign, n)):
-                    check.fail("connection closed form")
-                    return
                 if not g.localizer.is_zero_mod(a_form.diamond() + a_form):
                     check.fail("anti-hermiticity")
             _run(Check("connection 1-form", sign, n), connection, checks)

@@ -60,7 +60,7 @@ class GroupSpace:
 
     table: GeneratorTable
     rewrites: RewriteSystem
-    ideal: DifferentialIdeal
+    ideal: DifferentialIdeal  # no production caller; the benchmark binds it
     localizer: LocalizedModel
 
     def equal_mod(self, x, y) -> bool:
@@ -526,10 +526,22 @@ def section_to_equivariant(sign: str, n: int, f) -> Element:
 # ---------------------------------------------------------------------------
 # connection, curvature, Chern forms
 
+def _verified(computed: SuperForm, closed: SuperForm, what: str) -> SuperForm:
+    """closed, once equal_mod decides it equals the computed pairing form; else raise."""
+    if not group_space().equal_mod(computed, closed):
+        raise SuperAlgebraError("%s: pairing route disagrees with the closed form" % what)
+    return closed
+
+
 def connection_form(psi_vec: PsiVector) -> SuperForm:
-    """A = <psi|d psi>; anti-hermitian 1-superform, reduced by the ideal rules."""
+    """A = <psi|d psi>, returned as connection_closed_form(sign, n) once verified.
+
+    Raises SuperAlgebraError when psi is not normalized or its sign label is wrong.
+    """
     comps = psi_vec.components
-    return group_space().ideal.reduce(pairing(comps, [d(c) for c in comps]))
+    return _verified(pairing(comps, [d(c) for c in comps]),
+                     connection_closed_form(psi_vec.sign, psi_vec.n),
+                     "connection, n=%d" % psi_vec.n)
 
 
 def connection_closed_form(sign: str, n: int) -> SuperForm:
@@ -618,14 +630,10 @@ def chern_form_canonical(sign: str, n: int) -> SuperForm:
     """The paper's expanded expression of C1, verified against the pairing route.
 
     Raises SuperAlgebraError when -(1/(2 pi i)) <d psi|d psi> and the
-    expanded expression disagree modulo the differential ideal (they never
-    should).
+    expanded expression disagree modulo the differential ideal.
     """
-    expanded = chern_intermediate_form(sign, n)
-    if not group_space().equal_mod(chern_form(sign, n), expanded):
-        raise SuperAlgebraError(
-            "Chern pairing route disagrees with the expanded expression at n=%d" % n)
-    return expanded
+    return _verified(chern_form(sign, n), chern_intermediate_form(sign, n),
+                     "Chern, n=%d" % n)
 
 
 def chern_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:

@@ -18,7 +18,7 @@ from supersphere import cli, monopole
 from supersphere.algebra import ODD, Element
 from supersphere.berezin import chern_number
 from supersphere.cli import main
-from supersphere.forms import SuperForm
+from supersphere.forms import DifferentialIdeal, SuperForm
 from supersphere.matrices import SuperMatrix
 from supersphere.monopole import base_space, group_space, projector, projector_to_base, psi
 from supersphere.scalars import Scalar
@@ -272,6 +272,30 @@ def test_verify_catches_drift_from_the_golden_forms(capsys, monkeypatch, suite, 
     code, statuses = _verify_statuses(capsys, suite)
     assert code == 1
     assert statuses[check] == "fail"
+
+
+def test_verify_fails_the_connection_check_for_a_psi_that_is_not_normalized(capsys,
+                                                                           monkeypatch):
+    right = cli.psi
+    monkeypatch.setattr(cli, "psi", lambda sign, n: monopole.PsiVector(
+        sign, n, [c * 2 for c in right(sign, n).components]))
+    code, out, err = run_cli(capsys, "verify", "--suite", "monopole", "--n-max", "1",
+                             "--format", "json")
+    assert code == 1
+    assert "Traceback" not in out + err
+    checks = [c for c in json.loads(out)["checks"] if c["name"] == "connection 1-form"]
+    assert len(checks) == 2
+    assert all(c["status"] == "fail" and "disagrees" in c["witness"] for c in checks)
+
+
+def test_verify_never_calls_the_ideal_reducer(capsys, monkeypatch):
+    """Every verify verdict modulo the ideal comes from the localizer."""
+    def refuse(self, omega):
+        raise AssertionError("DifferentialIdeal.reduce called")
+
+    monkeypatch.setattr(DifferentialIdeal, "reduce", refuse)
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "2")
+    assert code == 0, out
 
 
 def test_verify_catches_a_projector_that_is_not_the_outer_product(capsys, monkeypatch):

@@ -532,10 +532,12 @@ def test_section_to_equivariant_general_shape(g):
 # -- connection forms -----------------------------------------------------------------------
 
 def test_connection_closed_form(g):
-    for n in (1, 2, 3, 4):
-        a_form = connection_form(psi(MINUS, n))
-        closed = g.ideal.reduce(connection_closed_form(MINUS, n))
-        assert a_form == closed, n
+    """connection_form returns the closed form; oracle: the pairing through the ideal rules."""
+    for n in range(1, 7):
+        for sign in (MINUS, PLUS):
+            vec = psi(sign, n)
+            want = g.ideal.reduce(pairing(vec, [d(c) for c in vec.components]))
+            assert connection_form(vec) == want, (sign, n)
 
 
 def test_connection_antihermitian_and_sign_flip(g):
@@ -639,17 +641,26 @@ def test_chern_pairing_route_at_larger_n(g):
             assert chern_form_canonical(sign, n) == want, (sign, n)
 
 
-def test_chern_form_canonical_raises_when_the_pairing_disagrees(g, monkeypatch):
-    """A psi that is not normalized gives a pairing that is not C1."""
+def _scaled(vec):
+    return PsiVector(vec.sign, vec.n, [c * rat(2) for c in vec.components])
+
+
+def _chern_of_scaled_psi(monkeypatch):
     original = monopole.psi
+    monkeypatch.setattr(monopole, "psi", lambda sign, n: _scaled(original(sign, n)))
+    return chern_form_canonical(MINUS, 1)
 
-    def scaled_psi(sign, n):
-        vec = original(sign, n)
-        return PsiVector(vec.sign, vec.n, [c * rat(2) for c in vec.components])
 
-    monkeypatch.setattr(monopole, "psi", scaled_psi)
+@pytest.mark.parametrize("route", [
+    _chern_of_scaled_psi,
+    lambda _: connection_form(_scaled(psi(MINUS, 1))),
+    lambda _: connection_form(PsiVector(PLUS, 1, psi(MINUS, 1).components)),
+], ids=["chern-scaled-psi", "connection-scaled-psi", "connection-wrong-sign-label"])
+def test_chern_form_canonical_raises_when_the_pairing_disagrees(g, monkeypatch, route):
+    """A psi that is not normalized, or whose sign label is wrong, gives a
+    pairing that is not the closed form, and the verified route raises."""
     with pytest.raises(SuperAlgebraError, match="disagrees"):
-        chern_form_canonical(MINUS, 1)
+        route(monkeypatch)
 
 
 def test_chern_body_route_agrees_with_full_route(g):
