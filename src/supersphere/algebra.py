@@ -547,59 +547,49 @@ class SubstitutionMap:
 
 
 class RewriteSystem:
-    """Rewrite rules lead -> replacement, applied in closed form.
+    """The rewrite rule lead -> replacement, applied in closed form.
 
-    Each lead is a monomial in even generators with coefficient 1, and no
-    lead shares a generator with another lead or with any replacement.  So
-    leads with no common generator form a Groebner basis (Buchberger's first
-    criterion), and a monomial q * lead_1^k_1 * lead_2^k_2 ... (largest k_i)
-    has the unique normal form q * repl_1^k_1 * repl_2^k_2 ..., which no rule
-    rewrites again.  Every rule must strictly decrease the graded-lex order.
+    The lead is a monomial in even generators with coefficient 1, the
+    replacement is lower in the graded-lex order and shares no generator with
+    the lead.  One monomial lead is a Groebner basis by itself, so q * lead^k
+    (largest k) has the unique normal form q * replacement^k.
     """
 
-    def __init__(self, algebra: GeneratorTable, rules: Sequence[tuple[Element, Element]] = ()):
+    def __init__(self, algebra: GeneratorTable, lead: Element, replacement: Element):
         self.algebra = algebra
-        self.rules: list[tuple[Monomial, Element]] = []
         n = len(algebra)
-        for lead, repl in rules:
-            mono = next(iter(lead.terms), None)
-            if len(lead.terms) != 1 or lead.terms[mono] != Scalar.one() or mono[1] or not mono[0]:
-                raise ValueError("rule lead must be a monomial in even generators, coefficient 1")
-            if any(mono_key(m, n) >= mono_key(mono, n) for m in repl.terms):
-                raise RewriteOrderError("replacement monomial does not decrease the term order")
-            self.rules.append((mono, repl))
-        lead_gens = [i for lead, _ in self.rules for i, _ in lead[0]]
-        # leads hold only even generators, so only even ones can clash
-        repl_gens = {i for _, repl in self.rules for m in repl.terms for i, _ in m[0]}
-        if len(set(lead_gens)) != len(lead_gens) or repl_gens.intersection(lead_gens):
-            raise ValueError("a rule lead shares a generator with another lead or a replacement")
-        # _powers[r][k] is repl_r^k, each power built from the one below it
-        self._powers: list[list[Element]] = [[algebra.one()] for _ in self.rules]
-
-    def _power(self, r: int, k: int) -> Element:
-        pows = self._powers[r]
-        while len(pows) <= k:
-            pows.append(pows[-1] * self.rules[r][1])
-        return pows[k]
+        mono = next(iter(lead.terms), None)
+        if len(lead.terms) != 1 or lead.terms[mono] != Scalar.one() or mono[1] or not mono[0]:
+            raise ValueError("rule lead must be a monomial in even generators, coefficient 1")
+        if any(mono_key(m, n) >= mono_key(mono, n) for m in replacement.terms):
+            raise RewriteOrderError("replacement monomial does not decrease the term order")
+        # the lead holds only even generators, so only even ones can clash
+        if {i for i, _ in mono[0]}.intersection(i for m in replacement.terms for i, _ in m[0]):
+            raise ValueError("the rule's replacement shares a generator with its lead")
+        self.lead: Monomial = mono
+        self.replacement = replacement
+        # _powers[k] is replacement^k, each power built from the one below it
+        self._powers: list[Element] = [algebra.one()]
 
     def reduce(self, x: Element) -> Element:
         """The unique normal form: each monomial is rewritten once."""
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise AlgebraMismatchError("element lives over a different generator table")
+        lead = self.lead[0]
+        pows = self._powers
         out: dict[Monomial, Scalar] = {}
         for mono, coeff in x.terms.items():
             exps = dict(mono[0])
-            ks = tuple(min(exps.get(i, 0) // e for i, e in lead[0]) for lead, _ in self.rules)
-            if not any(ks):
+            k = min(exps.get(i, 0) // e for i, e in lead)
+            if not k:
                 out[mono] = out[mono] + coeff if mono in out else coeff
                 continue
-            drop = {i: k * e for (lead, _), k in zip(self.rules, ks) for i, e in lead[0]}
-            quot: Monomial = (tuple((i, e - drop.get(i, 0)) for i, e in mono[0]
-                                    if e != drop.get(i, 0)), mono[1])
-            power = self._power(0, ks[0])
-            for r in range(1, len(ks)):
-                power = power * self._power(r, ks[r])
-            for m, s in power.terms.items():
+            for i, e in lead:
+                exps[i] -= k * e
+            quot: Monomial = (tuple((i, e) for i, e in exps.items() if e), mono[1])
+            while len(pows) <= k:
+                pows.append(pows[-1] * self.replacement)
+            for m, s in pows[k].terms.items():
                 prod = mono_mul(quot, m)
                 if prod is None:
                     continue

@@ -125,10 +125,6 @@ def _print_json(obj) -> None:
     write("".join(buf) + "\n")
 
 
-def _sign_flag(value: str) -> str:
-    return MINUS if value == "minus" else PLUS
-
-
 # ---------------------------------------------------------------------------
 # verification suites
 
@@ -524,10 +520,9 @@ SUITES = {
 # commands
 
 def cmd_chern(args) -> int:
-    sign = _sign_flag(args.sign)
     n = args.n
     try:
-        form = chern_form_canonical(sign, n)
+        form = chern_form_canonical(args.sign, n)
         # the printed number is the integral of the printed form
         charge = chern_integral(form)
     except Exception as ex:
@@ -546,19 +541,18 @@ def cmd_chern(args) -> int:
     else:
         print("charge (first Chern number): %d" % charge)
         print("K-label: (charge=%d, parity=even)" % charge)
-        print("Chern 2-superform (reduced):")
+        print("Chern 2-superform (the paper's expanded C1, verified against the pairing):")
         print("  %r" % form)
     return 0
 
 
 def cmd_projector(args) -> int:
-    sign = _sign_flag(args.sign)
     n = args.n
     if args.self_check and (args.coords != "base" or n != 1):
         print("no golden file for --sign %s --n %d --coords %s (golden files exist "
               "for --n 1 --coords base)" % (args.sign, n, args.coords), file=sys.stderr)
         return 2
-    proj = projector(psi(sign, n))
+    proj = projector(psi(args.sign, n))
     if args.coords == "base":
         try:
             mat = projector_to_base(proj)
@@ -570,7 +564,7 @@ def cmd_projector(args) -> int:
         mat = proj.matrix
         algebra = "group"
     if args.self_check:
-        name = "p_minus_1.json" if sign == MINUS else "p_plus_1.json"
+        name = "p_%s_1.json" % args.sign
         want = SuperMatrix.from_obj(base_space().table, _load_fixture(name)["matrix"])
         if mat != want:
             print("golden mismatch for %s" % name, file=sys.stderr)

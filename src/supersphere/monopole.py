@@ -27,6 +27,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 from .algebra import (ONE_MONO, Element, GeneratorTable, Monomial, RewriteSystem, EVEN,
                       ODD, SuperAlgebraError, mono_mul)
@@ -91,7 +93,7 @@ def group_space() -> GroupSpace:
         ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD)])
     a, ad = table.gen("a"), table.gen("a*")
     b, bd = table.gen("b"), table.gen("b*")
-    rewrites = RewriteSystem(table, [(b * bd, table.one() - a * ad)])
+    rewrites = RewriteSystem(table, b * bd, table.one() - a * ad)
     da = SuperForm.differential(table, "a")
     dad = SuperForm.differential(table, "a*")
     dbd = SuperForm.differential(table, "b*")
@@ -134,7 +136,7 @@ def base_space() -> BaseSpace:
     one = table.one()
     x0, x1, x2 = (table.gen(n) for n in ("x0", "x1", "x2"))
     ferm = table.gen("xi-") * table.gen("xi+")
-    rewrites = RewriteSystem(table, [(x0 * x0, one - x1 ** 2 - x2 ** 2 - 2 * ferm)])
+    rewrites = RewriteSystem(table, x0 * x0, one - x1 ** 2 - x2 ** 2 - 2 * ferm)
     return BaseSpace(table, rewrites)
 
 
@@ -302,7 +304,7 @@ def inversion_identities() -> list[IdentityCheck]:
     g = group_space()
     images = coordinate_images()
     out = []
-    for name, (mono, image) in _invariant_units(g, base_space()).items():
+    for name, (mono, image) in _invariant_units().items():
         unit = Element(g.table, {mono: Scalar.one()})
         diff = g.rewrites.reduce(unit - image.substitute(images, g.table))
         out.append(IdentityCheck(name, diff.is_zero, None if diff.is_zero else diff))
@@ -721,8 +723,13 @@ class CoordinateEmissionError(SuperAlgebraError):
     """Raised when an entry does not factor through the base invariants."""
 
 
-def _invariant_units(g: GroupSpace, s: BaseSpace) -> dict[str, tuple[Monomial, Element]]:
-    """Each bilinear invariant by name: (group monomial, base expression)."""
+@functools.cache
+def _invariant_units() -> Mapping[str, tuple[Monomial, Element]]:
+    """Each bilinear invariant by name: (group monomial, base expression).
+
+    Built on the first call and shared afterwards, so the mapping is read-only.
+    """
+    g, s = group_space(), base_space()
     one = s.table.one()
     i = Scalar.i()
     x0, x1, x2, xim, xip = s.x0, s.x1, s.x2, s.xim, s.xip
@@ -743,7 +750,7 @@ def _invariant_units(g: GroupSpace, s: BaseSpace) -> dict[str, tuple[Monomial, E
         if list(group.terms.values()) != [Scalar.one()]:
             raise CoordinateEmissionError("invariant %s is not a unit monomial: %r" % (name, group))
         table[name] = (next(iter(group.terms)), image)
-    return table
+    return MappingProxyType(table)
 
 
 def _factor_invariants(names: list[str], mono: Monomial) -> tuple[str, ...]:
@@ -772,42 +779,45 @@ def _factor_invariants(names: list[str], mono: Monomial) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def _base_converter(space: GroupSpace, base: BaseSpace):
+def _base_converter():
     """A function taking U(1)-invariant group elements to sphere coordinates.
 
     Its table maps each factorization (u1, ..., uk) into bilinear invariants
-    to (group monomial, sign, base image, signed image as a Gaussian vector),
-    each built from its prefix; the entries of one matrix share most
-    factorizations, so they share the table.
+    to (group monomial, signed base image, the same image as a Gaussian
+    vector), each built from its prefix; the entries of one matrix share most
+    factorizations, so they share the table, which lives as long as the
+    returned function.
     """
-    units = _invariant_units(space, base)
-    names = space.table.names
+    units = _invariant_units()
+    names = group_space().table.names
+    base = base_space()
     reduce = base.rewrites.reduce
     one = base.table.one()
-    table: dict[tuple[str, ...], tuple[Monomial, int, Element, GaussianVector]] = {
-        (): (ONE_MONO, 1, one, gaussian_vector(one.terms))}
+    table: dict[tuple[str, ...], tuple[Monomial, Element, GaussianVector]] = {
+        (): (ONE_MONO, one, gaussian_vector(one.terms))}
 
-    def image(key: tuple[str, ...]) -> tuple[Monomial, int, Element, GaussianVector]:
+    def image(key: tuple[str, ...]) -> tuple[Monomial, Element, GaussianVector]:
         hit = table.get(key)
         if hit is None:
-            mono, sign, img, _ = image(key[:-1])
+            mono, img, _ = image(key[:-1])
             unit_mono, unit_img = units[key[-1]]
             # at most one unit is odd, so the product never vanishes
             unit_sign, mono = mono_mul(mono, unit_mono)
-            sign *= unit_sign
             img = reduce(img * unit_img)
-            vec = gaussian_vector((img if sign > 0 else -img).terms)
+            if unit_sign < 0:
+                img = -img
+            vec = gaussian_vector(img.terms)
             # every image coefficient is a Gaussian rational; to_base relies on it
             if vec is None:
                 raise CoordinateEmissionError("image of %r is not over the Gaussian rationals"
                                               % (key,))
-            hit = table[key] = (mono, sign, img, vec)
+            hit = table[key] = (mono, img, vec)
         return hit
 
     def to_base(x: Element) -> Element:
         pairs = []
         for mono, coeff in x.terms.items():
-            got, _, _, vec = image(_factor_invariants(names, mono))
+            got, _, vec = image(_factor_invariants(names, mono))
             # the candidate factorization must reproduce the monomial
             if got != mono:
                 raise CoordinateEmissionError("factorization failed for %r" % (mono,))
@@ -827,7 +837,7 @@ def element_to_base(x: Element) -> Element:
     factorization is verified against the monomial, so a wrong pairing cannot
     produce a silent error.
     """
-    return _base_converter(group_space(), base_space())(x)
+    return _base_converter()(x)
 
 
 def projector_to_base(proj: Projector) -> SuperMatrix:
@@ -836,7 +846,7 @@ def projector_to_base(proj: Projector) -> SuperMatrix:
     Only the entries with alpha <= beta are converted; _self_adjoint mirrors
     the rest, since image(u^dia) = image(u)^dia for every bilinear invariant u.
     """
-    to_base = _base_converter(group_space(), base_space())
+    to_base = _base_converter()
     entries = proj.matrix.entries
     return _self_adjoint(proj.matrix.shape, lambda alpha, beta: to_base(entries[alpha][beta]))
 

@@ -31,8 +31,7 @@ def gens(table):
 
 @pytest.fixture(scope="module")
 def group_rewrites(table, gens):
-    return RewriteSystem(table, [(gens["b"] * gens["b*"],
-                                  table.one() - gens["a"] * gens["a*"])])
+    return RewriteSystem(table, gens["b"] * gens["b*"], table.one() - gens["a"] * gens["a*"])
 
 
 def test_normalize_examples(table, gens):
@@ -176,7 +175,11 @@ def mono_divide(mono: Monomial, lead: Monomial) -> tuple[int, Monomial]:
     return sign, (even_part, quot_odd)
 
 
-def _naive_single_step_reduce(x: Element, rewrites: RewriteSystem) -> Element:
+def _rules(*systems: RewriteSystem) -> list[tuple[Monomial, Element]]:
+    return [(rewrites.lead, rewrites.replacement) for rewrites in systems]
+
+
+def _naive_single_step_reduce(x: Element, rules: list[tuple[Monomial, Element]]) -> Element:
     """Oracle: rewrite the largest reducible monomial by one rule until none is.
 
     This is the division algorithm; taking the largest monomial first lets
@@ -185,7 +188,7 @@ def _naive_single_step_reduce(x: Element, rewrites: RewriteSystem) -> Element:
     n = len(x.algebra)
     while True:
         hits = [(mono, lead, repl) for mono in x.terms
-                for lead, repl in rewrites.rules if mono_divides(lead, mono)]
+                for lead, repl in rules if mono_divides(lead, mono)]
         if not hits:
             return x
         mono, lead, repl = max(hits, key=lambda hit: mono_key(hit[0], n))
@@ -203,7 +206,7 @@ def test_reduce_examples(table, gens, group_rewrites):
     assert group_rewrites.reduce(b * bd) == one - a * ad
     cubed = (a * ad + b * bd) ** 3
     assert group_rewrites.reduce(cubed) == one
-    assert _naive_single_step_reduce(cubed, group_rewrites) == one
+    assert _naive_single_step_reduce(cubed, _rules(group_rewrites)) == one
     assert group_rewrites.reduce(gens["eta"]) == gens["eta"]
 
 
@@ -211,12 +214,14 @@ def test_reduce_matches_naive_oracle_on_random(table, group_rewrites):
     rng = random.Random(14)
     for _ in range(40):
         x = random_element(table, rng, max_terms=3, max_word=4)
-        assert group_rewrites.reduce(x) == _naive_single_step_reduce(x, group_rewrites)
+        assert group_rewrites.reduce(x) == _naive_single_step_reduce(x, _rules(group_rewrites))
 
 
+# each entry is reduced by its systems in turn; the circle's two leads share
+# no generator, so that gives the normal form modulo both rules
 _PRODUCTION_REWRITES = {
-    "group": lambda: group_space().rewrites,
-    "base": lambda: base_space().rewrites,
+    "group": lambda: (group_space().rewrites,),
+    "base": lambda: (base_space().rewrites,),
     "circle": lambda: CIRCLE_REWRITES,
 }
 
@@ -225,15 +230,17 @@ _PRODUCTION_REWRITES = {
 @given(st.sampled_from(sorted(_PRODUCTION_REWRITES)), st.integers(0, 2 ** 32 - 1))
 def test_reduce_matches_naive_oracle_on_lead_powers(name, seed):
     """The closed form against single-step rewriting, up to lead^12."""
-    rewrites = _PRODUCTION_REWRITES[name]()
-    table = rewrites.algebra
+    systems = _PRODUCTION_REWRITES[name]()
+    table = systems[0].algebra
     rng = random.Random(seed)
     x = random_element(table, rng)
-    for lead, _ in rewrites.rules:
-        x = x * Element(table, {lead: Scalar.one()}) ** rng.randint(0, 12)
-    rx = rewrites.reduce(x)
-    assert rx == _naive_single_step_reduce(x, rewrites)
-    assert rewrites.reduce(rx) == rx
+    for rewrites in systems:
+        x = x * Element(table, {rewrites.lead: Scalar.one()}) ** rng.randint(0, 12)
+    rx = x
+    for rewrites in systems:
+        rx = rewrites.reduce(rx)
+    assert rx == _naive_single_step_reduce(x, _rules(*systems))
+    assert all(rewrites.reduce(rx) == rx for rewrites in systems)
 
 
 def test_reduce_signs_an_odd_replacement_into_the_quotient():
@@ -242,26 +249,24 @@ def test_reduce_signs_an_odd_replacement_into_the_quotient():
     t = GeneratorTable.build(
         conjugate_pairs=[("eta", "eta*", ODD), ("t", "t*", ODD), ("a", "a*", EVEN)],
         order=["eta", "t", "eta*", "t*", "a", "a*"])
-    rules = RewriteSystem(t, [(t.gen("a") * t.gen("a*"), t.gen("eta") * t.gen("eta*"))])
+    rewrites = RewriteSystem(t, t.gen("a") * t.gen("a*"), t.gen("eta") * t.gen("eta*"))
     x = t.gen("t") * t.gen("a") ** 2 * t.gen("a*")
-    assert rules.reduce(x) == t.gen("t") * t.gen("a") * t.gen("eta") * t.gen("eta*")
+    assert rewrites.reduce(x) == t.gen("t") * t.gen("a") * t.gen("eta") * t.gen("eta*")
     rng = random.Random(16)
     for _ in range(40):
         x = random_element(t, rng, max_terms=3, max_word=5)
-        assert rules.reduce(x) == _naive_single_step_reduce(x, rules)
+        assert rewrites.reduce(x) == _naive_single_step_reduce(x, _rules(rewrites))
 
 
 def test_rewrite_system_rejects_rules_without_a_closed_form(table, gens):
-    a, b, eta, etad = gens["a"], gens["b"], gens["eta"], gens["eta*"]
+    a, eta, etad = gens["a"], gens["eta"], gens["eta*"]
     zero = table.zero()
-    # with a b -> 0 and a^2 -> b, exhaustive rewriting of a^2 b gives 0 or
-    # b^2 by rule order; b^2 lies in the ideal yet stays irreducible
-    for rules in ([(a * b, zero), (a * a, b)], [(a * a, b), (a * b, zero)],
-                  [(a * eta, zero)],  # an odd lead
-                  [(eta * etad, zero)],  # even, but on odd generators
-                  [(a * a, a)]):  # the replacement shares the lead's a
+    for lead, repl in ((2 * (a * a), zero),  # coefficient 2
+                       (a * eta, zero),  # an odd lead
+                       (eta * etad, zero),  # even, but on odd generators
+                       (a * a, a)):  # the replacement shares the lead's a
         with pytest.raises(ValueError):
-            RewriteSystem(table, rules)
+            RewriteSystem(table, lead, repl)
 
 
 def test_reduce_idempotent_and_homomorphism(table, group_rewrites):
@@ -278,7 +283,7 @@ def test_reduce_idempotent_and_homomorphism(table, group_rewrites):
 def test_rewrite_rule_must_decrease_order(table, gens):
     # replacing a a* by b b* increases the graded-lex order (b-terms lead)
     with pytest.raises(RewriteOrderError):
-        RewriteSystem(table, [(gens["a"] * gens["a*"], gens["b"] * gens["b*"])])
+        RewriteSystem(table, gens["a"] * gens["a*"], gens["b"] * gens["b*"])
 
 
 def test_substitute_u1_action(table, gens, group_rewrites):
@@ -287,10 +292,12 @@ def test_substitute_u1_action(table, gens, group_rewrites):
     images = {n: ext.gen(n) * ext.gen("w") for n in ("a", "b", "eta")}
     images.update({n + "*": ext.gen(n + "*") * ext.gen("w*") for n in ("a", "b", "eta")})
     moved = (gens["a"] * gens["a*"] + gens["b"] * gens["b*"]).substitute(images, ext)
-    rules = RewriteSystem(ext, [
-        (ext.gen("b") * ext.gen("b*"), ext.one() - ext.gen("a") * ext.gen("a*")),
-        (ext.gen("w") * ext.gen("w*"), ext.one())])
-    assert rules.reduce(moved) == ext.one()
+    # the two leads share no generator, so reducing by each in turn gives the
+    # normal form modulo both
+    unit_det = RewriteSystem(ext, ext.gen("b") * ext.gen("b*"),
+                             ext.one() - ext.gen("a") * ext.gen("a*"))
+    circle = RewriteSystem(ext, ext.gen("w") * ext.gen("w*"), ext.one())
+    assert circle.reduce(unit_det.reduce(moved)) == ext.one()
 
 
 def test_substitute_identity_and_parity_error(table, gens):

@@ -36,7 +36,7 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 
-from oracles import (CIRCLE_REWRITES, CIRCLE_TABLE, coordinate_chern_form_corrected,
+from oracles import (CIRCLE_TABLE, circle_reduce, coordinate_chern_form_corrected,
                      coordinate_chern_report)
 
 
@@ -146,14 +146,10 @@ def test_inversion_identities_hold(g):
 def test_inversion_identities_check_the_emission_table(g, monkeypatch):
     # the identities are the emission table's own base images, so a wrong
     # sign in one of them is reported under its name
-    original = monopole._invariant_units
-
-    def flipped(space, base):
-        units = original(space, base)
-        mono, image = units["b a*"]
-        units["b a*"] = (mono, -image)
-        return units
-    monkeypatch.setattr(monopole, "_invariant_units", flipped)
+    units = dict(_invariant_units())
+    mono, image = units["b a*"]
+    units["b a*"] = (mono, -image)
+    monkeypatch.setattr(monopole, "_invariant_units", lambda: units)
     assert [item.name for item in inversion_identities() if not item.holds] == ["b a*"]
 
 
@@ -386,10 +382,10 @@ def _substitution_report(sign, n) -> EquivarianceReport:
     vec = monopole.psi(sign, n)
     w_pow = CIRCLE_TABLE.gen("w" if sign == MINUS else "w*") ** n
     covariant = all(
-        CIRCLE_REWRITES.reduce(c.substitute(images, CIRCLE_TABLE) - w_pow * _lift(c)).is_zero
+        circle_reduce(c.substitute(images, CIRCLE_TABLE) - w_pow * _lift(c)).is_zero
         for c in vec.components)
     invariant = all(
-        CIRCLE_REWRITES.reduce(e.substitute(images, CIRCLE_TABLE) - _lift(e)).is_zero
+        circle_reduce(e.substitute(images, CIRCLE_TABLE) - _lift(e)).is_zero
         for row in monopole.projector(vec).matrix.entries for e in row)
     return EquivarianceReport(sign, n, covariant, invariant)
 
@@ -480,7 +476,7 @@ def test_psi_covariance_exact_power(g):
     w = CIRCLE_TABLE.gen("w")
     for comp in v.components:
         moved = comp.substitute(images, CIRCLE_TABLE)
-        assert CIRCLE_REWRITES.reduce(moved - w * _lift(comp)).is_zero
+        assert circle_reduce(moved - w * _lift(comp)).is_zero
 
 
 def test_unit_circle_substitution_is_identity(g):
@@ -497,7 +493,7 @@ def test_circle_action_is_right_multiplication(g):
     moved = s.substitute(u1_images(), CIRCLE_TABLE)
     prod = s @ u1_embedding()
     diff = moved - prod
-    assert all(CIRCLE_REWRITES.reduce(e).is_zero for row in diff.entries for e in row)
+    assert all(circle_reduce(e).is_zero for row in diff.entries for e in row)
 
 
 # -- sections and equivariant maps --------------------------------------------------------
@@ -708,7 +704,7 @@ def _element_to_base_oracle(x, g, base):
     invariants, multiply their group elements and base expressions, check the
     group product against the monomial, and reduce the sum once."""
     units = {name: (_unit_group(g, name), expr)
-             for name, (_, expr) in _invariant_units(g, base).items()}
+             for name, (_, expr) in _invariant_units().items()}
     out = base.table.zero()
     for mono, coeff in x.terms.items():
         group_prod, base_prod = g.table.one(), base.table.one()
@@ -747,7 +743,7 @@ def test_projector_to_base_matches_entrywise_conversion(g, sign, n):
     """The mirrored lower triangle equals converting every entry."""
     base = base_space()
     proj = projector(psi(sign, n))
-    to_base = _base_converter(g, base)
+    to_base = _base_converter()
     want = [[to_base(e) for e in row] for row in proj.matrix.entries]
     assert projector_to_base(proj).entries == want
 
@@ -756,9 +752,9 @@ def test_base_converter_commutes_with_diamond(g):
     """image(x^dia) = image(x)^dia on the nine bilinear invariants and on all
     their products of up to three factors, before and after reduction."""
     base = base_space()
-    to_base = _base_converter(g, base)
+    to_base = _base_converter()
     units = [Element(g.table, {mono: Scalar.one()})
-             for mono, _ in _invariant_units(g, base).values()]
+             for mono, _ in _invariant_units().values()]
     assert len(units) == 9
     seen = 0
     for k in (1, 2, 3):
@@ -788,7 +784,7 @@ _rationals = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=
 _scalars = st.lists(st.builds(Scalar.of, _rationals, _rationals, st.sampled_from((1, 2, 6)),
                               st.integers(-1, 1)),
                     min_size=1, max_size=3).map(lambda parts: sum(parts, Scalar.zero()))
-_UNIT_NAMES = tuple(_invariant_units(group_space(), base_space()))
+_UNIT_NAMES = tuple(_invariant_units())
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -800,7 +796,7 @@ def test_base_converter_matches_per_monomial_oracle_on_invariant_sums(terms):
     so its output coefficients must be dropped."""
     g, base = group_space(), base_space()
     units = {name: Element(g.table, {mono: Scalar.one()})
-             for name, (mono, _) in _invariant_units(g, base).items()}
+             for name, (mono, _) in _invariant_units().items()}
     relation = units["a a*"] + units["b b*"] - 1
     x = g.table.zero()
     for coeff, names, cancel in terms:
@@ -808,19 +804,42 @@ def test_base_converter_matches_per_monomial_oracle_on_invariant_sums(terms):
         for name in names:
             term = term * units[name]
         x = x + (term * relation if cancel else term)
-    assert _base_converter(g, base)(x) == _element_to_base_oracle(x, g, base)
+    assert _base_converter()(x) == _element_to_base_oracle(x, g, base)
 
 
 def test_base_converter_rejects_an_image_off_the_gaussian_rationals(g, monkeypatch):
     base = base_space()
-    units = dict(_invariant_units(g, base))
+    units = dict(_invariant_units())
     mono, image = units["a a*"]
     units["a a*"] = (mono, image * Scalar.sqrt_int(2))
-    monkeypatch.setattr(monopole, "_invariant_units", lambda space, s: units)
-    to_base = _base_converter(g, base)
+    monkeypatch.setattr(monopole, "_invariant_units", lambda: units)
+    to_base = _base_converter()
     assert to_base(g.b * g.bd) == _element_to_base_oracle(g.b * g.bd, g, base)
     with pytest.raises(CoordinateEmissionError, match="Gaussian rationals"):
         to_base(g.a * g.ad)
+
+
+def test_invariant_units_are_one_read_only_table():
+    units = _invariant_units()
+    assert _invariant_units() is units
+    assert len(units) == 9
+    with pytest.raises(TypeError):
+        units["a a*"] = units["b b*"]
+
+
+def test_projector_to_base_builds_its_table_per_call(monkeypatch):
+    """The prefix table lives as long as one conversion, so a second call
+    builds every image again instead of holding them for the process."""
+    rewrites = base_space().rewrites
+    original = rewrites.reduce
+    calls = []
+    monkeypatch.setattr(rewrites, "reduce", lambda x: calls.append(x) or original(x))
+    proj = projector(psi(MINUS, 2))
+    first = projector_to_base(proj)
+    built = len(calls)
+    assert built > 0
+    assert projector_to_base(proj) == first
+    assert len(calls) == 2 * built
 
 
 def test_element_to_base_rejects_non_invariant(g):
@@ -830,13 +849,13 @@ def test_element_to_base_rejects_non_invariant(g):
         element_to_base(g.eta)
 
 
-def test_element_to_base_checks_the_factorization():
+def test_element_to_base_checks_the_factorization(monkeypatch):
     # the factorization ignores odd generators other than eta, eta*, so only
-    # the check of the units' product against the monomial catches a t
+    # the check of the units' product against the monomial catches a t;
     # the converter reads only the table of the group space
     table = GeneratorTable.build(conjugate_pairs=[
         ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD), ("t", "t*", ODD)])
     space = dataclasses.replace(group_space(), table=table)
-    to_base = _base_converter(space, base_space())
+    monkeypatch.setattr(monopole, "group_space", lambda: space)
     with pytest.raises(CoordinateEmissionError, match="factorization failed"):
-        to_base(space.a * space.ad * space.table.gen("t"))
+        element_to_base(space.a * space.ad * space.table.gen("t"))
