@@ -30,11 +30,6 @@ from .monopole import (MINUS, PLUS, base_space, chern_form_canonical,
 from .trig import integrate_half_angle, wallis_integrate
 
 
-def _load_fixture(name: str) -> dict:
-    with resources.files("supersphere.fixtures").joinpath(name).open() as fh:
-        return json.load(fh)
-
-
 # pieces of text _print_json joins into one write
 _CHUNK_PIECES = 4096
 
@@ -127,6 +122,12 @@ def _print_json(obj) -> None:
 
 # ---------------------------------------------------------------------------
 # verification suites
+#
+# A check is a function that returns None when it holds and its witness when
+# it fails; _run times it and records the verdict.
+
+_SIGN_WORDS = {MINUS: "minus", PLUS: "plus"}
+
 
 class Check:
     def __init__(self, name: str, sign: str | None = None, n: int | None = None):
@@ -154,7 +155,7 @@ class Check:
     def to_obj(self) -> dict:
         out = {"name": self.name, "status": self.status, "elapsed": round(self.elapsed, 4)}
         if self.sign is not None:
-            out["sign"] = "minus" if self.sign == MINUS else "plus"
+            out["sign"] = _SIGN_WORDS[self.sign]
         if self.n is not None:
             out["n"] = self.n
         if self.witness is not None:
@@ -162,349 +163,304 @@ class Check:
         return out
 
 
-def _run(check: Check, fn, out: list[Check]) -> None:
+def _run(name: str, fn, sign: str | None = None, n: int | None = None) -> Check:
+    """The verdict of the check fn(), timed; an exception is a failure."""
+    check = Check(name, sign, n)
     t0 = time.perf_counter()
     try:
-        fn(check)
+        witness = fn()
     except Exception as ex:  # report, never crash the suite
-        check.fail("%s: %s" % (type(ex).__name__, ex))
+        witness = "%s: %s" % (type(ex).__name__, ex)
+    if witness is not None:
+        check.fail(witness)
     check.elapsed = time.perf_counter() - t0
-    out.append(check)
+    return check
+
+
+def _each_n(name: str, fn, n_max: int, signs=(MINUS, PLUS)) -> list[Check]:
+    """The verdicts of fn(sign, n) for n = 1..n_max and each sign; signs=(None,)
+    runs a check once per n."""
+    return [_run(name, functools.partial(fn, sign, n), sign, n)
+            for n in range(1, n_max + 1) for sign in signs]
+
+
+def _fixture_differs(got, name: str) -> bool:
+    """Whether got differs from the packaged golden file name, read over the
+    algebra the file names."""
+    with resources.files("supersphere.fixtures").joinpath(name).open() as fh:
+        payload = json.load(fh)
+    table = (base_space() if payload["algebra"] == "base" else group_space()).table
+    if "matrix" in payload:
+        return got != SuperMatrix.from_obj(table, payload["matrix"])
+    return got != SuperForm.from_obj(table, payload["form"])
 
 
 def suite_algebra(n_max: int) -> list[Check]:
     import random
     from .tests_support import random_element
     g = group_space()
-    checks: list[Check] = []
     rng = random.Random(20260808)
 
-    def graded_commutativity(check):
+    def graded_commutativity():
         for _ in range(100):
             px, py = rng.randint(0, 1), rng.randint(0, 1)
             x = random_element(g.table, rng, parity=px)
             y = random_element(g.table, rng, parity=py)
             sign = -1 if px and py else 1
             if not (x * y - sign * (y * x)).is_zero:
-                check.fail((x, y))
-                return
-    _run(Check("graded commutativity on random homogeneous elements"),
-         graded_commutativity, checks)
+                return (x, y)
 
-    def involution(check):
+    def involution():
         for _ in range(100):
             parity = rng.randint(0, 1)
             x = random_element(g.table, rng, parity=parity)
             sign = -1 if parity else 1
             if not (x.diamond().diamond() - sign * x).is_zero:
-                check.fail(x)
-                return
+                return x
             y = random_element(g.table, rng)
             if not ((x * y).diamond() - x.diamond() * y.diamond()).is_zero:
-                check.fail((x, y))
-                return
-    _run(Check("diamond involution and multiplicativity"), involution, checks)
+                return (x, y)
 
-    def rewrite_laws(check):
+    def rewrite_laws():
+        reduce = g.rewrites.reduce
         for _ in range(50):
             x = random_element(g.table, rng)
             y = random_element(g.table, rng)
-            rx = g.rewrites.reduce(x)
-            if not (g.rewrites.reduce(rx) - rx).is_zero:
-                check.fail(x)
-                return
-            lhs = g.rewrites.reduce(x * y)
-            rhs = g.rewrites.reduce(g.rewrites.reduce(x) * g.rewrites.reduce(y))
-            if not (lhs - rhs).is_zero:
-                check.fail((x, y))
-                return
-    _run(Check("rewrite idempotence and homomorphism"), rewrite_laws, checks)
+            rx = reduce(x)
+            if not (reduce(rx) - rx).is_zero:
+                return x
+            if not (reduce(x * y) - reduce(reduce(x) * reduce(y))).is_zero:
+                return (x, y)
 
-    def body_soul(check):
+    def body_soul():
         for _ in range(50):
             x = random_element(g.table, rng)
             y = random_element(g.table, rng)
-            if not (x.body() + x.soul() - x).is_zero:
-                check.fail(x)
-                return
-            if not (x.body().body() - x.body()).is_zero:
-                check.fail(x)
-                return
+            if not (x.body() + x.soul() - x).is_zero or not (x.body().body() - x.body()).is_zero:
+                return x
             if not ((x * y).body() - x.body() * y.body()).is_zero:
-                check.fail((x, y))
-                return
-    _run(Check("body and soul decomposition laws"), body_soul, checks)
-    return checks
+                return (x, y)
+
+    return [_run("graded commutativity on random homogeneous elements", graded_commutativity),
+            _run("diamond involution and multiplicativity", involution),
+            _run("rewrite idempotence and homomorphism", rewrite_laws),
+            _run("body and soul decomposition laws", body_soul)]
 
 
 def suite_matrix(n_max: int) -> list[Check]:
     from .tests_support import random_supermatrix  # local helper module
     import random
     g = group_space()
-    checks: list[Check] = []
     rng = random.Random(424242)
 
-    def st_law(check):
-        for _ in range(50):
-            x = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
-            y = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
-            sign = -1 if x.parity and y.parity else 1
-            lhs = (x @ y).supertranspose()
-            rhs = (y.supertranspose() @ x.supertranspose())
-            rhs = rhs if sign > 0 else -rhs
-            if lhs != rhs:
-                check.fail("supertranspose product law")
-                return
-    _run(Check("supertranspose product law on random supermatrices"), st_law, checks)
+    def draw_pair():
+        x = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
+        y = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
+        return x, y, -1 if x.parity and y.parity else 1
 
-    def str_laws(check):
+    def st_law():
         for _ in range(50):
-            x = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
-            y = random_supermatrix(g.table, rng, parity=rng.randint(0, 1))
+            x, y, sign = draw_pair()
+            rhs = y.supertranspose() @ x.supertranspose()
+            if (x @ y).supertranspose() != (rhs if sign > 0 else -rhs):
+                return "supertranspose product law"
+
+    def str_laws():
+        for _ in range(50):
+            x, y, sign = draw_pair()
             if x.supertranspose().supertrace() != x.supertrace():
-                check.fail("Str st")
-                return
-            sign = -1 if x.parity and y.parity else 1
-            lhs = (x @ y).supertrace()
-            rhs = (y @ x).supertrace()
-            if not (lhs - sign * rhs).is_zero:
-                check.fail("Str cyclicity")
-                return
-    _run(Check("supertrace laws on random supermatrices"), str_laws, checks)
+                return "Str st"
+            if not ((x @ y).supertrace() - sign * (y @ x).supertrace()).is_zero:
+                return "Str cyclicity"
 
-    def sdet_laws(check):
+    def sdet_laws():
         from .matrices import sdet
         for _ in range(12):
             x = random_supermatrix(g.table, rng, parity=0, invertible=True)
             y = random_supermatrix(g.table, rng, parity=0, invertible=True)
             sx, sy = sdet(x, g.rewrites), sdet(y, g.rewrites)
-            sxy = sdet(x @ y, g.rewrites)
-            if not g.rewrites.reduce(sxy - sx * sy).is_zero:
-                check.fail("Sdet multiplicativity")
-                return
+            if not g.rewrites.reduce(sdet(x @ y, g.rewrites) - sx * sy).is_zero:
+                return "Sdet multiplicativity"
             if not g.rewrites.reduce(sdet(x.supertranspose(), g.rewrites) - sx).is_zero:
-                check.fail("Sdet supertranspose")
-                return
-    _run(Check("superdeterminant laws on random invertible matrices"), sdet_laws, checks)
+                return "Sdet supertranspose"
 
-    def osp_closure(check):
+    def osp_closure():
         from .linear import expand_in_basis
         from .matrices import graded_bracket
         fix = monopole.osp_fixtures()
         basis = list(fix.values())
         for na, xa in fix.items():
             for nb, xb in fix.items():
-                br = graded_bracket(xa, xb)
-                if expand_in_basis(br, basis) is None:
-                    check.fail("bracket [%s,%s] left the span" % (na, nb))
-                    return
-    _run(Check("osp generator matrices close under the graded bracket"),
-         osp_closure, checks)
-    return checks
+                if expand_in_basis(graded_bracket(xa, xb), basis) is None:
+                    return "bracket [%s,%s] left the span" % (na, nb)
+
+    return [_run("supertranspose product law on random supermatrices", st_law),
+            _run("supertrace laws on random supermatrices", str_laws),
+            _run("superdeterminant laws on random invertible matrices", sdet_laws),
+            _run("osp generator matrices close under the graded bracket", osp_closure)]
 
 
 def suite_forms(n_max: int) -> list[Check]:
     import random
     from .tests_support import random_element
     g = group_space()
-    checks: list[Check] = []
     rng = random.Random(777)
-    names = g.table.names
 
-    def d_squared(check):
+    def one_form():
+        return random_element(g.table, rng) * g.differential(rng.choice(g.table.names))
+
+    def d_squared():
         for _ in range(100):
             x = random_element(g.table, rng)
             if not d(d(x)).is_zero:
-                check.fail(x)
-                return
-            omega = random_element(g.table, rng) * g.differential(rng.choice(names))
+                return x
+            omega = one_form()
             if not d(d(omega)).is_zero:
-                check.fail(omega)
-                return
-    _run(Check("d . d = 0 on random elements and 1-forms"), d_squared, checks)
+                return omega
 
-    def leibniz(check):
+    def leibniz():
         for _ in range(50):
             x = random_element(g.table, rng)
             y = random_element(g.table, rng)
             if not (d(x * y) - (d(x) * y + x * d(y))).is_zero:
-                check.fail((x, y))
-                return
-    _run(Check("graded Leibniz rule on functions"), leibniz, checks)
+                return (x, y)
 
-    def group_diff_relation(check):
+    def group_diff_relation():
         rel = (g.a * d(g.ad) + g.ad * d(g.a) + g.b * d(g.bd) + g.bd * d(g.b))
         if not g.localizer.is_zero_mod(rel):
-            check.fail(rel)
-    _run(Check("differential of the unit-superdeterminant relation reduces to 0"),
-         group_diff_relation, checks)
+            return rel
 
-    def body_morphism(check):
+    def body_morphism():
         for _ in range(50):
-            omega = random_element(g.table, rng) * g.differential(rng.choice(names))
-            tau = random_element(g.table, rng) * g.differential(rng.choice(names))
-            lhs = (omega * tau).body_project()
-            rhs = omega.body_project() * tau.body_project()
-            if lhs != rhs:
-                check.fail((omega, tau))
-                return
-    _run(Check("body projection is a wedge-algebra morphism"), body_morphism, checks)
-    return checks
+            omega, tau = one_form(), one_form()
+            if (omega * tau).body_project() != omega.body_project() * tau.body_project():
+                return (omega, tau)
+
+    return [_run("d . d = 0 on random elements and 1-forms", d_squared),
+            _run("graded Leibniz rule on functions", leibniz),
+            _run("differential of the unit-superdeterminant relation reduces to 0",
+                 group_diff_relation),
+            _run("body projection is a wedge-algebra morphism", body_morphism)]
 
 
 def suite_monopole(n_max: int) -> list[Check]:
     g = group_space()
-    checks: list[Check] = []
 
-    def identities(check):
-        for item in group_identities_report():
-            if not item.holds:
-                check.fail(item.name)
-                return
-    _run(Check("group element unitarity, Sdet, sphere relation"), identities, checks)
-
-    def inversions(check):
-        for item in inversion_identities():
-            if not item.holds:
-                check.fail(item.name)
-                return
-    _run(Check("coordinate inversion identities"), inversions, checks)
-
-    def exp_factorization(check):
+    def exp_factorization():
         rep = nilpotent_exp_report()
         if not (rep.bch_equal and rep.sum_matches_group_factor
                 and rep.terminates_at_order_two):
-            check.fail("exponential factorization structure")
-    _run(Check("odd exponential factorization (commutator-corrected)"),
-         exp_factorization, checks)
+            return "exponential factorization structure"
 
-    def golden(check):
-        payload = _load_fixture("p_minus_1.json")
-        want = SuperMatrix.from_obj(base_space().table, payload["matrix"])
-        got = projector_to_base(projector(psi(MINUS, 1)))
-        if got != want:
-            check.fail("sign minus projector differs from p_minus_1.json")
-            return
-        payload = _load_fixture("p_plus_1.json")
-        want = SuperMatrix.from_obj(base_space().table, payload["matrix"])
-        if projector_to_base(projector(psi(PLUS, 1))) != want:
-            check.fail("sign plus projector differs from p_plus_1.json")
-    _run(Check("golden projector matrices (signs minus and plus, n = 1)"), golden, checks)
-
-    def golden_connection(check):
-        want = SuperForm.from_obj(g.table, _load_fixture("a_minus_1.json")["form"])
-        if connection_form(psi(MINUS, 1)) != want:
-            check.fail("connection form of psi(-, 1) differs from a_minus_1.json")
-    _run(Check("golden connection 1-form (sign minus, n = 1)"), golden_connection, checks)
-
-    for n in range(1, n_max + 1):
+    def golden_projectors():
         for sign in (MINUS, PLUS):
-            def proj_ident(check, n=n, sign=sign):
-                mat = projector(psi(sign, n)).matrix
-                if (mat @ mat).reduce(g.rewrites) != mat:
-                    check.fail("p^2 != p")
-                    return
-                if mat.dagger().reduce(g.rewrites) != mat:
-                    check.fail("p-dagger != p")
-                    return
-                if g.rewrites.reduce(mat.supertrace()) != g.table.one():
-                    check.fail("Str p != 1")
-            _run(Check("projector identities", sign, n), proj_ident, checks)
+            name = "p_%s_1.json" % _SIGN_WORDS[sign]
+            if _fixture_differs(projector_to_base(projector(psi(sign, 1))), name):
+                return "sign %s projector differs from %s" % (_SIGN_WORDS[sign], name)
 
-            def outer(check, n=n, sign=sign):
-                # projector fills its lower triangle from p = p-dagger; this
-                # compares every entry with the product it stands for
-                vec = psi(sign, n)
-                got = projector(vec).matrix.entries
-                for alpha, row in enumerate(monopole._signed_outer(vec)):
-                    for beta, entry in enumerate(row):
-                        if got[alpha][beta] != g.rewrites.reduce(entry):
-                            check.fail("entry (%d, %d)" % (alpha, beta))
-                            return
-            _run(Check("projector = |psi><psi| entrywise", sign, n), outer, checks)
+    def golden_connection():
+        if _fixture_differs(connection_form(psi(MINUS, 1)), "a_minus_1.json"):
+            return "connection form of psi(-, 1) differs from a_minus_1.json"
 
-        def st_pair(check, n=n):
-            pm = projector(psi(MINUS, n)).matrix
-            pp = projector(psi(PLUS, n)).matrix
-            if pm.supertranspose() != pp:
-                check.fail("supertranspose pair")
-        _run(Check("supertranspose exchanges the charge families", None, n),
-             st_pair, checks)
+    def proj_ident(sign, n):
+        mat = projector(psi(sign, n)).matrix
+        if (mat @ mat).reduce(g.rewrites) != mat:
+            return "p^2 != p"
+        if mat.dagger().reduce(g.rewrites) != mat:
+            return "p-dagger != p"
+        if g.rewrites.reduce(mat.supertrace()) != g.table.one():
+            return "Str p != 1"
 
-        for sign in (MINUS, PLUS):
-            def equivariance(check, n=n, sign=sign):
-                rep = check_equivariance(sign, n)
-                if not (rep.psi_covariant and rep.projector_invariant):
-                    check.fail(rep)
-            _run(Check("circle equivariance", sign, n), equivariance, checks)
+    def outer(sign, n):
+        # projector fills its lower triangle from p = p-dagger; this
+        # compares every entry with the product it stands for
+        vec = psi(sign, n)
+        got = projector(vec).matrix.entries
+        for alpha, row in enumerate(monopole._signed_outer(vec)):
+            for beta, entry in enumerate(row):
+                if got[alpha][beta] != g.rewrites.reduce(entry):
+                    return "entry (%d, %d)" % (alpha, beta)
 
-        for sign in (MINUS, PLUS):
-            def connection(check, n=n, sign=sign):
-                # raises, and so fails the check, unless <psi|d psi> is its closed form
-                a_form = connection_form(psi(sign, n))
-                if not g.localizer.is_zero_mod(a_form.diamond() + a_form):
-                    check.fail("anti-hermiticity")
-            _run(Check("connection 1-form", sign, n), connection, checks)
-    return checks
+    def st_pair(_, n):
+        if projector(psi(MINUS, n)).matrix.supertranspose() != projector(psi(PLUS, n)).matrix:
+            return "supertranspose pair"
+
+    def equivariance(sign, n):
+        rep = check_equivariance(sign, n)
+        if not (rep.psi_covariant and rep.projector_invariant):
+            return rep
+
+    def connection(sign, n):
+        # raises, and so fails the check, unless <psi|d psi> is its closed form
+        a_form = connection_form(psi(sign, n))
+        if not g.localizer.is_zero_mod(a_form.diamond() + a_form):
+            return "anti-hermiticity"
+
+    return [
+        _run("group element unitarity, Sdet, sphere relation",
+             lambda: next((i.name for i in group_identities_report() if not i.holds), None)),
+        _run("coordinate inversion identities",
+             lambda: next((i.name for i in inversion_identities() if not i.holds), None)),
+        _run("odd exponential factorization (commutator-corrected)", exp_factorization),
+        _run("golden projector matrices (signs minus and plus, n = 1)", golden_projectors),
+        _run("golden connection 1-form (sign minus, n = 1)", golden_connection),
+        *_each_n("projector identities", proj_ident, n_max),
+        *_each_n("projector = |psi><psi| entrywise", outer, n_max),
+        *_each_n("supertranspose exchanges the charge families", st_pair, n_max, (None,)),
+        *_each_n("circle equivariance", equivariance, n_max),
+        *_each_n("connection 1-form", connection, n_max),
+    ]
 
 
 def suite_chern(n_max: int) -> list[Check]:
     g = group_space()
-    checks: list[Check] = []
 
-    def golden_chern_form(check):
-        want = SuperForm.from_obj(g.table, _load_fixture("c1_minus_1.json")["form"])
-        if chern_form_canonical(MINUS, 1) != want:
-            check.fail("chern_form_canonical(-, 1) differs from c1_minus_1.json")
-    _run(Check("golden Chern 2-superform (sign minus, n = 1)"), golden_chern_form, checks)
-    for n in range(1, n_max + 1):
+    def golden_chern_form():
+        if _fixture_differs(chern_form_canonical(MINUS, 1), "c1_minus_1.json"):
+            return "chern_form_canonical(-, 1) differs from c1_minus_1.json"
+
+    def chern(sign, n):
+        want = n if sign == MINUS else -n
+        got = chern_number(sign, n)
+        if got != want:
+            return "chern number %d != %d" % (got, want)
+
+    def chain(_, n):
+        # the O(d^3) Str(p (dp)^2) oracle, not the pairing used in production
         for sign in (MINUS, PLUS):
-            def chern(check, n=n, sign=sign):
-                want = n if sign == MINUS else -n
-                got = chern_number(sign, n)
-                if got != want:
-                    check.fail("chern number %d != %d" % (got, want))
-            _run(Check("exact Chern number", sign, n), chern, checks)
-    for n in range(1, min(n_max, 3) + 1):
-        def chain(check, n=n):
-            # the O(d^3) Str(p (dp)^2) oracle, not the pairing used in production
-            for sign in (MINUS, PLUS):
-                proj = projector(psi(sign, n))
-                computed = -monopole.supertrace_p_dp_dp(proj) * monopole.CHERN_SCALAR
-                if not g.equal_mod(computed, monopole.chern_closed_form(sign, n)):
-                    check.fail("curvature route vs closed form, sign %s" % sign)
-                    return
-        _run(Check("Chern form chain (curvature route = closed form)", None, n),
-             chain, checks)
-    for n in range(1, min(n_max, 3) + 1):
-        def integral(check, n=n):
-            # the whole-angle Wallis oracle, not the Beta values used in production
-            for sign in (MINUS, PLUS):
-                densities = [chart_pullback(monopole.chern_form_body(sign, n),
-                                            group_section_chart())]
-                if n <= 2:
-                    densities.append(chart_pullback(
-                        monopole.coordinate_chern_form(sign, n).body_project(),
-                        base_chart()))
-                for top in densities:
-                    if integrate_half_angle(top) != wallis_integrate(top.to_trigpoly()):
-                        check.fail("half-angle integral vs Wallis route, sign %s" % sign)
-                        return
-        _run(Check("closed-form half-angle integral = Wallis route", None, n),
-             integral, checks)
-    for n in (1, 2):
-        if n > n_max:
-            break
-        def paths(check, n=n):
-            for sign in (MINUS, PLUS):
-                a = chern_number(sign, n)
-                b = berezin_chern_number(sign, n)
-                if a != b:
-                    check.fail("group path %d vs coordinate path %d" % (a, b))
-                    return
-        _run(Check("group-section path agrees with base-coordinate path", None, n),
-             paths, checks)
-    return checks
+            proj = projector(psi(sign, n))
+            computed = -monopole.supertrace_p_dp_dp(proj) * monopole.CHERN_SCALAR
+            if not g.equal_mod(computed, monopole.chern_closed_form(sign, n)):
+                return "curvature route vs closed form, sign %s" % sign
+
+    def integral(_, n):
+        # the whole-angle Wallis oracle, not the Beta values used in production
+        for sign in (MINUS, PLUS):
+            densities = [chart_pullback(monopole.chern_form_body(sign, n),
+                                        group_section_chart())]
+            if n <= 2:
+                densities.append(chart_pullback(
+                    monopole.coordinate_chern_form(sign, n).body_project(), base_chart()))
+            for top in densities:
+                if integrate_half_angle(top) != wallis_integrate(top.to_trigpoly()):
+                    return "half-angle integral vs Wallis route, sign %s" % sign
+
+    def paths(_, n):
+        for sign in (MINUS, PLUS):
+            a, b = chern_number(sign, n), berezin_chern_number(sign, n)
+            if a != b:
+                return "group path %d vs coordinate path %d" % (a, b)
+
+    return [
+        _run("golden Chern 2-superform (sign minus, n = 1)", golden_chern_form),
+        *_each_n("exact Chern number", chern, n_max),
+        *_each_n("Chern form chain (curvature route = closed form)", chain, min(n_max, 3),
+                 (None,)),
+        *_each_n("closed-form half-angle integral = Wallis route", integral, min(n_max, 3),
+                 (None,)),
+        *_each_n("group-section path agrees with base-coordinate path", paths, min(n_max, 2),
+                 (None,)),
+    ]
 
 
 SUITES = {
@@ -565,8 +521,7 @@ def cmd_projector(args) -> int:
         algebra = "group"
     if args.self_check:
         name = "p_%s_1.json" % args.sign
-        want = SuperMatrix.from_obj(base_space().table, _load_fixture(name)["matrix"])
-        if mat != want:
+        if _fixture_differs(mat, name):
             print("golden mismatch for %s" % name, file=sys.stderr)
             return 1
     if args.format == "json":
@@ -598,7 +553,7 @@ def cmd_verify(args) -> int:
         for c in records:
             tag = []
             if c.sign is not None:
-                tag.append("sign=%s" % ("minus" if c.sign == MINUS else "plus"))
+                tag.append("sign=%s" % _SIGN_WORDS[c.sign])
             if c.n is not None:
                 tag.append("n=%d" % c.n)
             suffix = (" [" + ", ".join(tag) + "]") if tag else ""

@@ -801,11 +801,10 @@ def _base_converter():
         if hit is None:
             mono, img, _ = image(key[:-1])
             unit_mono, unit_img = units[key[-1]]
-            # at most one unit is odd, so the product never vanishes
-            unit_sign, mono = mono_mul(mono, unit_mono)
+            # only one unit of a factorization is odd, so the product never
+            # vanishes and merges an odd part with an empty one: its sign is +1
+            _, mono = mono_mul(mono, unit_mono)
             img = reduce(img * unit_img)
-            if unit_sign < 0:
-                img = -img
             vec = gaussian_vector(img.terms)
             # every image coefficient is a Gaussian rational; to_base relies on it
             if vec is None:

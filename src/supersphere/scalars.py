@@ -314,7 +314,7 @@ class Scalar:
             elif re == 0:
                 g = "%si" % (im,)
             else:
-                g = "(%s%+si)" % (re, im)
+                g = "(%s%s%si)" % (re, "+" if im > 0 else "", im)
             if rad != 1:
                 g += "*sqrt(%d)" % rad
             if pi != 0:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON round-trips, golden checks."""
 
+import collections
 import contextlib
 import io
 import json
@@ -247,6 +248,73 @@ def test_verify_algebra_suite_json(capsys):
     names = [c["name"] for c in payload["checks"]]
     assert names == sorted(names)
     assert all(c["status"] == "pass" for c in payload["checks"])
+
+
+# (name, signs, n values) of every check that verify --n-max 4 runs
+VERIFY_INVENTORY = [
+    ("Chern form chain (curvature route = closed form)", [None], [1, 2, 3]),
+    ("body and soul decomposition laws", [None], [None]),
+    ("body projection is a wedge-algebra morphism", [None], [None]),
+    ("circle equivariance", ["minus", "plus"], [1, 2, 3, 4]),
+    ("closed-form half-angle integral = Wallis route", [None], [1, 2, 3]),
+    ("connection 1-form", ["minus", "plus"], [1, 2, 3, 4]),
+    ("coordinate inversion identities", [None], [None]),
+    ("d . d = 0 on random elements and 1-forms", [None], [None]),
+    ("diamond involution and multiplicativity", [None], [None]),
+    ("differential of the unit-superdeterminant relation reduces to 0", [None], [None]),
+    ("exact Chern number", ["minus", "plus"], [1, 2, 3, 4]),
+    ("golden Chern 2-superform (sign minus, n = 1)", [None], [None]),
+    ("golden connection 1-form (sign minus, n = 1)", [None], [None]),
+    ("golden projector matrices (signs minus and plus, n = 1)", [None], [None]),
+    ("graded Leibniz rule on functions", [None], [None]),
+    ("graded commutativity on random homogeneous elements", [None], [None]),
+    ("group element unitarity, Sdet, sphere relation", [None], [None]),
+    ("group-section path agrees with base-coordinate path", [None], [1, 2]),
+    ("odd exponential factorization (commutator-corrected)", [None], [None]),
+    ("osp generator matrices close under the graded bracket", [None], [None]),
+    ("projector = |psi><psi| entrywise", ["minus", "plus"], [1, 2, 3, 4]),
+    ("projector identities", ["minus", "plus"], [1, 2, 3, 4]),
+    ("rewrite idempotence and homomorphism", [None], [None]),
+    ("superdeterminant laws on random invertible matrices", [None], [None]),
+    ("supertrace laws on random supermatrices", [None], [None]),
+    ("supertranspose exchanges the charge families", [None], [1, 2, 3, 4]),
+    ("supertranspose product law on random supermatrices", [None], [None]),
+]
+
+
+def test_verify_runs_every_check_of_the_inventory(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "4", "--format", "json")
+    assert code == 0
+    got = [(c["name"], c.get("sign"), c.get("n")) for c in json.loads(out)["checks"]]
+    want = [(name, sign, n) for name, signs, ns in VERIFY_INVENTORY
+            for sign in signs for n in ns]
+    assert len(got) == len(want) == 70
+    assert collections.Counter(got) == collections.Counter(want)
+
+
+def test_a_broken_law_fails_only_its_own_check_with_its_input_as_witness(capsys,
+                                                                         monkeypatch):
+    seen = []
+
+    def body(self):
+        seen.append(self)
+        return self
+
+    monkeypatch.setattr(Element, "body", body)
+    code, out, err = run_cli(capsys, "verify", "--suite", "algebra", "--format", "json")
+    assert code == 1
+    assert "Traceback" not in out + err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    failed = checks.pop("body and soul decomposition laws")
+    assert failed["status"] == "fail"
+    witnesses = set()
+    for x in seen:
+        check = cli.Check("witness")
+        check.fail(x)
+        witnesses.add(check.witness)
+    assert failed["witness"] in witnesses
+    assert len(checks) == 3
+    assert all(c["status"] == "pass" for c in checks.values())
 
 
 def test_verify_monopole_suite(capsys):

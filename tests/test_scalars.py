@@ -79,6 +79,14 @@ def test_serialization_roundtrip():
     assert Scalar.from_obj(x.to_obj()) == x
 
 
+def test_repr_signs_the_imaginary_part():
+    assert repr(Scalar.of(3, 2)) == "(3+2i)"
+    assert repr(Scalar.of(Fraction(1, 2), Fraction(1, 3))) == "(1/2+1/3i)"
+    assert repr(Scalar.of(3, -2)) == "(3-2i)"
+    assert repr(Scalar.of(1, 1, 2, 1)) == "(1+1i)*sqrt(2)*pi"
+    assert repr(Scalar.of(0, -1)) == "-1i"
+
+
 def test_to_complex():
     x = Scalar.of(1, 1, 2, 1)
     want = complex(1, 1) * math.sqrt(2) * math.pi
