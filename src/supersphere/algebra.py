@@ -297,16 +297,26 @@ class Element:
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatchError("elements live over different generator tables")
 
+    @staticmethod
+    def sum(algebra: GeneratorTable, items: Iterable["Element"]) -> "Element":
+        """The sum of the items, added into one dict and filtered for zeros once.
+
+        Raises AlgebraMismatchError when an item lives over another table.
+        """
+        out: dict[Monomial, Scalar] = {}
+        for x in items:
+            if x.algebra is not algebra and x.algebra != algebra:
+                raise AlgebraMismatchError("elements live over different generator tables")
+            if not out:
+                # the first terms are copied whole, so a binary + costs one dict copy
+                out.update(x.terms)
+                continue
+            for m, s in x.terms.items():
+                out[m] = out[m] + s if m in out else s
+        return Element(algebra, out)
+
     def __add__(self, other: "Element | Scalar | RationalLike") -> "Element":
-        other = self._coerce(other)
-        self._check(other)
-        terms = dict(self.terms)
-        for m, s in other.terms.items():
-            if m in terms:
-                terms[m] = terms[m] + s
-            else:
-                terms[m] = s
-        return Element(self.algebra, terms)
+        return Element.sum(self.algebra, (self, self._coerce(other)))
 
     __radd__ = __add__
 
@@ -533,17 +543,16 @@ class SubstitutionMap:
         return pows[e - 1]
 
     def apply(self, x: Element) -> Element:
-        """The image of x, summed into one dict."""
-        out: dict[Monomial, Scalar] = {}
+        """The image of x: one Element.sum of the images of its terms."""
+        terms = []
         for mono, coeff in x.terms.items():
             factors = [self.power(i, e) for i, e in mono[0]]
             factors.extend(self.power(i, 1) for i in mono[1])
             term = factors[0] * coeff if factors else self.target.scalar(coeff)
             for f in factors[1:]:
                 term = term * f
-            for m, s in term.terms.items():
-                out[m] = out[m] + s if m in out else s
-        return Element(self.target, out)
+            terms.append(term)
+        return Element.sum(self.target, terms)
 
 
 class RewriteSystem:
@@ -614,16 +623,15 @@ def graded_inverse(u: Element, rewrites: RewriteSystem | None = None) -> Element
         raise InvertibilityError("body of %r is not an invertible scalar" % (u,))
     c_inv = c.inverse()
     nu = u.soul() * c_inv
-    acc = u.algebra.one()
-    power = u.algebra.one()
+    powers = [u.algebra.one()]
     guard = sum(1 for p in u.algebra.parities if p == ODD) + 1
     for _ in range(guard):
-        power = -(power * nu)
+        power = -(powers[-1] * nu)
         if rewrites is not None:
             power = rewrites.reduce(power)
         if power.is_zero:
             break
-        acc = acc + power
+        powers.append(power)
     else:
         raise InvertibilityError("nilpotent series for %r did not terminate" % (u,))
-    return acc * c_inv
+    return Element.sum(u.algebra, powers) * c_inv

@@ -93,12 +93,35 @@ class SuperForm:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @staticmethod
+    def sum(algebra: GeneratorTable, items: Iterable["SuperForm | Element"]) -> "SuperForm":
+        """The sum of the items; an Element item is a form of degree 0.
+
+        The coefficients are grouped by wedge, and each wedge met more than
+        once takes a single Element.sum.  Raises AlgebraMismatchError when an
+        item lives over another table.
+        """
+        out: dict[Wedge, Element] = {}
+        more: dict[Wedge, list[Element]] = {}
+        for x in items:
+            if x.algebra is not algebra and x.algebra != algebra:
+                raise AlgebraMismatchError("forms live over different generator tables")
+            terms = x.terms if isinstance(x, SuperForm) else {(): x}
+            if not out:
+                # as in Element.sum, the first terms are copied whole
+                out.update(terms)
+                continue
+            for w, c in terms.items():
+                if w in out:
+                    more.setdefault(w, [out[w]]).append(c)
+                else:
+                    out[w] = c
+        for w, cs in more.items():
+            out[w] = Element.sum(algebra, cs)
+        return SuperForm(algebra, out)
+
     def __add__(self, other) -> "SuperForm":
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms[w] + c if w in terms else c
-        return SuperForm(self.algebra, terms)
+        return SuperForm.sum(self.algebra, (self, self._coerce(other)))
 
     __radd__ = __add__
 
@@ -189,14 +212,8 @@ class SuperForm:
     def body_project(self) -> "SuperForm":
         """Kill odd generators and their differentials; body() the coefficients."""
         table = self.algebra
-        out: dict[Wedge, Element] = {}
-        for w, c in self.terms.items():
-            if any(table.parities[i] for i in w):
-                continue
-            cb = c.body()
-            if not cb.is_zero:
-                out[w] = out[w] + cb if w in out else cb
-        return SuperForm(table, out)
+        return SuperForm(table, {w: c.body() for w, c in self.terms.items()
+                                 if not any(table.parities[i] for i in w)})
 
     def map_coefficients(self, fn) -> "SuperForm":
         return SuperForm(self.algebra, {w: fn(c) for w, c in self.terms.items()})
@@ -208,17 +225,16 @@ class SuperForm:
         serves every coefficient, so each power of an image is built once."""
         smap = SubstitutionMap(self.algebra, images, target)
         diff_images: dict[int, SuperForm] = {}
-        out: dict[Wedge, Element] = {}
+        pieces = []
         for w, c in self.terms.items():
-            term = SuperForm.from_element(smap.apply(c))
+            piece = SuperForm.from_element(smap.apply(c))
             for i in w:
                 img = diff_images.get(i)
                 if img is None:
                     img = diff_images[i] = d(smap.power(i, 1))
-                term = term * img
-            for wn, cn in term.terms.items():
-                out[wn] = out[wn] + cn if wn in out else cn
-        return SuperForm(smap.target, out)
+                piece = piece * img
+            pieces.append(piece)
+        return SuperForm.sum(smap.target, pieces)
 
     # -- display / serialization -----------------------------------------------------------
 
@@ -239,15 +255,23 @@ class SuperForm:
 
     @staticmethod
     def from_obj(algebra: GeneratorTable, obj: Iterable[dict]) -> "SuperForm":
-        total = SuperForm.zero(algebra)
+        pieces = []
         for term in obj:
-            coeff = Element.from_obj(algebra, term["coeff"])
-            wedge = tuple(algebra._idx(n) for n in term["wedge"])
-            piece = SuperForm.from_element(coeff)
-            for i in wedge:
-                piece = piece * SuperForm(algebra, {(i,): algebra.one()})
-            total = total + piece
-        return total
+            piece = SuperForm.from_element(Element.from_obj(algebra, term["coeff"]))
+            for name in term["wedge"]:
+                piece = piece * SuperForm.differential(algebra, name)
+            pieces.append(piece)
+        return SuperForm.sum(algebra, pieces)
+
+
+def sum_entries(items: Sequence[Element | SuperForm]) -> Element | SuperForm:
+    """The sum of a nonempty list of Elements and forms, for matrix entries
+    and pairings that may hold either kind: an Element unless a form is
+    among the items."""
+    algebra = items[0].algebra
+    if any(isinstance(x, SuperForm) for x in items):
+        return SuperForm.sum(algebra, items)
+    return Element.sum(algebra, items)
 
 
 def d(x: Element | SuperForm) -> SuperForm:
@@ -259,7 +283,9 @@ def d(x: Element | SuperForm) -> SuperForm:
     """
     if isinstance(x, Element):
         table = x.algebra
-        out: dict[Wedge, Element] = {}
+        # dividing by one generator is injective, so distinct monomials give
+        # distinct quotients and no two terms meet in the coefficient of dg
+        out: dict[Wedge, dict[Monomial, Scalar]] = {}
         for mono, coeff in x.terms.items():
             even_part, odd_part = mono
             for i, e in even_part:
@@ -268,29 +294,25 @@ def d(x: Element | SuperForm) -> SuperForm:
                 else:
                     rest_even = tuple((j, ee - 1) if j == i else (j, ee)
                                       for j, ee in even_part)
-                quot: Monomial = (rest_even, odd_part)
-                val = Element(table, {quot: coeff * e})
-                out[(i,)] = out[(i,)] + val if (i,) in out else val
+                out.setdefault((i,), {})[(rest_even, odd_part)] = coeff * e
             for k, i in enumerate(odd_part):
-                quot = (even_part, odd_part[:k] + odd_part[k + 1:])
-                c = coeff if (len(odd_part) - k - 1) % 2 == 0 else -coeff
-                val = Element(table, {quot: c})
-                out[(i,)] = out[(i,)] + val if (i,) in out else val
-        return SuperForm(table, out)
+                quot: Monomial = (even_part, odd_part[:k] + odd_part[k + 1:])
+                out.setdefault((i,), {})[quot] = (
+                    coeff if (len(odd_part) - k - 1) % 2 == 0 else -coeff)
+        return SuperForm(table, {w: Element(table, t) for w, t in out.items()})
     if isinstance(x, SuperForm):
-        total = SuperForm.zero(x.algebra)
+        pieces = []
         for w, c in x.terms.items():
-            dc = d(c)
+            # each differential of c lands in its own wedge
             piece_terms: dict[Wedge, Element] = {}
-            for (i,), ci in dc.terms.items():
+            for (i,), ci in d(c).terms.items():
                 merged = sort_wedge(x.algebra, (i,) + w)
                 if merged is None:
                     continue
                 sign, wn = merged
-                val = ci if sign > 0 else -ci
-                piece_terms[wn] = piece_terms[wn] + val if wn in piece_terms else val
-            total = total + SuperForm(x.algebra, piece_terms)
-        return total
+                piece_terms[wn] = ci if sign > 0 else -ci
+            pieces.append(SuperForm(x.algebra, piece_terms))
+        return SuperForm.sum(x.algebra, pieces)
     raise TypeError("d expects an Element or SuperForm")
 
 

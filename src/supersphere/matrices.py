@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 from .algebra import (ODD, Element, GeneratorTable, InvertibilityError, ParityError,
                       RewriteSystem, graded_inverse)
+from .forms import sum_entries
 from .scalars import Scalar
 
 EVEN_FIRST = "even_first"
@@ -159,17 +160,9 @@ class SuperMatrix:
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._check_shape(other)
-        d = self.shape.dim
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = None
-                for k in range(d):
-                    term = self.entries[i][k] * other.entries[k][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            rows.append(row)
+        d = range(self.shape.dim)
+        rows = [[sum_entries([self.entries[i][k] * other.entries[k][j] for k in d])
+                 for j in d] for i in d]
         parity = None
         if self.parity is not None and other.parity is not None:
             parity = (self.parity + other.parity) % 2
@@ -227,13 +220,8 @@ class SuperMatrix:
     def supertrace(self):
         """Str X = tr(even-type block) - (-1)^|X| tr(odd-type block)."""
         p = self._require_parity()
-        acc = None
-        for i in range(self.shape.dim):
-            entry = self.entries[i][i]
-            if self.shape.type_parity(i) == 1 and p == 0:
-                entry = -entry
-            acc = entry if acc is None else acc + entry
-        return acc
+        return sum_entries([-self.entries[i][i] if self.shape.type_parity(i) == 1 and p == 0
+                            else self.entries[i][i] for i in range(self.shape.dim)])
 
     def dagger(self) -> "SuperMatrix":
         """Graded adjoint: entrywise diamond, supertranspose, (-1)^|X|.
@@ -293,12 +281,11 @@ def _det(entries: list[list[Element]], algebra: GeneratorTable) -> Element:
         return algebra.one()
     if d == 1:
         return entries[0][0]
-    total = algebra.zero()
+    terms = []
     for j in range(d):
-        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        term = entries[0][j] * _det(minor, algebra)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+        term = entries[0][j] * _det([row[:j] + row[j + 1:] for row in entries[1:]], algebra)
+        terms.append(-term if j % 2 else term)
+    return Element.sum(algebra, terms)
 
 
 def _matrix_inverse_even(entries: list[list[Element]], algebra: GeneratorTable,
@@ -329,12 +316,7 @@ def sdet(x: SuperMatrix, rewrites: RewriteSystem) -> Element:
     """
     if x._require_parity() != 0:
         raise ParityError("superdeterminant is defined for even matrices")
-    algebra = None
-    for row in x.entries:
-        for e in row:
-            algebra = e.algebra
-            break
-        break
+    algebra = rewrites.algebra
     even_idx, odd_idx = _blocks(x)
     A = [[x.entries[i][j] for j in even_idx] for i in even_idx]
     B = [[x.entries[i][j] for j in odd_idx] for i in even_idx]
@@ -347,14 +329,10 @@ def sdet(x: SuperMatrix, rewrites: RewriteSystem) -> Element:
     except InvertibilityError as ex:
         raise InvertibilityError("odd-type block is not invertible: %s" % ex) from None
     m, n = len(even_idx), len(odd_idx)
-    schur = [[A[i][j] for j in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            acc = schur[i][j]
-            for k in range(n):
-                for l in range(n):
-                    acc = acc - B[i][k] * D_inv[k][l] * C[l][j]
-            schur[i][j] = rewrites.reduce(acc)
+    # A - B D^-1 C, each entry one sum
+    schur = [[rewrites.reduce(Element.sum(algebra, [A[i][j]] + [
+        -(B[i][k] * D_inv[k][l] * C[l][j]) for k in range(n) for l in range(n)]))
+        for j in range(m)] for i in range(m)]
     det_schur = rewrites.reduce(_det(schur, algebra))
     # the GL precondition wants the even-type block invertible as well
     graded_inverse(det_schur, rewrites)

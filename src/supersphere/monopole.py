@@ -32,7 +32,7 @@ from typing import Mapping
 
 from .algebra import (ONE_MONO, Element, GeneratorTable, Monomial, RewriteSystem, EVEN,
                       ODD, SuperAlgebraError, mono_mul)
-from .forms import DifferentialIdeal, SuperForm, d
+from .forms import DifferentialIdeal, SuperForm, d, sum_entries
 from .localized import LocalizedModel
 from .matrices import BlockShape, SuperMatrix, EVEN_FIRST, ODD_FIRST, exp_nilpotent, sdet
 from .scalars import GaussianVector, Scalar, combine, gaussian_vector, rat
@@ -370,13 +370,9 @@ def pairing(phi, chi):
     """
     phi_list = list(phi.components if isinstance(phi, PsiVector) else phi)
     chi_list = list(chi.components if isinstance(chi, PsiVector) else chi)
-    if len(phi_list) != len(chi_list):
-        raise ValueError("pairing requires equal lengths")
-    acc = None
-    for p_c, c_c in zip(phi_list, chi_list):
-        term = p_c * c_c.diamond()
-        acc = term if acc is None else acc + term
-    return acc
+    if not phi_list or len(phi_list) != len(chi_list):
+        raise ValueError("pairing requires equal nonzero lengths")
+    return sum_entries([p_c * c_c.diamond() for p_c, c_c in zip(phi_list, chi_list)])
 
 
 @dataclass
@@ -518,11 +514,7 @@ def section_to_equivariant(sign: str, n: int, f) -> Element:
     f_list = list(f)
     if len(f_list) != 2 * n + 1:
         raise ValueError("section must have 2n+1 components")
-    acc = None
-    for pa, fa in zip(vec.components, f_list):
-        term = pa * fa
-        acc = term if acc is None else acc + term
-    return acc
+    return Element.sum(group_space().table, [pa * fa for pa, fa in zip(vec.components, f_list)])
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +565,12 @@ def supertrace_p_dp_dp(proj: Projector) -> SuperForm:
     dp = p.map_entries(d)
     T = dp @ dp
     dim = p.shape.dim
-    acc = None
+    terms = []
     for i in range(dim):
-        inner = None
         for k in range(dim):
             term = p.entries[i][k] * T.entries[k][i]
-            inner = term if inner is None else inner + term
-        if p.shape.type_parity(i):
-            inner = -inner
-        acc = inner if acc is None else acc + inner
-    return acc
+            terms.append(-term if p.shape.type_parity(i) else term)
+    return SuperForm.sum(terms[0].algebra, terms)
 
 
 CHERN_SCALAR = Scalar.of(0, Fraction(1, 2), 1, -1)  # -(1/(2 pi i)) = i/(2 pi)

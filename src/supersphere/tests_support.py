@@ -13,16 +13,16 @@ def random_element(table: GeneratorTable, rng: random.Random,
                    parity: int | None = None, max_terms: int = 3,
                    max_word: int = 3) -> Element:
     """Random element; with parity given, every term is forced homogeneous."""
-    total = table.zero()
     names = table.names
     odd_names = [nm for nm in names if table.parity_of_name(nm) == ODD]
+    words = []
     for _ in range(rng.randint(1, max_terms)):
         word = [rng.choice(names) for _ in range(rng.randint(0, max_word))]
         if parity is not None and odd_names:
             while sum(table.parity_of_name(nm) for nm in word) % 2 != parity:
                 word.append(rng.choice(odd_names))
-        coeff = Scalar.of(rng.randint(-3, 3), rng.randint(-3, 3))
-        total = total + table.element([(coeff, word)])
+        words.append((Scalar.of(rng.randint(-3, 3), rng.randint(-3, 3)), word))
+    total = table.element(words)
     if parity is not None:
         total = total.even_part() if parity == 0 else total.odd_part()
     return total

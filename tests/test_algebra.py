@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supersphere.algebra import (EVEN, ODD, AlgebraMismatchError, Element,
@@ -70,6 +70,35 @@ def test_mul_table_mismatch(table, gens):
     other = GeneratorTable.build(conjugate_pairs=[("a", "a*", EVEN)])
     with pytest.raises(AlgebraMismatchError):
         gens["a"] * other.gen("a")
+
+
+_WORDS = st.lists(st.tuples(st.integers(-2, 2),
+                            st.lists(st.sampled_from(("a", "a*", "b", "eta", "eta*")),
+                                     max_size=3)),
+                  max_size=3)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@example(groups=[], cancel=False)
+@example(groups=[[(1, ["a"]), (2, ["eta", "b"])]], cancel=False)
+@example(groups=[[(1, ["a"]), (2, ["eta", "b"])]], cancel=True)
+@given(st.lists(_WORDS, max_size=4), st.booleans())
+def test_sum_matches_normalising_the_merged_words(groups, cancel):
+    """Element.sum against GeneratorTable.element, which normalises and merges
+    the same words itself; cancel appends the first item negated."""
+    table = group_space().table
+    if cancel and groups:
+        groups = groups + [[(-c, word) for c, word in groups[0]]]
+    got = Element.sum(table, [table.element(words) for words in groups])
+    assert got == table.element([cw for words in groups for cw in words])
+
+
+def test_sum_rejects_another_table(table, gens):
+    other = GeneratorTable.build(conjugate_pairs=[("a", "a*", EVEN)])
+    with pytest.raises(AlgebraMismatchError):
+        Element.sum(table, [gens["a"], other.gen("a")])
+    with pytest.raises(AlgebraMismatchError):
+        gens["b"] + other.gen("a")
 
 
 def test_reduce_rejects_another_table(table, group_rewrites):

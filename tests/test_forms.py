@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supersphere.algebra import EVEN, ODD, AlgebraMismatchError, GeneratorTable, ParityError
@@ -327,6 +327,55 @@ def test_form_serialization_roundtrip(g):
     omega = (g.a * g.differential("a*") * g.differential("eta")
              + rat(1, 8) * g.differential("eta") * g.differential("eta"))
     assert SuperForm.from_obj(g.table, omega.to_obj()) == omega
+
+
+def test_forms_over_different_tables_do_not_add(g):
+    # the wedges do not overlap, so no coefficient sum meets the other table
+    base = base_space()
+    with pytest.raises(AlgebraMismatchError):
+        g.differential("a") + base.differential("x1")
+    with pytest.raises(AlgebraMismatchError):
+        g.differential("a") + base.table.gen("x1")
+    with pytest.raises(AlgebraMismatchError):
+        SuperForm.sum(g.table, [g.differential("a"), base.table.gen("x1")])
+
+
+# canonical wedges over a, a*, b, b*, eta, eta*: deta ^ deta survives
+_WEDGES = ((), (0,), (2,), (0, 3), (4,), (4, 4), (1, 5))
+_TERMS = st.lists(st.tuples(st.sampled_from(_WEDGES), st.integers(-2, 2),
+                            st.lists(st.sampled_from(("a", "a*", "b", "eta")), max_size=2)),
+                  max_size=4)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@example(forms=[], element=False, cancel=False)
+@example(forms=[[((0,), 1, ["a"])]], element=False, cancel=False)
+@example(forms=[[((0,), 1, ["a"]), ((4,), 2, ["eta"])]], element=True, cancel=True)
+@given(st.lists(_TERMS, max_size=4), st.booleans(), st.booleans())
+def test_form_sum_matches_a_plain_merge(forms, element, cancel):
+    """SuperForm.sum against merging every (wedge, monomial) coefficient in
+    one dict; an Element item is a form of degree 0."""
+    table = group_space().table
+    items = []
+    for terms in forms:
+        words = {}
+        for w, c, word in terms:
+            words.setdefault(w, []).append((c, word))
+        items.append(SuperForm(table, {w: table.element(ws) for w, ws in words.items()}))
+    if element:
+        items.append(table.element([(rat(1, 3), ["a", "eta"]), (2, [])]))
+    if cancel and items:
+        items.append(-items[0])
+    merged: dict = {}
+    for x in items:
+        for w, c in (x.terms.items() if isinstance(x, SuperForm) else [((), x)]):
+            acc = merged.setdefault(w, {})
+            for m, s in c.terms.items():
+                acc[m] = acc[m] + s if m in acc else s
+    want = {w: t for w, t in ((w, {m: s for m, s in t.items() if not s.is_zero})
+                              for w, t in merged.items()) if t}
+    got = SuperForm.sum(table, items)
+    assert {w: c.terms for w, c in got.terms.items()} == want
 
 
 def test_wedge_function(g):

@@ -219,6 +219,28 @@ def test_pairing_zero_and_shape_mismatch(g):
     assert pairing(zero, v.components).is_zero
     with pytest.raises(ValueError):
         pairing(v.components, v.components[:2])
+    with pytest.raises(ValueError):
+        pairing([], [])
+
+
+def test_pairing_does_linear_work(g, monkeypatch):
+    """The pairing of d psi at n = 64 filters at most 6 terms in Element.__init__
+    per term of its 2n + 1 products.  Building the products filters about 3
+    per term and the one n-ary sum each term once more: 4.2 in all.  A running
+    sum refilters its whole accumulator on every +, which reads 56 here."""
+    dpsi = [d(c) for c in psi(MINUS, 64).components]
+    product_terms = sum(len(c.terms) for x in dpsi for c in (x * x.diamond()).terms.values())
+    filtered = 0
+    init = Element.__init__
+
+    def counting_init(self, algebra, terms):
+        nonlocal filtered
+        filtered += len(terms)
+        init(self, algebra, terms)
+
+    monkeypatch.setattr(Element, "__init__", counting_init)
+    pairing(dpsi, dpsi)
+    assert filtered <= 6 * product_terms, (filtered, product_terms)
 
 
 # -- projectors --------------------------------------------------------------------------
