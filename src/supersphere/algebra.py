@@ -10,6 +10,19 @@ Monomials are compared in graded lexicographic order where later-declared
 generators are lexicographically greater; this makes b*b the leading monomial
 of the unit-superdeterminant relation when the generators are declared in the
 order a, a*, b, b*, ...
+
+A monomial is one int, laid out from the top down as
+
+    [total degree | e_{n-1} | ... | e_1 | e_0 | odd bits]
+
+with an EXP_BITS-wide field for the exponent of each generator (0 or 1 for
+an odd one) and one bit per odd generator, in declaration order, at the
+bottom.  Integer order is then the graded order, a product is the sum of
+the two ints (zero when their odd bits overlap, signed by popcounts of the
+odd bits), and a quotient by a divisor is the difference.  A degree below
+2**EXP_BITS keeps every field from carrying into the next; a monomial or
+product that would reach it raises MonomialOverflowError.  Only this module
+reads the layout: the rest of the package goes through GeneratorTable.
 """
 
 from __future__ import annotations
@@ -22,12 +35,14 @@ from .scalars import Scalar, RationalLike
 EVEN = 0
 ODD = 1
 
-# A monomial is (even_part, odd_part):
-#   even_part: tuple of (generator index, exponent > 0), sorted by index
-#   odd_part:  tuple of generator indices, strictly increasing
-Monomial = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
+# a monomial: one int, laid out as above
+Monomial = int
 
-ONE_MONO: Monomial = ((), ())
+ONE_MONO: Monomial = 0
+
+# width of each exponent field; the degree of every monomial stays below 2**EXP_BITS
+EXP_BITS = 16
+_FIELD = (1 << EXP_BITS) - 1
 
 
 class SuperAlgebraError(Exception):
@@ -52,6 +67,24 @@ class InvertibilityError(SuperAlgebraError):
 
 class RewriteOrderError(SuperAlgebraError):
     pass
+
+
+class MonomialOverflowError(SuperAlgebraError):
+    """A monomial whose degree does not fit in an exponent field."""
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class GeneratorTable:
@@ -79,6 +112,106 @@ class GeneratorTable:
         self.diamond_partner: tuple[int, ...] = tuple(partners)
         self.diamond_sign: tuple[int, ...] = tuple(signs)
         self._validate_involution()
+        self._layout()
+
+    def _layout(self) -> None:
+        """The field of each generator, its monomial and the odd-bit tables."""
+        n = len(self.names)
+        odd = [i for i in range(n) if self.parities[i] == ODD]
+        odd_bit = {i: 1 << k for k, i in enumerate(odd)}
+        self._odd_mask = (1 << len(odd)) - 1
+        self._shifts = tuple(len(odd) + EXP_BITS * i for i in range(n))
+        self._deg_shift = len(odd) + EXP_BITS * n
+        # the smallest int whose degree field reads 2**EXP_BITS
+        self._limit = 1 << (self._deg_shift + EXP_BITS)
+        self.units: tuple[Monomial, ...] = tuple(
+            (1 << self._deg_shift) + (1 << self._shifts[i]) + odd_bit.get(i, 0) for i in range(n))
+        self._even_fields = tuple((i, self._shifts[i]) for i in range(n) if i not in odd_bit)
+        # odd bits -> the odd generator indices, increasing
+        self._odd_factors = _Memo(lambda bits: tuple(i for i in odd if bits & odd_bit[i]))
+        # odd bits o2 -> the bits j with an odd number of bits of o2 below j, so
+        # moving o2 past o1 takes popcount(o1 & _flips[o2]) swaps, mod 2
+        self._flips = _Memo(lambda bits: sum(
+            1 << j for j in range(len(odd)) if (bits & ((1 << j) - 1)).bit_count() & 1))
+        # diamond: each even field's partner monomial and whether an odd
+        # exponent flips the sign; odd bits -> (image monomial, sign)
+        self._even_diamond = tuple((s, self.units[self.diamond_partner[i]],
+                                    self.diamond_sign[i] < 0) for i, s in self._even_fields)
+        self._odd_diamond = _Memo(self._diamond_odd)
+
+    def _diamond_odd(self, bits: int) -> tuple[Monomial, int]:
+        img = [self.diamond_partner[i] for i in self._odd_factors[bits]]
+        sign = _sort_odd(img)
+        for i in self._odd_factors[bits]:
+            sign *= self.diamond_sign[i]
+        return sum(self.units[j] for j in img), sign
+
+    # -- monomials ---------------------------------------------------------------
+
+    def monomial(self, even: Iterable[tuple[int, int]] = (), odd: Iterable[int] = ()) -> Monomial:
+        """The monomial with exponent e of each even generator (i, e) and each
+        odd generator of `odd` once; the inverse of `factors`.
+
+        Raises ValueError for a misplaced or repeated generator and
+        MonomialOverflowError when the degree reaches 2**EXP_BITS.
+        """
+        mono = 0
+        seen = 0
+        for i, e in even:
+            if self.parities[i] != EVEN or e < 0:
+                raise ValueError("generator %s cannot have exponent %r in the even part"
+                                 % (self.names[i], e))
+            mono += e * self.units[i]
+        for i in odd:
+            if self.parities[i] != ODD or seen >> i & 1:
+                raise ValueError("odd part must hold distinct odd generators, got %s"
+                                 % self.names[i])
+            seen |= 1 << i
+            mono += self.units[i]
+        return self._checked(mono)
+
+    def _checked(self, mono: Monomial) -> Monomial:
+        if mono >= self._limit:
+            raise MonomialOverflowError("monomial degree %d reaches 2**%d"
+                                        % (mono >> self._deg_shift, EXP_BITS))
+        return mono
+
+    def factors(self, mono: Monomial) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """(even part, odd part): the (index, exponent > 0) pairs of the even
+        generators and the indices of the odd ones, each increasing."""
+        return (tuple([(i, e) for i, s in self._even_fields if (e := mono >> s & _FIELD)]),
+                self._odd_factors[mono & self._odd_mask])
+
+    def mono_str(self, mono: Monomial) -> str:
+        """mono as written in Element reprs, such as a^2*b*eta, or 1."""
+        even, odd = self.factors(mono)
+        bits = [self.names[i] if e == 1 else "%s^%d" % (self.names[i], e) for i, e in even]
+        bits.extend(self.names[i] for i in odd)
+        return "*".join(bits) if bits else "1"
+
+    def odd_factors(self, mono: Monomial) -> tuple[int, ...]:
+        """The indices of the odd generators of mono, increasing."""
+        return self._odd_factors[mono & self._odd_mask]
+
+    def exponent(self, mono: Monomial, i: int) -> int:
+        return mono >> self._shifts[i] & _FIELD
+
+    def parity(self, mono: Monomial) -> int:
+        return (mono & self._odd_mask).bit_count() & 1
+
+    def multiply(self, m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
+        """Product of monomials: (sign, monomial), or None if zero."""
+        o1, o2 = m1 & self._odd_mask, m2 & self._odd_mask
+        if o1 & o2:
+            return None
+        return -1 if (o1 & self._flips[o2]).bit_count() & 1 else 1, self._checked(m1 + m2)
+
+    def divide(self, mono: Monomial, i: int) -> Monomial:
+        """The quotient of mono by generator i, which must divide it; for an
+        odd generator, the sign of moving it out is the caller's."""
+        if not mono >> self._shifts[i] & _FIELD:
+            raise ValueError("%s does not divide the monomial" % self.names[i])
+        return mono - self.units[i]
 
     def _validate_involution(self) -> None:
         for i in range(len(self.names)):
@@ -157,12 +290,7 @@ class GeneratorTable:
         return Element(self, {ONE_MONO: s} if not s.is_zero else {})
 
     def gen(self, name: str) -> "Element":
-        i = self._idx(name)
-        if self.parities[i] == EVEN:
-            mono: Monomial = (((i, 1),), ())
-        else:
-            mono = ((), (i,))
-        return Element(self, {mono: Scalar.one()})
+        return Element(self, {self.units[self._idx(name)]: Scalar.one()})
 
     def element(self, raw: Iterable[tuple[Scalar | RationalLike, Sequence[str]]]) -> "Element":
         """Normalize a list of (scalar, generator-name sequence) words.
@@ -191,7 +319,7 @@ class GeneratorTable:
             if sign == 0:
                 continue
             s = Scalar.coerce(coeff)
-            mono: Monomial = (tuple(sorted(even.items())), tuple(odd))
+            mono = self.monomial(even.items(), odd)
             if sign < 0:
                 s = -s
             out[mono] = out[mono] + s if mono in out else s
@@ -215,71 +343,6 @@ def _sort_odd(indices: list[int]) -> int:
     if any(indices[k] == indices[k - 1] for k in range(1, len(indices))):
         return 0
     return sign
-
-
-def mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono[0]) + len(mono[1])
-
-
-def mono_parity(mono: Monomial) -> int:
-    return len(mono[1]) & 1
-
-
-def mono_key(mono: Monomial, n_gens: int):
-    """Graded-lex sort key; later-declared generators weigh more."""
-    exps = [0] * n_gens
-    for i, e in mono[0]:
-        exps[i] = e
-    for i in mono[1]:
-        exps[i] += 1
-    return (mono_degree(mono), tuple(reversed(exps)))
-
-
-def _merge_odd(o1: tuple[int, ...], o2: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Merge two sorted odd index tuples; None when a generator repeats.
-
-    The sign is (-1)^inversions for interleaving o1 before o2.
-    """
-    if not o1:
-        return 1, o2
-    if not o2:
-        return 1, o1
-    merged: list[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(o1) and j < len(o2):
-        a, b = o1[i], o2[j]
-        if a == b:
-            return None
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            merged.append(b)
-            j += 1
-            if (len(o1) - i) & 1:
-                sign = -sign
-    merged.extend(o1[i:])
-    merged.extend(o2[j:])
-    return sign, tuple(merged)
-
-
-def mono_mul(m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
-    """Product of canonical monomials: (sign, monomial), or None if zero."""
-    odd = _merge_odd(m1[1], m2[1])
-    if odd is None:
-        return None
-    sign, odd_part = odd
-    if not m1[0]:
-        even_part = m2[0]
-    elif not m2[0]:
-        even_part = m1[0]
-    else:
-        acc = dict(m1[0])
-        for i, e in m2[0]:
-            acc[i] = acc.get(i, 0) + e
-        even_part = tuple(sorted(acc.items()))
-    return sign, (even_part, odd_part)
 
 
 class Element:
@@ -343,21 +406,23 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check(other)
+        table = self.algebra
+        odd_mask, flips, limit = table._odd_mask, table._flips, table._limit
+        right = [(m2, m2 & odd_mask, flips[m2 & odd_mask], s2) for m2, s2 in other.terms.items()]
         out: dict[Monomial, Scalar] = {}
         for m1, s1 in self.terms.items():
-            for m2, s2 in other.terms.items():
-                prod = mono_mul(m1, m2)
-                if prod is None:
+            o1 = m1 & odd_mask
+            for m2, o2, f2, s2 in right:
+                if o1 & o2:
                     continue
-                sign, mono = prod
+                mono = m1 + m2
+                if mono >= limit:
+                    table._checked(mono)
                 s = s1 * s2
-                if sign < 0:
+                if o1 & f2 and (o1 & f2).bit_count() & 1:
                     s = -s
-                if mono in out:
-                    out[mono] = out[mono] + s
-                else:
-                    out[mono] = s
-        return Element(self.algebra, out)
+                out[mono] = out[mono] + s if mono in out else s
+        return Element(table, out)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -393,14 +458,13 @@ class Element:
         # a constant equals its scalar (and an int or Fraction), so it hashes as one
         if self.terms.keys() <= {ONE_MONO}:
             return hash(self.constant_term())
-        return hash((self.algebra.names, tuple(sorted(self.terms.items(),
-                    key=lambda kv: mono_key(kv[0], len(self.algebra))))))
+        return hash((self.algebra.names, tuple(self.sorted_terms())))
 
     def parity(self) -> str:
         """'zero', 'even', 'odd' or 'mixed'."""
         if not self.terms:
             return "zero"
-        parities = {mono_parity(m) for m in self.terms}
+        parities = {self.algebra.parity(m) for m in self.terms}
         if parities == {0}:
             return "even"
         if parities == {1}:
@@ -408,17 +472,21 @@ class Element:
         return "mixed"
 
     def even_part(self) -> "Element":
-        return Element(self.algebra, {m: s for m, s in self.terms.items() if not mono_parity(m)})
+        parity = self.algebra.parity
+        return Element(self.algebra, {m: s for m, s in self.terms.items() if not parity(m)})
 
     def odd_part(self) -> "Element":
-        return Element(self.algebra, {m: s for m, s in self.terms.items() if mono_parity(m)})
+        parity = self.algebra.parity
+        return Element(self.algebra, {m: s for m, s in self.terms.items() if parity(m)})
 
     def body(self) -> "Element":
         """Monomials containing no odd generator."""
-        return Element(self.algebra, {m: s for m, s in self.terms.items() if not m[1]})
+        odd_mask = self.algebra._odd_mask
+        return Element(self.algebra, {m: s for m, s in self.terms.items() if not m & odd_mask})
 
     def soul(self) -> "Element":
-        return Element(self.algebra, {m: s for m, s in self.terms.items() if m[1]})
+        odd_mask = self.algebra._odd_mask
+        return Element(self.algebra, {m: s for m, s in self.terms.items() if m & odd_mask})
 
     def constant_term(self) -> Scalar:
         return self.terms.get(ONE_MONO, Scalar.zero())
@@ -428,30 +496,22 @@ class Element:
     def diamond(self) -> "Element":
         """Antilinear multiplicative involution: applied factorwise in order."""
         alg = self.algebra
+        odd_mask, odd_images, even_images = alg._odd_mask, alg._odd_diamond, alg._even_diamond
         out: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
-            s = coeff.conjugate()
+            # the odd factors keep their written order, then re-sort
+            img, sign = odd_images[mono & odd_mask]
             # even factors map independently of order
-            even_acc: dict[int, int] = {}
-            for i, e in mono[0]:
-                j = alg.diamond_partner[i]
-                if alg.diamond_sign[i] < 0 and e % 2:
-                    s = -s
-                even_acc[j] = even_acc.get(j, 0) + e
-            # odd factors: image sequence keeps written order, then re-sorts
-            img: list[int] = []
-            sign = 1
-            for i in mono[1]:
-                sign *= alg.diamond_sign[i]
-                img.append(alg.diamond_partner[i])
-            sign *= _sort_odd(img)
+            for shift, unit, flips in even_images:
+                e = mono >> shift & _FIELD
+                if e:
+                    img += e * unit
+                    if flips and e & 1:
+                        sign = -sign
+            s = coeff.conjugate()
             if sign < 0:
                 s = -s
-            new_mono: Monomial = (tuple(sorted(even_acc.items())), tuple(img))
-            if new_mono in out:
-                out[new_mono] = out[new_mono] + s
-            else:
-                out[new_mono] = s
+            out[img] = out[img] + s if img in out else s
         return Element(alg, out)
 
     # -- substitution ---------------------------------------------------------
@@ -468,32 +528,25 @@ class Element:
     # -- display / serialization ----------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        n = len(self.algebra)
-        return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0], n), reverse=True)
-
-    def _mono_str(self, mono: Monomial) -> str:
-        names = self.algebra.names
-        bits = []
-        for i, e in mono[0]:
-            bits.append(names[i] if e == 1 else "%s^%d" % (names[i], e))
-        for i in mono[1]:
-            bits.append(names[i])
-        return "*".join(bits) if bits else "1"
+        """The terms, largest monomial first."""
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms, reverse=True)]
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join("(%s)*%s" % (s, self._mono_str(m)) for m, s in self.sorted_terms())
+        return " + ".join("(%s)*%s" % (s, self.algebra.mono_str(m)) for m, s in self.sorted_terms())
 
     def to_obj(self) -> list[dict]:
         names = self.algebra.names
         out = []
         for mono, coeff in self.sorted_terms():
+            even, odd = self.algebra.factors(mono)
             for comp in coeff.to_obj():
                 out.append({
                     "coeff": comp,
-                    "even": {names[i]: e for i, e in mono[0]},
-                    "odd": [names[i] for i in mono[1]],
+                    "even": {names[i]: e for i, e in even},
+                    "odd": [names[i] for i in odd],
                 })
         return out
 
@@ -546,8 +599,9 @@ class SubstitutionMap:
         """The image of x: one Element.sum of the images of its terms."""
         terms = []
         for mono, coeff in x.terms.items():
-            factors = [self.power(i, e) for i, e in mono[0]]
-            factors.extend(self.power(i, 1) for i in mono[1])
+            even, odd = self.source.factors(mono)
+            factors = [self.power(i, e) for i, e in even]
+            factors.extend(self.power(i, 1) for i in odd)
             term = factors[0] * coeff if factors else self.target.scalar(coeff)
             for f in factors[1:]:
                 term = term * f
@@ -566,17 +620,20 @@ class RewriteSystem:
 
     def __init__(self, algebra: GeneratorTable, lead: Element, replacement: Element):
         self.algebra = algebra
-        n = len(algebra)
         mono = next(iter(lead.terms), None)
-        if len(lead.terms) != 1 or lead.terms[mono] != Scalar.one() or mono[1] or not mono[0]:
+        even, odd = algebra.factors(mono) if mono is not None else ((), ())
+        if len(lead.terms) != 1 or lead.terms[mono] != Scalar.one() or odd or not even:
             raise ValueError("rule lead must be a monomial in even generators, coefficient 1")
-        if any(mono_key(m, n) >= mono_key(mono, n) for m in replacement.terms):
+        if any(m >= mono for m in replacement.terms):
             raise RewriteOrderError("replacement monomial does not decrease the term order")
         # the lead holds only even generators, so only even ones can clash
-        if {i for i, _ in mono[0]}.intersection(i for m in replacement.terms for i, _ in m[0]):
+        if {i for i, _ in even}.intersection(
+                i for m in replacement.terms for i, _ in algebra.factors(m)[0]):
             raise ValueError("the rule's replacement shares a generator with its lead")
         self.lead: Monomial = mono
         self.replacement = replacement
+        # the lead's (field shift, exponent) pairs, which find k in q * lead^k
+        self._lead_fields = tuple((algebra._shifts[i], e) for i, e in even)
         # _powers[k] is replacement^k, each power built from the one below it
         self._powers: list[Element] = [algebra.one()]
 
@@ -584,26 +641,25 @@ class RewriteSystem:
         """The unique normal form: each monomial is rewritten once."""
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise AlgebraMismatchError("element lives over a different generator table")
-        lead = self.lead[0]
-        pows = self._powers
+        lead, fields, pows = self.lead, self._lead_fields, self._powers
+        odd_mask, flips = self.algebra._odd_mask, self.algebra._flips
         out: dict[Monomial, Scalar] = {}
         for mono, coeff in x.terms.items():
-            exps = dict(mono[0])
-            k = min(exps.get(i, 0) // e for i, e in lead)
+            k = min((mono >> shift & _FIELD) // e for shift, e in fields)
             if not k:
                 out[mono] = out[mono] + coeff if mono in out else coeff
                 continue
-            for i, e in lead:
-                exps[i] -= k * e
-            quot: Monomial = (tuple((i, e) for i, e in exps.items() if e), mono[1])
+            # replacement^k has degree at most that of lead^k, so no product overflows
+            quot = mono - k * lead
+            o1 = quot & odd_mask
             while len(pows) <= k:
                 pows.append(pows[-1] * self.replacement)
             for m, s in pows[k].terms.items():
-                prod = mono_mul(quot, m)
-                if prod is None:
+                o2 = m & odd_mask
+                if o1 & o2:
                     continue
-                sign, m = prod
-                s = coeff * s if sign > 0 else -(coeff * s)
+                s = coeff * s if not (o1 & flips[o2]).bit_count() & 1 else -(coeff * s)
+                m += quot
                 out[m] = out[m] + s if m in out else s
         return Element(self.algebra, out)
 

@@ -80,10 +80,11 @@ def chart_pullback(omega: SuperForm, chart: Chart) -> PhaseHalfAngle:
             raise ChartError("form still contains odd differentials; body-project first")
         value: dict[tuple[int, int, int], Scalar] = {}
         for mono, scal in coeff.terms.items():
-            if mono[1]:
+            even, odd = table.factors(mono)
+            if odd:
                 raise ChartError("form still contains odd generators; body-project first")
             part = PhaseHalfAngle.constant(scal)
-            for idx, exp in mono[0]:
+            for idx, exp in even:
                 part = part * power(idx, exp)
             for key, c in part.terms.items():
                 value[key] = value[key] + c if key in value else c

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import monopole
-from .algebra import Element, Monomial
+from .algebra import Element, GeneratorTable, Monomial
 from .berezin import (base_chart, berezin_chern_number, chart_pullback, chern_integral,
                       chern_number, group_section_chart)
 from .forms import SuperForm, d
@@ -34,9 +34,9 @@ from .trig import integrate_half_angle, wallis_integrate
 _CHUNK_PIECES = 4096
 
 
-def _element_writer(names: tuple[str, ...], pad: str) -> Callable[[Element], str]:
+def _element_writer(table: GeneratorTable, pad: str) -> Callable[[Element], str]:
     """A function giving json.dumps(x.to_obj(), indent=1) for an Element x over
-    the generators names, indented as a value at pad.
+    the table, indented as a value at pad.
 
     Each term is one %-template per coefficient component followed by its
     monomial's "even"/"odd" text, which is built once per monomial.
@@ -45,14 +45,15 @@ def _element_writer(names: tuple[str, ...], pad: str) -> Callable[[Element], str
     part = "[" + p4 + "%d," + p4 + "%d" + p3 + "]"
     coeff = ("{" + p2 + '"coeff": {' + p3 + '"re": ' + part + "," + p3 + '"im": ' + part
              + "," + p3 + '"radical": %d,' + p3 + '"pi": %d' + p2 + "}," + p2)
-    quoted = [encode_basestring_ascii(name) for name in names]
+    quoted = [encode_basestring_ascii(name) for name in table.names]
     inner = "\n" + pad + " "
     tails: dict[Monomial, str] = {}
 
-    def tail(mono) -> str:
-        even = ("{" + ",".join(p3 + "%s: %d" % (quoted[i], e) for i, e in mono[0]) + p2 + "}"
-                if mono[0] else "{}")
-        odd = "[" + ",".join(p3 + quoted[i] for i in mono[1]) + p2 + "]" if mono[1] else "[]"
+    def tail(mono: Monomial) -> str:
+        even_part, odd_part = table.factors(mono)
+        even = ("{" + ",".join(p3 + "%s: %d" % (quoted[i], e) for i, e in even_part) + p2 + "}"
+                if even_part else "{}")
+        odd = "[" + ",".join(p3 + quoted[i] for i in odd_part) + p2 + "]" if odd_part else "[]"
         return '"even": ' + even + "," + p2 + '"odd": ' + odd + inner + "}"
 
     def render(x: Element) -> str:
@@ -78,8 +79,8 @@ def _print_json(obj) -> None:
     """
     write = sys.stdout.write
     buf: list[str] = []
-    # one writer per (generator names, indent), for this call only
-    writers: dict[tuple[tuple[str, ...], str], Callable[[Element], str]] = {}
+    # one writer per (generator table, indent), for this call only
+    writers: dict[tuple[GeneratorTable, str], Callable[[Element], str]] = {}
 
     def emit(o, pad: str) -> None:
         if isinstance(o, str):
@@ -103,7 +104,7 @@ def _print_json(obj) -> None:
                 emit(value, inner)
             buf.append("\n" + pad + "]" if o else "[]")
         elif isinstance(o, Element):
-            key = (o.algebra.names, pad)
+            key = (o.algebra, pad)
             render = writers.get(key)
             if render is None:
                 render = writers[key] = _element_writer(*key)

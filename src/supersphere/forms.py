@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (AlgebraMismatchError, Element, GeneratorTable, Monomial,
-                      ParityError, RewriteSystem, SubstitutionMap, mono_parity)
+                      ParityError, RewriteSystem, SubstitutionMap)
 from .scalars import Scalar
 
 # wedge monomial: tuple of generator indices, sorted ascending
@@ -149,16 +149,19 @@ class SuperForm:
             return SuperForm(self.algebra, {w: c * other for w, c in self.terms.items()})
         other = self._coerce(other)
         table = self.algebra
+        # each right coefficient split once into its (even, odd) parts
+        right = [(w2, ((c2.even_part(), False), (c2.odd_part(), True)))
+                 for w2, c2 in other.terms.items()]
         out: dict[Wedge, Element] = {}
         for w1, c1 in self.terms.items():
             odd_count = wedge_grassmann_parity(table, w1)
-            for w2, c2 in other.terms.items():
+            for w2, parts in right:
                 merged = sort_wedge(table, w1 + w2)
                 if merged is None:
                     continue
                 sign, w = merged
                 # move the even/odd parts of c2 through the differentials of w1
-                for c2_part, flip in ((c2.even_part(), False), (c2.odd_part(), True)):
+                for c2_part, flip in parts:
                     if c2_part.is_zero:
                         continue
                     coeff = c1 * c2_part
@@ -179,10 +182,11 @@ class SuperForm:
 
     def grassmann_parity(self) -> int:
         parities = set()
+        parity = self.algebra.parity
         for w, c in self.terms.items():
             wp = wedge_grassmann_parity(self.algebra, w)
             for mono in c.terms:
-                parities.add((mono_parity(mono) + wp) & 1)
+                parities.add((parity(mono) + wp) & 1)
         if len(parities) > 1:
             raise ParityError("form has mixed Grassmann parity")
         return parities.pop() if parities else 0
@@ -287,17 +291,11 @@ def d(x: Element | SuperForm) -> SuperForm:
         # distinct quotients and no two terms meet in the coefficient of dg
         out: dict[Wedge, dict[Monomial, Scalar]] = {}
         for mono, coeff in x.terms.items():
-            even_part, odd_part = mono
+            even_part, odd_part = table.factors(mono)
             for i, e in even_part:
-                if e == 1:
-                    rest_even = tuple((j, ee) for j, ee in even_part if j != i)
-                else:
-                    rest_even = tuple((j, ee - 1) if j == i else (j, ee)
-                                      for j, ee in even_part)
-                out.setdefault((i,), {})[(rest_even, odd_part)] = coeff * e
+                out.setdefault((i,), {})[table.divide(mono, i)] = coeff * e
             for k, i in enumerate(odd_part):
-                quot: Monomial = (even_part, odd_part[:k] + odd_part[k + 1:])
-                out.setdefault((i,), {})[quot] = (
+                out.setdefault((i,), {})[table.divide(mono, i)] = (
                     coeff if (len(odd_part) - k - 1) % 2 == 0 else -coeff)
         return SuperForm(table, {w: Element(table, t) for w, t in out.items()})
     if isinstance(x, SuperForm):
@@ -331,9 +329,10 @@ class DifferentialIdeal:
         self.form_rules: list[tuple[int, int, SuperForm]] = []
         for gen, dgen, repl in form_rules:
             (gmono, gcoeff), = gen.terms.items()
-            if gmono[1] or len(gmono[0]) != 1 or gmono[0][0][1] != 1 or gcoeff != Scalar.one():
+            even, odd = self.algebra.factors(gmono)
+            if odd or len(even) != 1 or even[0][1] != 1 or gcoeff != Scalar.one():
                 raise ValueError("form rule generator part must be a single even generator")
-            gi = gmono[0][0][0]
+            gi = even[0][0]
             (dw, dcoeff), = dgen.terms.items()
             if len(dw) != 1 or not dcoeff == self.algebra.one():
                 raise ValueError("form rule wedge part must be a single differential")
@@ -354,7 +353,7 @@ class DifferentialIdeal:
             hit = next(((w, mono, gi, di, repl)
                         for w, c in work.terms.items()
                         for gi, di, repl in self.form_rules if di in w
-                        for mono in c.terms if dict(mono[0]).get(gi, 0) >= 1), None)
+                        for mono in c.terms if self.algebra.exponent(mono, gi)), None)
             if hit is None:
                 return work
             w, mono, gi, di, repl = hit
@@ -369,10 +368,7 @@ class DifferentialIdeal:
                 del new_terms[w]
             base = SuperForm(self.algebra, new_terms)
             # mono = quot * gi (even generator commutes freely)
-            exps = dict(mono[0])
-            exps[gi] -= 1
-            quot: Monomial = (tuple(sorted((i, e) for i, e in exps.items() if e > 0)),
-                              mono[1])
+            quot = self.algebra.divide(mono, gi)
             # move the eliminated differential to the front of the wedge
             pos = w.index(di)
             rest = w[:pos] + w[pos + 1:]

@@ -115,12 +115,14 @@ class LocalizedModel:
             raise AlgebraMismatchError("the localized model takes forms over the group table, "
                                        "not over %r" % (x.algebra,))
         a, ad, b, bd = self._a, self._ad, self._b, self._bd
+        exponent, odd_factors = self.table.exponent, self.table.odd_factors
         groups: dict[tuple, list] = {}
         for wedge, coeff in x.terms.items():
             images = self._wedge_images(wedge)
-            for (even, odd), s in coeff.terms.items():
-                e = dict(even)
-                i, j, k, l = e.get(a, 0), e.get(ad, 0), e.get(b, 0), e.get(bd, 0)
+            for mono, s in coeff.terms.items():
+                odd = odd_factors(mono)
+                i, j, k, l = (exponent(mono, a), exponent(mono, ad), exponent(mono, b),
+                              exponent(mono, bd))
                 for sign, w, dp, dq, dl, rule in images:
                     groups.setdefault((w, odd, i - j + dp, k - l + dq), []).append(
                         (sign, s, min(i, j) + (rule * (i - j) < 0), l + dl))

@@ -31,7 +31,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import (ONE_MONO, Element, GeneratorTable, Monomial, RewriteSystem, EVEN,
-                      ODD, SuperAlgebraError, mono_mul)
+                      ODD, SuperAlgebraError)
 from .forms import DifferentialIdeal, SuperForm, d, sum_entries
 from .localized import LocalizedModel
 from .matrices import BlockShape, SuperMatrix, EVEN_FIRST, ODD_FIRST, exp_nilpotent, sdet
@@ -475,8 +475,8 @@ U1_CHARGE = {"a": 1, "b": 1, "eta": 1, "a*": -1, "b*": -1, "eta*": -1}
 def u1_charge(table: GeneratorTable, mono: Monomial) -> int:
     """U(1) charge of a monomial over the group generators."""
     names = table.names
-    return (sum(U1_CHARGE[names[i]] * e for i, e in mono[0])
-            + sum(U1_CHARGE[names[i]] for i in mono[1]))
+    even, odd = table.factors(mono)
+    return sum(U1_CHARGE[names[i]] * e for i, e in even) + sum(U1_CHARGE[names[i]] for i in odd)
 
 
 def _has_charge(x: Element, charge: int) -> bool:
@@ -741,12 +741,14 @@ def _invariant_units() -> Mapping[str, tuple[Monomial, Element]]:
     return MappingProxyType(table)
 
 
-def _factor_invariants(names: list[str], mono: Monomial) -> tuple[str, ...]:
+def _factor_invariants(table: GeneratorTable, mono: Monomial) -> tuple[str, ...]:
     """Names of the bilinear invariants whose product is +-mono, odd one first."""
+    names = table.names
+    even, odd = table.factors(mono)
     counts = {name: 0 for name in ("a", "a*", "b", "b*")}
-    for i, e in mono[0]:
+    for i, e in even:
         counts[names[i]] = e
-    odd_names = {names[i] for i in mono[1]}
+    odd_names = {names[i] for i in odd}
     has_eta, has_etad = "eta" in odd_names, "eta*" in odd_names
     chosen: list[str] = []
     if has_eta and has_etad:
@@ -754,7 +756,7 @@ def _factor_invariants(names: list[str], mono: Monomial) -> tuple[str, ...]:
     elif has_eta or has_etad:
         partner = next((p for p in (("a*", "b*") if has_eta else ("a", "b")) if counts[p]), None)
         if partner is None:
-            raise CoordinateEmissionError("unbalanced odd monomial %r" % (mono,))
+            raise CoordinateEmissionError("unbalanced odd monomial %s" % table.mono_str(mono))
         counts[partner] -= 1
         chosen.append("eta " + partner if has_eta else partner + " eta*")
     for left, right in (("a", "a*"), ("a", "b*"), ("b", "a*"), ("b", "b*")):
@@ -763,7 +765,8 @@ def _factor_invariants(names: list[str], mono: Monomial) -> tuple[str, ...]:
         counts[left] -= k
         counts[right] -= k
     if any(counts.values()):
-        raise CoordinateEmissionError("monomial %r is not U(1)-invariant" % (mono,))
+        raise CoordinateEmissionError("monomial %s is not U(1)-invariant"
+                                      % table.mono_str(mono))
     return tuple(chosen)
 
 
@@ -777,7 +780,7 @@ def _base_converter():
     returned function.
     """
     units = _invariant_units()
-    names = group_space().table.names
+    group = group_space().table
     base = base_space()
     reduce = base.rewrites.reduce
     one = base.table.one()
@@ -791,7 +794,7 @@ def _base_converter():
             unit_mono, unit_img = units[key[-1]]
             # only one unit of a factorization is odd, so the product never
             # vanishes and merges an odd part with an empty one: its sign is +1
-            _, mono = mono_mul(mono, unit_mono)
+            _, mono = group.multiply(mono, unit_mono)
             img = reduce(img * unit_img)
             vec = gaussian_vector(img.terms)
             # every image coefficient is a Gaussian rational; to_base relies on it
@@ -804,10 +807,11 @@ def _base_converter():
     def to_base(x: Element) -> Element:
         pairs = []
         for mono, coeff in x.terms.items():
-            got, _, vec = image(_factor_invariants(names, mono))
+            got, _, vec = image(_factor_invariants(group, mono))
             # the candidate factorization must reproduce the monomial
             if got != mono:
-                raise CoordinateEmissionError("factorization failed for %r" % (mono,))
+                raise CoordinateEmissionError("factorization failed for %s"
+                                              % group.mono_str(mono))
             pairs.append((coeff, vec))
         # reduce returns the unique normal form, so it is linear and a sum of
         # reduced images is already reduced

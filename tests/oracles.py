@@ -17,6 +17,74 @@ from supersphere.scalars import Scalar
 from supersphere.trig import PhaseHalfAngle, TrigPoly
 
 
+# The tuple monomial kernel, the oracle for the packed one of supersphere.algebra.
+# A tuple monomial is (even part, odd part): the (generator index, exponent > 0)
+# pairs sorted by index, and the odd generator indices, strictly increasing,
+# as GeneratorTable.factors returns them.
+TupleMonomial = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
+
+
+def mono_degree(mono: TupleMonomial) -> int:
+    return sum(e for _, e in mono[0]) + len(mono[1])
+
+
+def mono_key(mono: TupleMonomial, n_gens: int):
+    """Graded-lex sort key; later-declared generators weigh more."""
+    exps = [0] * n_gens
+    for i, e in mono[0]:
+        exps[i] = e
+    for i in mono[1]:
+        exps[i] += 1
+    return (mono_degree(mono), tuple(reversed(exps)))
+
+
+def _merge_odd(o1: tuple[int, ...], o2: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """Merge two sorted odd index tuples; None when a generator repeats.
+
+    The sign is (-1)^inversions for interleaving o1 before o2.
+    """
+    if not o1:
+        return 1, o2
+    if not o2:
+        return 1, o1
+    merged: list[int] = []
+    sign = 1
+    i = j = 0
+    while i < len(o1) and j < len(o2):
+        a, b = o1[i], o2[j]
+        if a == b:
+            return None
+        if a < b:
+            merged.append(a)
+            i += 1
+        else:
+            merged.append(b)
+            j += 1
+            if (len(o1) - i) & 1:
+                sign = -sign
+    merged.extend(o1[i:])
+    merged.extend(o2[j:])
+    return sign, tuple(merged)
+
+
+def mono_mul(m1: TupleMonomial, m2: TupleMonomial) -> tuple[int, TupleMonomial] | None:
+    """Product of canonical tuple monomials: (sign, monomial), or None if zero."""
+    odd = _merge_odd(m1[1], m2[1])
+    if odd is None:
+        return None
+    sign, odd_part = odd
+    if not m1[0]:
+        even_part = m2[0]
+    elif not m2[0]:
+        even_part = m1[0]
+    else:
+        acc = dict(m1[0])
+        for i, e in m2[0]:
+            acc[i] = acc.get(i, 0) + e
+        even_part = tuple(sorted(acc.items()))
+    return sign, (even_part, odd_part)
+
+
 # The circle action by substitution, the oracle for the charge tests: the group
 # generators with the circle pair w, w* adjoined, b b* -> 1 - a a* and w w* -> 1.
 CIRCLE_TABLE = GeneratorTable.build(conjugate_pairs=[
@@ -105,7 +173,8 @@ class SubstitutionLocalizer:
         a, ad, b, binv = (self.table.index[n] for n in ("a", "a*", "b", "b~"))
         polys: dict[tuple, dict[int, Scalar]] = {}
         for w, c in self.project(x).terms.items():
-            for (even, odd), s in c.terms.items():
+            for mono, s in c.terms.items():
+                even, odd = self.table.factors(mono)
                 e = dict(even)
                 key = (w, odd, e.get(a, 0) - e.get(ad, 0), e.get(b, 0) - e.get(binv, 0))
                 polys.setdefault(key, {})[min(e.get(a, 0), e.get(ad, 0))] = s

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supersphere.algebra import (EVEN, ODD, AlgebraMismatchError, Element,
-                                 GeneratorTable, InvertibilityError, Monomial, ParityError,
+from supersphere.algebra import (EVEN, EXP_BITS, ODD, AlgebraMismatchError, Element,
+                                 GeneratorTable, InvertibilityError, MonomialOverflowError,
+                                 ParityError,
                                  RewriteSystem, RewriteOrderError,
-                                 UnknownGeneratorError, graded_inverse, mono_key)
+                                 UnknownGeneratorError, graded_inverse)
 from supersphere.monopole import base_space, group_space
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 
-from oracles import CIRCLE_REWRITES
+from oracles import CIRCLE_REWRITES, TupleMonomial, mono_key, mono_mul
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +115,11 @@ def _diamond_oracle(x: Element) -> Element:
     total = table.zero()
     for mono, coeff in x.terms.items():
         term = table.scalar(coeff.conjugate())
+        even, odd = table.factors(mono)
         factors = []
-        for idx, exp in mono[0]:
+        for idx, exp in even:
             factors.extend([idx] * exp)
-        factors.extend(mono[1])
+        factors.extend(odd)
         for idx in factors:
             sign = table.diamond_sign[idx]
             partner = table.gen(table.names[table.diamond_partner[idx]])
@@ -179,7 +181,7 @@ def test_graded_commutativity_on_random_homogeneous(table):
         assert x * y == sign * (y * x)
 
 
-def mono_divides(lead: Monomial, mono: Monomial) -> bool:
+def mono_divides(lead: TupleMonomial, mono: TupleMonomial) -> bool:
     le, lo = lead
     me, mo = mono
     if not set(lo) <= set(mo):
@@ -188,7 +190,7 @@ def mono_divides(lead: Monomial, mono: Monomial) -> bool:
     return all(exps.get(i, 0) >= e for i, e in le)
 
 
-def mono_divide(mono: Monomial, lead: Monomial) -> tuple[int, Monomial]:
+def mono_divide(mono: TupleMonomial, lead: TupleMonomial) -> tuple[int, TupleMonomial]:
     """mono = sign * quotient * lead; requires mono_divides(lead, mono)."""
     exps = dict(mono[0])
     for i, e in lead[0]:
@@ -204,28 +206,31 @@ def mono_divide(mono: Monomial, lead: Monomial) -> tuple[int, Monomial]:
     return sign, (even_part, quot_odd)
 
 
-def _rules(*systems: RewriteSystem) -> list[tuple[Monomial, Element]]:
-    return [(rewrites.lead, rewrites.replacement) for rewrites in systems]
+def _rules(*systems: RewriteSystem) -> list[tuple[TupleMonomial, Element]]:
+    return [(rewrites.algebra.factors(rewrites.lead), rewrites.replacement)
+            for rewrites in systems]
 
 
-def _naive_single_step_reduce(x: Element, rules: list[tuple[Monomial, Element]]) -> Element:
+def _naive_single_step_reduce(x: Element, rules: list[tuple[TupleMonomial, Element]]) -> Element:
     """Oracle: rewrite the largest reducible monomial by one rule until none is.
 
     This is the division algorithm; taking the largest monomial first lets
-    every contribution to a monomial merge before it is rewritten.
+    every contribution to a monomial merge before it is rewritten.  It works
+    on the tuple monomials of the oracle kernel.
     """
-    n = len(x.algebra)
+    table = x.algebra
+    n = len(table)
     while True:
-        hits = [(mono, lead, repl) for mono in x.terms
+        hits = [(mono, lead, repl) for mono in map(table.factors, x.terms)
                 for lead, repl in rules if mono_divides(lead, mono)]
         if not hits:
             return x
         mono, lead, repl = max(hits, key=lambda hit: mono_key(hit[0], n))
-        coeff = x.terms[mono]
+        coeff = x.terms[table.monomial(*mono)]
         sign, quot = mono_divide(mono, lead)
-        piece = Element(x.algebra, {quot: coeff if sign > 0 else -coeff}) * repl
+        piece = Element(table, {table.monomial(*quot): coeff if sign > 0 else -coeff}) * repl
         rest = dict(x.terms)
-        del rest[mono]
+        del rest[table.monomial(*mono)]
         x = Element(x.algebra, rest) + piece
 
 
@@ -386,3 +391,88 @@ def test_hash_agrees_with_equality(table):
     assert hash(Scalar.of(Fraction(1, 2))) == hash(Fraction(1, 2))
     assert hash(rat(3, 4) * table.one()) == hash(Fraction(3, 4))
     assert hash(table.zero()) == hash(Scalar.zero()) == hash(0)
+
+
+# -- the packed monomial kernel against the tuple oracle -------------------------
+
+# the group table, the base table (odd generators first) and four odd
+# generators interleaved with two even ones
+KERNEL_TABLES = {
+    "group": group_space().table,
+    "base": base_space().table,
+    "four odd": GeneratorTable.build(
+        conjugate_pairs=[("a", "a*", EVEN), ("eta", "eta*", ODD), ("t", "t*", ODD)],
+        order=["eta", "a", "t", "eta*", "a*", "t*"]),
+}
+
+
+@st.composite
+def tuple_monomials(draw, table):
+    """A tuple monomial over the table: even exponents up to 6, a set of odd generators."""
+    even = tuple((i, e) for i in range(len(table)) if table.parities[i] == EVEN
+                 if (e := draw(st.integers(0, 6))))
+    odd = tuple(i for i in range(len(table)) if table.parities[i] == ODD if draw(st.booleans()))
+    return even, odd
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_TABLES)).flatmap(
+    lambda name: st.tuples(st.just(name), tuple_monomials(KERNEL_TABLES[name]),
+                           tuple_monomials(KERNEL_TABLES[name]))))
+def test_packed_kernel_matches_the_tuple_oracle(case):
+    name, t1, t2 = case
+    table = KERNEL_TABLES[name]
+    m1, m2 = table.monomial(*t1), table.monomial(*t2)
+    # encode and decode are inverse
+    assert table.factors(m1) == t1 and table.factors(m2) == t2
+    assert table.parity(m1) == len(t1[1]) % 2
+    # integer order is the oracle's graded order
+    k1, k2 = mono_key(t1, len(table)), mono_key(t2, len(table))
+    assert (m1 < m2) == (k1 < k2) and (m1 == m2) == (k1 == k2)
+    # the product and its sign
+    got, want = table.multiply(m1, m2), mono_mul(t1, t2)
+    if want is None:
+        assert got is None
+    else:
+        assert got == (want[0], table.monomial(*want[1]))
+    # the Element product agrees
+    x = Element(table, {m1: Scalar.one()}) * Element(table, {m2: Scalar.of(2)})
+    assert x.terms == ({} if want is None else {got[1]: Scalar.of(2 * want[0])})
+    # a repeated odd generator gives zero
+    for i in t1[1]:
+        assert table.multiply(m1, table.units[i]) is None
+        assert (Element(table, {m1: Scalar.one()}) * table.gen(table.names[i])).is_zero
+
+
+def test_monomial_rejects_a_misplaced_or_repeated_generator(table):
+    a, eta = table.index["a"], table.index["eta"]
+    with pytest.raises(ValueError):
+        table.monomial(even=[(eta, 1)])
+    with pytest.raises(ValueError):
+        table.monomial(odd=[a])
+    with pytest.raises(ValueError):
+        table.monomial(odd=[eta, eta])
+    with pytest.raises(ValueError):
+        table.divide(table.units[a], eta)
+
+
+def test_degree_overflow_raises_and_never_wraps(table, gens):
+    top = 2 ** EXP_BITS - 1
+    a, ad = table.index["a"], table.index["a*"]
+    # the largest degree fits, in a monomial and in a product
+    assert table.factors(table.monomial([(a, top)])) == (((a, top),), ())
+    half = gens["a"] ** (top // 2)
+    assert (half * half * gens["a"]).terms == {table.monomial([(a, top)]): Scalar.one()}
+    with pytest.raises(MonomialOverflowError):
+        table.monomial([(a, top + 1)])
+    with pytest.raises(MonomialOverflowError):
+        table.monomial([(a, 1), (ad, top)])
+    with pytest.raises(MonomialOverflowError):
+        table.element([(1, ["a"] * (top + 1))])
+    with pytest.raises(MonomialOverflowError):
+        table.multiply(table.monomial([(a, top)]), table.units[ad])
+    with pytest.raises(MonomialOverflowError):
+        half * half * gens["a"] * gens["a*"]
+    # the largest term bounds the product, whichever term is the first
+    with pytest.raises(MonomialOverflowError):
+        (gens["b"] + half * half) * (gens["b"] + gens["a"] * gens["a"])

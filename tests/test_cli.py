@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -520,3 +521,21 @@ def test_pipe_closed_mid_document_exits_1(monkeypatch, tmp_path, capsys):
     with pytest.raises(json.JSONDecodeError):   # the reader got part of the document
         json.loads(pipe.getvalue())
     assert capsys.readouterr().err == ""
+
+
+# sha256 of the CLI output, pinned when monomials became packed ints; the
+# bytes read the same under every PYTHONHASHSEED
+@pytest.mark.parametrize("argv, digest", [
+    (("projector", "--sign", "minus", "--n", "3", "--coords", "base", "--format", "json"),
+     "5c7fa3b8e3c7f89e2b25152c52de3f668dd45109b4226bc1ee8c89905f444439"),
+    (("projector", "--sign", "plus", "--n", "3", "--coords", "base", "--format", "json"),
+     "e950c0617233cfff8719d891612ff51dd0d0c28b12523e8105d4b29cff137dfd"),
+    (("chern", "--sign", "minus", "--n", "4", "--format", "json"),
+     "d7575b8ebae064f333ac7c12fc8fe1193c20823b80e4b7d9ecda98353f4a3c2c"),
+    (("chern", "--sign", "plus", "--n", "4", "--format", "json"),
+     "d89aea117acb625de87d2d12e682540373c93850595199e97c3c5444a295e2e8"),
+])
+def test_cli_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

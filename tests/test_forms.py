@@ -408,9 +408,10 @@ def _old_substitute(x, images, target):
     out = target.zero()
     for mono, coeff in x.terms.items():
         term = target.scalar(coeff)
-        for i, e in mono[0]:
+        even, odd = x.algebra.factors(mono)
+        for i, e in even:
             term = term * _old_image(images, target, x.algebra.names[i]) ** e
-        for i in mono[1]:
+        for i in odd:
             term = term * _old_image(images, target, x.algebra.names[i])
         out = out + term
     return out
