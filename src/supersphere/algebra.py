@@ -27,10 +27,11 @@ reads the layout: the rest of the package goes through GeneratorTable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import Scalar, RationalLike
+from .scalars import GaussianVector, Scalar, RationalLike, gaussian_vector
 
 EVEN = 0
 ODD = 1
@@ -206,6 +207,31 @@ class GeneratorTable:
             return None
         return -1 if (o1 & self._flips[o2]).bit_count() & 1 else 1, self._checked(m1 + m2)
 
+    def _multiply_records(self, out: dict[Monomial, list[int]],
+                          left: Iterable[tuple[Monomial, int, int]],
+                          right: Iterable[tuple[Monomial, int, int]]) -> None:
+        """Add the product of two sums of (monomial, re, im) integer records,
+        signed as by multiply, into out: monomial -> [re, im]."""
+        odd_mask, flips, limit = self._odd_mask, self._flips, self._limit
+        right = [(m2, m2 & odd_mask, flips[m2 & odd_mask], re2, im2) for m2, re2, im2 in right]
+        for m1, re1, im1 in left:
+            o1 = m1 & odd_mask
+            for m2, o2, f2, re2, im2 in right:
+                if o1 & o2:
+                    continue
+                mono = m1 + m2
+                if mono >= limit:
+                    self._checked(mono)
+                re, im = re1 * re2 - im1 * im2, re1 * im2 + im1 * re2
+                if (o1 & f2).bit_count() & 1:
+                    re, im = -re, -im
+                acc = out.get(mono)
+                if acc is None:
+                    out[mono] = [re, im]
+                else:
+                    acc[0] += re
+                    acc[1] += im
+
     def divide(self, mono: Monomial, i: int) -> Monomial:
         """The quotient of mono by generator i, which must divide it; for an
         odd generator, the sign of moving it out is the caller's."""
@@ -354,6 +380,14 @@ class Element:
         self.algebra = algebra
         self.terms: dict[Monomial, Scalar] = {m: s for m, s in terms.items() if not s.is_zero}
 
+    @classmethod
+    def _nonzero(cls, algebra: GeneratorTable, terms: dict[Monomial, Scalar]) -> "Element":
+        """The element over terms, taken as they are: no coefficient may be zero."""
+        x = object.__new__(cls)
+        x.algebra = algebra
+        x.terms = terms
+        return x
+
     # -- basic ring operations ----------------------------------------------
 
     def _check(self, other: "Element") -> None:
@@ -384,7 +418,7 @@ class Element:
     __radd__ = __add__
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, {m: -s for m, s in self.terms.items()})
+        return Element._nonzero(self.algebra, {m: -s for m, s in self.terms.items()})
 
     def __sub__(self, other: "Element | Scalar | RationalLike") -> "Element":
         return self + (-self._coerce(other))
@@ -473,20 +507,23 @@ class Element:
 
     def even_part(self) -> "Element":
         parity = self.algebra.parity
-        return Element(self.algebra, {m: s for m, s in self.terms.items() if not parity(m)})
+        return Element._nonzero(self.algebra,
+                                {m: s for m, s in self.terms.items() if not parity(m)})
 
     def odd_part(self) -> "Element":
         parity = self.algebra.parity
-        return Element(self.algebra, {m: s for m, s in self.terms.items() if parity(m)})
+        return Element._nonzero(self.algebra, {m: s for m, s in self.terms.items() if parity(m)})
 
     def body(self) -> "Element":
         """Monomials containing no odd generator."""
         odd_mask = self.algebra._odd_mask
-        return Element(self.algebra, {m: s for m, s in self.terms.items() if not m & odd_mask})
+        return Element._nonzero(self.algebra,
+                                {m: s for m, s in self.terms.items() if not m & odd_mask})
 
     def soul(self) -> "Element":
         odd_mask = self.algebra._odd_mask
-        return Element(self.algebra, {m: s for m, s in self.terms.items() if m & odd_mask})
+        return Element._nonzero(self.algebra,
+                                {m: s for m, s in self.terms.items() if m & odd_mask})
 
     def constant_term(self) -> Scalar:
         return self.terms.get(ONE_MONO, Scalar.zero())
@@ -494,7 +531,11 @@ class Element:
     # -- involution ----------------------------------------------------------
 
     def diamond(self) -> "Element":
-        """Antilinear multiplicative involution: applied factorwise in order."""
+        """Antilinear multiplicative involution: applied factorwise in order.
+
+        It maps distinct monomials to distinct ones, so each image is written
+        once and no coefficient cancels.
+        """
         alg = self.algebra
         odd_mask, odd_images, even_images = alg._odd_mask, alg._odd_diamond, alg._even_diamond
         out: dict[Monomial, Scalar] = {}
@@ -509,10 +550,8 @@ class Element:
                     if flips and e & 1:
                         sign = -sign
             s = coeff.conjugate()
-            if sign < 0:
-                s = -s
-            out[img] = out[img] + s if img in out else s
-        return Element(alg, out)
+            out[img] = -s if sign < 0 else s
+        return Element._nonzero(alg, out)
 
     # -- substitution ---------------------------------------------------------
 
@@ -634,14 +673,22 @@ class RewriteSystem:
         self.replacement = replacement
         # the lead's (field shift, exponent) pairs, which find k in q * lead^k
         self._lead_fields = tuple((algebra._shifts[i], e) for i, e in even)
-        # _powers[k] is replacement^k, each power built from the one below it
+        # _powers[k] is replacement^k, each power built from the one below it,
+        # and _vectors[k] the same power as a Gaussian vector
         self._powers: list[Element] = [algebra.one()]
+        self._vectors: list[GaussianVector | None] = []
+
+    def _power(self, k: int) -> Element:
+        pows = self._powers
+        while len(pows) <= k:
+            pows.append(pows[-1] * self.replacement)
+        return pows[k]
 
     def reduce(self, x: Element) -> Element:
         """The unique normal form: each monomial is rewritten once."""
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise AlgebraMismatchError("element lives over a different generator table")
-        lead, fields, pows = self.lead, self._lead_fields, self._powers
+        lead, fields = self.lead, self._lead_fields
         odd_mask, flips = self.algebra._odd_mask, self.algebra._flips
         out: dict[Monomial, Scalar] = {}
         for mono, coeff in x.terms.items():
@@ -652,9 +699,7 @@ class RewriteSystem:
             # replacement^k has degree at most that of lead^k, so no product overflows
             quot = mono - k * lead
             o1 = quot & odd_mask
-            while len(pows) <= k:
-                pows.append(pows[-1] * self.replacement)
-            for m, s in pows[k].terms.items():
+            for m, s in self._power(k).terms.items():
                 o2 = m & odd_mask
                 if o1 & o2:
                     continue
@@ -662,6 +707,42 @@ class RewriteSystem:
                 m += quot
                 out[m] = out[m] + s if m in out else s
         return Element(self.algebra, out)
+
+    def multiply_vectors(self, v: GaussianVector, w: GaussianVector) -> GaussianVector:
+        """reduce(x * y) for x and y given as Gaussian vectors over monomials,
+        computed on their integer records with no Scalar or Element built.
+
+        The result is what gaussian_vector gives on the normal form's terms,
+        up to the order of its entries: no zero value and the least common
+        denominator.  Raises MonomialOverflowError as Element.__mul__ does, and
+        ValueError when the replacement is not over the Gaussian integers.
+        """
+        (d1, left), (d2, right) = v, w
+        out: dict[Monomial, list[int]] = {}
+        self.algebra._multiply_records(out, left, right)
+        # q * lead^k -> q * replacement^k as in reduce; the replacement shares
+        # no generator with the lead, so what it writes needs no rewrite
+        lead, fields = self.lead, self._lead_fields
+        ks = [(mono, k) for mono in out
+              if (k := min((mono >> shift & _FIELD) // e for shift, e in fields))]
+        for mono, k in ks:
+            re, im = out.pop(mono)
+            self.algebra._multiply_records(out, [(mono - k * lead, re, im)], self._vector(k))
+        recs = [(m, re, im) for m, (re, im) in out.items() if re or im]
+        den = d1 * d2
+        g = math.gcd(den, *(x for _, re, im in recs for x in (re, im)))
+        if g > 1:
+            recs = [(m, re // g, im // g) for m, re, im in recs]
+        return den // g, recs
+
+    def _vector(self, k: int) -> list[tuple[Monomial, int, int]]:
+        """The integer records of replacement^k."""
+        vecs = self._vectors
+        while len(vecs) <= k:
+            vecs.append(gaussian_vector(self._power(len(vecs)).terms))
+        if vecs[k] is None or vecs[k][0] != 1:
+            raise ValueError("the rule's replacement is not over the Gaussian integers")
+        return vecs[k][1]
 
 
 def graded_inverse(u: Element, rewrites: RewriteSystem | None = None) -> Element:

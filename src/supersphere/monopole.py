@@ -774,48 +774,47 @@ def _base_converter():
     """A function taking U(1)-invariant group elements to sphere coordinates.
 
     Its table maps each factorization (u1, ..., uk) into bilinear invariants
-    to (group monomial, signed base image, the same image as a Gaussian
-    vector), each built from its prefix; the entries of one matrix share most
-    factorizations, so they share the table, which lives as long as the
-    returned function.
+    to (group monomial, reduced base image as a Gaussian vector), each built
+    from its prefix by RewriteSystem.multiply_vectors; the entries of one
+    matrix share most factorizations, so they share the table, which lives as
+    long as the returned function.
     """
     units = _invariant_units()
     group = group_space().table
     base = base_space()
-    reduce = base.rewrites.reduce
-    one = base.table.one()
-    table: dict[tuple[str, ...], tuple[Monomial, Element, GaussianVector]] = {
-        (): (ONE_MONO, one, gaussian_vector(one.terms))}
+    multiply = base.rewrites.multiply_vectors
+    # every image coefficient is a Gaussian rational; a unit image that is not
+    # fails at the first prefix that uses it
+    unit_vectors = {name: gaussian_vector(img.terms) for name, (_, img) in units.items()}
+    table: dict[tuple[str, ...], tuple[Monomial, GaussianVector]] = {
+        (): (ONE_MONO, (1, [(ONE_MONO, 1, 0)]))}
 
-    def image(key: tuple[str, ...]) -> tuple[Monomial, Element, GaussianVector]:
+    def image(key: tuple[str, ...]) -> tuple[Monomial, GaussianVector]:
         hit = table.get(key)
         if hit is None:
-            mono, img, _ = image(key[:-1])
-            unit_mono, unit_img = units[key[-1]]
+            mono, vec = image(key[:-1])
+            unit_vec = unit_vectors[key[-1]]
+            if unit_vec is None:
+                raise CoordinateEmissionError("image of %s is not over the Gaussian rationals"
+                                              % key[-1])
             # only one unit of a factorization is odd, so the product never
             # vanishes and merges an odd part with an empty one: its sign is +1
-            _, mono = group.multiply(mono, unit_mono)
-            img = reduce(img * unit_img)
-            vec = gaussian_vector(img.terms)
-            # every image coefficient is a Gaussian rational; to_base relies on it
-            if vec is None:
-                raise CoordinateEmissionError("image of %r is not over the Gaussian rationals"
-                                              % (key,))
-            hit = table[key] = (mono, img, vec)
+            _, mono = group.multiply(mono, units[key[-1]][0])
+            hit = table[key] = (mono, multiply(vec, unit_vec))
         return hit
 
     def to_base(x: Element) -> Element:
         pairs = []
         for mono, coeff in x.terms.items():
-            got, _, vec = image(_factor_invariants(group, mono))
+            got, vec = image(_factor_invariants(group, mono))
             # the candidate factorization must reproduce the monomial
             if got != mono:
                 raise CoordinateEmissionError("factorization failed for %s"
                                               % group.mono_str(mono))
             pairs.append((coeff, vec))
-        # reduce returns the unique normal form, so it is linear and a sum of
-        # reduced images is already reduced
-        return Element(base.table, combine(pairs))
+        # the images are unique normal forms, so the conversion is linear and
+        # a sum of reduced images is already reduced; combine drops zeros
+        return Element._nonzero(base.table, combine(pairs))
 
     return to_base
 

@@ -13,7 +13,7 @@ from supersphere.algebra import (EVEN, EXP_BITS, ODD, AlgebraMismatchError, Elem
                                  RewriteSystem, RewriteOrderError,
                                  UnknownGeneratorError, graded_inverse)
 from supersphere.monopole import base_space, group_space
-from supersphere.scalars import Scalar, rat
+from supersphere.scalars import Scalar, gaussian_vector, rat
 from supersphere.tests_support import random_element
 
 from oracles import CIRCLE_REWRITES, TupleMonomial, mono_key, mono_mul
@@ -476,3 +476,84 @@ def test_degree_overflow_raises_and_never_wraps(table, gens):
     # the largest term bounds the product, whichever term is the first
     with pytest.raises(MonomialOverflowError):
         (gens["b"] + half * half) * (gens["b"] + gens["a"] * gens["a"])
+
+
+# -- results built without the zero filter ---------------------------------------
+
+_GROUP_NAMES = ("a", "a*", "b", "b*", "eta", "eta*")
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# words with coefficients of up to two (radical, pi) parts
+_GROUP_WORDS = st.lists(st.tuples(
+    st.lists(st.builds(Scalar.of, _rationals, _rationals, st.sampled_from((1, 2, 3)),
+                       st.integers(-1, 1)), min_size=1, max_size=2).map(
+        lambda parts: sum(parts, Scalar.zero())),
+    st.lists(st.sampled_from(_GROUP_NAMES), max_size=4)), max_size=5)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_GROUP_WORDS)
+def test_unfiltered_results_hold_no_zero_coefficient(words):
+    """diamond, negation and the parity, body and soul parts map nonzero
+    coefficients one to one onto distinct monomials, so they skip the filter."""
+    table = group_space().table
+    x = table.element(words)
+    for got in (x.diamond(), -x, x.even_part(), x.odd_part(), x.body(), x.soul()):
+        assert got == Element(table, got.terms)
+        assert not any(s.is_zero for s in got.terms.values())
+    assert len(x.diamond().terms) == len(x.terms)
+
+
+# -- the rewrite on integer records against Element.__mul__ and reduce -----------
+
+def _canonical(vec):
+    den, recs = vec
+    return den, sorted(recs)
+
+
+# a base word: x0 up to the cube, so a factor may carry x0 before or after
+# reduction, x1 and x2 up to the square, and a set of odd generators
+_BASE_WORDS = st.lists(st.tuples(
+    st.builds(Scalar.of, _rationals, _rationals),
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+              st.sets(st.sampled_from(("xi-", "xi+")))).map(
+        lambda t: ["x0"] * t[0] + ["x1"] * t[1] + ["x2"] * t[2] + sorted(t[3]))),
+    max_size=5)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@example(x_words=[(Scalar.of(1), ["x0", "xi-"]), (Scalar.of(0, 1), ["x0"])],
+         y_words=[(Scalar.of(Fraction(1, 2)), ["x0", "xi+"]), (Scalar.of(2), ["x1"])],
+         reduced=True)
+@given(_BASE_WORDS, _BASE_WORDS, st.booleans())
+def test_multiply_vectors_matches_reducing_the_element_product(x_words, y_words, reduced):
+    base = base_space()
+    rewrites = base.rewrites
+    x, y = base.table.element(x_words), base.table.element(y_words)
+    if reduced:
+        x, y = rewrites.reduce(x), rewrites.reduce(y)
+    got = rewrites.multiply_vectors(gaussian_vector(x.terms), gaussian_vector(y.terms))
+    assert _canonical(got) == _canonical(gaussian_vector(rewrites.reduce(x * y).terms))
+
+
+def test_multiply_vectors_raises_on_degree_overflow():
+    base = base_space()
+    table, rewrites = base.table, base.rewrites
+    top = 2 ** EXP_BITS - 1
+    x1, x2 = table.index["x1"], table.index["x2"]
+    # the largest degree fits; one more raises, as in Element.__mul__
+    high = (1, [(table.monomial([(x1, top - 1)]), 1, 0)])
+    assert rewrites.multiply_vectors(high, (1, [(table.units[x2], 1, 0)])) == (
+        1, [(table.monomial([(x1, top - 1), (x2, 1)]), 1, 0)])
+    with pytest.raises(MonomialOverflowError):
+        rewrites.multiply_vectors(high, (1, [(table.monomial([(x2, 2)]), 3, 0)]))
+
+
+@pytest.mark.parametrize("factor", [Scalar.sqrt_int(2), rat(1, 2)])
+def test_multiply_vectors_needs_a_gaussian_integer_replacement(table, gens, factor):
+    rewrites = RewriteSystem(table, gens["b"] * gens["b*"],
+                             factor * (table.one() - gens["a"] * gens["a*"]))
+    b, bd, eta = (gaussian_vector(gens[name].terms) for name in ("b", "b*", "eta"))
+    # a product that needs no rewrite needs no power of the replacement
+    assert rewrites.multiply_vectors(eta, b) == gaussian_vector((gens["eta"] * gens["b"]).terms)
+    with pytest.raises(ValueError, match="Gaussian integers"):
+        rewrites.multiply_vectors(b, bd)

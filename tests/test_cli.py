@@ -523,8 +523,9 @@ def test_pipe_closed_mid_document_exits_1(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-# sha256 of the CLI output, pinned when monomials became packed ints; the
-# bytes read the same under every PYTHONHASHSEED
+# sha256 of the CLI output, pinned when monomials became packed ints (n = 6:
+# when the emission table moved to integer records); the bytes read the same
+# under every PYTHONHASHSEED
 @pytest.mark.parametrize("argv, digest", [
     (("projector", "--sign", "minus", "--n", "3", "--coords", "base", "--format", "json"),
      "5c7fa3b8e3c7f89e2b25152c52de3f668dd45109b4226bc1ee8c89905f444439"),
@@ -534,6 +535,10 @@ def test_pipe_closed_mid_document_exits_1(monkeypatch, tmp_path, capsys):
      "d7575b8ebae064f333ac7c12fc8fe1193c20823b80e4b7d9ecda98353f4a3c2c"),
     (("chern", "--sign", "plus", "--n", "4", "--format", "json"),
      "d89aea117acb625de87d2d12e682540373c93850595199e97c3c5444a295e2e8"),
+    (("projector", "--sign", "minus", "--n", "6", "--coords", "base", "--format", "json"),
+     "b9c03d78b02188e8429588e0e0c240c8af0cea0db1a55afe2160a2b10c50ead0"),
+    (("projector", "--sign", "plus", "--n", "6", "--coords", "base", "--format", "json"),
+     "c9fc28923b85dbd37fb1f9a24539cc5d7d5e1b4152ea776fe7e750b50d0d1c37"),
 ])
 def test_cli_output_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)

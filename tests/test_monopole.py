@@ -852,9 +852,10 @@ def test_projector_to_base_builds_its_table_per_call(monkeypatch):
     """The prefix table lives as long as one conversion, so a second call
     builds every image again instead of holding them for the process."""
     rewrites = base_space().rewrites
-    original = rewrites.reduce
+    original = rewrites.multiply_vectors
     calls = []
-    monkeypatch.setattr(rewrites, "reduce", lambda x: calls.append(x) or original(x))
+    monkeypatch.setattr(rewrites, "multiply_vectors",
+                        lambda v, w: calls.append(v) or original(v, w))
     proj = projector(psi(MINUS, 2))
     first = projector_to_base(proj)
     built = len(calls)
