@@ -536,21 +536,28 @@ class Element:
         It maps distinct monomials to distinct ones, so each image is written
         once and no coefficient cancels.
         """
+        return self._diamond(1)
+
+    def _diamond(self, sign: int) -> "Element":
+        """sign * self.diamond() for sign = +-1, each coefficient conjugated
+        and signed in one pass over its records."""
         alg = self.algebra
         odd_mask, odd_images, even_images = alg._odd_mask, alg._odd_diamond, alg._even_diamond
         out: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
             # the odd factors keep their written order, then re-sort
-            img, sign = odd_images[mono & odd_mask]
+            img, s = odd_images[mono & odd_mask]
             # even factors map independently of order
             for shift, unit, flips in even_images:
                 e = mono >> shift & _FIELD
                 if e:
                     img += e * unit
                     if flips and e & 1:
-                        sign = -sign
-            s = coeff.conjugate()
-            out[img] = -s if sign < 0 else s
+                        s = -s
+            # conj((re + i im)/den) times s is (s re - i s im)/den
+            s *= sign
+            out[img] = Scalar({k: (s * re, -s * im, den)
+                               for k, (re, im, den) in coeff._parts.items()})
         return Element._nonzero(alg, out)
 
     # -- substitution ---------------------------------------------------------

@@ -195,21 +195,23 @@ class SuperForm:
 
     def diamond(self) -> "SuperForm":
         """Involution: coefficients conjugate, (dg)^dia = d(g^dia) factorwise."""
+        return self._diamond(1)
+
+    def _diamond(self, sign: int) -> "SuperForm":
+        """sign * self.diamond() for sign = +-1, in one pass."""
         table = self.algebra
         out: dict[Wedge, Element] = {}
         for w, c in self.terms.items():
-            sign = 1
+            s = sign
             image: list[int] = []
             for i in w:
-                sign *= table.diamond_sign[i]
+                s *= table.diamond_sign[i]
                 image.append(table.diamond_partner[i])
             merged = sort_wedge(table, image)
             if merged is None:
                 continue
             s2, wn = merged
-            coeff = c.diamond()
-            if sign * s2 < 0:
-                coeff = -coeff
+            coeff = c._diamond(s * s2)
             out[wn] = out[wn] + coeff if wn in out else coeff
         return SuperForm(table, out)
 

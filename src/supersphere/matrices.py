@@ -203,18 +203,17 @@ class SuperMatrix:
 
         With tau the storage parity: (X^st)_ij = (-1)^((tau_i+|X|)(tau_i+tau_j)) X_ji.
         """
+        return self._signed_transpose(lambda e, sign: e if sign > 0 else -e, 0)
+
+    def _signed_transpose(self, entry: Callable, extra: int) -> "SuperMatrix":
+        """The matrix with (i, j) entry entry(X_ji, sign), sign the supertranspose
+        sign times (-1)^extra."""
         p = self._require_parity()
         d = self.shape.dim
         tau = [self.shape.storage_parity(i) for i in range(d)]
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                entry = self.entries[j][i]
-                if ((tau[i] + p) * (tau[i] + tau[j])) % 2:
-                    entry = -entry
-                row.append(entry)
-            rows.append(row)
+        rows = [[entry(self.entries[j][i],
+                       -1 if ((tau[i] + p) * (tau[i] + tau[j]) + extra) % 2 else 1)
+                 for j in range(d)] for i in range(d)]
         return SuperMatrix(self.shape, rows, p)
 
     def supertrace(self):
@@ -231,10 +230,8 @@ class SuperMatrix:
         (XY)^dagger = (-1)^(|X||Y|) Y^dagger X^dagger, and reproduces the
         declared adjoints of the odd algebra generators.
         """
-        out = self.map_entries(lambda e: e.diamond()).supertranspose()
-        if self._require_parity() == 1:
-            out = -out
-        return out
+        # each entry conjugated and signed in one pass
+        return self._signed_transpose(lambda e, sign: e._diamond(sign), self._require_parity())
 
     def reduce(self, rewrites: RewriteSystem) -> "SuperMatrix":
         return self.map_entries(rewrites.reduce)

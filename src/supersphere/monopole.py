@@ -434,8 +434,7 @@ def _self_adjoint(shape: BlockShape, upper) -> SuperMatrix:
         for j in range(i, dim):
             entry = rows[i][j] = upper(i, j)
             if j > i:
-                mirror = entry.diamond()
-                rows[j][i] = -mirror if tau[j] * (tau[j] + tau[i]) % 2 else mirror
+                rows[j][i] = entry._diamond(-1 if tau[j] * (tau[j] + tau[i]) % 2 else 1)
     return SuperMatrix(shape, rows, parity=0)
 
 
@@ -776,8 +775,9 @@ def _base_converter():
     Its table maps each factorization (u1, ..., uk) into bilinear invariants
     to (group monomial, reduced base image as a Gaussian vector), each built
     from its prefix by RewriteSystem.multiply_vectors; the entries of one
-    matrix share most factorizations, so they share the table, which lives as
-    long as the returned function.
+    matrix share most factorizations and monomials, so they share the table
+    and a dict from monomial to image, which live as long as the returned
+    function.
     """
     units = _invariant_units()
     group = group_space().table
@@ -803,14 +803,21 @@ def _base_converter():
             hit = table[key] = (mono, multiply(vec, unit_vec))
         return hit
 
+    # group monomial -> its base image, stored only once its factorization
+    # has reproduced it, so a failing monomial raises on every call
+    vectors: dict[Monomial, GaussianVector] = {}
+
     def to_base(x: Element) -> Element:
         pairs = []
         for mono, coeff in x.terms.items():
-            got, vec = image(_factor_invariants(group, mono))
-            # the candidate factorization must reproduce the monomial
-            if got != mono:
-                raise CoordinateEmissionError("factorization failed for %s"
-                                              % group.mono_str(mono))
+            vec = vectors.get(mono)
+            if vec is None:
+                got, vec = image(_factor_invariants(group, mono))
+                # the candidate factorization must reproduce the monomial
+                if got != mono:
+                    raise CoordinateEmissionError("factorization failed for %s"
+                                                  % group.mono_str(mono))
+                vectors[mono] = vec
             pairs.append((coeff, vec))
         # the images are unique normal forms, so the conversion is linear and
         # a sum of reduced images is already reduced; combine drops zeros

@@ -482,12 +482,18 @@ def test_degree_overflow_raises_and_never_wraps(table, gens):
 
 _GROUP_NAMES = ("a", "a*", "b", "b*", "eta", "eta*")
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-# words with coefficients of up to two (radical, pi) parts
-_GROUP_WORDS = st.lists(st.tuples(
-    st.lists(st.builds(Scalar.of, _rationals, _rationals, st.sampled_from((1, 2, 3)),
-                       st.integers(-1, 1)), min_size=1, max_size=2).map(
-        lambda parts: sum(parts, Scalar.zero())),
-    st.lists(st.sampled_from(_GROUP_NAMES), max_size=4)), max_size=5)
+# coefficients of up to two (radical, pi) parts
+_SCALARS = st.lists(st.builds(Scalar.of, _rationals, _rationals, st.sampled_from((1, 2, 3)),
+                              st.integers(-1, 1)), min_size=1, max_size=2).map(
+    lambda parts: sum(parts, Scalar.zero()))
+
+
+def _words(names):
+    return st.lists(st.tuples(_SCALARS, st.lists(st.sampled_from(names), max_size=4)),
+                    max_size=5)
+
+
+_GROUP_WORDS = _words(_GROUP_NAMES)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -501,6 +507,21 @@ def test_unfiltered_results_hold_no_zero_coefficient(words):
         assert got == Element(table, got.terms)
         assert not any(s.is_zero for s in got.terms.values())
     assert len(x.diamond().terms) == len(x.terms)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from((group_space().table, base_space().table)).flatmap(
+    lambda table: st.tuples(st.just(table), _words(table.names))))
+def test_signed_diamond_is_the_signed_image(case):
+    """_diamond(s) conjugates and signs each coefficient in one pass; diamond
+    stays an involution up to parity: x^dia dia = x_even - x_odd."""
+    table, words = case
+    x = table.element(words)
+    for sign in (1, -1):
+        got = x._diamond(sign)
+        assert got == sign * x.diamond()
+        assert not any(s.is_zero for s in got.terms.values())
+    assert x.diamond().diamond() == x.even_part() - x.odd_part()
 
 
 # -- the rewrite on integer records against Element.__mul__ and reduce -----------

@@ -458,6 +458,24 @@ def test_json_writer_matches_stdlib(obj):
     assert _written(obj).getvalue() == json.dumps(obj, indent=1, default=Element.to_obj) + "\n"
 
 
+def test_json_writer_shares_coefficient_texts_within_one_call():
+    """One call over many Elements that share coefficients: equal multi-part
+    scalars built in either order, one coefficient at two indents, and more
+    distinct coefficients than a writer keeps, so its cache is cleared and
+    refilled mid-document."""
+    table = _g.table
+    monos = [table.one(), _g.a * _g.ad, _g.eta * _g.bd, _g.eta * _g.etad]
+    two = Scalar.of(1, 0, 2) + Scalar.of(Fraction(1, 3), -1, 1, 1)
+    owt = Scalar.of(Fraction(1, 3), -1, 1, 1) + Scalar.of(1, 0, 2)
+    assert two == owt and list(two._parts) != list(owt._parts)
+    shared = [two * m + owt * monos[1] for m in monos]
+    count = cli._COEFF_TEXTS + 100
+    many = [sum((Scalar.of(k + 1, k % 5, 1 + k % 2) * m for m in monos), table.zero())
+            for k in range(count)]
+    obj = {"shared": shared, "nested": [[shared[1], many[0]]], "many": many + shared}
+    assert _written(obj).getvalue() == json.dumps(obj, indent=1, default=Element.to_obj) + "\n"
+
+
 def test_json_writer_streams_large_payloads():
     mat = projector_to_base(projector(psi("-", 4)))
     payload = {"n": 4, "matrix": mat.to_obj()}

@@ -881,3 +881,26 @@ def test_element_to_base_checks_the_factorization(monkeypatch):
     monkeypatch.setattr(monopole, "group_space", lambda: space)
     with pytest.raises(CoordinateEmissionError, match="factorization failed"):
         element_to_base(space.a * space.ad * space.table.gen("t"))
+
+
+def test_base_converter_reuses_images_only_of_checked_monomials(g, monkeypatch):
+    """One converter over elements that share monomials gives the oracle's
+    result each time, and a monomial that fails keeps failing after other
+    conversions: no image is kept before the check."""
+    base = base_space()
+    entries = projector(psi(MINUS, 2)).matrix.entries
+    shared = [entries[0][0], entries[0][0] * Scalar.of(0, 2) + entries[1][1],
+              entries[1][1] - entries[2][2], entries[0][0]]
+    # a wrong factorization of a a* b b*, as a faulty _factor_invariants would give
+    wrong = set((g.a * g.ad * g.b * g.bd).terms)
+    factor = monopole._factor_invariants
+    monkeypatch.setattr(monopole, "_factor_invariants",
+                        lambda table, mono: ("a a*",) if mono in wrong else factor(table, mono))
+    to_base = _base_converter()
+    for _ in range(2):
+        for x in shared:
+            assert to_base(x) == _element_to_base_oracle(x, g, base)
+        with pytest.raises(CoordinateEmissionError, match="not U\\(1\\)-invariant"):
+            to_base(g.a)
+        with pytest.raises(CoordinateEmissionError, match="factorization failed"):
+            to_base(g.a * g.ad + g.a * g.ad * g.b * g.bd)
