@@ -12,12 +12,19 @@ integral is a constant of the chart, -4 pi for the group section chart and
 The whole-angle TrigPoly expansion with Wallis formulas is the exact oracle
 for the integrator; the test suite adds a numeric one, a product
 Gauss-Legendre rule.
+
+chern_number builds no form: it pulls the body components of psi back first
+and pairs their Jacobians; chern_integral of monopole.chern_form_body is its
+oracle.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
+from .algebra import Element, GeneratorTable
 from .forms import SuperForm
-from .monopole import chern_form_body, normalize_sign
+from .monopole import CHERN_SCALAR, psi
 from .scalars import Scalar
 from .trig import ChartError, PhaseHalfAngle, integrate_half_angle
 
@@ -50,17 +57,9 @@ def base_chart() -> Chart:
     }
 
 
-def chart_pullback(omega: SuperForm, chart: Chart) -> PhaseHalfAngle:
-    """Pull a body-projected form back to its exact d theta ^ d phi density.
-
-    Each surviving generator must appear in the chart; differentials are the
-    formal theta/phi derivatives of the chart expressions, so d x_i ^ d x_j
-    pulls back to their Jacobian.  Terms of form degree other than 2 have no
-    top component and contribute nothing, but are validated all the same.
-    """
-    table = omega.algebra
-
-    # generator index -> [expr, expr^2, ...], each power built once per call
+def _chart_powers(table: GeneratorTable, chart: Chart) -> Callable[[int, int], PhaseHalfAngle]:
+    """power(idx, exp): the chart expression of generator idx to the power
+    exp; each power is built once per returned function."""
     powers: dict[int, list[PhaseHalfAngle]] = {}
 
     def power(idx: int, exp: int) -> PhaseHalfAngle:
@@ -73,27 +72,53 @@ def chart_pullback(omega: SuperForm, chart: Chart) -> PhaseHalfAngle:
         while len(pows) < exp:
             pows.append(pows[-1] * pows[0])
         return pows[exp - 1]
+    return power
 
+
+def _add_into(out: dict[tuple[int, int, int], Scalar], f: PhaseHalfAngle) -> None:
+    """Add the terms of f into out."""
+    for key, c in f.terms.items():
+        out[key] = out[key] + c if key in out else c
+
+
+def _element_pullback(x: Element, power: Callable[[int, int], PhaseHalfAngle]) -> PhaseHalfAngle:
+    """The body element x through the chart of `power`, a ring homomorphism."""
+    table = x.algebra
+    value: dict[tuple[int, int, int], Scalar] = {}
+    for mono, scal in x.terms.items():
+        even, odd = table.factors(mono)
+        if odd:
+            raise ChartError("form still contains odd generators; body-project first")
+        part = PhaseHalfAngle.constant(scal)
+        for idx, exp in even:
+            part = part * power(idx, exp)
+        _add_into(value, part)
+    return PhaseHalfAngle(value)
+
+
+def _jacobian(u: PhaseHalfAngle, v: PhaseHalfAngle) -> PhaseHalfAngle:
+    """The d theta ^ d phi coefficient of du ^ dv."""
+    return u.partial_theta() * v.partial_phi() - u.partial_phi() * v.partial_theta()
+
+
+def chart_pullback(omega: SuperForm, chart: Chart) -> PhaseHalfAngle:
+    """Pull a body-projected form back to its exact d theta ^ d phi density.
+
+    Each surviving generator must appear in the chart; differentials are the
+    formal theta/phi derivatives of the chart expressions, so d x_i ^ d x_j
+    pulls back to their Jacobian.  Terms of form degree other than 2 have no
+    top component and contribute nothing, but are validated all the same.
+    """
+    table = omega.algebra
+    power = _chart_powers(table, chart)
     top: dict[tuple[int, int, int], Scalar] = {}
     for w, coeff in omega.terms.items():
         if any(table.parities[i] for i in w):
             raise ChartError("form still contains odd differentials; body-project first")
-        value: dict[tuple[int, int, int], Scalar] = {}
-        for mono, scal in coeff.terms.items():
-            even, odd = table.factors(mono)
-            if odd:
-                raise ChartError("form still contains odd generators; body-project first")
-            part = PhaseHalfAngle.constant(scal)
-            for idx, exp in even:
-                part = part * power(idx, exp)
-            for key, c in part.terms.items():
-                value[key] = value[key] + c if key in value else c
+        value = _element_pullback(coeff, power)
         exprs = [power(idx, 1) for idx in w]
         if len(exprs) == 2:
-            u, v = exprs
-            jacobian = u.partial_theta() * v.partial_phi() - u.partial_phi() * v.partial_theta()
-            for key, c in (PhaseHalfAngle(value) * jacobian).terms.items():
-                top[key] = top[key] + c if key in top else c
+            _add_into(top, value * _jacobian(*exprs))
     return PhaseHalfAngle(top)
 
 
@@ -121,20 +146,33 @@ def chern_integral(omega: SuperForm) -> int:
     chart satisfies a a* + b b* = 1, so forms equal modulo the differential
     ideal give the same value.  The result must be an exact integer.
     """
-    top = chart_pullback(omega.body_project(), group_section_chart())
+    return _group_chern_integral(chart_pullback(omega.body_project(), group_section_chart()))
+
+
+def _group_chern_integral(top: PhaseHalfAngle) -> int:
+    """The Chern integral of a top density in the group section chart."""
     return _exact_int(integrate_half_angle(top) * FOUR_PI / GROUP_CHART_VOLUME, "Chern integral")
 
 
 def chern_number(sign: str, n: int) -> int:
     """Exact first Chern number: +n for the '-' family, -n for '+'.
 
-    The Chern integral of the body pairing form, which skips the odd
-    components of psi.
+    Pullback through the group section chart commutes with d and wedge
+    products and turns the diamond into the chart's conjugation, so the top
+    density of -(1/(2 pi i)) <d psi|d psi> is CHERN_SCALAR times the sum of the
+    Jacobians of the pulled-back body(psi_k) and body(psi_k)^diamond.  No form
+    is built and the odd components of psi, whose body is zero, are skipped;
+    the tests check the density against the pullback of chern_form_body.
     """
-    sign = normalize_sign(sign)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return chern_integral(chern_form_body(sign, n))
+    vec = psi(sign, n)
+    power = _chart_powers(vec.components[0].algebra, group_section_chart())
+    top: dict[tuple[int, int, int], Scalar] = {}
+    for comp in vec.components:
+        body = comp.body()
+        if not body.is_zero:
+            _add_into(top, _jacobian(_element_pullback(body, power),
+                                     _element_pullback(body.diamond(), power)))
+    return _group_chern_integral(PhaseHalfAngle(top) * CHERN_SCALAR)
 
 
 def berezin_integral(omega: SuperForm) -> Scalar:

@@ -349,8 +349,14 @@ class Scalar:
 
 
 def rat(num: int, den: int = 1) -> Scalar:
-    """Shorthand for a rational scalar."""
-    return Scalar.of(Fraction(num, den))
+    """The rational scalar num/den of two ints, built as its record."""
+    if not den:
+        raise ZeroDivisionError("Fraction(%d, 0)" % num)
+    if not num:
+        return Scalar()
+    if den < 0:
+        num, den = -num, -den
+    return Scalar({(1, 0): _canon(num, 0, den)})
 
 
 @lru_cache(maxsize=None)

@@ -218,12 +218,11 @@ class PhaseHalfAngle:
     def partial_theta(self) -> "PhaseHalfAngle":
         """d/dtheta with theta the full angle: d cos(t/2) = -sin(t/2)/2 dt."""
         out: dict[tuple[int, int, int], Scalar] = {}
-        half = Fraction(1, 2)
         for (hc, hs, k), v in self.terms.items():
             if hc:
-                _acc(out, (hc - 1, hs + 1, k), v * Scalar.of(-half * hc))
+                _acc(out, (hc - 1, hs + 1, k), v * rat(-hc, 2))
             if hs:
-                _acc(out, (hc + 1, hs - 1, k), v * Scalar.of(half * hs))
+                _acc(out, (hc + 1, hs - 1, k), v * rat(hs, 2))
         return PhaseHalfAngle(out)
 
     def partial_phi(self) -> "PhaseHalfAngle":

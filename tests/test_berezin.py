@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supersphere.berezin as berezin
-from supersphere.berezin import (BASE_CHART_VOLUME, FOUR_PI, GROUP_CHART_VOLUME, base_chart,
+from supersphere.berezin import (BASE_CHART_VOLUME, FOUR_PI, GROUP_CHART_VOLUME, _chart_powers,
+                                 _element_pullback, _jacobian, base_chart,
                                  berezin_chern_number, berezin_integral, chart_pullback,
                                  chern_number, group_section_chart)
-from supersphere.forms import d
+from supersphere.forms import SuperForm, d
 from supersphere.monopole import (MINUS, PLUS, base_coordinates, base_space,
                                   chern_form_body, coordinate_chern_form,
-                                  coordinate_volume_form)
+                                  coordinate_volume_form, group_space)
 from supersphere.scalars import Scalar
 from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
 
@@ -164,6 +165,8 @@ def test_chart_normalizers():
 
 
 def test_chern_number_pulls_back_once(monkeypatch):
+    # chern_number pulls psi back before pairing: it builds no form, so it
+    # neither wedges nor calls chart_pullback
     calls = []
     original = berezin.chart_pullback
 
@@ -171,11 +174,89 @@ def test_chern_number_pulls_back_once(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
     monkeypatch.setattr(berezin, "chart_pullback", counting)
+    wedges = []
+    wedge = SuperForm.__mul__
+
+    def counting_wedge(*args):
+        wedges.append(args)
+        return wedge(*args)
+    monkeypatch.setattr(SuperForm, "__mul__", counting_wedge)
     assert chern_number(MINUS, 2) == 2
-    assert len(calls) == 1
-    calls.clear()
+    assert calls == [] and wedges == []
     assert berezin_integral(coordinate_volume_form()) == Scalar.of(4, 0, 1, 1)
     assert len(calls) == 1
+
+
+def test_chern_number_density_is_the_pulled_back_form(monkeypatch):
+    # the density chern_number integrates is, term for term, the oracle's:
+    # the group section chart pullback of the body pairing form
+    densities = []
+    original = berezin.integrate_half_angle
+
+    def recording(f):
+        densities.append(f)
+        return original(f)
+    monkeypatch.setattr(berezin, "integrate_half_angle", recording)
+    for n in range(1, 9):
+        for sign, want in ((MINUS, n), (PLUS, -n)):
+            densities.clear()
+            assert chern_number(sign, n) == want
+            oracle = chart_pullback(chern_form_body(sign, n), group_section_chart())
+            assert densities == [oracle]
+
+
+_GAUSSIAN = st.builds(Scalar.of, _rationals, _rationals)
+
+
+def _body_elements(table, names):
+    """Strategy: sums of up to four Gaussian-rational multiples of words in names."""
+    words = st.lists(st.sampled_from(names), max_size=3)
+    return st.lists(st.tuples(_GAUSSIAN, words), max_size=4).map(table.element)
+
+
+_GROUP_TABLE = group_space().table
+_BASE_TABLE = base_space().table
+_CHARTED = st.one_of(
+    st.tuples(st.just(group_section_chart()), _body_elements(_GROUP_TABLE, ["a", "a*", "b", "b*"]),
+              _body_elements(_GROUP_TABLE, ["a", "a*", "b", "b*"])),
+    st.tuples(st.just(base_chart()), _body_elements(_BASE_TABLE, ["x0", "x1", "x2"]),
+              _body_elements(_BASE_TABLE, ["x0", "x1", "x2"])))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_CHARTED)
+def test_element_pullback_is_multiplicative(case):
+    chart, f, g = case
+    power = _chart_powers(f.algebra, chart)
+    assert _element_pullback(f * g, power) == _element_pullback(f, power) * _element_pullback(g, power)
+    assert _element_pullback(f + g, power) == _element_pullback(f, power) + _element_pullback(g, power)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_CHARTED)
+def test_chart_pullback_obeys_the_chain_rule(case):
+    chart, f, g = case
+    power = _chart_powers(f.algebra, chart)
+    want = _jacobian(_element_pullback(f, power), _element_pullback(g, power))
+    assert chart_pullback(d(f) * d(g), chart) == want
+    assert chart_pullback(d(g) * d(f), chart) == -want
+
+
+@pytest.mark.parametrize("table, word, chart, match", [
+    (_GROUP_TABLE, ["a", "eta"], group_section_chart(), "odd generators"),
+    (_BASE_TABLE, ["x1", "xi+"], base_chart(), "odd generators"),
+    (_GROUP_TABLE, ["a", "b*"], base_chart(), "does not supply generator 'a'"),
+    (_BASE_TABLE, ["x0", "x2"], {"x0": base_chart()["x0"]}, "does not supply generator 'x2'"),
+])
+def test_element_pullback_rejects_what_the_chart_cannot_take(table, word, chart, match):
+    x = table.element([(1, word)])
+    with pytest.raises(ChartError, match=match):
+        _element_pullback(x, _chart_powers(table, chart))
+    # two even differentials, so only the coefficient x can fail
+    u, v = [table.element([(1, [name])])
+            for name, parity in zip(table.names, table.parities) if not parity][:2]
+    with pytest.raises(ChartError, match=match):
+        chart_pullback(x * d(u) * d(v), chart)
 
 
 def test_chern_numbers_small():

@@ -217,3 +217,17 @@ def test_to_obj_matches_fraction_route(xs):
     assert obj == _to_obj_by_fractions(x)
     assert all(type(v) is int for comp in obj for part in ("re", "im") for v in comp[part])
     assert Scalar.from_obj(obj) == x
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.just(0), st.integers(-10**30, 10**30)),
+       st.one_of(st.just(0), st.integers(-10**30, 10**30)))
+def test_rat_matches_fraction_route(p, q):
+    if not q:
+        with pytest.raises(ZeroDivisionError):
+            rat(p, q)
+        return
+    x = rat(p, q)
+    assert x == Scalar.of(Fraction(p, q))
+    assert hash(x) == hash(Fraction(p, q))
+    assert rat(p) == Scalar.of(p)
