@@ -207,6 +207,37 @@ class GeneratorTable:
             return None
         return -1 if (o1 & self._flips[o2]).bit_count() & 1 else 1, self._checked(m1 + m2)
 
+    def _factor(self, terms: Iterable[tuple[Monomial, Scalar]],
+                odd_negated: bool = False) -> list[tuple[Monomial, int, int, Scalar]]:
+        """The right factor of _multiply_into: (monomial, odd bits, their
+        flips, scalar) per term.  odd_negated negates the terms of odd
+        parity, the sign of moving the sum past an odd factor."""
+        odd_mask, flips = self._odd_mask, self._flips
+        out = []
+        for m, s in terms:
+            o = m & odd_mask
+            out.append((m, o, flips[o], -s if odd_negated and o.bit_count() & 1 else s))
+        return out
+
+    def _multiply_into(self, acc: dict[Monomial, Scalar], left: Iterable[tuple[Monomial, Scalar]],
+                       right: list[tuple[Monomial, int, int, Scalar]],
+                       negate: bool = False) -> None:
+        """Add the product of the sums left and right (from _factor), signed
+        as by multiply and negated when negate is set, into acc."""
+        odd_mask, limit = self._odd_mask, self._limit
+        for m1, s1 in left:
+            o1 = m1 & odd_mask
+            for m2, o2, f2, s2 in right:
+                if o1 & o2:
+                    continue
+                mono = m1 + m2
+                if mono >= limit:
+                    self._checked(mono)
+                s = s1 * s2
+                if ((o1 & f2).bit_count() & 1) != negate:
+                    s = -s
+                acc[mono] = acc[mono] + s if mono in acc else s
+
     def _multiply_records(self, out: dict[Monomial, list[int]],
                           left: Iterable[tuple[Monomial, int, int]],
                           right: Iterable[tuple[Monomial, int, int]]) -> None:
@@ -441,21 +472,8 @@ class Element:
             return NotImplemented
         self._check(other)
         table = self.algebra
-        odd_mask, flips, limit = table._odd_mask, table._flips, table._limit
-        right = [(m2, m2 & odd_mask, flips[m2 & odd_mask], s2) for m2, s2 in other.terms.items()]
         out: dict[Monomial, Scalar] = {}
-        for m1, s1 in self.terms.items():
-            o1 = m1 & odd_mask
-            for m2, o2, f2, s2 in right:
-                if o1 & o2:
-                    continue
-                mono = m1 + m2
-                if mono >= limit:
-                    table._checked(mono)
-                s = s1 * s2
-                if o1 & f2 and (o1 & f2).bit_count() & 1:
-                    s = -s
-                out[mono] = out[mono] + s if mono in out else s
+        table._multiply_into(out, self.terms.items(), table._factor(other.terms.items()))
         return Element(table, out)
 
     def __rmul__(self, other):

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import monopole
-from .algebra import Element, GeneratorTable, Monomial
+from .algebra import EXP_BITS, Element, GeneratorTable, Monomial
 from .berezin import (base_chart, berezin_chern_number, chart_pullback, chern_integral,
                       chern_number, group_section_chart)
 from .forms import SuperForm, d
@@ -509,7 +509,7 @@ def cmd_chern(args) -> int:
             "n": n,
             "chern_number": charge,
             "k_label": k_label,
-            "chern_form": form.to_obj(),
+            "chern_form": form.layout(),
         }
         _print_json(payload)
     else:
@@ -592,6 +592,21 @@ def _positive_int(value: str) -> int:
     return n
 
 
+# the largest n chern and projector take.  Both build monomials of degree up
+# to 2n + 2, a component of psi with eta eta* (degree n + 2) times a diamonded
+# one (degree n), and a monomial's degree stays below 2**EXP_BITS.
+N_MAX = (2 ** EXP_BITS - 3) // 2
+
+
+def _charge_n(value: str) -> int:
+    n = _positive_int(value)
+    if n > N_MAX:
+        raise argparse.ArgumentTypeError(
+            "n must be at most %d: the monomials of degree 2n + 2 must stay below 2**%d"
+            % (N_MAX, EXP_BITS))
+    return n
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared afterwards."""
@@ -602,13 +617,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chern = sub.add_parser("chern", help="compute a Chern number and 2-superform")
     p_chern.add_argument("--sign", choices=["plus", "minus"], required=True)
-    p_chern.add_argument("--n", type=_positive_int, required=True)
+    p_chern.add_argument("--n", type=_charge_n, required=True)
     p_chern.add_argument("--format", choices=["text", "json"], default="text")
     p_chern.set_defaults(func=cmd_chern)
 
     p_proj = sub.add_parser("projector", help="emit a monopole projector matrix")
     p_proj.add_argument("--sign", choices=["plus", "minus"], required=True)
-    p_proj.add_argument("--n", type=_positive_int, required=True)
+    p_proj.add_argument("--n", type=_charge_n, required=True)
     p_proj.add_argument("--coords", choices=["group", "base"], default="group")
     p_proj.add_argument("--format", choices=["text", "json"], default="text")
     p_proj.add_argument("--self-check", action="store_true",

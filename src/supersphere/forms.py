@@ -144,31 +144,35 @@ class SuperForm:
     # -- multiplication -------------------------------------------------------------
 
     def __mul__(self, other) -> "SuperForm":
-        """Wedge product; the exterior product symbol is left implicit."""
+        """Wedge product; the exterior product symbol is left implicit.
+
+        Each product term c1 m1 w1 * c2 m2 w2 goes straight into the dict of
+        its output wedge, signed by the wedge sort of w1 w2, by moving m2's
+        odd generators past w1's odd differentials and by the monomial
+        product m1 m2.
+        """
         if isinstance(other, (Scalar, int, Fraction)):
             return SuperForm(self.algebra, {w: c * other for w, c in self.terms.items()})
         other = self._coerce(other)
         table = self.algebra
-        # each right coefficient split once into its (even, odd) parts
-        right = [(w2, ((c2.even_part(), False), (c2.odd_part(), True)))
-                 for w2, c2 in other.terms.items()]
-        out: dict[Wedge, Element] = {}
+        if other.algebra is not table and other.algebra != table:
+            raise AlgebraMismatchError("forms live over different generator tables")
+        # the right factors, built once for each parity of w1 met: an odd w1
+        # negates the odd m2
+        right: dict[int, list] = {}
+        out: dict[Wedge, dict[Monomial, Scalar]] = {}
         for w1, c1 in self.terms.items():
-            odd_count = wedge_grassmann_parity(table, w1)
-            for w2, parts in right:
+            odd_w1 = wedge_grassmann_parity(table, w1)
+            if odd_w1 not in right:
+                right[odd_w1] = [(w2, table._factor(c2.terms.items(), odd_w1))
+                                 for w2, c2 in other.terms.items()]
+            left = c1.terms.items()
+            for w2, factor in right[odd_w1]:
                 merged = sort_wedge(table, w1 + w2)
-                if merged is None:
-                    continue
-                sign, w = merged
-                # move the even/odd parts of c2 through the differentials of w1
-                for c2_part, flip in parts:
-                    if c2_part.is_zero:
-                        continue
-                    coeff = c1 * c2_part
-                    if (sign < 0) != (flip and odd_count):
-                        coeff = -coeff
-                    out[w] = out[w] + coeff if w in out else coeff
-        return SuperForm(self.algebra, out)
+                if merged is not None:
+                    sign, w = merged
+                    table._multiply_into(out.setdefault(w, {}), left, factor, sign < 0)
+        return SuperForm(table, {w: Element(table, t) for w, t in out.items()})
 
     def __rmul__(self, other) -> "SuperForm":
         if isinstance(other, (Element, Scalar, int, Fraction)):
@@ -244,20 +248,25 @@ class SuperForm:
 
     # -- display / serialization -----------------------------------------------------------
 
+    def sorted_terms(self) -> list[tuple[Wedge, Element]]:
+        """The terms in display order: by form degree, then by wedge."""
+        terms = self.terms
+        return [(w, terms[w]) for w in sorted(terms, key=lambda w: (len(w), w))]
+
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         names = self.algebra.names
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            wedge = "^".join("d" + names[i] for i in w) or "1"
-            bits.append("(%r) %s" % (self.terms[w], wedge))
-        return " + ".join(bits)
+        return " + ".join("(%r) %s" % (c, "^".join("d" + names[i] for i in w) or "1")
+                          for w, c in self.sorted_terms())
+
+    def layout(self) -> list[dict]:
+        """The to_obj document with each coefficient left as an Element."""
+        names = self.algebra.names
+        return [{"coeff": c, "wedge": [names[i] for i in w]} for w, c in self.sorted_terms()]
 
     def to_obj(self) -> list[dict]:
-        names = self.algebra.names
-        return [{"coeff": self.terms[w].to_obj(), "wedge": [names[i] for i in w]}
-                for w in sorted(self.terms, key=lambda w: (len(w), w))]
+        return [{"coeff": t["coeff"].to_obj(), "wedge": t["wedge"]} for t in self.layout()]
 
     @staticmethod
     def from_obj(algebra: GeneratorTable, obj: Iterable[dict]) -> "SuperForm":

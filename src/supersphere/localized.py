@@ -4,13 +4,16 @@
 b*, eta, eta* to its canonical ``TorusForm``, so a form lies in the
 differential ideal of the relation exactly when its projection is zero, and
 two forms are equal modulo the ideal exactly when their projections are.
+``LocalizedModel.is_zero_mod``, which ``GroupSpace.equal_mod`` asks about a
+difference, projects without expanding: each key's polynomial is decided
+zero in the Bernstein basis and never written in powers of t.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraMismatchError, Element, GeneratorTable
 from .forms import SuperForm, sort_wedge
-from .scalars import Scalar, binomial_sum
+from .scalars import Scalar, binomial_sum, binomial_sum_is_zero
 
 
 class TorusForm:
@@ -20,21 +23,37 @@ class TorusForm:
     of t^0, t^1, ... (t = a a*, trailing zeros stripped) of the polynomial
     f with coefficient a^p b^q f(t), read a*^(-p) b^q f(t) when p < 0.  Keys
     with a zero polynomial are absent, so equal classes have equal terms.
-    Immutable; do not mutate ``terms``.
+    A TorusForm is built from each key's terms (sign, s, m, l) of
+    sign * s * t^m * (1 - t)^l and expands them on the first read of
+    ``terms``; before that, ``is_zero`` decides each key in the Bernstein
+    basis (scalars.binomial_sum_is_zero).  Immutable; do not mutate
+    ``terms``.
     """
 
-    __slots__ = ("terms", "names")
+    __slots__ = ("_groups", "_terms", "names")
 
     # longest repr before the remaining keys are summarised
     REPR_LIMIT = 400
 
-    def __init__(self, terms: dict[tuple, tuple[Scalar, ...]], names: tuple[str, ...]):
-        self.terms = terms
+    def __init__(self, groups: dict[tuple, list[tuple[int, Scalar, int, int]]],
+                 names: tuple[str, ...]):
+        self._groups = groups
+        self._terms: dict[tuple, tuple[Scalar, ...]] | None = None
         self.names = names
 
     @property
+    def terms(self) -> dict[tuple, tuple[Scalar, ...]]:
+        if self._terms is None:
+            self._terms = {key: poly for key, group in self._groups.items()
+                           if (poly := binomial_sum(group))}
+            self._groups = None
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        if self._terms is None:
+            return all(binomial_sum_is_zero(group) for group in self._groups.values())
+        return not self._terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusForm):
@@ -82,7 +101,8 @@ class LocalizedModel:
     -a b^(-1) da* - a* b^(-1) da - (1 - t) b^(-2) db: a shift of (p, q) and
     one more power of t or of (1 - t).  The result is a canonical TorusForm,
     so membership in the ideal is a zero test and equality modulo the ideal
-    is structural equality.  This is the U(1) charge grading of
+    is structural equality; ``is_zero_mod`` runs the zero test on the
+    unexpanded projection.  This is the U(1) charge grading of
     check_equivariance taken one grading further.
     """
 
@@ -107,8 +127,12 @@ class LocalizedModel:
                 out.append((-merged[0], merged[1], dp, dq, dl, rule))
         return out
 
-    def project(self, x: Element | SuperForm) -> TorusForm:
-        """The class of x modulo the ideal; x must live over the group table."""
+    def project(self, x: Element | SuperForm, *, expand: bool = True) -> TorusForm:
+        """The class of x modulo the ideal; x must live over the group table.
+
+        With expand=False the polynomials are left as sums of t^m (1 - t)^l
+        until ``terms`` is read, which is all ``is_zero`` needs.
+        """
         if isinstance(x, Element):
             x = SuperForm.from_element(x)
         if x.algebra is not self.table and x.algebra != self.table:
@@ -126,8 +150,12 @@ class LocalizedModel:
                 for sign, w, dp, dq, dl, rule in images:
                     groups.setdefault((w, odd, i - j + dp, k - l + dq), []).append(
                         (sign, s, min(i, j) + (rule * (i - j) < 0), l + dl))
-        return TorusForm({key: poly for key, group in groups.items()
-                          if (poly := binomial_sum(group))}, self.table.names)
+        out = TorusForm(groups, self.table.names)
+        if expand:
+            out.terms  # expanded here, as part of the projection
+        return out
 
     def is_zero_mod(self, x: Element | SuperForm) -> bool:
-        return self.project(x).is_zero
+        """Whether x lies in the differential ideal: project(x).is_zero,
+        decided with no polynomial expanded in powers of t."""
+        return self.project(x, expand=False).is_zero

@@ -360,9 +360,42 @@ def rat(num: int, den: int = 1) -> Scalar:
 
 
 @lru_cache(maxsize=None)
+def _binomial_row(g: int) -> tuple[int, ...]:
+    """The binomial coefficients C(g, j), j = 0..g."""
+    return tuple(math.comb(g, j) for j in range(g + 1))
+
+
+@lru_cache(maxsize=None)
 def _one_minus_t_power(l: int) -> tuple[int, ...]:
     """The coefficients (-1)^k C(l, k) of (1 - t)^l."""
-    return tuple((-1) ** k * math.comb(l, k) for k in range(l + 1))
+    return tuple(-c if k & 1 else c for k, c in enumerate(_binomial_row(l)))
+
+
+def _binomial_parts(terms: Iterable[tuple[int, Scalar, int, int]]) -> tuple[int, list[tuple]]:
+    """(N, parts) for sum sign * s * t^m * (1 - t)^l over (sign, s, m, l).
+
+    N is the largest m + l.  Each (radical, pi) component of the s is one part
+    (key, den, [(re, im, m, l), ...]): the records over the part's common
+    denominator den, with the sign folded in.
+    """
+    by_key: dict[tuple[int, int], list] = {}
+    top = 0
+    for sign, s, m, l in terms:
+        top = max(top, m + l)
+        for key, rec in s._parts.items():
+            by_key.setdefault(key, []).append((sign, rec, m, l))
+    parts = []
+    for key, recs in by_key.items():
+        den = math.lcm(*(rec[2] for _, rec, _, _ in recs))
+        parts.append((key, den, [(sign * (den // d) * re, sign * (den // d) * im, m, l)
+                                 for sign, (re, im, d), m, l in recs]))
+    return top, parts
+
+
+def _add_row(acc: list[int], start: int, c: int, row: tuple[int, ...]) -> None:
+    """acc[start + k] += c * row[k] for each k."""
+    end = start + len(row)
+    acc[start:end] = [x + c * y for x, y in zip(acc[start:end], row)]
 
 
 def binomial_sum(terms: Iterable[tuple[int, Scalar, int, int]]) -> tuple[Scalar, ...]:
@@ -372,31 +405,51 @@ def binomial_sum(terms: Iterable[tuple[int, Scalar, int, int]]) -> tuple[Scalar,
     Each (radical, pi) component is summed as two dense integer lists over
     one common denominator, so the expansion multiplies plain integers only.
     """
-    by_key: dict[tuple[int, int], list] = {}
-    size = 0
-    for sign, s, m, l in terms:
-        size = max(size, m + l + 1)
-        for key, rec in s._parts.items():
-            by_key.setdefault(key, []).append((sign, rec, m, l))
+    top, parts = _binomial_parts(terms)
     dense = []
-    for key, recs in by_key.items():
-        den = math.lcm(*(rec[2] for _, rec, _, _ in recs))
-        re_list, im_list = [0] * size, [0] * size
-        for sign, (re, im, d), m, l in recs:
+    for key, den, recs in parts:
+        re_list, im_list = [0] * (top + 1), [0] * (top + 1)
+        for re, im, m, l in recs:
             row = _one_minus_t_power(l)
-            end = m + l + 1
-            f = sign * (den // d)
-            for acc, part in ((re_list, re), (im_list, im)):
-                if part:
-                    c = f * part
-                    acc[m:end] = [x + c * y for x, y in zip(acc[m:end], row)]
+            for acc, c in ((re_list, re), (im_list, im)):
+                if c:
+                    _add_row(acc, m, c, row)
         dense.append((key, re_list, im_list, den))
     out = [Scalar({key: _canon(re_list[k], im_list[k], den)
                    for key, re_list, im_list, den in dense if re_list[k] or im_list[k]})
-           for k in range(size)]
+           for k in range(top + 1)]
     while out and out[-1].is_zero:
         out.pop()
     return tuple(out)
+
+
+def binomial_sum_is_zero(terms: Iterable[tuple[int, Scalar, int, int]]) -> bool:
+    """not binomial_sum(terms), decided in the Bernstein basis of degree N,
+    the largest m + l, with no expansion in powers of t.
+
+    Degree elevation writes t^m (1 - t)^l as the sum over j of
+    C(N - m - l, j) t^(m + j) (1 - t)^(N - m - j), and the t^k (1 - t)^(N - k),
+    k = 0..N, are a basis of the polynomials of degree at most N (R. T.
+    Farouki, "The Bernstein polynomial basis: a centennial retrospective",
+    CAGD 29 (2012) 379-419).  So the sum is zero exactly when every summed
+    coefficient is, and a term with m + l = N costs one addition.
+    """
+    top, parts = _binomial_parts(terms)
+    for _, _, recs in parts:
+        re_acc, im_acc = [0] * (top + 1), [0] * (top + 1)
+        for re, im, m, l in recs:
+            g = top - m - l
+            if not g:
+                re_acc[m] += re
+                im_acc[m] += im
+                continue
+            row = _binomial_row(g)
+            for acc, c in ((re_acc, re), (im_acc, im)):
+                if c:
+                    _add_row(acc, m, c, row)
+        if any(re_acc) or any(im_acc):
+            return False
+    return True
 
 
 # a map key -> Gaussian rational as (den, [(key, re, im), ...]): each value is

@@ -9,7 +9,7 @@ import numpy as np
 
 from supersphere.algebra import (Element, GeneratorTable, RewriteSystem, SubstitutionMap,
                                  EVEN, ODD)
-from supersphere.forms import SuperForm, d
+from supersphere.forms import SuperForm, d, sort_wedge, wedge_grassmann_parity
 from supersphere.localized import TorusForm
 from supersphere.monopole import (MINUS, base_space, chern_form, coordinate_chern_form,
                                   coordinate_images, group_space, normalize_sign)
@@ -83,6 +83,33 @@ def mono_mul(m1: TupleMonomial, m2: TupleMonomial) -> tuple[int, TupleMonomial] 
             acc[i] = acc.get(i, 0) + e
         even_part = tuple(sorted(acc.items()))
     return sign, (even_part, odd_part)
+
+
+# The wedge product by split parts, the oracle for the one-pass SuperForm.__mul__:
+# each right coefficient is split into its even and odd parts, each part is
+# multiplied as an Element, negated as a whole when it must move past an odd
+# wedge, and the Elements are merged per output wedge.
+
+def split_parts_wedge(x: SuperForm, y: SuperForm) -> SuperForm:
+    table = x.algebra
+    right = [(w2, ((c2.even_part(), False), (c2.odd_part(), True)))
+             for w2, c2 in y.terms.items()]
+    out: dict = {}
+    for w1, c1 in x.terms.items():
+        odd_count = wedge_grassmann_parity(table, w1)
+        for w2, parts in right:
+            merged = sort_wedge(table, w1 + w2)
+            if merged is None:
+                continue
+            sign, w = merged
+            for c2_part, flip in parts:
+                if c2_part.is_zero:
+                    continue
+                coeff = c1 * c2_part
+                if (sign < 0) != (flip and odd_count):
+                    coeff = -coeff
+                out[w] = out[w] + coeff if w in out else coeff
+    return SuperForm(table, out)
 
 
 # The circle action by substitution, the oracle for the charge tests: the group

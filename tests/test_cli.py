@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supersphere import cli, monopole
-from supersphere.algebra import ODD, Element
+from supersphere.algebra import ODD, Element, MonomialOverflowError
 from supersphere.berezin import chern_number
 from supersphere.cli import main
 from supersphere.forms import DifferentialIdeal, SuperForm
@@ -156,6 +156,54 @@ def test_usage_error_for_non_integer_n(capsys):
         assert code == 2, argv
         assert "must be a positive integer" in err, argv
         assert "_positive_int" not in err, argv
+
+
+@pytest.mark.parametrize("command", ["chern", "projector"])
+def test_n_above_the_degree_limit_is_a_usage_error(capsys, command):
+    """The parser takes n = N_MAX and rejects N_MAX + 1 with exit 2 and a
+    usage message; no pipeline runs at either size."""
+    args = cli.build_parser().parse_args([command, "--sign", "minus", "--n", str(cli.N_MAX)])
+    assert args.n == cli.N_MAX
+    code, out, err = run_cli(capsys, command, "--sign", "minus", "--n", str(cli.N_MAX + 1))
+    assert code == 2 and out == ""
+    assert err.startswith("usage: supersphere %s" % command)
+    assert "n must be at most %d" % cli.N_MAX in err
+
+
+def test_degree_limit_is_the_largest_monomial_that_fits(monkeypatch, capsys):
+    """N_MAX is the largest n whose largest monomial, of degree 2n + 2, fits in
+    the packed layout, and 2n + 2 is the largest degree chern and projector
+    build: every monomial built is recorded at small n."""
+    table = group_space().table
+    a = table.index["a"]
+    table.monomial([(a, 2 * cli.N_MAX + 2)])
+    with pytest.raises(MonomialOverflowError):
+        table.monomial([(a, 2 * (cli.N_MAX + 1) + 2)])
+    degrees = []
+    checked = type(table)._checked
+    tables = (table, base_space().table)
+    limits = {id(t): t._limit for t in tables}
+
+    def record(self, mono):
+        degrees.append(mono >> self._deg_shift)
+        lowered = self._limit
+        self._limit = limits.get(id(self), lowered)
+        try:
+            return checked(self, mono)
+        finally:
+            self._limit = lowered
+
+    monkeypatch.setattr(type(table), "_checked", record)
+    for t in tables:
+        # every product and monomial built then passes through _checked
+        monkeypatch.setattr(t, "_limit", 0)
+    for n in (1, 2, 3):
+        for argv in (("chern",), ("projector", "--coords", "base")):
+            degrees.clear()
+            code, _, _ = run_cli(capsys, *argv, "--sign", "plus", "--n", str(n),
+                                 "--format", "json")
+            assert code == 0
+            assert max(degrees) == 2 * n + 2, (argv, n)
 
 
 def test_projector_base_golden_self_check(capsys):
@@ -508,6 +556,20 @@ def test_projector_json_is_the_to_obj_document(capsys, n, sign, coords):
     mat = projector_to_base(proj) if coords == "base" else proj.matrix
     want = {"sign": sign, "n": n, "coords": coords, "charge": proj.charge,
             "matrix": mat.to_obj()}
+    assert out == json.dumps(want, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_chern_json_is_the_to_obj_document(capsys, n, sign):
+    """The writer renders the form's coefficients from their terms; the text
+    must be json.dumps of the SuperForm.to_obj reference layout."""
+    code, out, _ = run_cli(capsys, "chern", "--sign", sign, "--n", str(n), "--format", "json")
+    assert code == 0
+    charge = n if sign == "minus" else -n
+    want = {"sign": sign, "n": n, "chern_number": charge,
+            "k_label": {"charge": charge, "parity": "even"},
+            "chern_form": monopole.chern_form_canonical(sign, n).to_obj()}
     assert out == json.dumps(want, indent=1) + "\n"
 
 

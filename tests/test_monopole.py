@@ -658,6 +658,24 @@ def test_chern_pairing_route_at_larger_n(g):
             assert chern_form_canonical(sign, n) == want, (sign, n)
 
 
+def test_chern_form_is_the_intermediate_form_for_its_own_n_only(g):
+    """The Bernstein zero test on the pairing route up to n = 64: the pairing
+    form minus the expanded expression is zero at n and not at n + 1, where
+    the verified route raises, and the zero test agrees with the projection."""
+    for n in range(1, 65):
+        for sign in (MINUS, PLUS):
+            computed = chern_form(sign, n)
+            same = computed - chern_intermediate_form(sign, n)
+            off = computed - chern_intermediate_form(sign, n + 1)
+            assert g.localizer.is_zero_mod(same), (sign, n)
+            assert not g.localizer.is_zero_mod(off), (sign, n)
+            if n in (1, 2, 8, 64):
+                assert g.localizer.project(same).is_zero
+                assert not g.localizer.project(off).is_zero
+                with pytest.raises(SuperAlgebraError, match="disagrees"):
+                    monopole._verified(computed, chern_intermediate_form(sign, n + 1), "Chern")
+
+
 def _scaled(vec):
     return PsiVector(vec.sign, vec.n, [c * rat(2) for c in vec.components])
 

@@ -4,10 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supersphere.scalars import Scalar, binomial_sum, rat, squarefree_split
+from supersphere.scalars import (Scalar, binomial_sum, binomial_sum_is_zero, rat,
+                                 squarefree_split)
 
 
 def test_squarefree_split():
@@ -198,6 +199,35 @@ def test_binomial_sum_matches_scalar_arithmetic(terms):
         want.pop()
     got = binomial_sum([(sign, build(xs), m, l) for sign, xs, m, l in terms])
     assert got == tuple(want)
+
+
+binomial_terms = st.lists(st.tuples(st.sampled_from((1, -1)), sums, st.integers(0, 3),
+                                    st.integers(0, 5)), max_size=4)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@example(terms=[], elevated=[(1, [(1, 0, 1, 0)], 0, 0, 1, None)])
+@example(terms=[], elevated=[(1, [(1, 0, 1, 0)], 0, 0, 1, 1)])
+@example(terms=[], elevated=[(1, [(1, 0, 1, 0), (2, 1, 3, 1)], 1, 0, 4, None)])
+@given(binomial_terms,
+       st.lists(st.tuples(st.sampled_from((1, -1)), sums, st.integers(0, 3), st.integers(0, 3),
+                          st.integers(0, 6), st.one_of(st.none(), st.integers(0, 6))),
+                max_size=3))
+def test_bernstein_zero_test_agrees_with_the_dense_sum(terms, elevated):
+    """binomial_sum_is_zero against not binomial_sum, on random terms plus
+    cancelling sets built by degree elevation: sign s t^m (1 - t)^l against
+    each -sign C(g, j) s t^(m + j) (1 - t)^(l + g - j), one of them doubled
+    when `perturb` names it."""
+    items = [(sign, build(xs), m, l) for sign, xs, m, l in terms]
+    for sign, xs, m, l, g, perturb in elevated:
+        x = build(xs)
+        items.append((sign, x, m, l))
+        for j in range(g + 1):
+            c = math.comb(g, j) * (2 if perturb == j else 1)
+            items.append((-sign, x * c, m + j, l + g - j))
+    assert binomial_sum_is_zero(items) == (not binomial_sum(items))
+    if not terms and all(perturb is None or perturb > g for *_, g, perturb in elevated):
+        assert binomial_sum_is_zero(items)
 
 
 def _to_obj_by_fractions(x: Scalar) -> list[dict]:
