@@ -30,8 +30,6 @@ from .monopole import (MINUS, PLUS, base_space, chern_form_canonical,
 from .trig import integrate_half_angle, wallis_integrate
 
 
-# pieces of text _print_json joins into one write
-_CHUNK_PIECES = 4096
 # most coefficient texts one Element writer keeps (see _element_writer)
 _COEFF_TEXTS = 2048
 
@@ -86,56 +84,49 @@ def _element_writer(table: GeneratorTable, pad: str) -> Callable[[Element], str]
 
 def _print_json(obj) -> None:
     """Write json.dumps(obj, indent=1, default=Element.to_obj) + "\n" to
-    stdout, a chunk at a time.
+    stdout, piece by piece.
 
-    With indent set, json.dumps runs its pure-Python encoder; writing in
-    chunks keeps the whole document out of memory.  An Element is rendered
-    from its terms, not through to_obj, and written out as soon as its text
-    is built; other text goes out _CHUNK_PIECES pieces at a time.  Dict keys
-    must be str.
+    With indent set, json.dumps runs its pure-Python encoder; writing each
+    piece to the already buffered stdout as it is built keeps the whole
+    document out of memory.  An Element is rendered from its terms, not
+    through to_obj.  Dict keys must be str.
     """
     write = sys.stdout.write
-    buf: list[str] = []
     # one writer per (generator table, indent), for this call only
     writers: dict[tuple[GeneratorTable, str], Callable[[Element], str]] = {}
 
     def emit(o, pad: str) -> None:
         if isinstance(o, str):
-            buf.append(encode_basestring_ascii(o))
+            write(encode_basestring_ascii(o))
         elif isinstance(o, int) and not isinstance(o, bool):
-            buf.append(int.__repr__(o))
+            write(int.__repr__(o))
         elif isinstance(o, dict):
             inner = pad + " "
             lead, sep = "{\n" + inner, ",\n" + inner
             for key, value in o.items():
-                buf.append(lead + encode_basestring_ascii(key) + ": ")
+                write(lead + encode_basestring_ascii(key) + ": ")
                 lead = sep
                 emit(value, inner)
-            buf.append("\n" + pad + "}" if o else "{}")
+            write("\n" + pad + "}" if o else "{}")
         elif isinstance(o, (list, tuple)):
             inner = pad + " "
             lead, sep = "[\n" + inner, ",\n" + inner
             for value in o:
-                buf.append(lead)
+                write(lead)
                 lead = sep
                 emit(value, inner)
-            buf.append("\n" + pad + "]" if o else "[]")
+            write("\n" + pad + "]" if o else "[]")
         elif isinstance(o, Element):
             key = (o.algebra, pad)
             render = writers.get(key)
             if render is None:
                 render = writers[key] = _element_writer(*key)
-            buf.append(render(o))
-            write("".join(buf))
-            buf.clear()
+            write(render(o))
         else:
-            buf.append(json.dumps(o))
-        if len(buf) >= _CHUNK_PIECES:
-            write("".join(buf))
-            buf.clear()
+            write(json.dumps(o))
 
     emit(obj, "")
-    write("".join(buf) + "\n")
+    write("\n")
 
 
 # ---------------------------------------------------------------------------

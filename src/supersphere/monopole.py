@@ -619,10 +619,15 @@ def chern_form_canonical(sign: str, n: int) -> SuperForm:
     """The paper's expanded expression of C1, verified against the pairing route.
 
     Raises SuperAlgebraError when -(1/(2 pi i)) <d psi|d psi> and the
-    expanded expression disagree modulo the differential ideal.
+    expanded expression disagree modulo the differential ideal.  A form is
+    zero modulo the ideal exactly when a nonzero multiple of it is, so the
+    unscaled pairing is compared with the few-term expression divided by
+    CHERN_SCALAR, and the large pairing form is never scaled.
     """
-    return _verified(chern_form(sign, n), chern_intermediate_form(sign, n),
-                     "Chern, n=%d" % n)
+    closed = chern_intermediate_form(sign, n)
+    dpsi = [d(c) for c in psi(normalize_sign(sign), n).components]
+    _verified(pairing(dpsi, dpsi), closed * CHERN_SCALAR.inverse(), "Chern, n=%d" % n)
+    return closed
 
 
 def chern_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
@@ -740,85 +745,59 @@ def _invariant_units() -> Mapping[str, tuple[Monomial, Element]]:
     return MappingProxyType(table)
 
 
-def _factor_invariants(table: GeneratorTable, mono: Monomial) -> tuple[str, ...]:
-    """Names of the bilinear invariants whose product is +-mono, odd one first."""
-    names = table.names
-    even, odd = table.factors(mono)
-    counts = {name: 0 for name in ("a", "a*", "b", "b*")}
-    for i, e in even:
-        counts[names[i]] = e
-    odd_names = {names[i] for i in odd}
-    has_eta, has_etad = "eta" in odd_names, "eta*" in odd_names
-    chosen: list[str] = []
-    if has_eta and has_etad:
-        chosen.append("eta eta*")
-    elif has_eta or has_etad:
-        partner = next((p for p in (("a*", "b*") if has_eta else ("a", "b")) if counts[p]), None)
-        if partner is None:
-            raise CoordinateEmissionError("unbalanced odd monomial %s" % table.mono_str(mono))
-        counts[partner] -= 1
-        chosen.append("eta " + partner if has_eta else partner + " eta*")
-    for left, right in (("a", "a*"), ("a", "b*"), ("b", "a*"), ("b", "b*")):
-        k = min(counts[left], counts[right])
-        chosen += ["%s %s" % (left, right)] * k
-        counts[left] -= k
-        counts[right] -= k
-    if any(counts.values()):
-        raise CoordinateEmissionError("monomial %s is not U(1)-invariant"
-                                      % table.mono_str(mono))
-    return tuple(chosen)
-
-
 def _base_converter():
     """A function taking U(1)-invariant group elements to sphere coordinates.
 
-    Its table maps each factorization (u1, ..., uk) into bilinear invariants
-    to (group monomial, reduced base image as a Gaussian vector), each built
-    from its prefix by RewriteSystem.multiply_vectors; the entries of one
-    matrix share most factorizations and monomials, so they share the table
-    and a dict from monomial to image, which live as long as the returned
-    function.
+    It keeps one dict from group monomial to its reduced base image as a
+    Gaussian vector, for as long as the returned function lives: the entries
+    of one matrix share most monomials.  A missing image is
+    multiply_vectors(image(mono / u), image(u)) for the first bilinear
+    invariant u whose two generators divide mono.  The image is an algebra
+    morphism on the invariants, and mono = (mono / u) u with sign +1: the even
+    invariants come first, so only the last u of a chain may be odd, and its
+    quotient is 1 (eta eta* is the first odd one, so no quotient keeps an odd
+    generator).
     """
     units = _invariant_units()
     group = group_space().table
+    exponent = group.exponent
     base = base_space()
     multiply = base.rewrites.multiply_vectors
-    # every image coefficient is a Gaussian rational; a unit image that is not
-    # fails at the first prefix that uses it
-    unit_vectors = {name: gaussian_vector(img.terms) for name, (_, img) in units.items()}
-    table: dict[tuple[str, ...], tuple[Monomial, GaussianVector]] = {
-        (): (ONE_MONO, (1, [(ONE_MONO, 1, 0)]))}
+    # (first generator, second generator, monomial, name, image); a unit image
+    # off the Gaussian rationals fails at the first monomial it divides
+    divisors = []
+    for name in ("b b*", "b a*", "a b*", "a a*",
+                 "eta eta*", "eta a*", "eta b*", "a eta*", "b eta*"):
+        mono, img = units[name]
+        first, second = (group.index[gen] for gen in name.split())
+        divisors.append((first, second, mono, name, gaussian_vector(img.terms)))
+    images: dict[Monomial, GaussianVector] = {ONE_MONO: (1, [(ONE_MONO, 1, 0)])}
 
-    def image(key: tuple[str, ...]) -> tuple[Monomial, GaussianVector]:
-        hit = table.get(key)
-        if hit is None:
-            mono, vec = image(key[:-1])
-            unit_vec = unit_vectors[key[-1]]
+    def image(mono: Monomial) -> GaussianVector:
+        # walk down to a stored quotient, then store the chain on the way up:
+        # a failing monomial and its quotients are never stored
+        chain = []
+        rest = mono
+        while rest not in images:
+            for first, second, unit, name, unit_vec in divisors:
+                if exponent(rest, first) and exponent(rest, second):
+                    break
+            else:
+                raise CoordinateEmissionError(
+                    "monomial %s is not a product of the bilinear invariants"
+                    % group.mono_str(mono))
             if unit_vec is None:
                 raise CoordinateEmissionError("image of %s is not over the Gaussian rationals"
-                                              % key[-1])
-            # only one unit of a factorization is odd, so the product never
-            # vanishes and merges an odd part with an empty one: its sign is +1
-            _, mono = group.multiply(mono, units[key[-1]][0])
-            hit = table[key] = (mono, multiply(vec, unit_vec))
-        return hit
-
-    # group monomial -> its base image, stored only once its factorization
-    # has reproduced it, so a failing monomial raises on every call
-    vectors: dict[Monomial, GaussianVector] = {}
+                                              % name)
+            chain.append((rest, unit_vec))
+            rest -= unit
+        vec = images[rest]
+        for quotient, unit_vec in reversed(chain):
+            vec = images[quotient] = multiply(vec, unit_vec)
+        return vec
 
     def to_base(x: Element) -> Element:
-        pairs = []
-        for mono, coeff in x.terms.items():
-            vec = vectors.get(mono)
-            if vec is None:
-                got, vec = image(_factor_invariants(group, mono))
-                # the candidate factorization must reproduce the monomial
-                if got != mono:
-                    raise CoordinateEmissionError("factorization failed for %s"
-                                                  % group.mono_str(mono))
-                vectors[mono] = vec
-            pairs.append((coeff, vec))
+        pairs = [(coeff, image(mono)) for mono, coeff in x.terms.items()]
         # the images are unique normal forms, so the conversion is linear and
         # a sum of reduced images is already reduced; combine drops zeros
         return Element._nonzero(base.table, combine(pairs))
@@ -829,9 +808,10 @@ def _base_converter():
 def element_to_base(x: Element) -> Element:
     """Rewrite a U(1)-invariant group element in sphere coordinates.
 
-    Each monomial is factored into the bilinear invariants aa*, ab*, eta a*,
-    ... whose coordinate expressions are substituted exactly; the candidate
-    factorization is verified against the monomial, so a wrong pairing cannot
+    Each monomial is divided, one bilinear invariant aa*, ab*, eta a*, ... at
+    a time, down to 1, and the coordinate expressions of the invariants are
+    multiplied exactly; a monomial that does not divide down to 1 raises
+    CoordinateEmissionError, so an element that is not U(1)-invariant cannot
     produce a silent error.
     """
     return _base_converter()(x)
@@ -840,7 +820,8 @@ def element_to_base(x: Element) -> Element:
 def projector_to_base(proj: Projector) -> SuperMatrix:
     """The projector with every entry rewritten in sphere coordinates.
 
-    Only the entries with alpha <= beta are converted; _self_adjoint mirrors
+    Only the entries with alpha <= beta are converted, by one converter, so
+    each distinct monomial of the matrix is imaged once; _self_adjoint mirrors
     the rest, since image(u^dia) = image(u)^dia for every bilinear invariant u.
     """
     to_base = _base_converter()

@@ -209,6 +209,60 @@ class SubstitutionLocalizer:
                 for key, poly in polys.items()}
 
 
+# -- factorizations into the bilinear invariants -------------------------------
+# The factorizations of the per-monomial oracle of the coordinate emission; they
+# work on generator counts, not on packed monomials.
+
+def _counts(table: GeneratorTable, mono) -> dict[str, int]:
+    even, odd = table.factors(mono)
+    counts = {table.names[i]: e for i, e in even}
+    counts.update((table.names[i], 1) for i in odd)
+    return counts
+
+
+def factor_invariants(table: GeneratorTable, mono) -> tuple[str, ...]:
+    """Names of the bilinear invariants whose product is +-mono, odd one
+    first, then a a*, a b*, b a*, b b* as often as each divides."""
+    counts = {name: 0 for name in ("a", "a*", "b", "b*")}
+    counts.update(_counts(table, mono))
+    has_eta, has_etad = counts.pop("eta", 0), counts.pop("eta*", 0)
+    chosen: list[str] = []
+    if has_eta and has_etad:
+        chosen.append("eta eta*")
+    elif has_eta or has_etad:
+        partner = next((p for p in (("a*", "b*") if has_eta else ("a", "b")) if counts[p]), None)
+        if partner is None:
+            raise ValueError("unbalanced odd monomial %s" % table.mono_str(mono))
+        counts[partner] -= 1
+        chosen.append("eta " + partner if has_eta else partner + " eta*")
+    for left, right in (("a", "a*"), ("a", "b*"), ("b", "a*"), ("b", "b*")):
+        k = min(counts[left], counts[right])
+        chosen += ["%s %s" % (left, right)] * k
+        counts[left] -= k
+        counts[right] -= k
+    if any(counts.values()):
+        raise ValueError("monomial %s is not U(1)-invariant" % table.mono_str(mono))
+    return tuple(chosen)
+
+
+def random_factorization(table: GeneratorTable, mono, names, rng) -> tuple[str, ...]:
+    """Divide mono down to 1 by invariants of names ("x y": generators x, y),
+    each step taking one that divides at random (rng.choice)."""
+    counts = _counts(table, mono)
+    chosen: list[str] = []
+    while any(counts.values()):
+        dividing = [name for name in names
+                    if all(counts.get(gen, 0) for gen in name.split())]
+        if not dividing:
+            raise ValueError("monomial %s is not a product of the invariants"
+                             % table.mono_str(mono))
+        name = rng.choice(dividing)
+        for gen in name.split():
+            counts[gen] -= 1
+        chosen.append(name)
+    return tuple(chosen)
+
+
 # -- numeric quadrature -------------------------------------------------------
 
 QUAD_ORDER = 64   # Gauss-Legendre points per axis

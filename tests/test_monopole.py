@@ -1,6 +1,7 @@
 """The monopole construction: group element, coordinates, projectors, forms."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -30,13 +31,12 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
                                   projector_to_base, psi, section_to_equivariant,
                                   sphere_relation_check, supertrace_p_dp_dp, u1_charge,
                                   Projector, PsiVector, block_shape_1_2,
-                                  _base_converter, _factor_invariants, _invariant_units,
-                                  _signed_outer)
+                                  _base_converter, _invariant_units, _signed_outer)
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 
 from oracles import (CIRCLE_TABLE, circle_reduce, coordinate_chern_form_corrected,
-                     coordinate_chern_report)
+                     coordinate_chern_report, factor_invariants, random_factorization)
 
 
 @pytest.fixture(scope="module")
@@ -738,16 +738,17 @@ def test_element_to_base_roundtrip_n2(g):
             assert g.rewrites.reduce(pulled - proj.matrix.entries[i][j]).is_zero, (i, j)
 
 
-def _element_to_base_oracle(x, g, base):
+def _element_to_base_oracle(x, g, base, factor=factor_invariants):
     """The per-monomial route: factor each monomial into the bilinear
-    invariants, multiply their group elements and base expressions, check the
-    group product against the monomial, and reduce the sum once."""
+    invariants by factor(table, monomial), multiply their group elements and
+    base expressions, check the group product against the monomial, and
+    reduce the sum once."""
     units = {name: (_unit_group(g, name), expr)
              for name, (_, expr) in _invariant_units().items()}
     out = base.table.zero()
     for mono, coeff in x.terms.items():
         group_prod, base_prod = g.table.one(), base.table.one()
-        for name in _factor_invariants(g.table, mono):
+        for name in factor(g.table, mono):
             ge, be = units[name]
             group_prod = group_prod * ge
             base_prod = base_prod * be
@@ -824,16 +825,13 @@ _scalars = st.lists(st.builds(Scalar.of, _rationals, _rationals, st.sampled_from
                               st.integers(-1, 1)),
                     min_size=1, max_size=3).map(lambda parts: sum(parts, Scalar.zero()))
 _UNIT_NAMES = tuple(_invariant_units())
+# (coefficient, invariant names, times aa* + bb* - 1) per term of a sum
+_invariant_sum_terms = st.lists(st.tuples(_scalars, st.lists(st.sampled_from(_UNIT_NAMES),
+                                                             max_size=3), st.booleans()),
+                                min_size=1, max_size=4)
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(st.lists(st.tuples(_scalars, st.lists(st.sampled_from(_UNIT_NAMES), max_size=3),
-                          st.booleans()), min_size=1, max_size=4))
-def test_base_converter_matches_per_monomial_oracle_on_invariant_sums(terms):
-    """Random sums of products of the nine invariants with multi-part
-    coefficients.  A term times aa* + bb* - 1 has images that cancel to 0,
-    so its output coefficients must be dropped."""
-    g, base = group_space(), base_space()
+def _invariant_sum(g, terms):
     units = {name: Element(g.table, {mono: Scalar.one()})
              for name, (mono, _) in _invariant_units().items()}
     relation = units["a a*"] + units["b b*"] - 1
@@ -843,7 +841,33 @@ def test_base_converter_matches_per_monomial_oracle_on_invariant_sums(terms):
         for name in names:
             term = term * units[name]
         x = x + (term * relation if cancel else term)
+    return x
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_invariant_sum_terms)
+def test_base_converter_matches_per_monomial_oracle_on_invariant_sums(terms):
+    """Random sums of products of the nine invariants with multi-part
+    coefficients.  A term times aa* + bb* - 1 has images that cancel to 0,
+    so its output coefficients must be dropped."""
+    g, base = group_space(), base_space()
+    x = _invariant_sum(g, terms)
     assert _base_converter()(x) == _element_to_base_oracle(x, g, base)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_invariant_sum_terms, st.randoms(use_true_random=False))
+def test_base_image_does_not_depend_on_the_division_order(terms, rng):
+    """The converter divides each monomial by the invariants in one fixed
+    order.  That is sound because the image is a homomorphism on the
+    invariants: the per-monomial oracle gives the same image whichever
+    dividing invariant it takes at each step."""
+    g, base = group_space(), base_space()
+    x = _invariant_sum(g, terms)
+    at_random = _element_to_base_oracle(
+        x, g, base, lambda table, mono: random_factorization(table, mono, _UNIT_NAMES, rng))
+    assert at_random == _element_to_base_oracle(x, g, base)
+    assert at_random == _base_converter()(x)
 
 
 def test_base_converter_rejects_an_image_off_the_gaussian_rationals(g, monkeypatch):
@@ -866,20 +890,53 @@ def test_invariant_units_are_one_read_only_table():
         units["a a*"] = units["b b*"]
 
 
-def test_projector_to_base_builds_its_table_per_call(monkeypatch):
-    """The prefix table lives as long as one conversion, so a second call
-    builds every image again instead of holding them for the process."""
+def _count_multiplications(monkeypatch) -> list:
+    """The first operand of each RewriteSystem.multiply_vectors call of the
+    base space from now on, in a list that grows as they are made."""
     rewrites = base_space().rewrites
     original = rewrites.multiply_vectors
     calls = []
     monkeypatch.setattr(rewrites, "multiply_vectors",
                         lambda v, w: calls.append(v) or original(v, w))
+    return calls
+
+
+def test_projector_to_base_builds_its_table_per_call(monkeypatch):
+    """The converter's images of group monomials live as long as one
+    conversion, so a second call builds every image again instead of holding
+    them for the process."""
+    calls = _count_multiplications(monkeypatch)
     proj = projector(psi(MINUS, 2))
     first = projector_to_base(proj)
     built = len(calls)
     assert built > 0
     assert projector_to_base(proj) == first
     assert len(calls) == 2 * built
+
+
+def test_base_converter_images_each_monomial_once(monkeypatch):
+    """A second conversion of the same element by one converter multiplies
+    nothing: every image it needs is stored."""
+    calls = _count_multiplications(monkeypatch)
+    entries = projector(psi(PLUS, 3)).matrix.entries
+    x = entries[0][0] + entries[2][5] + entries[6][6]
+    to_base = _base_converter()
+    first = to_base(x)
+    built = len(calls)
+    assert built > 0
+    assert to_base(x) == first
+    assert len(calls) == built
+
+
+@pytest.mark.parametrize("sign", [MINUS, PLUS])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_projector_to_base_multiplications_are_bounded(monkeypatch, sign, n):
+    """Each distinct monomial of the upper triangle costs one
+    multiply_vectors call, 2 (n + 1)^2 - 1 calls in all."""
+    proj = projector(psi(sign, n))
+    calls = _count_multiplications(monkeypatch)
+    projector_to_base(proj)
+    assert 0 < len(calls) <= 2 * (n + 1) ** 2 - 1
 
 
 def test_element_to_base_rejects_non_invariant(g):
@@ -889,36 +946,35 @@ def test_element_to_base_rejects_non_invariant(g):
         element_to_base(g.eta)
 
 
-def test_element_to_base_checks_the_factorization(monkeypatch):
-    # the factorization ignores odd generators other than eta, eta*, so only
-    # the check of the units' product against the monomial catches a t;
-    # the converter reads only the table of the group space
+def test_element_to_base_checks_the_factorization(g, monkeypatch):
+    # over a table with another odd pair t, t*, a a* t divides by a a* down
+    # to t, which no invariant divides; the invariants are built over that
+    # table, as the converter reads only the table of the group space
     table = GeneratorTable.build(conjugate_pairs=[
         ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD), ("t", "t*", ODD)])
-    space = dataclasses.replace(group_space(), table=table)
+    want = element_to_base(g.a * g.ad)
+    space = dataclasses.replace(g, table=table)
     monkeypatch.setattr(monopole, "group_space", lambda: space)
-    with pytest.raises(CoordinateEmissionError, match="factorization failed"):
+    monkeypatch.setattr(monopole, "_invariant_units",
+                        functools.cache(monopole._invariant_units.__wrapped__))
+    assert element_to_base(space.a * space.ad) == want
+    with pytest.raises(CoordinateEmissionError, match="not a product of the bilinear"):
         element_to_base(space.a * space.ad * space.table.gen("t"))
 
 
-def test_base_converter_reuses_images_only_of_checked_monomials(g, monkeypatch):
+def test_base_converter_reuses_images_only_of_checked_monomials(g):
     """One converter over elements that share monomials gives the oracle's
     result each time, and a monomial that fails keeps failing after other
-    conversions: no image is kept before the check."""
+    conversions: neither it nor a quotient on its chain is stored."""
     base = base_space()
     entries = projector(psi(MINUS, 2)).matrix.entries
     shared = [entries[0][0], entries[0][0] * Scalar.of(0, 2) + entries[1][1],
               entries[1][1] - entries[2][2], entries[0][0]]
-    # a wrong factorization of a a* b b*, as a faulty _factor_invariants would give
-    wrong = set((g.a * g.ad * g.b * g.bd).terms)
-    factor = monopole._factor_invariants
-    monkeypatch.setattr(monopole, "_factor_invariants",
-                        lambda table, mono: ("a a*",) if mono in wrong else factor(table, mono))
     to_base = _base_converter()
     for _ in range(2):
         for x in shared:
             assert to_base(x) == _element_to_base_oracle(x, g, base)
-        with pytest.raises(CoordinateEmissionError, match="not U\\(1\\)-invariant"):
-            to_base(g.a)
-        with pytest.raises(CoordinateEmissionError, match="factorization failed"):
-            to_base(g.a * g.ad + g.a * g.ad * g.b * g.bd)
+        for bad in (g.a, g.a * g.ad + g.a * g.ad * g.eta, g.eta):
+            with pytest.raises(CoordinateEmissionError, match="not a product of the bilinear"):
+                to_base(bad)
+        assert to_base(g.a * g.ad) == _element_to_base_oracle(g.a * g.ad, g, base)
