@@ -141,11 +141,12 @@ class GeneratorTable:
         self._odd_diamond = _Memo(self._diamond_odd)
 
     def _diamond_odd(self, bits: int) -> tuple[Monomial, int]:
-        img = [self.diamond_partner[i] for i in self._odd_factors[bits]]
-        sign = _sort_odd(img)
+        img, sign = ONE_MONO, 1
         for i in self._odd_factors[bits]:
-            sign *= self.diamond_sign[i]
-        return sum(self.units[j] for j in img), sign
+            # distinct odd generators have distinct partners, so no product is zero
+            s, img = self.multiply(img, self.units[self.diamond_partner[i]])
+            sign *= s * self.diamond_sign[i]
+        return img, sign
 
     # -- monomials ---------------------------------------------------------------
 
@@ -201,7 +202,8 @@ class GeneratorTable:
         return (mono & self._odd_mask).bit_count() & 1
 
     def multiply(self, m1: Monomial, m2: Monomial) -> tuple[int, Monomial] | None:
-        """Product of monomials: (sign, monomial), or None if zero."""
+        """Product of monomials: (sign, monomial), or None if zero.  With
+        _multiply_into for sums, the one rule that signs a monomial product."""
         o1, o2 = m1 & self._odd_mask, m2 & self._odd_mask
         if o1 & o2:
             return None
@@ -352,54 +354,26 @@ class GeneratorTable:
     def element(self, raw: Iterable[tuple[Scalar | RationalLike, Sequence[str]]]) -> "Element":
         """Normalize a list of (scalar, generator-name sequence) words.
 
-        Reordering two adjacent generators multiplies by (-1)^(p1*p2); a word
-        with a repeated odd generator is zero.  Each distinct name is looked
-        up once and counted by ``word.count``, so a power costs one step
-        however long it is.
+        Each word is the product of its generators in the written order,
+        folded through multiply: a word with a repeated odd generator is zero.
+        Every name is looked up, so an undeclared one raises
+        UnknownGeneratorError also in a zero word.
         """
         out: dict[Monomial, Scalar] = {}
-        index, parities = self.index, self.parities
+        units, multiply = self.units, self.multiply
         for coeff, word in raw:
-            even: dict[int, int] = {}
-            odd: list[int] = []
-            # names in order of first appearance: an odd name that appears
-            # once keeps its written place among the odd names, and one that
-            # repeats makes the word zero wherever it stands
-            for name in dict.fromkeys(word):
-                # _idx raises UnknownGeneratorError for an undeclared name
-                i = index[name] if name in index else self._idx(name)
-                if parities[i] == ODD:
-                    odd.extend([i] * word.count(name))
-                else:
-                    even[i] = word.count(name)
-            sign = _sort_odd(odd)
-            if sign == 0:
-                continue
-            s = Scalar.coerce(coeff)
-            mono = self.monomial(even.items(), odd)
-            if sign < 0:
-                s = -s
-            out[mono] = out[mono] + s if mono in out else s
+            sign, mono = 1, ONE_MONO
+            for unit in [units[self._idx(name)] for name in word]:
+                prod = multiply(mono, unit)
+                if prod is None:
+                    break
+                sign, mono = sign * prod[0], prod[1]
+            else:
+                s = Scalar.coerce(coeff)
+                if sign < 0:
+                    s = -s
+                out[mono] = out[mono] + s if mono in out else s
         return Element(self, out)
-
-
-def _sort_odd(indices: list[int]) -> int:
-    """Sort odd generator indices in place; the sign of the reordering.
-
-    Every swap of two odd generators flips the sign; 0 when one repeats.
-    """
-    if len(indices) < 2:
-        return 1
-    sign = 1
-    for a in range(1, len(indices)):
-        b = a
-        while b > 0 and indices[b - 1] > indices[b]:
-            indices[b - 1], indices[b] = indices[b], indices[b - 1]
-            sign = -sign
-            b -= 1
-    if any(indices[k] == indices[k - 1] for k in range(1, len(indices))):
-        return 0
-    return sign
 
 
 class Element:
@@ -699,8 +673,10 @@ class RewriteSystem:
         # the lead's (field shift, exponent) pairs, which find k in q * lead^k
         self._lead_fields = tuple((algebra._shifts[i], e) for i, e in even)
         # _powers[k] is replacement^k, each power built from the one below it,
+        # _factors[k] the same power as reduce's right factor,
         # and _vectors[k] the same power as a Gaussian vector
         self._powers: list[Element] = [algebra.one()]
+        self._factors: list[list[tuple[Monomial, int, int, Scalar]]] = []
         self._vectors: list[GaussianVector | None] = []
 
     def _power(self, k: int) -> Element:
@@ -709,29 +685,31 @@ class RewriteSystem:
             pows.append(pows[-1] * self.replacement)
         return pows[k]
 
+    def _factored_power(self, k: int) -> list[tuple[Monomial, int, int, Scalar]]:
+        """replacement^k as the right factor of _multiply_into."""
+        facs = self._factors
+        while len(facs) <= k:
+            facs.append(self.algebra._factor(self._power(len(facs)).terms.items()))
+        return facs[k]
+
     def reduce(self, x: Element) -> Element:
-        """The unique normal form: each monomial is rewritten once."""
+        """The unique normal form: the terms q * lead^k are grouped by k, and
+        each group's quotients q are multiplied by replacement^k in one product."""
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise AlgebraMismatchError("element lives over a different generator table")
-        lead, fields = self.lead, self._lead_fields
-        odd_mask, flips = self.algebra._odd_mask, self.algebra._flips
+        table, lead, fields = self.algebra, self.lead, self._lead_fields
         out: dict[Monomial, Scalar] = {}
+        quotients: dict[int, list[tuple[Monomial, Scalar]]] = {}
         for mono, coeff in x.terms.items():
             k = min((mono >> shift & _FIELD) // e for shift, e in fields)
             if not k:
                 out[mono] = out[mono] + coeff if mono in out else coeff
-                continue
-            # replacement^k has degree at most that of lead^k, so no product overflows
-            quot = mono - k * lead
-            o1 = quot & odd_mask
-            for m, s in self._power(k).terms.items():
-                o2 = m & odd_mask
-                if o1 & o2:
-                    continue
-                s = coeff * s if not (o1 & flips[o2]).bit_count() & 1 else -(coeff * s)
-                m += quot
-                out[m] = out[m] + s if m in out else s
-        return Element(self.algebra, out)
+            else:
+                quotients.setdefault(k, []).append((mono - k * lead, coeff))
+        # replacement^k has degree at most that of lead^k, so no product overflows
+        for k, quots in quotients.items():
+            table._multiply_into(out, quots, self._factored_power(k))
+        return Element(table, out)
 
     def multiply_vectors(self, v: GaussianVector, w: GaussianVector) -> GaussianVector:
         """reduce(x * y) for x and y given as Gaussian vectors over monomials,

@@ -341,24 +341,36 @@ class PsiVector:
         return [c.diamond() for c in self.components]
 
 
+@functools.cache
+def _psi_factors(g: GroupSpace) -> tuple[Element, Element, Element]:
+    """eta/2, eta*/2 and 1 - eta eta*/8, the factors of psi's components,
+    built once per space: at small n they cost as much as the components."""
+    return rat(1, 2) * g.eta, rat(1, 2) * g.etad, g.table.one() - rat(1, 8) * g.eta * g.etad
+
+
 def psi(sign: str, n: int, space: GroupSpace | None = None) -> PsiVector:
-    """The normalized (n, n+1) supervector of the given sign family."""
+    """The normalized (n, n+1) supervector of the given sign family,
+
+        psi_k     = (h/2) (sqrt(C(n-1, k)) u^(n-1-k) v^k),  k < n,
+        psi_(n+k) = (sqrt(C(n, k)) u^(n-k) v^k) (1 - eta eta*/8),  k <= n,
+
+    with (u, v, h) = (a, b, eta) for sign minus and (a*, b*, eta*) for plus;
+    the Element products supply every sign.
+    """
     sign = normalize_sign(sign)
     if n < 1:
         raise ValueError("n must be a positive integer")
     g = space or group_space()
-    element = g.table.element
-    u, v, h = ("a", "b", "eta") if sign == MINUS else ("a*", "b*", "eta*")
-    half, minus_eighth = rat(1, 2), rat(-1, 8)
-    comps: list[Element] = []
-    for k in range(n):
-        root = Scalar.sqrt_binomial(n - 1, k)
-        comps.append(element([(half * root, [h] + [u] * (n - 1 - k) + [v] * k)]))
-    # (1 - eta eta*/8) u^(n-k) v^k
-    for k in range(n + 1):
-        root = Scalar.sqrt_binomial(n, k)
-        w = [u] * (n - k) + [v] * k
-        comps.append(element([(root, w), (minus_eighth * root, ["eta", "eta*"] + w)]))
+    table = g.table
+    half_eta, half_etad, norm_factor = _psi_factors(g)
+    u, v, half_h = ("a", "b", half_eta) if sign == MINUS else ("a*", "b*", half_etad)
+    iu, iv = table.index[u], table.index[v]
+
+    def term(coeff: Scalar, i: int, j: int) -> Element:
+        return Element(table, {table.monomial(((iu, i), (iv, j))): coeff})
+
+    comps = [half_h * term(Scalar.sqrt_binomial(n - 1, k), n - 1 - k, k) for k in range(n)]
+    comps.extend(term(Scalar.sqrt_binomial(n, k), n - k, k) * norm_factor for k in range(n + 1))
     return PsiVector(sign, n, comps)
 
 
@@ -597,7 +609,7 @@ def chern_form(sign: str, n: int) -> SuperForm:
     returned as computed, not rewritten: chern_form_canonical gives the
     verified representative.
     """
-    return _pairing_chern_form(psi(normalize_sign(sign), n).components)
+    return _pairing_chern_form(psi(sign, n).components)
 
 
 def chern_form_body(sign: str, n: int) -> SuperForm:
@@ -611,7 +623,7 @@ def chern_form_body(sign: str, n: int) -> SuperForm:
     relation reduction is needed: the chart pullback evaluates the constraint
     exactly.
     """
-    vec = psi(normalize_sign(sign), n)
+    vec = psi(sign, n)
     return _pairing_chern_form([c.body() for c in vec.components])
 
 
@@ -625,7 +637,7 @@ def chern_form_canonical(sign: str, n: int) -> SuperForm:
     CHERN_SCALAR, and the large pairing form is never scaled.
     """
     closed = chern_intermediate_form(sign, n)
-    dpsi = [d(c) for c in psi(normalize_sign(sign), n).components]
+    dpsi = [d(c) for c in psi(sign, n).components]
     _verified(pairing(dpsi, dpsi), closed * CHERN_SCALAR.inverse(), "Chern, n=%d" % n)
     return closed
 

@@ -13,7 +13,7 @@ from supersphere.forms import SuperForm, d, sort_wedge, wedge_grassmann_parity
 from supersphere.localized import TorusForm
 from supersphere.monopole import (MINUS, base_space, chern_form, coordinate_chern_form,
                                   coordinate_images, group_space, normalize_sign)
-from supersphere.scalars import Scalar
+from supersphere.scalars import Scalar, rat
 from supersphere.trig import PhaseHalfAngle, TrigPoly
 
 
@@ -83,6 +83,58 @@ def mono_mul(m1: TupleMonomial, m2: TupleMonomial) -> tuple[int, TupleMonomial] 
             acc[i] = acc.get(i, 0) + e
         even_part = tuple(sorted(acc.items()))
     return sign, (even_part, odd_part)
+
+
+# Words signed by an insertion sort, the oracle for GeneratorTable.element,
+# which folds a word through GeneratorTable.multiply, and psi from such words,
+# the oracle for psi built from its formula.
+
+def sort_odd(indices: list[int]) -> int:
+    """Sort odd generator indices in place; the sign of the reordering.
+
+    Every swap of two odd generators flips the sign; 0 when one repeats.
+    """
+    sign = 1
+    for a in range(1, len(indices)):
+        b = a
+        while b > 0 and indices[b - 1] > indices[b]:
+            indices[b - 1], indices[b] = indices[b], indices[b - 1]
+            sign = -sign
+            b -= 1
+    if any(indices[k] == indices[k - 1] for k in range(1, len(indices))):
+        return 0
+    return sign
+
+
+def word_by_sorting(table: GeneratorTable, coeff, word) -> Element:
+    """coeff times the word: the even names counted, the odd ones sorted by sort_odd."""
+    idx = [table.index[name] for name in word]
+    odd = [i for i in idx if table.parities[i] == ODD]
+    sign = sort_odd(odd)
+    if not sign:
+        return table.zero()
+    even: dict[int, int] = {}
+    for i in idx:
+        if table.parities[i] == EVEN:
+            even[i] = even.get(i, 0) + 1
+    return Element(table, {table.monomial(even.items(), odd): Scalar.coerce(coeff) * sign})
+
+
+def psi_from_words(sign: str, n: int) -> list[Element]:
+    """The components of psi(sign, n), each written as generator words and
+    normalized by GeneratorTable.element."""
+    element = group_space().table.element
+    u, v, h = ("a", "b", "eta") if normalize_sign(sign) == MINUS else ("a*", "b*", "eta*")
+    half, minus_eighth = rat(1, 2), rat(-1, 8)
+    comps = []
+    for k in range(n):
+        root = Scalar.sqrt_binomial(n - 1, k)
+        comps.append(element([(half * root, [h] + [u] * (n - 1 - k) + [v] * k)]))
+    for k in range(n + 1):
+        root = Scalar.sqrt_binomial(n, k)
+        w = [u] * (n - k) + [v] * k
+        comps.append(element([(root, w), (minus_eighth * root, ["eta", "eta*"] + w)]))
+    return comps
 
 
 # The wedge product by split parts, the oracle for the one-pass SuperForm.__mul__:

@@ -16,7 +16,7 @@ from supersphere.monopole import base_space, group_space
 from supersphere.scalars import Scalar, gaussian_vector, rat
 from supersphere.tests_support import random_element
 
-from oracles import CIRCLE_REWRITES, TupleMonomial, mono_key, mono_mul
+from oracles import CIRCLE_REWRITES, TupleMonomial, mono_key, mono_mul, word_by_sorting
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def test_normalize_examples(table, gens):
     assert table.element([(1, ["b", "a"])]) == gens["a"] * gens["b"]
 
 
-def test_normalize_counts_each_name_once(table, gens):
+def test_normalize_long_words(table, gens):
     a, ad, eta, etad = gens["a"], gens["a*"], gens["eta"], gens["eta*"]
     word = ["a"] * 5 + ["eta*", "a*", "eta"] + ["a"] * 2
     assert table.element([(1, word)]) == -(a ** 7 * ad * eta * etad)
@@ -59,6 +59,24 @@ def test_normalize_counts_each_name_once(table, gens):
 def test_normalize_unknown_generator(table):
     with pytest.raises(UnknownGeneratorError):
         table.element([(1, ["nope"])])
+
+
+@pytest.mark.parametrize("space", [group_space, base_space], ids=["group", "base"])
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@example(letters=[4, 0, 5, 0, 4], coeff=1)
+@example(letters=[1, 4, 0, 4, 1], coeff=2)
+@example(letters=[1, 3, 0], coeff=-3)
+@given(st.lists(st.integers(0, 5), max_size=8), st.integers(-3, 3))
+def test_element_folds_words_as_the_sorting_oracle(space, letters, coeff):
+    """A word of up to 8 names, with repeats, against the insertion-sort
+    oracle: the names are the table's, letter i taken modulo its size."""
+    table = space().table
+    word = [table.names[i % len(table)] for i in letters]
+    got = table.element([(coeff, word)])
+    assert got == word_by_sorting(table, coeff, word)
+    odd = [name for name in word if table.parity_of_name(name) == ODD]
+    if len(set(odd)) < len(odd):
+        assert got.is_zero
 
 
 def test_mul_examples(table, gens):
@@ -242,6 +260,8 @@ def test_reduce_examples(table, gens, group_rewrites):
     assert group_rewrites.reduce(cubed) == one
     assert _naive_single_step_reduce(cubed, _rules(group_rewrites)) == one
     assert group_rewrites.reduce(gens["eta"]) == gens["eta"]
+    # the k = 0, 1 and 2 terms of q * (b b*)^k cancel across their groups
+    assert group_rewrites.reduce((a * ad + b * bd - one) * (b * bd + gens["eta"])) == 0
 
 
 def test_reduce_matches_naive_oracle_on_random(table, group_rewrites):

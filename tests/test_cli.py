@@ -224,13 +224,22 @@ def test_projector_self_check_without_golden_file_exits_2(capsys):
         assert "no golden file for" in err
 
 
-def test_projector_json_roundtrip(capsys):
-    code, out, _ = run_cli(capsys, "projector", "--sign", "minus", "--n", "1",
-                           "--coords", "base", "--format", "json")
+@pytest.mark.parametrize("coords", ["base", "group"])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_projector_json_roundtrip(capsys, sign, n, coords):
+    """The emitted matrix reads back, through the words of Element.from_obj,
+    as the computed one."""
+    code, out, _ = run_cli(capsys, "projector", "--sign", sign, "--n", str(n),
+                           "--coords", coords, "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["charge"] == 1
-    mat = SuperMatrix.from_obj(base_space().table, payload["matrix"])
+    assert payload["charge"] == (n if sign == "minus" else -n)
+    proj = projector(psi(sign, n))
+    want = projector_to_base(proj) if coords == "base" else proj.matrix
+    table = (base_space() if coords == "base" else group_space()).table
+    mat = SuperMatrix.from_obj(table, payload["matrix"])
+    assert mat == want
     assert mat.to_obj() == payload["matrix"]
 
 

@@ -36,7 +36,8 @@ from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 
 from oracles import (CIRCLE_TABLE, circle_reduce, coordinate_chern_form_corrected,
-                     coordinate_chern_report, factor_invariants, random_factorization)
+                     coordinate_chern_report, factor_invariants, psi_from_words,
+                     random_factorization)
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,12 @@ def test_psi_matches_product_oracle(g):
     for n in range(1, 9):
         for sign in (MINUS, PLUS):
             assert psi(sign, n).components == _psi_by_products(g, sign, n), (sign, n)
+
+
+@pytest.mark.parametrize("sign", [MINUS, PLUS])
+def test_psi_matches_the_word_oracle(sign):
+    for n in (*range(1, 9), 64):
+        assert psi(sign, n).components == psi_from_words(sign, n), (sign, n)
 
 
 def test_psi_normalized(g):
