@@ -19,7 +19,7 @@ from .trig import (TrigPoly, PhaseHalfAngle, integrate_half_angle, wallis_integr
                    ChartError)
 from .monopole import (group_space, base_space, group_element,
                        osp_fixtures, base_coordinates, inversion_identities,
-                       psi, pairing, projector, connection_form,
+                       psi, psi_body, pairing, projector, connection_form,
                        connection_closed_form, curvature, chern_form,
                        chern_form_canonical, chern_closed_form,
                        chern_intermediate_form, chern_form_body,

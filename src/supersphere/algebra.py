@@ -154,13 +154,14 @@ class GeneratorTable:
         """The monomial with exponent e of each even generator (i, e) and each
         odd generator of `odd` once; the inverse of `factors`.
 
-        Raises ValueError for a misplaced or repeated generator and
-        MonomialOverflowError when the degree reaches 2**EXP_BITS.
+        Raises ValueError for a misplaced or repeated generator or an exponent
+        that is not a nonnegative int, and MonomialOverflowError when the
+        degree reaches 2**EXP_BITS.
         """
         mono = 0
         seen = 0
         for i, e in even:
-            if self.parities[i] != EVEN or e < 0:
+            if self.parities[i] != EVEN or type(e) is not int or e < 0:
                 raise ValueError("generator %s cannot have exponent %r in the even part"
                                  % (self.names[i], e))
             mono += e * self.units[i]
@@ -360,20 +361,24 @@ class GeneratorTable:
         UnknownGeneratorError also in a zero word.
         """
         out: dict[Monomial, Scalar] = {}
-        units, multiply = self.units, self.multiply
         for coeff, word in raw:
-            sign, mono = 1, ONE_MONO
-            for unit in [units[self._idx(name)] for name in word]:
-                prod = multiply(mono, unit)
-                if prod is None:
-                    break
-                sign, mono = sign * prod[0], prod[1]
-            else:
-                s = Scalar.coerce(coeff)
-                if sign < 0:
-                    s = -s
-                out[mono] = out[mono] + s if mono in out else s
+            self._add_word(out, Scalar.coerce(coeff), ONE_MONO, word)
         return Element(self, out)
+
+    def _add_word(self, out: dict[Monomial, Scalar], coeff: Scalar, mono: Monomial,
+                  word: Sequence[str]) -> None:
+        """Add coeff * mono * (the generators of word, in the written order),
+        folded through multiply, into out; a zero product adds nothing.  Every
+        name is looked up first."""
+        sign = 1
+        for unit in [self.units[self._idx(name)] for name in word]:
+            prod = self.multiply(mono, unit)
+            if prod is None:
+                return
+            sign, mono = sign * prod[0], prod[1]
+        if sign < 0:
+            coeff = -coeff
+        out[mono] = out[mono] + coeff if mono in out else coeff
 
 
 class Element:
@@ -590,12 +595,21 @@ class Element:
 
     @staticmethod
     def from_obj(algebra: GeneratorTable, obj: Iterable[dict]) -> "Element":
-        words = []
+        """The inverse of to_obj.  Each even part is one monomial, built by
+        GeneratorTable.monomial, which rejects an odd name or an exponent that
+        is not a nonnegative int there.  The odd part may name odd generators
+        only; they fold through multiply in the written order, so an unsorted
+        list is signed and a repeated name gives zero.  An unknown name raises
+        UnknownGeneratorError."""
+        out: dict[Monomial, Scalar] = {}
         for term in obj:
-            word = [name for name, e in term.get("even", {}).items() for _ in range(e)]
-            word.extend(term.get("odd", []))
-            words.append((Scalar.from_obj([term["coeff"]]), word))
-        return algebra.element(words)
+            even = algebra.monomial([(algebra._idx(name), e)
+                                     for name, e in term.get("even", {}).items()])
+            odd = term.get("odd", [])
+            if any(algebra.parity_of_name(name) != ODD for name in odd):
+                raise ValueError("the odd part %r holds an even generator" % (odd,))
+            algebra._add_word(out, Scalar.from_obj([term["coeff"]]), even, odd)
+        return Element(algebra, out)
 
 
 class SubstitutionMap:

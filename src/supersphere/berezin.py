@@ -13,18 +13,22 @@ The whole-angle TrigPoly expansion with Wallis formulas is the exact oracle
 for the integrator; the test suite adds a numeric one, a product
 Gauss-Legendre rule.
 
-chern_number builds no form: it pulls the body components of psi back first
-and pairs their Jacobians; chern_integral of monopole.chern_form_body is its
+chern_number builds no form: it pulls each body component of psi back once,
+takes the pullback of its diamond by conjugation and sums the Jacobians of
+the pairs into one density; chern_integral of monopole.chern_form_body is its
 oracle.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Callable
 
 from .algebra import Element, GeneratorTable
 from .forms import SuperForm
-from .monopole import CHERN_SCALAR, psi
+from .monopole import CHERN_SCALAR, psi_body
 from .scalars import Scalar
 from .trig import ChartError, PhaseHalfAngle, integrate_half_angle
 
@@ -81,6 +85,9 @@ def _add_into(out: dict[tuple[int, int, int], Scalar], f: PhaseHalfAngle) -> Non
         out[key] = out[key] + c if key in out else c
 
 
+_ONE = PhaseHalfAngle.constant(1)
+
+
 def _element_pullback(x: Element, power: Callable[[int, int], PhaseHalfAngle]) -> PhaseHalfAngle:
     """The body element x through the chart of `power`, a ring homomorphism."""
     table = x.algebra
@@ -89,16 +96,47 @@ def _element_pullback(x: Element, power: Callable[[int, int], PhaseHalfAngle]) -
         even, odd = table.factors(mono)
         if odd:
             raise ChartError("form still contains odd generators; body-project first")
-        part = PhaseHalfAngle.constant(scal)
-        for idx, exp in even:
-            part = part * power(idx, exp)
-        _add_into(value, part)
+        factors = [power(idx, exp) for idx, exp in even]
+        part = reduce(mul, factors) if factors else _ONE
+        for key, c in part.terms.items():
+            c = c * scal
+            value[key] = value[key] + c if key in value else c
     return PhaseHalfAngle(value)
+
+
+# the factor i/2 of every Jacobian term, applied once per density
+_HALF_I = Scalar.of(0, Fraction(1, 2))
+
+
+def _add_jacobian(out: dict[tuple[int, int, int], Scalar], u: PhaseHalfAngle, v: PhaseHalfAngle) -> None:
+    """Add the d theta ^ d phi coefficient of du ^ dv, divided by i/2, into
+    out, term pair by term pair.  With C = cos(t/2), S = sin(t/2), d/dphi of
+    a term t is i k t and d/dtheta (C^a S^b) = -(a/2) C^(a-1) S^(b+1) +
+    (b/2) C^(a+1) S^(b-1), so c1 C^a1 S^b1 e^(i k1 phi) times
+    c2 C^a2 S^b2 e^(i k2 phi) gives (i/2) c1 c2 (k1 a2 - k2 a1) at
+    C^(A-1) S^(B+1) and (i/2) c1 c2 (k2 b1 - k1 b2) at C^(A+1) S^(B-1), with
+    A = a1 + a2, B = b1 + b2, both at phase k1 + k2."""
+    right = list(v.terms.items())
+    for (a1, b1, k1), c1 in u.terms.items():
+        for (a2, b2, k2), c2 in right:
+            w_cos, w_sin = k1 * a2 - k2 * a1, k2 * b1 - k1 * b2
+            if not (w_cos or w_sin):
+                continue
+            c = c1 * c2
+            a, b, k = a1 + a2, b1 + b2, k1 + k2
+            if w_cos:
+                key, t = (a - 1, b + 1, k), c * w_cos
+                out[key] = out[key] + t if key in out else t
+            if w_sin:
+                key, t = (a + 1, b - 1, k), c * w_sin
+                out[key] = out[key] + t if key in out else t
 
 
 def _jacobian(u: PhaseHalfAngle, v: PhaseHalfAngle) -> PhaseHalfAngle:
     """The d theta ^ d phi coefficient of du ^ dv."""
-    return u.partial_theta() * v.partial_phi() - u.partial_phi() * v.partial_theta()
+    out: dict[tuple[int, int, int], Scalar] = {}
+    _add_jacobian(out, u, v)
+    return PhaseHalfAngle(out) * _HALF_I
 
 
 def chart_pullback(omega: SuperForm, chart: Chart) -> PhaseHalfAngle:
@@ -129,6 +167,7 @@ FOUR_PI = Scalar.of(4, 0, 1, 1)
 # are re-derived from the volume forms in the tests.
 GROUP_CHART_VOLUME = -FOUR_PI
 BASE_CHART_VOLUME = FOUR_PI
+_GROUP_NORMALIZER = FOUR_PI / GROUP_CHART_VOLUME
 
 
 def _exact_int(value: Scalar, what: str) -> int:
@@ -151,28 +190,31 @@ def chern_integral(omega: SuperForm) -> int:
 
 def _group_chern_integral(top: PhaseHalfAngle) -> int:
     """The Chern integral of a top density in the group section chart."""
-    return _exact_int(integrate_half_angle(top) * FOUR_PI / GROUP_CHART_VOLUME, "Chern integral")
+    return _exact_int(integrate_half_angle(top) * _GROUP_NORMALIZER, "Chern integral")
+
+
+_CHERN_HALF_I = CHERN_SCALAR * _HALF_I
+_GROUP_CHART = group_section_chart()    # read only
 
 
 def chern_number(sign: str, n: int) -> int:
     """Exact first Chern number: +n for the '-' family, -n for '+'.
 
     Pullback through the group section chart commutes with d and wedge
-    products and turns the diamond into the chart's conjugation, so the top
-    density of -(1/(2 pi i)) <d psi|d psi> is CHERN_SCALAR times the sum of the
-    Jacobians of the pulled-back body(psi_k) and body(psi_k)^diamond.  No form
-    is built and the odd components of psi, whose body is zero, are skipped;
-    the tests check the density against the pullback of chern_form_body.
+    products and, as the chart sends a*, b* to the conjugates of a, b, turns
+    the diamond into complex conjugation.  So the top density of
+    -(1/(2 pi i)) <d psi|d psi> is CHERN_SCALAR times the sum of the Jacobians
+    of each pulled-back body of psi (psi_body; the odd components have none)
+    and its conjugate.  No form is built; the tests check the density against
+    the pullback of chern_form_body.
     """
-    vec = psi(sign, n)
-    power = _chart_powers(vec.components[0].algebra, group_section_chart())
+    body = psi_body(sign, n)
+    power = _chart_powers(body[0].algebra, _GROUP_CHART)
     top: dict[tuple[int, int, int], Scalar] = {}
-    for comp in vec.components:
-        body = comp.body()
-        if not body.is_zero:
-            _add_into(top, _jacobian(_element_pullback(body, power),
-                                     _element_pullback(body.diamond(), power)))
-    return _group_chern_integral(PhaseHalfAngle(top) * CHERN_SCALAR)
+    for comp in body:
+        f = _element_pullback(comp, power)
+        _add_jacobian(top, f, f.conjugate())
+    return _group_chern_integral(PhaseHalfAngle(top) * _CHERN_HALF_I)
 
 
 def berezin_integral(omega: SuperForm) -> Scalar:

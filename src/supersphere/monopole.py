@@ -348,6 +348,23 @@ def _psi_factors(g: GroupSpace) -> tuple[Element, Element, Element]:
     return rat(1, 2) * g.eta, rat(1, 2) * g.etad, g.table.one() - rat(1, 8) * g.eta * g.etad
 
 
+def _binomial_powers(table: GeneratorTable, sign: str, n: int) -> list[Element]:
+    """sqrt(C(n, k)) u^(n-k) v^k for k = 0..n, with (u, v) = (a, b) for sign
+    minus and (a*, b*) for plus."""
+    iu, iv = (table.index[name] for name in (("a", "b") if sign == MINUS else ("a*", "b*")))
+    return [Element(table, {table.monomial(((iu, n - k), (iv, k))): Scalar.sqrt_binomial(n, k)})
+            for k in range(n + 1)]
+
+
+def psi_body(sign: str, n: int) -> list[Element]:
+    """The nonzero bodies of the components of psi(sign, n), which are its
+    n + 1 even components without their factor 1 - eta eta*/8."""
+    sign = normalize_sign(sign)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return _binomial_powers(group_space().table, sign, n)
+
+
 def psi(sign: str, n: int, space: GroupSpace | None = None) -> PsiVector:
     """The normalized (n, n+1) supervector of the given sign family,
 
@@ -355,22 +372,16 @@ def psi(sign: str, n: int, space: GroupSpace | None = None) -> PsiVector:
         psi_(n+k) = (sqrt(C(n, k)) u^(n-k) v^k) (1 - eta eta*/8),  k <= n,
 
     with (u, v, h) = (a, b, eta) for sign minus and (a*, b*, eta*) for plus;
-    the Element products supply every sign.
+    the even components are psi_body's times the last factor, and the
+    Element products supply every sign.
     """
+    body = psi_body(sign, n)
     sign = normalize_sign(sign)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     g = space or group_space()
-    table = g.table
     half_eta, half_etad, norm_factor = _psi_factors(g)
-    u, v, half_h = ("a", "b", half_eta) if sign == MINUS else ("a*", "b*", half_etad)
-    iu, iv = table.index[u], table.index[v]
-
-    def term(coeff: Scalar, i: int, j: int) -> Element:
-        return Element(table, {table.monomial(((iu, i), (iv, j))): coeff})
-
-    comps = [half_h * term(Scalar.sqrt_binomial(n - 1, k), n - 1 - k, k) for k in range(n)]
-    comps.extend(term(Scalar.sqrt_binomial(n, k), n - k, k) * norm_factor for k in range(n + 1))
+    half_h = half_eta if sign == MINUS else half_etad
+    comps = [half_h * x for x in _binomial_powers(g.table, sign, n - 1)]
+    comps.extend(x * norm_factor for x in body)
     return PsiVector(sign, n, comps)
 
 

@@ -2,7 +2,8 @@
 
 PhaseHalfAngle is the working representation for chart pullbacks: monomials
 cos^hc(theta/2) sin^hs(theta/2) e^(i k phi) with exact Scalar coefficients,
-closed under d/dtheta and d/dphi.  integrate_half_angle integrates one over
+closed under d/dtheta, d/dphi (berezin._jacobian takes both in one pass)
+and complex conjugation.  integrate_half_angle integrates one over
 theta in [0, pi], phi in [0, 2 pi] in closed form: each monomial gives a
 Beta value B((hc+1)/2, (hs+1)/2) times 2 pi for k = 0, and nothing else.
 
@@ -16,8 +17,9 @@ quadrature oracle over both representations lives in the test suite.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Mapping
 
 from .scalars import Scalar, rat
@@ -215,22 +217,10 @@ class PhaseHalfAngle:
                 for (hc, hs, k), v in sorted(self.terms.items())]
         return " + ".join(bits) if bits else "0"
 
-    def partial_theta(self) -> "PhaseHalfAngle":
-        """d/dtheta with theta the full angle: d cos(t/2) = -sin(t/2)/2 dt."""
-        out: dict[tuple[int, int, int], Scalar] = {}
-        for (hc, hs, k), v in self.terms.items():
-            if hc:
-                _acc(out, (hc - 1, hs + 1, k), v * rat(-hc, 2))
-            if hs:
-                _acc(out, (hc + 1, hs - 1, k), v * rat(hs, 2))
-        return PhaseHalfAngle(out)
-
-    def partial_phi(self) -> "PhaseHalfAngle":
-        out: dict[tuple[int, int, int], Scalar] = {}
-        for (hc, hs, k), v in self.terms.items():
-            if k:
-                _acc(out, (hc, hs, k), v * Scalar.of(0, k))
-        return PhaseHalfAngle(out)
+    def conjugate(self) -> "PhaseHalfAngle":
+        """The complex conjugate: each coefficient conjugated, e^(i k phi) to
+        e^(-i k phi)."""
+        return PhaseHalfAngle({(hc, hs, -k): v.conjugate() for (hc, hs, k), v in self.terms.items()})
 
     def to_trigpoly(self) -> TrigPoly:
         """Rewrite in whole angles; every monomial needs hc + hs even."""
@@ -274,18 +264,22 @@ def integrate_half_angle(f: PhaseHalfAngle) -> Scalar:
     pi (2p)! (2q)!/(4^(p+q) p! q! (p+q)!) for hc = 2p, hs = 2q.
     Every monomial needs hc + hs even, as for to_trigpoly.
     """
-    fact = math.factorial
-    odd = even = Scalar.zero()      # the rational and the pi-times-rational parts
+    flat = []
     for (hc, hs, k), v in f.terms.items():
         _check_whole_angle(hc, hs)
-        if k:
-            continue
+        if not k:
+            flat.append((hc, hs, v))
+    # one running table: no factorial argument below exceeds max(hc, hs)
+    top = max((max(hc, hs) for hc, hs, _ in flat), default=0)
+    fact = list(accumulate(range(1, top + 1), mul, initial=1))
+    odd = even = Scalar.zero()      # the rational and the pi-times-rational parts
+    for hc, hs, v in flat:
         p, q = hc >> 1, hs >> 1
         if hc & 1:
-            odd = odd + v * rat(fact(p) * fact(q), fact(p + q + 1))
+            odd = odd + v * rat(fact[p] * fact[q], fact[p + q + 1])
         else:
-            even = even + v * rat(fact(2 * p) * fact(2 * q),
-                                  4 ** (p + q) * fact(p) * fact(q) * fact(p + q))
+            even = even + v * rat(fact[hc] * fact[hs],
+                                  4 ** (p + q) * fact[p] * fact[q] * fact[p + q])
     return odd * _TWO_PI + even * _TWO_PI_SQUARED
 
 

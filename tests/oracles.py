@@ -315,6 +315,38 @@ def random_factorization(table: GeneratorTable, mono, names, rng) -> tuple[str, 
     return tuple(chosen)
 
 
+# -- derivatives of half-angle polynomials -------------------------------------
+# berezin._add_jacobian takes both partials of a term pair in one pass; these
+# build each derivative as its own PhaseHalfAngle, the route it replaced.
+
+def _acc(out: dict, key, val: Scalar) -> None:
+    out[key] = out[key] + val if key in out else val
+
+
+def partial_theta(f: PhaseHalfAngle) -> PhaseHalfAngle:
+    """d/dtheta with theta the full angle: d cos(t/2) = -sin(t/2)/2 dt."""
+    out: dict[tuple[int, int, int], Scalar] = {}
+    for (hc, hs, k), v in f.terms.items():
+        if hc:
+            _acc(out, (hc - 1, hs + 1, k), v * rat(-hc, 2))
+        if hs:
+            _acc(out, (hc + 1, hs - 1, k), v * rat(hs, 2))
+    return PhaseHalfAngle(out)
+
+
+def partial_phi(f: PhaseHalfAngle) -> PhaseHalfAngle:
+    out: dict[tuple[int, int, int], Scalar] = {}
+    for (hc, hs, k), v in f.terms.items():
+        if k:
+            _acc(out, (hc, hs, k), v * Scalar.of(0, k))
+    return PhaseHalfAngle(out)
+
+
+def jacobian_by_partials(u: PhaseHalfAngle, v: PhaseHalfAngle) -> PhaseHalfAngle:
+    """The d theta ^ d phi coefficient of du ^ dv, from four derivatives."""
+    return partial_theta(u) * partial_phi(v) - partial_phi(u) * partial_theta(v)
+
+
 # -- numeric quadrature -------------------------------------------------------
 
 QUAD_ORDER = 64   # Gauss-Legendre points per axis

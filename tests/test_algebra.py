@@ -397,6 +397,51 @@ def test_element_serialization_roundtrip(table, gens):
     assert Element.from_obj(table, x.to_obj()) == x
 
 
+_FOUR_ODD = GeneratorTable.build(conjugate_pairs=[
+    ("a", "a*", EVEN), ("t", "t*", ODD), ("u", "u*", ODD)])
+
+
+def _words_of(table, obj):
+    """The word route from_obj replaced: each term's even names repeated by
+    their exponents, then its odd names, folded as one word."""
+    return table.element([
+        (Scalar.from_obj([t["coeff"]]),
+         [name for name, e in t.get("even", {}).items() for _ in range(e)] + list(t.get("odd", [])))
+        for t in obj])
+
+
+def test_from_obj_reads_unsorted_odd_lists_as_their_words():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        x = random_element(_FOUR_ODD, rng, max_terms=4, max_word=5)
+        obj = x.to_obj()
+        assert Element.from_obj(_FOUR_ODD, obj) == x
+        for t in obj:
+            rng.shuffle(t["odd"])
+            if t["odd"] and rng.random() < 0.2:
+                t["odd"].append(rng.choice(t["odd"]))
+        assert Element.from_obj(_FOUR_ODD, obj) == _words_of(_FOUR_ODD, obj)
+    t, u = _FOUR_ODD.gen("t"), _FOUR_ODD.gen("u*")
+    swapped = [{"coeff": Scalar.one().to_obj()[0], "even": {"a": 2}, "odd": ["u*", "t"]}]
+    assert Element.from_obj(_FOUR_ODD, swapped) == -(_FOUR_ODD.gen("a") ** 2 * t * u)
+    assert Element.from_obj(_FOUR_ODD, [dict(swapped[0], odd=["t", "u*", "t"])]).is_zero
+
+
+@pytest.mark.parametrize("even, odd, error", [
+    ({"eta": 1}, [], ValueError),
+    ({"a": -1}, [], ValueError),
+    ({"a": 1.0}, [], ValueError),
+    ({"a": 2 ** EXP_BITS}, [], MonomialOverflowError),
+    ({"c": 1}, [], UnknownGeneratorError),
+    ({}, ["a"], ValueError),
+    ({}, ["eta", "eta", "zeta"], UnknownGeneratorError),
+])
+def test_from_obj_rejects_malformed_terms(table, even, odd, error):
+    good = {"coeff": Scalar.one().to_obj()[0], "even": {"b": 1}, "odd": ["eta"]}
+    with pytest.raises(error):
+        Element.from_obj(table, [good, {"coeff": good["coeff"], "even": even, "odd": odd}])
+
+
 def test_serialization_order_is_canonical(table, gens):
     x = gens["a"] + gens["b"] * gens["b*"] + table.one()
     obj = x.to_obj()

@@ -5,12 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import supersphere.berezin as berezin
-from supersphere.berezin import (BASE_CHART_VOLUME, FOUR_PI, GROUP_CHART_VOLUME, _chart_powers,
-                                 _element_pullback, _jacobian, base_chart,
+from supersphere.berezin import (BASE_CHART_VOLUME, FOUR_PI, GROUP_CHART_VOLUME, _add_jacobian,
+                                 _chart_powers, _element_pullback, _jacobian, base_chart,
                                  berezin_chern_number, berezin_integral, chart_pullback,
                                  chern_number, group_section_chart)
 from supersphere.forms import SuperForm, d
@@ -20,7 +20,7 @@ from supersphere.monopole import (MINUS, PLUS, base_coordinates, base_space,
 from supersphere.scalars import Scalar
 from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
 
-from oracles import evaluate_trigpoly, quad_oracle
+from oracles import evaluate_trigpoly, jacobian_by_partials, quad_oracle
 
 
 # Oracle for the chart normalisers: each chart's integral of the reference
@@ -240,6 +240,36 @@ def test_chart_pullback_obeys_the_chain_rule(case):
     want = _jacobian(_element_pullback(f, power), _element_pullback(g, power))
     assert chart_pullback(d(f) * d(g), chart) == want
     assert chart_pullback(d(g) * d(f), chart) == -want
+
+
+# any (hc, hs, k), odd hc + hs included: the Jacobian needs no whole angle
+_any_keys = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(-3, 3))
+_multi_term_polys = st.dictionaries(_any_keys, _coeffs, min_size=1, max_size=5).map(PhaseHalfAngle)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_multi_term_polys, _multi_term_polys)
+@example(PhaseHalfAngle({(0, 0, 0): Scalar.of(3), (0, 2, 1): Scalar.of(1, 1, 2, 1)}),
+         PhaseHalfAngle({(2, 0, 0): Scalar.of(0, 1, 3, -1), (1, 1, -2): Scalar.of(2)}))
+@example(PhaseHalfAngle.monomial(hc=1, k=1), PhaseHalfAngle.monomial(hc=1, k=-1))
+def test_one_pass_jacobian_matches_the_partials(u, v):
+    assert _jacobian(u, v) == jacobian_by_partials(u, v)
+    out = {}
+    _add_jacobian(out, u, v)
+    _add_jacobian(out, v, u)
+    assert PhaseHalfAngle(out).is_zero
+
+
+_RADICAL_GROUP_BODIES = st.lists(
+    st.tuples(_coeffs, st.lists(st.sampled_from(["a", "a*", "b", "b*"]), max_size=4)),
+    max_size=4).map(_GROUP_TABLE.element)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_RADICAL_GROUP_BODIES)
+def test_section_chart_turns_the_diamond_into_conjugation(x):
+    power = _chart_powers(_GROUP_TABLE, group_section_chart())
+    assert _element_pullback(x.diamond(), power) == _element_pullback(x, power).conjugate()
 
 
 @pytest.mark.parametrize("table, word, chart, match", [

@@ -28,7 +28,7 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
                                   group_identities_report, group_space,
                                   inversion_identities, nilpotent_exp_report,
                                   osp_fixtures, pairing, projector,
-                                  projector_to_base, psi, section_to_equivariant,
+                                  projector_to_base, psi, psi_body, section_to_equivariant,
                                   sphere_relation_check, supertrace_p_dp_dp, u1_charge,
                                   Projector, PsiVector, block_shape_1_2,
                                   _base_converter, _invariant_units, _signed_outer)
@@ -198,6 +198,23 @@ def test_psi_matches_product_oracle(g):
 def test_psi_matches_the_word_oracle(sign):
     for n in (*range(1, 9), 64):
         assert psi(sign, n).components == psi_from_words(sign, n), (sign, n)
+
+
+@pytest.mark.parametrize("sign", [MINUS, PLUS])
+def test_psi_body_is_the_nonzero_body_of_psi(sign):
+    # psi builds its even components from psi_body, so the bodies are also
+    # compared with those of the word oracle
+    for n in (*range(1, 9), 64):
+        bodies = [c.body() for c in psi(sign, n).components]
+        assert all(b.is_zero for b in bodies[:n]), (sign, n)
+        assert psi_body(sign, n) == bodies[n:], (sign, n)
+        assert psi_body(sign, n) == [c.body() for c in psi_from_words(sign, n)[n:]], (sign, n)
+
+
+@pytest.mark.parametrize("sign, n", [(MINUS, 0), (PLUS, -1), ("up", 2)])
+def test_psi_body_checks_sign_and_n(sign, n):
+    with pytest.raises(ValueError):
+        psi_body(sign, n)
 
 
 def test_psi_normalized(g):
