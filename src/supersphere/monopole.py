@@ -542,11 +542,30 @@ def section_to_equivariant(sign: str, n: int, f) -> Element:
 # ---------------------------------------------------------------------------
 # connection, curvature, Chern forms
 
-def _verified(computed: SuperForm, closed: SuperForm, what: str) -> SuperForm:
-    """closed, once equal_mod decides it equals the computed pairing form; else raise."""
-    if not group_space().equal_mod(computed, closed):
+def _verified(products: list, negated_closed: SuperForm, what: str) -> None:
+    """Raise unless the products phi_alpha (chi_alpha)^diamond of a pairing sum
+    to the closed form modulo the ideal: one zero test on one sum of the
+    products and the negated form."""
+    g = group_space()
+    if not g.localizer.is_zero_mod(SuperForm.sum(g.table, [*products, negated_closed])):
         raise SuperAlgebraError("%s: pairing route disagrees with the closed form" % what)
-    return closed
+
+
+def _signed(sign: str, scale: Scalar) -> Scalar:
+    """scale for sign minus, -scale for sign plus."""
+    return scale if normalize_sign(sign) == MINUS else -scale
+
+
+def _form_of(rows: list, factor: Scalar, space: GroupSpace | None = None) -> SuperForm:
+    """factor times the form of a term table: each row (wedge, words) is the
+    term element(words) d(wedge), its wedge written in canonical order."""
+    table = (space or group_space()).table
+    return SuperForm(table, {tuple(table.index[x] for x in wedge):
+                             table.element([(c * factor, word) for c, word in words])
+                             for wedge, words in rows})
+
+
+_ONE, _MINUS_ONE, _QUARTER, _EIGHTH = rat(1), rat(-1), rat(1, 4), rat(1, 8)
 
 
 def connection_form(psi_vec: PsiVector) -> SuperForm:
@@ -555,24 +574,18 @@ def connection_form(psi_vec: PsiVector) -> SuperForm:
     Raises SuperAlgebraError when psi is not normalized or its sign label is wrong.
     """
     comps = psi_vec.components
-    return _verified(pairing(comps, [d(c) for c in comps]),
-                     connection_closed_form(psi_vec.sign, psi_vec.n),
-                     "connection, n=%d" % psi_vec.n)
+    closed = connection_closed_form(psi_vec.sign, psi_vec.n)
+    _verified([c * d(c).diamond() for c in comps], -closed, "connection, n=%d" % psi_vec.n)
+    return closed
 
 
 def connection_closed_form(sign: str, n: int) -> SuperForm:
     """(n - 1/4 eta eta*)(a da* + b db*) + 1/8 (eta deta* + eta* deta), negated
     for the + sign."""
-    sign = normalize_sign(sign)
-    g = group_space()
-    one = g.table.one()
-    da_d = g.differential("a*")
-    db_d = g.differential("b*")
-    de = g.differential("eta")
-    ded = g.differential("eta*")
-    form = ((g.table.scalar(n) - rat(1, 4) * g.eta * g.etad) * (g.a * da_d + g.b * db_d)
-            + rat(1, 8) * (g.eta * ded + g.etad * de))
-    return form if sign == MINUS else -form
+    return _form_of([(("a*",), [(n, ("a",)), (-_QUARTER, ("a", "eta", "eta*"))]),
+                     (("b*",), [(n, ("b",)), (-_QUARTER, ("b", "eta", "eta*"))]),
+                     (("eta",), [(_EIGHTH, ("eta*",))]), (("eta*",), [(_EIGHTH, ("eta",))])],
+                    _signed(sign, _ONE))
 
 
 def curvature(proj: Projector) -> SuperMatrix:
@@ -644,49 +657,41 @@ def chern_form_canonical(sign: str, n: int) -> SuperForm:
     Raises SuperAlgebraError when -(1/(2 pi i)) <d psi|d psi> and the
     expanded expression disagree modulo the differential ideal.  A form is
     zero modulo the ideal exactly when a nonzero multiple of it is, so the
-    unscaled pairing is compared with the few-term expression divided by
-    CHERN_SCALAR, and the large pairing form is never scaled.
+    one zero test runs on the unscaled pairing products plus the expression
+    divided by -CHERN_SCALAR, and no form is scaled.
     """
-    closed = chern_intermediate_form(sign, n)
     dpsi = [d(c) for c in psi(sign, n).components]
-    _verified(pairing(dpsi, dpsi), closed * CHERN_SCALAR.inverse(), "Chern, n=%d" % n)
-    return closed
+    _verified([x * x.diamond() for x in dpsi], _intermediate_table(n, _signed(sign, _MINUS_ONE)),
+              "Chern, n=%d" % n)
+    return chern_intermediate_form(sign, n)
 
 
 def chern_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
     """-(1/(2 pi i)) [n (da da* + db db*) + 1/4 d(a eta*) d(eta a*)
     + 1/4 d(b eta*) d(eta b*)], negated for the + sign."""
-    sign = normalize_sign(sign)
-    g = space or group_space()
-    da = g.differential("a")
-    dad = g.differential("a*")
-    db = g.differential("b")
-    dbd = g.differential("b*")
-    quarter = rat(1, 4)
-    form = (g.table.scalar(n) * (da * dad + db * dbd)
-            + quarter * d(g.a * g.etad) * d(g.eta * g.ad)
-            + quarter * d(g.b * g.etad) * d(g.eta * g.bd))
-    form = form * CHERN_SCALAR
-    return form if sign == MINUS else -form
+    q = _QUARTER
+    body = [(n, ()), (-q, ("eta", "eta*"))]
+    return _form_of([(("a", "a*"), body), (("b", "b*"), body),
+                     (("a", "eta"), [(q, ("a*", "eta*"))]), (("a*", "eta*"), [(q, ("a", "eta"))]),
+                     (("b", "eta"), [(q, ("b*", "eta*"))]), (("b*", "eta*"), [(q, ("b", "eta"))]),
+                     (("eta", "eta*"), [(q, ("a", "a*")), (q, ("b", "b*"))])],
+                    _signed(sign, CHERN_SCALAR), space)
 
 
 def chern_intermediate_form(sign: str, n: int) -> SuperForm:
     """The equivalent expanded expression:
     -(1/(2 pi i)) [(da da* + db db*)(n - 1/4 eta eta*)
     + 1/4 (a da* + b db*)(eta deta* - eta* deta) + 1/4 deta deta*]."""
-    sign = normalize_sign(sign)
-    g = group_space()
-    da = g.differential("a")
-    dad = g.differential("a*")
-    db = g.differential("b")
-    dbd = g.differential("b*")
-    de = g.differential("eta")
-    ded = g.differential("eta*")
-    form = ((da * dad + db * dbd) * (g.table.scalar(n) - rat(1, 4) * g.eta * g.etad)
-            + rat(1, 4) * (g.a * dad + g.b * dbd) * (g.eta * ded - g.etad * de)
-            + rat(1, 4) * de * ded)
-    form = form * CHERN_SCALAR
-    return form if sign == MINUS else -form
+    return _intermediate_table(n, _signed(sign, CHERN_SCALAR))
+
+
+def _intermediate_table(n: int, factor: Scalar) -> SuperForm:
+    q = _QUARTER
+    body = [(n, ()), (-q, ("eta", "eta*"))]
+    return _form_of([(("a", "a*"), body), (("b", "b*"), body),
+                     (("a*", "eta"), [(-q, ("a", "eta*"))]), (("a*", "eta*"), [(q, ("a", "eta"))]),
+                     (("b*", "eta"), [(-q, ("b", "eta*"))]), (("b*", "eta*"), [(q, ("b", "eta"))]),
+                     (("eta", "eta*"), [(q, ())])], factor)
 
 
 def coordinate_chern_form(sign: str, n: int) -> SuperForm:

@@ -202,19 +202,6 @@ class Scalar:
         (rad, pi), rec = next(iter(self._parts.items()))
         return (rad, pi, rec)
 
-    @property
-    def gaussian(self) -> tuple[Fraction, Fraction]:
-        re, im, den = self._single()[2]
-        return (Fraction(re, den), Fraction(im, den))
-
-    @property
-    def radical(self) -> int:
-        return self._single()[0]
-
-    @property
-    def pi_exp(self) -> int:
-        return self._single()[1]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar | RationalLike") -> "Scalar":
@@ -340,12 +327,16 @@ class Scalar:
 
     @staticmethod
     def from_obj(obj: Iterable[dict]) -> "Scalar":
-        total = Scalar.zero()
+        """to_obj's components, each one record over the lcm of its two denominators."""
+        parts: dict[tuple[int, int], Record] = {}
         for comp in obj:
-            re = Fraction(comp["re"][0], comp["re"][1])
-            im = Fraction(comp["im"][0], comp["im"][1])
-            total = total + Scalar.of(re, im, comp.get("radical", 1), comp.get("pi", 0))
-        return total
+            (re, re_den), (im, im_den) = comp["re"], comp["im"]
+            den = abs(re_den * im_den) // gcd(re_den, im_den)
+            re, im = re * (den // re_den), im * (den // im_den)
+            if re or im:
+                g, m0 = squarefree_split(comp.get("radical", 1))
+                _accumulate(parts, (m0, comp.get("pi", 0)), _canon(re * g, im * g, den))
+        return Scalar(parts)
 
 
 def rat(num: int, den: int = 1) -> Scalar:

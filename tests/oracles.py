@@ -11,8 +11,9 @@ from supersphere.algebra import (Element, GeneratorTable, RewriteSystem, Substit
                                  EVEN, ODD)
 from supersphere.forms import SuperForm, d, sort_wedge, wedge_grassmann_parity
 from supersphere.localized import TorusForm
-from supersphere.monopole import (MINUS, base_space, chern_form, coordinate_chern_form,
-                                  coordinate_images, group_space, normalize_sign)
+from supersphere.monopole import (CHERN_SCALAR, MINUS, base_space, chern_form,
+                                  coordinate_chern_form, coordinate_images, group_space,
+                                  normalize_sign)
 from supersphere.scalars import Scalar, rat
 from supersphere.trig import PhaseHalfAngle, TrigPoly
 
@@ -428,3 +429,46 @@ def coordinate_chern_report(n: int) -> CoordinateChernReport:
     c_ok = g.equal_mod(corrected, group_form)
     witness = None if v_ok else g.localizer.project(verbatim - group_form)
     return CoordinateChernReport(n, v_ok, c_ok, witness)
+
+
+# The closed forms of supersphere.monopole as the SuperForm algebra builds
+# them: sums and wedge products of fresh differentials, the route production
+# took before it read each form from its term table.
+
+def connection_closed_form_by_algebra(sign: str, n: int) -> SuperForm:
+    """(n - 1/4 eta eta*)(a da* + b db*) + 1/8 (eta deta* + eta* deta), negated
+    for the + sign."""
+    sign = normalize_sign(sign)
+    g = group_space()
+    da_d, db_d, de, ded = (g.differential(x) for x in ("a*", "b*", "eta", "eta*"))
+    form = ((g.table.scalar(n) - rat(1, 4) * g.eta * g.etad) * (g.a * da_d + g.b * db_d)
+            + rat(1, 8) * (g.eta * ded + g.etad * de))
+    return form if sign == MINUS else -form
+
+
+def chern_closed_form_by_algebra(sign: str, n: int) -> SuperForm:
+    """-(1/(2 pi i)) [n (da da* + db db*) + 1/4 d(a eta*) d(eta a*)
+    + 1/4 d(b eta*) d(eta b*)], negated for the + sign."""
+    sign = normalize_sign(sign)
+    g = group_space()
+    da, dad, db, dbd = (g.differential(x) for x in ("a", "a*", "b", "b*"))
+    quarter = rat(1, 4)
+    form = (g.table.scalar(n) * (da * dad + db * dbd)
+            + quarter * d(g.a * g.etad) * d(g.eta * g.ad)
+            + quarter * d(g.b * g.etad) * d(g.eta * g.bd))
+    form = form * CHERN_SCALAR
+    return form if sign == MINUS else -form
+
+
+def chern_intermediate_form_by_algebra(sign: str, n: int) -> SuperForm:
+    """-(1/(2 pi i)) [(da da* + db db*)(n - 1/4 eta eta*)
+    + 1/4 (a da* + b db*)(eta deta* - eta* deta) + 1/4 deta deta*]."""
+    sign = normalize_sign(sign)
+    g = group_space()
+    da, dad, db, dbd, de, ded = (g.differential(x)
+                                 for x in ("a", "a*", "b", "b*", "eta", "eta*"))
+    form = ((da * dad + db * dbd) * (g.table.scalar(n) - rat(1, 4) * g.eta * g.etad)
+            + rat(1, 4) * (g.a * dad + g.b * dbd) * (g.eta * ded - g.etad * de)
+            + rat(1, 4) * de * ded)
+    form = form * CHERN_SCALAR
+    return form if sign == MINUS else -form

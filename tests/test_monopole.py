@@ -35,7 +35,9 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 
-from oracles import (CIRCLE_TABLE, circle_reduce, coordinate_chern_form_corrected,
+from oracles import (CIRCLE_TABLE, chern_closed_form_by_algebra,
+                     chern_intermediate_form_by_algebra, circle_reduce,
+                     connection_closed_form_by_algebra, coordinate_chern_form_corrected,
                      coordinate_chern_report, factor_invariants, psi_from_words,
                      random_factorization)
 
@@ -581,6 +583,20 @@ def test_connection_closed_form(g):
             assert connection_form(vec) == want, (sign, n)
 
 
+@pytest.mark.parametrize("build, oracle", [
+    (connection_closed_form, connection_closed_form_by_algebra),
+    (chern_closed_form, chern_closed_form_by_algebra),
+    (chern_intermediate_form, chern_intermediate_form_by_algebra),
+], ids=["connection", "chern-closed", "chern-intermediate"])
+def test_closed_forms_from_term_tables_match_the_form_algebra(g, build, oracle):
+    """Each closed form read from its term table is, term for term, the form
+    that sums and wedge products of differentials build."""
+    for n in (*range(1, 9), 64):
+        for sign in (MINUS, PLUS):
+            assert build(sign, n) == oracle(sign, n), (sign, n)
+    assert chern_closed_form(PLUS, 3, g) == chern_closed_form_by_algebra(PLUS, 3)
+
+
 def test_connection_antihermitian_and_sign_flip(g):
     for n in (1, 2, 3):
         am = connection_form(psi(MINUS, n))
@@ -697,7 +713,8 @@ def test_chern_form_is_the_intermediate_form_for_its_own_n_only(g):
                 assert g.localizer.project(same).is_zero
                 assert not g.localizer.project(off).is_zero
                 with pytest.raises(SuperAlgebraError, match="disagrees"):
-                    monopole._verified(computed, chern_intermediate_form(sign, n + 1), "Chern")
+                    monopole._verified([computed], -chern_intermediate_form(sign, n + 1),
+                                       "Chern")
 
 
 def _scaled(vec):
@@ -714,7 +731,9 @@ def _chern_of_scaled_psi(monkeypatch):
     _chern_of_scaled_psi,
     lambda _: connection_form(_scaled(psi(MINUS, 1))),
     lambda _: connection_form(PsiVector(PLUS, 1, psi(MINUS, 1).components)),
-], ids=["chern-scaled-psi", "connection-scaled-psi", "connection-wrong-sign-label"])
+    lambda _: connection_form(PsiVector(MINUS, 2, psi(PLUS, 2).components)),
+], ids=["chern-scaled-psi", "connection-scaled-psi", "connection-wrong-sign-label",
+        "connection-plus-psi-labelled-minus"])
 def test_chern_form_canonical_raises_when_the_pairing_disagrees(g, monkeypatch, route):
     """A psi that is not normalized, or whose sign label is wrong, gives a
     pairing that is not the closed form, and the verified route raises."""

@@ -37,7 +37,7 @@ def test_zero_canonical():
     assert z.is_zero
     assert z == Scalar.zero()
     assert (Scalar.of(1) - Scalar.of(1)).is_zero
-    assert z.gaussian == (0, 0) and z.radical == 1 and z.pi_exp == 0
+    assert z.components() == [] and z.as_int() == 0
 
 
 def test_gaussian_arithmetic():
@@ -247,6 +247,46 @@ def test_to_obj_matches_fraction_route(xs):
     assert obj == _to_obj_by_fractions(x)
     assert all(type(v) is int for comp in obj for part in ("re", "im") for v in comp[part])
     assert Scalar.from_obj(obj) == x
+
+
+def _from_obj_by_fractions(obj) -> Scalar:
+    """The reader that builds two Fractions per component and adds each one."""
+    total = Scalar.zero()
+    for comp in obj:
+        re = Fraction(comp["re"][0], comp["re"][1])
+        im = Fraction(comp["im"][0], comp["im"][1])
+        total = total + Scalar.of(re, im, comp.get("radical", 1), comp.get("pi", 0))
+    return total
+
+
+nonzero = st.integers(-40, 40).filter(bool)
+raw_components = st.fixed_dictionaries(
+    {"re": st.tuples(st.integers(-40, 40), nonzero), "im": st.tuples(st.integers(-40, 40), nonzero),
+     "radical": st.integers(1, 60), "pi": st.integers(-2, 2)})
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.lists(raw_components, max_size=5))
+def test_from_obj_reads_any_integer_records_as_the_fraction_route(obj):
+    """Unreduced parts, negative denominators, non-squarefree radicands and
+    repeated (radical, pi) keys read as the Fraction reader reads them."""
+    assert Scalar.from_obj(obj) == _from_obj_by_fractions(obj)
+
+
+def test_from_obj_reduces_and_signs_its_input():
+    def comp(re, im, radical=1, pi=0):
+        return {"re": list(re), "im": list(im), "radical": radical, "pi": pi}
+
+    assert Scalar.from_obj([comp((2, 4), (-6, -8))]) == Scalar.of(Fraction(1, 2), Fraction(3, 4))
+    assert Scalar.from_obj([comp((3, -6), (0, -5))]) == rat(-1, 2)
+    assert Scalar.from_obj([comp((1, 1), (0, 1), 12, 1)]) == Scalar.of(2, 0, 3, 1)
+    assert Scalar.from_obj([comp((1, 2), (1, 1)), comp((-2, 4), (-3, 3))]).is_zero
+    assert Scalar.from_obj([comp((0, 7), (0, -3), 0)]).is_zero
+    for re, im in (((1, 0), (0, 1)), ((1, 2), (1, 0)), ((0, 0), (0, 0))):
+        with pytest.raises(ZeroDivisionError):
+            Scalar.from_obj([comp(re, im)])
+    with pytest.raises(ValueError):
+        Scalar.from_obj([comp((1, 1), (0, 1), 0)])
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
