@@ -444,11 +444,15 @@ class Element:
         raise TypeError("cannot coerce %r into the algebra" % (other,))
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
+        # the Element test comes first: the abstract Fraction check is slow
+        if type(other) is not Element:
+            if not isinstance(other, (Scalar, int, Fraction)):
+                return NotImplemented
             s = Scalar.coerce(other)
-            return Element(self.algebra, {m: c * s for m, c in self.terms.items()})
-        if not isinstance(other, Element):
-            return NotImplemented
+            if s.is_zero:
+                return self.algebra.zero()
+            # a product of nonzero scalars is nonzero
+            return Element._nonzero(self.algebra, {m: c * s for m, c in self.terms.items()})
         self._check(other)
         table = self.algebra
         out: dict[Monomial, Scalar] = {}

@@ -144,35 +144,17 @@ class SuperForm:
     # -- multiplication -------------------------------------------------------------
 
     def __mul__(self, other) -> "SuperForm":
-        """Wedge product; the exterior product symbol is left implicit.
-
-        Each product term c1 m1 w1 * c2 m2 w2 goes straight into the dict of
-        its output wedge, signed by the wedge sort of w1 w2, by moving m2's
-        odd generators past w1's odd differentials and by the monomial
-        product m1 m2.
-        """
+        """Wedge product, one pass through wedge_into; the exterior product
+        symbol is left implicit."""
         if isinstance(other, (Scalar, int, Fraction)):
             return SuperForm(self.algebra, {w: c * other for w, c in self.terms.items()})
         other = self._coerce(other)
         table = self.algebra
         if other.algebra is not table and other.algebra != table:
             raise AlgebraMismatchError("forms live over different generator tables")
-        # the right factors, built once for each parity of w1 met: an odd w1
-        # negates the odd m2
-        right: dict[int, list] = {}
         out: dict[Wedge, dict[Monomial, Scalar]] = {}
-        for w1, c1 in self.terms.items():
-            odd_w1 = wedge_grassmann_parity(table, w1)
-            if odd_w1 not in right:
-                right[odd_w1] = [(w2, table._factor(c2.terms.items(), odd_w1))
-                                 for w2, c2 in other.terms.items()]
-            left = c1.terms.items()
-            for w2, factor in right[odd_w1]:
-                merged = sort_wedge(table, w1 + w2)
-                if merged is not None:
-                    sign, w = merged
-                    table._multiply_into(out.setdefault(w, {}), left, factor, sign < 0)
-        return SuperForm(table, {w: Element(table, t) for w, t in out.items()})
+        wedge_into(out, table, self.terms, other.terms, {})
+        return form_of(table, out)
 
     def __rmul__(self, other) -> "SuperForm":
         if isinstance(other, (Element, Scalar, int, Fraction)):
@@ -279,6 +261,38 @@ class SuperForm:
         return SuperForm.sum(algebra, pieces)
 
 
+def wedge_into(out: dict[Wedge, dict[Monomial, Scalar]], table: GeneratorTable,
+               left: Mapping[Wedge, Element], right: Mapping[Wedge, Element],
+               factors: dict[int, list]) -> None:
+    """Add the wedge product of the forms with terms left and right into out:
+    wedge -> monomial -> scalar.
+
+    Each product term c1 m1 w1 * c2 m2 w2 goes straight into the dict of its
+    output wedge, signed by the wedge sort of w1 w2, by moving m2's odd
+    generators past w1's odd differentials and by the monomial product m1 m2.
+    factors caches right's factored coefficients for each parity of w1 met
+    (an odd w1 negates the odd m2); a caller that multiplies several left
+    forms by one right form passes the same dict each time.
+    """
+    for w1, c1 in left.items():
+        odd_w1 = wedge_grassmann_parity(table, w1)
+        right_factors = factors.get(odd_w1)
+        if right_factors is None:
+            right_factors = factors[odd_w1] = [(w2, table._factor(c2.terms.items(), odd_w1))
+                                               for w2, c2 in right.items()]
+        terms = c1.terms.items()
+        for w2, factor in right_factors:
+            merged = sort_wedge(table, w1 + w2)
+            if merged is not None:
+                sign, w = merged
+                table._multiply_into(out.setdefault(w, {}), terms, factor, sign < 0)
+
+
+def form_of(table: GeneratorTable, out: Mapping[Wedge, Mapping[Monomial, Scalar]]) -> SuperForm:
+    """The form with the summed coefficients out: wedge -> monomial -> scalar."""
+    return SuperForm(table, {w: Element(table, t) for w, t in out.items()})
+
+
 def sum_entries(items: Sequence[Element | SuperForm]) -> Element | SuperForm:
     """The sum of a nonempty list of Elements and forms, for matrix entries
     and pairings that may hold either kind: an Element unless a form is
@@ -308,7 +322,7 @@ def d(x: Element | SuperForm) -> SuperForm:
             for k, i in enumerate(odd_part):
                 out.setdefault((i,), {})[table.divide(mono, i)] = (
                     coeff if (len(odd_part) - k - 1) % 2 == 0 else -coeff)
-        return SuperForm(table, {w: Element(table, t) for w, t in out.items()})
+        return form_of(table, out)
     if isinstance(x, SuperForm):
         pieces = []
         for w, c in x.terms.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .algebra import ONE_MONO, Element
 from .matrices import SuperMatrix
 from .scalars import Scalar
 
@@ -24,14 +25,18 @@ def solve_exact(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | N
         aug[r], aug[pivot] = aug[pivot], aug[r]
         inv = aug[r][c].inverse()
         aug[r] = [v * inv for v in aug[r]]
+        # only the nonzero entries of the pivot row change another row
+        support = [(col, v) for col, v in enumerate(aug[r]) if not v.is_zero]
         for i in range(m):
             if i != r and not aug[i][c].is_zero:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+                f, row = aug[i][c], aug[i]
+                for col, v in support:
+                    row[col] = row[col] - f * v
         pivot_cols.append(c)
         r += 1
         if r == m:
             break
+    # every row below the rank is zero in every column, so these decide consistency
     for i in range(r, m):
         if not aug[i][n].is_zero:
             return None
@@ -44,33 +49,22 @@ def solve_exact(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | N
 def expand_in_basis(target: SuperMatrix, basis: list[SuperMatrix]) -> list[Scalar] | None:
     """Exact coefficients expressing a constant matrix over a matrix basis.
 
-    Every entry must be a scalar multiple of 1 (constant Elements); returns
-    None when the target lies outside the span.
+    Returns None when the target lies outside the span, which includes a
+    target with an entry that is not a constant Element.  Raises ValueError
+    when a basis entry is not constant.
     """
-    def entry_scalar(e) -> Scalar:
-        if e.is_zero:
-            return Scalar.zero()
-        return e.constant_term()
-
-    dim = target.shape.dim
-    rows: list[list[Scalar]] = []
-    rhs: list[Scalar] = []
-    for i in range(dim):
-        for j in range(dim):
-            rows.append([entry_scalar(bmat.entries[i][j]) for bmat in basis])
-            rhs.append(entry_scalar(target.entries[i][j]))
-    sol = solve_exact(rows, rhs)
-    if sol is None:
+    cells = [(i, j) for i in range(target.shape.dim) for j in range(target.shape.dim)]
+    rows = [[_constant(bmat.entries[i][j]) for bmat in basis] for i, j in cells]
+    if any(v is None for row in rows for v in row):
+        raise ValueError("a basis entry is not constant")
+    rhs = [_constant(target.entries[i][j]) for i, j in cells]
+    if any(v is None for v in rhs):
         return None
-    # confirm (free algebra entries might hide non-constant parts)
-    for i in range(dim):
-        for j in range(dim):
-            acc = Scalar.zero()
-            for coeff, bmat in zip(sol, basis):
-                acc = acc + coeff * entry_scalar(bmat.entries[i][j])
-            got = entry_scalar(target.entries[i][j])
-            if not (acc - got).is_zero:
-                return None
-            if not target.entries[i][j].soul().is_zero:
-                return None
-    return sol
+    return solve_exact(rows, rhs)
+
+
+def _constant(e: Element) -> Scalar | None:
+    """The scalar of a constant Element, or None when e is not one."""
+    if e.terms.keys() <= {ONE_MONO}:
+        return e.constant_term()
+    return None

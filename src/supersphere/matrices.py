@@ -20,9 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import (ODD, Element, GeneratorTable, InvertibilityError, ParityError,
-                      RewriteSystem, graded_inverse)
-from .forms import sum_entries
+from .algebra import (ODD, AlgebraMismatchError, Element, GeneratorTable, InvertibilityError,
+                      ParityError, RewriteSystem, graded_inverse)
+from .forms import SuperForm, form_of, sum_entries, wedge_into
 from .scalars import Scalar
 
 EVEN_FIRST = "even_first"
@@ -159,10 +159,44 @@ class SuperMatrix:
         return SuperMatrix(self.shape, [[-e for e in row] for row in self.entries], self.parity)
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
+        """Row-column product, each entry summed in one pass.
+
+        Every product x_ik y_kj of an entry is added into one dict through
+        the signed monomial product, and each right entry is factored once
+        for all rows.  An entry is a form when its row of self or its column
+        of other holds a form, and an Element otherwise.  Raises
+        AlgebraMismatchError when an entry lives over another table.
+        """
         self._check_shape(other)
         d = range(self.shape.dim)
-        rows = [[sum_entries([self.entries[i][k] * other.entries[k][j] for k in d])
-                 for j in d] for i in d]
+        x, y = self.entries, other.entries
+        table = x[0][0].algebra if x else None
+        if any(e.algebra is not table and e.algebra != table for row in x + y for e in row):
+            raise AlgebraMismatchError("entries live over different generator tables")
+        form_rows = [any(isinstance(e, SuperForm) for e in row) for row in x]
+        form_cols = [any(isinstance(y[k][j], SuperForm) for k in d) for j in d]
+        # each Element entry of other factored once for the Element entries of
+        # the product; for the form entries, wedge_into fills one cache per
+        # entry of other as it meets each parity of a left wedge
+        factors = [[table._factor(e.terms.items()) if isinstance(e, Element) else None
+                    for e in row] for row in y]
+        form_factors = [[{} for _ in d] for _ in d]
+        rows = []
+        for i in d:
+            row = []
+            for j in d:
+                if form_rows[i] or form_cols[j]:
+                    out: dict = {}
+                    for k in d:
+                        wedge_into(out, table, _form_terms(x[i][k]), _form_terms(y[k][j]),
+                                   form_factors[k][j])
+                    row.append(form_of(table, out))
+                else:
+                    acc: dict = {}
+                    for k in d:
+                        table._multiply_into(acc, x[i][k].terms.items(), factors[k][j])
+                    row.append(Element(table, acc))
+            rows.append(row)
         parity = None
         if self.parity is not None and other.parity is not None:
             parity = (self.parity + other.parity) % 2
@@ -170,8 +204,12 @@ class SuperMatrix:
 
     def scale(self, factor) -> "SuperMatrix":
         """Left multiplication by a scalar or Element factor."""
+        if not isinstance(factor, Element):
+            # a scalar commutes with every entry, so each entry takes it on the right
+            return SuperMatrix(self.shape, [[e * factor for e in row] for row in self.entries],
+                               self.parity)
         parity = self.parity
-        if isinstance(factor, Element) and parity is not None:
+        if parity is not None:
             fp = factor.parity()
             if fp == "mixed":
                 parity = None
@@ -253,6 +291,11 @@ class SuperMatrix:
         shape = BlockShape.from_obj(obj["shape"])
         rows = [[Element.from_obj(algebra, cell) for cell in row] for row in obj["entries"]]
         return SuperMatrix(shape, rows, obj.get("parity"))
+
+
+def _form_terms(e: Element | SuperForm) -> dict:
+    """The terms of e as a form: an Element is a form of degree 0."""
+    return e.terms if isinstance(e, SuperForm) else {(): e}
 
 
 def graded_bracket(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:

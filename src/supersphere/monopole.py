@@ -35,7 +35,7 @@ from .algebra import (ONE_MONO, Element, GeneratorTable, Monomial, RewriteSystem
 from .forms import DifferentialIdeal, SuperForm, d, sum_entries
 from .localized import LocalizedModel
 from .matrices import BlockShape, SuperMatrix, EVEN_FIRST, ODD_FIRST, exp_nilpotent, sdet
-from .scalars import GaussianVector, Scalar, combine, gaussian_vector, rat
+from .scalars import GaussianVector, Scalar, combine, gaussian_vector, rat, sqrt_binomials
 
 MINUS = "-"
 PLUS = "+"
@@ -352,8 +352,8 @@ def _binomial_powers(table: GeneratorTable, sign: str, n: int) -> list[Element]:
     """sqrt(C(n, k)) u^(n-k) v^k for k = 0..n, with (u, v) = (a, b) for sign
     minus and (a*, b*) for plus."""
     iu, iv = (table.index[name] for name in (("a", "b") if sign == MINUS else ("a*", "b*")))
-    return [Element(table, {table.monomial(((iu, n - k), (iv, k))): Scalar.sqrt_binomial(n, k)})
-            for k in range(n + 1)]
+    return [Element(table, {table.monomial(((iu, n - k), (iv, k))): root})
+            for k, root in enumerate(sqrt_binomials(n))]
 
 
 def psi_body(sign: str, n: int) -> list[Element]:

@@ -45,16 +45,6 @@ def squarefree_split(m: int) -> tuple[int, int]:
     return g, m0
 
 
-@lru_cache(maxsize=None)
-def _primes_upto(n: int) -> tuple[int, ...]:
-    """The primes <= n, sieved once per n (psi takes 2n + 1 roots at one n)."""
-    sieve = bytearray([1]) * (n + 1)
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return tuple(p for p in range(2, n + 1) if sieve[p])
-
-
 def _canon(re: int, im: int, den: int) -> Record:
     """Divide out gcd(re, im, den); den > 0 and (re, im) != (0, 0)."""
     g = gcd(re, im, den)
@@ -145,28 +135,6 @@ class Scalar:
     def sqrt_int(m: int) -> "Scalar":
         """Exact sqrt of a positive integer, reduced to g*sqrt(m0)."""
         return Scalar.of(1, 0, radical=m)
-
-    @staticmethod
-    def sqrt_binomial(n: int, k: int) -> "Scalar":
-        """Exact sqrt of C(n, k) for 0 <= k <= n, with no trial division.
-
-        C(n, k) has no prime factor above n; Legendre's formula gives the
-        exponent of each prime p <= n as the sum over p**j of
-        floor(n/p**j) - floor(k/p**j) - floor((n-k)/p**j).
-        """
-        if not 0 <= k <= n:
-            raise ValueError("sqrt_binomial needs 0 <= k <= n, got n=%r, k=%r" % (n, k))
-        g = m0 = 1
-        for p in _primes_upto(n):
-            e = 0
-            q = p
-            while q <= n:
-                e += n // q - k // q - (n - k) // q
-                q *= p
-            g *= p ** (e >> 1)
-            if e & 1:
-                m0 *= p
-        return Scalar({(m0, 0): (g, 0, 1)})
 
     @staticmethod
     def pi_power(k: int) -> "Scalar":
@@ -334,7 +302,10 @@ class Scalar:
             den = abs(re_den * im_den) // gcd(re_den, im_den)
             re, im = re * (den // re_den), im * (den // im_den)
             if re or im:
-                g, m0 = squarefree_split(comp.get("radical", 1))
+                # to_obj writes squarefree radicands, almost all 1
+                g, m0 = 1, comp.get("radical", 1)
+                if m0 != 1:
+                    g, m0 = squarefree_split(m0)
                 _accumulate(parts, (m0, comp.get("pi", 0)), _canon(re * g, im * g, den))
         return Scalar(parts)
 
@@ -348,6 +319,44 @@ def rat(num: int, den: int = 1) -> Scalar:
     if den < 0:
         num, den = -num, -den
     return Scalar({(1, 0): _canon(num, 0, den)})
+
+
+def sqrt_binomials(n: int) -> list[Scalar]:
+    """The exact square roots of C(n, k), k = 0..n, each g*sqrt(m0).
+
+    C(n, k + 1) = C(n, k) (n - k) / (k + 1), so each step adds the prime
+    exponents of n - k and subtracts those of k + 1, and g and m0 change only
+    at those few primes.  The factors are read off one sieve of smallest
+    prime factors up to n.
+    """
+    if n < 0:
+        raise ValueError("sqrt_binomials needs n >= 0, got %r" % (n,))
+    spf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for q in range(p * p, n + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    exps: dict[int, int] = {}
+    g = m0 = 1
+    row = [Scalar({(1, 0): (1, 0, 1)})]
+    for k in range(n):
+        for x, step in ((n - k, 1), (k + 1, -1)):
+            while x > 1:
+                p = spf[x]
+                x //= p
+                e = exps[p] = exps.get(p, 0) + step
+                # p divides m0 exactly when its exponent is odd, and each pair goes to g
+                if e & 1:
+                    m0 *= p
+                    if step < 0:
+                        g //= p
+                else:
+                    m0 //= p
+                    if step > 0:
+                        g *= p
+        row.append(Scalar({(m0, 0): (g, 0, 1)}))
+    return row
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,9 @@ import numpy as np
 
 from supersphere.algebra import (Element, GeneratorTable, RewriteSystem, SubstitutionMap,
                                  EVEN, ODD)
-from supersphere.forms import SuperForm, d, sort_wedge, wedge_grassmann_parity
+from supersphere.forms import SuperForm, d, sort_wedge, sum_entries, wedge_grassmann_parity
 from supersphere.localized import TorusForm
+from supersphere.matrices import SuperMatrix
 from supersphere.monopole import (CHERN_SCALAR, MINUS, base_space, chern_form,
                                   coordinate_chern_form, coordinate_images, group_space,
                                   normalize_sign)
@@ -86,6 +87,39 @@ def mono_mul(m1: TupleMonomial, m2: TupleMonomial) -> tuple[int, TupleMonomial] 
     return sign, (even_part, odd_part)
 
 
+# Legendre's formula for the square roots of binomials, the oracle for
+# scalars.sqrt_binomials, which steps one row from C(n, k) to C(n, k + 1).
+
+def _primes_upto(n: int) -> list[int]:
+    sieve = bytearray([1]) * (n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+def sqrt_binomial(n: int, k: int) -> Scalar:
+    """Exact sqrt of C(n, k) for 0 <= k <= n, with no trial division.
+
+    C(n, k) has no prime factor above n; Legendre's formula gives the
+    exponent of each prime p <= n as the sum over p**j of
+    floor(n/p**j) - floor(k/p**j) - floor((n-k)/p**j).
+    """
+    if not 0 <= k <= n:
+        raise ValueError("sqrt_binomial needs 0 <= k <= n, got n=%r, k=%r" % (n, k))
+    g = m0 = 1
+    for p in _primes_upto(n):
+        e = 0
+        q = p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        g *= p ** (e >> 1)
+        if e & 1:
+            m0 *= p
+    return Scalar({(m0, 0): (g, 0, 1)})
+
+
 # Words signed by an insertion sort, the oracle for GeneratorTable.element,
 # which folds a word through GeneratorTable.multiply, and psi from such words,
 # the oracle for psi built from its formula.
@@ -129,10 +163,10 @@ def psi_from_words(sign: str, n: int) -> list[Element]:
     half, minus_eighth = rat(1, 2), rat(-1, 8)
     comps = []
     for k in range(n):
-        root = Scalar.sqrt_binomial(n - 1, k)
+        root = sqrt_binomial(n - 1, k)
         comps.append(element([(half * root, [h] + [u] * (n - 1 - k) + [v] * k)]))
     for k in range(n + 1):
-        root = Scalar.sqrt_binomial(n, k)
+        root = sqrt_binomial(n, k)
         w = [u] * (n - k) + [v] * k
         comps.append(element([(root, w), (minus_eighth * root, ["eta", "eta*"] + w)]))
     return comps
@@ -163,6 +197,21 @@ def split_parts_wedge(x: SuperForm, y: SuperForm) -> SuperForm:
                     coeff = -coeff
                 out[w] = out[w] + coeff if w in out else coeff
     return SuperForm(table, out)
+
+
+# The product entry by entry, the oracle for the one-pass SuperMatrix.__matmul__:
+# each of the d products of an entry is its own Element or SuperForm, and the
+# entry is their n-ary sum.
+
+def matmul_by_entries(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
+    x._check_shape(y)
+    d = range(x.shape.dim)
+    rows = [[sum_entries([x.entries[i][k] * y.entries[k][j] for k in d]) for j in d]
+            for i in d]
+    parity = None
+    if x.parity is not None and y.parity is not None:
+        parity = (x.parity + y.parity) % 2
+    return SuperMatrix(x.shape, rows, parity)
 
 
 # The circle action by substitution, the oracle for the charge tests: the group

@@ -5,13 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from supersphere.algebra import InvertibilityError, ParityError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supersphere.algebra import (AlgebraMismatchError, Element, GeneratorTable,
+                                 InvertibilityError, ParityError)
+from supersphere.forms import SuperForm, d
 from supersphere.linear import expand_in_basis, solve_exact
 from supersphere.matrices import (BlockShape, EVEN_FIRST, ODD_FIRST, ShapeError,
                                   SuperMatrix, exp_nilpotent, graded_bracket, sdet)
-from supersphere.monopole import group_element, group_space, osp_fixtures
+from supersphere.monopole import (MINUS, PLUS, group_element, group_space, osp_fixtures,
+                                  projector, psi)
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_supermatrix
+
+from oracles import matmul_by_entries
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +106,18 @@ def test_osp_closure_by_exact_linear_system(g, fixtures):
             assert coeffs is not None, (na, nb)
 
 
+def test_expand_in_basis_rejects_a_target_that_is_not_constant(g, fixtures):
+    """A target with the pattern of A0 but a non-constant entry lies outside the
+    span of constant matrices, though its constant terms are A0's."""
+    basis = list(fixtures.values())
+    a0 = fixtures["A0"]
+    assert expand_in_basis(a0, basis) == [1, 0, 0, 0, 0]
+    target = a0 + a0.map_entries(lambda e: g.table.zero() if e.is_zero else g.a)
+    assert expand_in_basis(target, basis) is None
+    with pytest.raises(ValueError):
+        expand_in_basis(a0, basis + [target])
+
+
 def test_solve_exact_basics():
     one, two = Scalar.of(1), Scalar.of(2)
     sol = solve_exact([[one, one], [one, -one]], [two, Scalar.zero()])
@@ -136,6 +156,78 @@ def test_matmul_identity_and_shape_errors(g):
     other = SuperMatrix.identity(BlockShape(1, 1, EVEN_FIRST), g.table)
     with pytest.raises(ShapeError):
         x @ other
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([BlockShape(1, 2), BlockShape(2, 1, ODD_FIRST)]),
+       st.integers(0, 1), st.integers(0, 1), st.integers(0, 2 ** 32))
+def test_matmul_matches_the_entry_oracle(shape, px, py, seed):
+    """One pass per entry gives the n-ary sum of the d products."""
+    table = group_space().table
+    rng = random.Random(seed)
+    x = random_supermatrix(table, rng, parity=px, shape=shape)
+    y = random_supermatrix(table, rng, parity=py, shape=shape)
+    got, want = x @ y, matmul_by_entries(x, y)
+    assert got == want and got.parity == want.parity == (px + py) % 2
+    assert all(type(e) is Element for row in got.entries for e in row)
+
+
+@pytest.mark.parametrize("sign", [MINUS, PLUS])
+@pytest.mark.parametrize("n", [1, 2])
+def test_matmul_of_form_matrices_matches_the_entry_oracle(sign, n):
+    """p @ dp and dp @ dp keep their entry types: forms wherever a form meets."""
+    p = projector(psi(sign, n)).matrix
+    dp = p.map_entries(d)
+    for x, y in ((p, dp), (dp, p), (dp, dp), (p, p)):
+        got, want = x @ y, matmul_by_entries(x, y)
+        assert got == want and got.parity == want.parity
+        assert [[type(e) for e in row] for row in got.entries] == \
+            [[type(e) for e in row] for row in want.entries]
+
+
+def test_matmul_mixed_rows_and_columns_keep_their_entry_types(g):
+    """An entry is a form exactly when its row of x or its column of y holds one."""
+    sh = BlockShape(1, 1)
+    one, zero = g.table.one(), g.table.zero()
+    x = SuperMatrix(sh, [[g.a, zero], [one, d(g.b)]], None)
+    y = SuperMatrix(sh, [[g.b, SuperForm.zero(g.table)], [g.eta, one]], None)
+    got = x @ y
+    assert got == matmul_by_entries(x, y)
+    assert [[type(e) for e in row] for row in got.entries] == \
+        [[Element, SuperForm], [SuperForm, SuperForm]]
+    assert got.entries[0][0] == g.a * g.b and got.entries[0][1].is_zero
+
+
+def test_matmul_rejects_another_table_and_another_shape(g):
+    sh = BlockShape(1, 2)
+    x = random_supermatrix(g.table, random.Random(23), parity=0, shape=sh)
+    other = GeneratorTable.build(conjugate_pairs=[("a", "a*", 0), ("eta", "eta*", 1)])
+    y = SuperMatrix.identity(sh, other)
+    with pytest.raises(AlgebraMismatchError):
+        x @ y
+    with pytest.raises(AlgebraMismatchError):
+        y @ x
+    # a mismatched entry anywhere raises, also one no product meets with a nonzero factor
+    z = SuperMatrix.identity(sh, g.table)
+    z.entries[2][1] = other.zero()
+    with pytest.raises(AlgebraMismatchError):
+        x @ z
+    with pytest.raises(ShapeError):
+        x @ SuperMatrix.identity(BlockShape(2, 1, ODD_FIRST), g.table)
+
+
+def test_scale_by_a_scalar_multiplies_each_entry(g, fixtures):
+    x = random_supermatrix(g.table, random.Random(24), parity=1, shape=BlockShape(1, 2))
+    c = Scalar.of(2, -1)
+    for factor in (c, 3, Fraction(1, 3)):
+        got = x.scale(factor)
+        assert got.parity == 1
+        assert got.entries == [[g.table.scalar(factor) * e for e in row] for row in x.entries]
+    assert x.scale(0).entries == [[g.table.zero()] * 3 for _ in range(3)]
+    # an odd Element factor multiplies on the left and flips the parity
+    got = x.scale(g.eta)
+    assert got.parity == 0
+    assert got.entries == [[g.eta * e for e in row] for row in x.entries]
 
 
 def test_matmul_associativity_random(g):

@@ -39,7 +39,7 @@ from oracles import (CIRCLE_TABLE, chern_closed_form_by_algebra,
                      chern_intermediate_form_by_algebra, circle_reduce,
                      connection_closed_form_by_algebra, coordinate_chern_form_corrected,
                      coordinate_chern_report, factor_invariants, psi_from_words,
-                     random_factorization)
+                     random_factorization, sqrt_binomial)
 
 
 @pytest.fixture(scope="module")
@@ -183,9 +183,9 @@ def _psi_by_products(g, sign, n):
     """Oracle for psi: the components as products of generator Elements."""
     factor = g.table.one() - rat(1, 8) * g.eta * g.etad
     u, v, h = (g.a, g.b, g.eta) if sign == MINUS else (g.ad, g.bd, g.etad)
-    comps = [rat(1, 2) * Scalar.sqrt_binomial(n - 1, k) * h * u ** (n - 1 - k) * v ** k
+    comps = [rat(1, 2) * sqrt_binomial(n - 1, k) * h * u ** (n - 1 - k) * v ** k
              for k in range(n)]
-    comps += [Scalar.sqrt_binomial(n, k) * factor * u ** (n - k) * v ** k
+    comps += [sqrt_binomial(n, k) * factor * u ** (n - k) * v ** k
               for k in range(n + 1)]
     return comps
 

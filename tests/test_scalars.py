@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supersphere.scalars import (Scalar, binomial_sum, binomial_sum_is_zero, rat,
-                                 squarefree_split)
+                                 sqrt_binomials, squarefree_split)
+
+from oracles import sqrt_binomial
 
 
 def test_squarefree_split():
@@ -96,10 +98,21 @@ def test_to_complex():
 
 def test_sqrt_binomial_matches_trial_division():
     for n in range(31):
+        row = sqrt_binomials(n)
+        assert len(row) == n + 1
         for k in range(n + 1):
-            assert Scalar.sqrt_binomial(n, k) == Scalar.sqrt_int(math.comb(n, k)), (n, k)
+            want = Scalar.sqrt_int(math.comb(n, k))
+            assert row[k] == want and sqrt_binomial(n, k) == want, (n, k)
     with pytest.raises(ValueError):
-        Scalar.sqrt_binomial(3, 4)
+        sqrt_binomial(3, 4)
+    with pytest.raises(ValueError):
+        sqrt_binomials(-1)
+
+
+@pytest.mark.parametrize("n", [64, 360, 997, 1024])
+def test_sqrt_binomials_match_legendre(n):
+    """The row steps each prime exponent from C(n, k) to C(n, k + 1)."""
+    assert sqrt_binomials(n) == [sqrt_binomial(n, k) for k in range(n + 1)]
 
 
 # Reference model: {(m, k): (Fraction re, Fraction im)} with every radical
@@ -285,8 +298,10 @@ def test_from_obj_reduces_and_signs_its_input():
     for re, im in (((1, 0), (0, 1)), ((1, 2), (1, 0)), ((0, 0), (0, 0))):
         with pytest.raises(ZeroDivisionError):
             Scalar.from_obj([comp(re, im)])
-    with pytest.raises(ValueError):
-        Scalar.from_obj([comp((1, 1), (0, 1), 0)])
+    assert Scalar.from_obj([comp((1, 1), (0, 1), 8)]) == Scalar.of(2, 0, 2)
+    for radical in (0, -3):
+        with pytest.raises(ValueError):
+            Scalar.from_obj([comp((1, 1), (0, 1), radical)])
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
