@@ -28,7 +28,7 @@ from .monopole import (group_space, base_space, group_element,
                        element_to_base, projector_to_base,
                        nilpotent_exp_report, group_identities_report,
                        sphere_relation_check, PsiVector, Projector,
-                       supertrace_p_dp_dp, coordinate_volume_form)
+                       supertrace_p_dp_dp)
 from .berezin import (chern_number, chern_integral, berezin_integral,
                       berezin_chern_number, chart_pullback, group_section_chart,
                       base_chart, ExactnessError)

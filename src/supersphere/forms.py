@@ -97,28 +97,17 @@ class SuperForm:
     def sum(algebra: GeneratorTable, items: Iterable["SuperForm | Element"]) -> "SuperForm":
         """The sum of the items; an Element item is a form of degree 0.
 
-        The coefficients are grouped by wedge, and each wedge met more than
-        once takes a single Element.sum.  Raises AlgebraMismatchError when an
-        item lives over another table.
+        Every coefficient goes into one wedge -> monomial dict through
+        add_terms.  Raises AlgebraMismatchError when an item lives over
+        another table.
         """
-        out: dict[Wedge, Element] = {}
-        more: dict[Wedge, list[Element]] = {}
+        out: dict[Wedge, dict[Monomial, Scalar]] = {}
         for x in items:
             if x.algebra is not algebra and x.algebra != algebra:
                 raise AlgebraMismatchError("forms live over different generator tables")
-            terms = x.terms if isinstance(x, SuperForm) else {(): x}
-            if not out:
-                # as in Element.sum, the first terms are copied whole
-                out.update(terms)
-                continue
-            for w, c in terms.items():
-                if w in out:
-                    more.setdefault(w, [out[w]]).append(c)
-                else:
-                    out[w] = c
-        for w, cs in more.items():
-            out[w] = Element.sum(algebra, cs)
-        return SuperForm(algebra, out)
+            for w, c in (x.terms.items() if isinstance(x, SuperForm) else (((), x),)):
+                add_terms(out, w, c.terms)
+        return form_of(algebra, out)
 
     def __add__(self, other) -> "SuperForm":
         return SuperForm.sum(self.algebra, (self, self._coerce(other)))
@@ -163,9 +152,6 @@ class SuperForm:
 
     # -- structure helpers ------------------------------------------------------------
 
-    def form_degrees(self) -> set[int]:
-        return {len(w) for w in self.terms}
-
     def grassmann_parity(self) -> int:
         parities = set()
         parity = self.algebra.parity
@@ -189,16 +175,12 @@ class SuperForm:
         out: dict[Wedge, Element] = {}
         for w, c in self.terms.items():
             s = sign
-            image: list[int] = []
             for i in w:
                 s *= table.diamond_sign[i]
-                image.append(table.diamond_partner[i])
-            merged = sort_wedge(table, image)
-            if merged is None:
-                continue
-            s2, wn = merged
-            coeff = c._diamond(s * s2)
-            out[wn] = out[wn] + coeff if wn in out else coeff
+            # the image permutes the differentials, so no two wedges meet
+            merged = sort_wedge(table, [table.diamond_partner[i] for i in w])
+            if merged is not None:
+                out[merged[1]] = c._diamond(s * merged[0])
         return SuperForm(table, out)
 
     def body_project(self) -> "SuperForm":
@@ -206,9 +188,6 @@ class SuperForm:
         table = self.algebra
         return SuperForm(table, {w: c.body() for w, c in self.terms.items()
                                  if not any(table.parities[i] for i in w)})
-
-    def map_coefficients(self, fn) -> "SuperForm":
-        return SuperForm(self.algebra, {w: fn(c) for w, c in self.terms.items()})
 
     def substitute(self, images: Mapping[str, Element],
                    target: GeneratorTable | None = None) -> "SuperForm":
@@ -252,13 +231,16 @@ class SuperForm:
 
     @staticmethod
     def from_obj(algebra: GeneratorTable, obj: Iterable[dict]) -> "SuperForm":
-        pieces = []
+        """The inverse of to_obj.  Each wedge is put in order by sort_wedge,
+        so an unsorted wedge is signed and a repeated even differential
+        gives zero."""
+        out: dict[Wedge, dict[Monomial, Scalar]] = {}
         for term in obj:
-            piece = SuperForm.from_element(Element.from_obj(algebra, term["coeff"]))
-            for name in term["wedge"]:
-                piece = piece * SuperForm.differential(algebra, name)
-            pieces.append(piece)
-        return SuperForm.sum(algebra, pieces)
+            coeff = Element.from_obj(algebra, term["coeff"])
+            merged = sort_wedge(algebra, [algebra._idx(name) for name in term["wedge"]])
+            if merged is not None:
+                add_terms(out, merged[1], coeff.terms, merged[0] < 0)
+        return form_of(algebra, out)
 
 
 def wedge_into(out: dict[Wedge, dict[Monomial, Scalar]], table: GeneratorTable,
@@ -293,6 +275,17 @@ def form_of(table: GeneratorTable, out: Mapping[Wedge, Mapping[Monomial, Scalar]
     return SuperForm(table, {w: Element(table, t) for w, t in out.items()})
 
 
+def add_terms(out: dict[Wedge, dict[Monomial, Scalar]], wedge: Wedge,
+              terms: Mapping[Monomial, Scalar], negate: bool = False) -> None:
+    """Add terms (monomial -> scalar), negated when negate is set, into
+    out[wedge].  With form_of, the one way a form is assembled from pieces."""
+    acc = out.setdefault(wedge, {})
+    for m, s in terms.items():
+        if negate:
+            s = -s
+        acc[m] = acc[m] + s if m in acc else s
+
+
 def sum_entries(items: Sequence[Element | SuperForm]) -> Element | SuperForm:
     """The sum of a nonempty list of Elements and forms, for matrix entries
     and pairings that may hold either kind: an Element unless a form is
@@ -324,82 +317,69 @@ def d(x: Element | SuperForm) -> SuperForm:
                     coeff if (len(odd_part) - k - 1) % 2 == 0 else -coeff)
         return form_of(table, out)
     if isinstance(x, SuperForm):
-        pieces = []
+        # d(c dw) = dc ^ dw: each differential of c is sorted into w
+        table = x.algebra
+        out = {}
         for w, c in x.terms.items():
-            # each differential of c lands in its own wedge
-            piece_terms: dict[Wedge, Element] = {}
             for (i,), ci in d(c).terms.items():
-                merged = sort_wedge(x.algebra, (i,) + w)
-                if merged is None:
-                    continue
-                sign, wn = merged
-                piece_terms[wn] = ci if sign > 0 else -ci
-            pieces.append(SuperForm(x.algebra, piece_terms))
-        return SuperForm.sum(x.algebra, pieces)
+                merged = sort_wedge(table, (i,) + w)
+                if merged is not None:
+                    add_terms(out, merged[1], ci.terms, merged[0] < 0)
+        return form_of(table, out)
     raise TypeError("d expects an Element or SuperForm")
 
 
 class DifferentialIdeal:
-    """Reduction data: element rewrite rules plus form rules.
-
-    A form rule (gen, dgen, replacement) rewrites any term whose coefficient
-    monomial is divisible by `gen` and whose wedge contains `dgen`:
-    gen * dgen -> replacement.  Replacements must not reintroduce dgen.
+    """The form rule gen * dgen -> replacement beside an element rewrite
+    system, applied in closed form.  gen is one even generator with
+    coefficient 1 and dgen the differential of an even generator, both kept
+    as indices: dgen appears at most once in a wedge and the replacement
+    holds none, so no term is rewritten twice.
     """
 
-    def __init__(self, rewrites: RewriteSystem,
-                 form_rules: Sequence[tuple[Element, SuperForm, SuperForm]] = ()):
+    def __init__(self, rewrites: RewriteSystem, gen: Element, dgen: SuperForm,
+                 replacement: SuperForm):
+        table = self.algebra = rewrites.algebra
         self.rewrites = rewrites
-        self.algebra = rewrites.algebra
-        self.form_rules: list[tuple[int, int, SuperForm]] = []
-        for gen, dgen, repl in form_rules:
-            (gmono, gcoeff), = gen.terms.items()
-            even, odd = self.algebra.factors(gmono)
-            if odd or len(even) != 1 or even[0][1] != 1 or gcoeff != Scalar.one():
-                raise ValueError("form rule generator part must be a single even generator")
-            gi = even[0][0]
-            (dw, dcoeff), = dgen.terms.items()
-            if len(dw) != 1 or not dcoeff == self.algebra.one():
-                raise ValueError("form rule wedge part must be a single differential")
-            di = dw[0]
-            for w in repl.terms:
-                if di in w:
-                    raise ValueError("replacement reintroduces the eliminated differential")
-            self.form_rules.append((gi, di, repl))
+        even = table.factors(next(iter(gen.terms), 0))[0]
+        gi = even[0][0] if len(even) == 1 else None
+        if gi is None or gen != table.gen(table.names[gi]):
+            raise ValueError("the rule's generator must be one even generator, coefficient 1")
+        di = next((w[0] for w in dgen.terms if len(w) == 1), None)
+        if di is None or table.parities[di] or dgen != SuperForm(table, {(di,): table.one()}):
+            raise ValueError("the rule's differential must be d of one even generator")
+        if any(di in w for w in replacement.terms):
+            raise ValueError("the replacement reintroduces the eliminated differential")
+        self.gen, self.dgen, self.replacement = gi, di, replacement
+        # the replacement's coefficients as the right factors of _multiply_into
+        self._factors = [(w, table._factor(c.terms.items())) for w, c in replacement.terms.items()]
 
     def reduce(self, omega: SuperForm | Element) -> SuperForm:
-        """Coefficients to normal form, then eliminate rule pairs to fixpoint."""
+        """The coefficients in normal form, then each term q * gen * dgen ^ rest
+        rewritten once, to q * replacement ^ rest with its coefficients in
+        normal form."""
         if isinstance(omega, Element):
             omega = SuperForm.from_element(omega)
-        if omega.algebra is not self.algebra and omega.algebra != self.algebra:
+        table, gi, di, reduce = self.algebra, self.gen, self.dgen, self.rewrites.reduce
+        if omega.algebra is not table and omega.algebra != table:
             raise AlgebraMismatchError("form lives over a different generator table")
-        work = omega.map_coefficients(self.rewrites.reduce)
-        while True:
-            hit = next(((w, mono, gi, di, repl)
-                        for w, c in work.terms.items()
-                        for gi, di, repl in self.form_rules if di in w
-                        for mono in c.terms if self.algebra.exponent(mono, gi)), None)
-            if hit is None:
-                return work
-            w, mono, gi, di, repl = hit
-            coeff = work.terms[w].terms[mono]
-            # split off the rewritten monomial
-            remainder = dict(work.terms[w].terms)
-            del remainder[mono]
-            new_terms = dict(work.terms)
-            if remainder:
-                new_terms[w] = Element(self.algebra, remainder)
-            else:
-                del new_terms[w]
-            base = SuperForm(self.algebra, new_terms)
-            # mono = quot * gi (even generator commutes freely)
-            quot = self.algebra.divide(mono, gi)
-            # move the eliminated differential to the front of the wedge
-            pos = w.index(di)
-            rest = w[:pos] + w[pos + 1:]
-            sign, _ = sort_wedge(self.algebra, (di,) + rest)
-            front = Element(self.algebra, {quot: coeff if sign > 0 else -coeff})
-            piece = (SuperForm.from_element(front) * repl
-                     * SuperForm(self.algebra, {rest: self.algebra.one()}))
-            # base coefficients stay normal; only the new piece needs reducing
-            work = base + piece.map_coefficients(self.rewrites.reduce)
+        out: dict[Wedge, dict[Monomial, Scalar]] = {}
+        pieces: dict[Wedge, dict[Monomial, Scalar]] = {}
+        for w, c in omega.terms.items():
+            terms = reduce(c).terms
+            quots = [(table.divide(m, gi), s) for m, s in terms.items()
+                     if table.exponent(m, gi)] if di in w else ()
+            if quots:
+                terms = {m: s for m, s in terms.items() if not table.exponent(m, gi)}
+                # dgen is even, so moving it to the front of w takes (-1)^pos
+                pos = w.index(di)
+                rest = w[:pos] + w[pos + 1:]
+                for wr, factor in self._factors:
+                    merged = sort_wedge(table, wr + rest)
+                    if merged is not None:
+                        table._multiply_into(pieces.setdefault(merged[1], {}), quots, factor,
+                                             (merged[0] < 0) != (pos % 2 == 1))
+            add_terms(out, w, terms)
+        for w, t in pieces.items():
+            add_terms(out, w, reduce(Element(table, t)).terms)
+        return form_of(table, out)

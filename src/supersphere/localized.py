@@ -127,12 +127,10 @@ class LocalizedModel:
                 out.append((-merged[0], merged[1], dp, dq, dl, rule))
         return out
 
-    def project(self, x: Element | SuperForm, *, expand: bool = True) -> TorusForm:
+    def project(self, x: Element | SuperForm) -> TorusForm:
         """The class of x modulo the ideal; x must live over the group table.
-
-        With expand=False the polynomials are left as sums of t^m (1 - t)^l
-        until ``terms`` is read, which is all ``is_zero`` needs.
-        """
+        The polynomials are left as sums of t^m (1 - t)^l until ``terms``
+        is read, which ``is_zero`` does not need."""
         if isinstance(x, Element):
             x = SuperForm.from_element(x)
         if x.algebra is not self.table and x.algebra != self.table:
@@ -150,12 +148,9 @@ class LocalizedModel:
                 for sign, w, dp, dq, dl, rule in images:
                     groups.setdefault((w, odd, i - j + dp, k - l + dq), []).append(
                         (sign, s, min(i, j) + (rule * (i - j) < 0), l + dl))
-        out = TorusForm(groups, self.table.names)
-        if expand:
-            out.terms  # expanded here, as part of the projection
-        return out
+        return TorusForm(groups, self.table.names)
 
     def is_zero_mod(self, x: Element | SuperForm) -> bool:
         """Whether x lies in the differential ideal: project(x).is_zero,
         decided with no polynomial expanded in powers of t."""
-        return self.project(x, expand=False).is_zero
+        return self.project(x).is_zero

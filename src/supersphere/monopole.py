@@ -98,7 +98,7 @@ def group_space() -> GroupSpace:
     dad = SuperForm.differential(table, "a*")
     dbd = SuperForm.differential(table, "b*")
     db_repl = -(a * dad + ad * da + b * dbd)
-    ideal = DifferentialIdeal(rewrites, [(bd, SuperForm.differential(table, "b"), db_repl)])
+    ideal = DifferentialIdeal(rewrites, bd, SuperForm.differential(table, "b"), db_repl)
     return GroupSpace(table, rewrites, ideal, LocalizedModel(table))
 
 
@@ -727,13 +727,6 @@ def coordinate_chern_form(sign: str, n: int) -> SuperForm:
     fer = fer * quarter_pi_i
     form = bos + fer
     return form if sign == MINUS else -form
-
-
-def coordinate_volume_form() -> SuperForm:
-    """x0 dx1 dx2 + x1 dx2 dx0 + x2 dx0 dx1 in the coordinate algebra."""
-    s = base_space()
-    dx0, dx1, dx2 = (s.differential(nm) for nm in ("x0", "x1", "x2"))
-    return s.x0 * dx1 * dx2 + s.x1 * dx2 * dx0 + s.x2 * dx0 * dx1
 
 
 # ---------------------------------------------------------------------------

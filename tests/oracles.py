@@ -9,7 +9,8 @@ import numpy as np
 
 from supersphere.algebra import (Element, GeneratorTable, RewriteSystem, SubstitutionMap,
                                  EVEN, ODD)
-from supersphere.forms import SuperForm, d, sort_wedge, sum_entries, wedge_grassmann_parity
+from supersphere.forms import (DifferentialIdeal, SuperForm, d, sort_wedge, sum_entries,
+                               wedge_grassmann_parity)
 from supersphere.localized import TorusForm
 from supersphere.matrices import SuperMatrix
 from supersphere.monopole import (CHERN_SCALAR, MINUS, base_space, chern_form,
@@ -199,6 +200,48 @@ def split_parts_wedge(x: SuperForm, y: SuperForm) -> SuperForm:
     return SuperForm(table, out)
 
 
+# The differential ideal's rule to a fixpoint, the oracle for the one-pass
+# DifferentialIdeal.reduce: each search finds one monomial q * gen in the
+# coefficient of a wedge that holds dgen, splits it off and adds the piece
+# q * replacement ^ rest with its coefficients reduced, until no term is hit.
+
+def ideal_reduce_to_fixpoint(ideal: DifferentialIdeal, omega: SuperForm) -> SuperForm:
+    table, gi, di, repl = ideal.algebra, ideal.gen, ideal.dgen, ideal.replacement
+
+    def reduced(form: SuperForm) -> SuperForm:
+        return SuperForm(table, {w: ideal.rewrites.reduce(c) for w, c in form.terms.items()})
+
+    work = reduced(omega)
+    while True:
+        hit = next(((w, mono) for w, c in work.terms.items() if di in w
+                    for mono in c.terms if table.exponent(mono, gi)), None)
+        if hit is None:
+            return work
+        w, mono = hit
+        coeff = work.terms[w].terms[mono]
+        remainder = dict(work.terms[w].terms)
+        del remainder[mono]
+        new_terms = dict(work.terms)
+        new_terms[w] = Element(table, remainder)
+        base = SuperForm(table, new_terms)
+        # mono = quot * gen (the even generator commutes freely); the
+        # eliminated differential moves to the front of the wedge
+        quot = table.divide(mono, gi)
+        pos = w.index(di)
+        rest = w[:pos] + w[pos + 1:]
+        sign, _ = sort_wedge(table, (di,) + rest)
+        front = Element(table, {quot: coeff if sign > 0 else -coeff})
+        piece = SuperForm.from_element(front) * repl * SuperForm(table, {rest: table.one()})
+        work = base + reduced(piece)
+
+
+def coordinate_volume_form() -> SuperForm:
+    """x0 dx1 dx2 + x1 dx2 dx0 + x2 dx0 dx1 in the coordinate algebra."""
+    s = base_space()
+    dx0, dx1, dx2 = (s.differential(nm) for nm in ("x0", "x1", "x2"))
+    return s.x0 * dx1 * dx2 + s.x1 * dx2 * dx0 + s.x2 * dx0 * dx1
+
+
 # The product entry by entry, the oracle for the one-pass SuperMatrix.__matmul__:
 # each of the d products of an entry is its own Element or SuperForm, and the
 # entry is their n-ary sum.
@@ -271,7 +314,8 @@ class SubstitutionLocalizer:
     def project(self, x: Element | SuperForm):
         if isinstance(x, Element):
             return self.rewrites.reduce(x.substitute(self.images, self.table))
-        return self._substitute_form(x).map_coefficients(self.rewrites.reduce)
+        form = self._substitute_form(x)
+        return SuperForm(form.algebra, {w: self.rewrites.reduce(c) for w, c in form.terms.items()})
 
     def _substitute_form(self, omega: SuperForm) -> SuperForm:
         """omega pulled through the images, db* sent to its explicit 1-form."""

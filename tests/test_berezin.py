@@ -15,12 +15,11 @@ from supersphere.berezin import (BASE_CHART_VOLUME, FOUR_PI, GROUP_CHART_VOLUME,
                                  chern_number, group_section_chart)
 from supersphere.forms import SuperForm, d
 from supersphere.monopole import (MINUS, PLUS, base_coordinates, base_space,
-                                  chern_form_body, coordinate_chern_form,
-                                  coordinate_volume_form, group_space)
+                                  chern_form_body, coordinate_chern_form, group_space)
 from supersphere.scalars import Scalar
 from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
 
-from oracles import evaluate_trigpoly, jacobian_by_partials, quad_oracle
+from oracles import coordinate_volume_form, evaluate_trigpoly, jacobian_by_partials, quad_oracle
 
 
 # Oracle for the chart normalisers: each chart's integral of the reference

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from supersphere.algebra import EVEN, ODD, AlgebraMismatchError, GeneratorTable, ParityError
 from supersphere.berezin import base_chart, chart_pullback, group_section_chart
-from supersphere.forms import SuperForm, d
+from supersphere.forms import DifferentialIdeal, SuperForm, d
 from supersphere.monopole import base_space, chern_closed_form, chern_form, group_space
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 from supersphere.trig import ChartError, TrigPoly
 
-from oracles import SubstitutionLocalizer, partial_phi, partial_theta, split_parts_wedge
+from oracles import (SubstitutionLocalizer, coordinate_volume_form, ideal_reduce_to_fixpoint,
+                     partial_phi, partial_theta, split_parts_wedge)
 
 ORACLE = SubstitutionLocalizer()
 
@@ -135,6 +136,57 @@ def test_differential_ideal_idempotent(g):
         assert g.ideal.reduce(reduced) == reduced
 
 
+def _ideal_test_form(table, rng):
+    """A random form of degree at most 2 with b* db terms: some carry b*^2
+    or a second differential on either side, and the coefficients hold b b*
+    for the element rule to reduce first."""
+    names = table.names
+    bd, db = table.gen("b*"), SuperForm.differential(table, "b")
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        piece = random_element(table, rng) * SuperForm.differential(table, rng.choice(names))
+        if rng.random() < 0.5:
+            piece = piece * SuperForm.differential(table, rng.choice(names))
+        pieces.append(piece)
+    for _ in range(rng.randint(1, 3)):
+        coeff = random_element(table, rng) * bd ** rng.randint(1, 2)
+        other = SuperForm.differential(table, rng.choice(names))
+        pieces.append(rng.choice((coeff * db, coeff * db * other, coeff * other * db)))
+    return SuperForm.sum(table, pieces)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_ideal_reduce_matches_the_fixpoint_oracle(seed):
+    """The one-pass reduce against the rule applied to a fixpoint, term for
+    term, on forms with b* db terms; the result is its own reduction."""
+    g = group_space()
+    omega = _ideal_test_form(g.table, random.Random(seed))
+    got = g.ideal.reduce(omega)
+    want = ideal_reduce_to_fixpoint(g.ideal, omega)
+    assert ({w: c.terms for w, c in got.terms.items()}
+            == {w: c.terms for w, c in want.terms.items()})
+    assert g.ideal.reduce(got) == got
+
+
+def test_differential_ideal_rejects_rules_it_cannot_apply_in_one_pass(g):
+    table, db = g.table, g.differential("b")
+    repl = -(g.a * g.differential("a*") + g.ad * g.differential("a") + g.b * g.differential("b*"))
+    assert DifferentialIdeal(g.rewrites, g.bd, db, repl).reduce(g.bd * db) == repl
+    # d eta is odd, and d eta ^ d eta survives
+    with pytest.raises(ValueError):
+        DifferentialIdeal(g.rewrites, g.bd, g.differential("eta"), repl)
+    with pytest.raises(ValueError):
+        DifferentialIdeal(g.rewrites, g.bd, db, repl + g.a * db * g.differential("a"))
+    for gen in (2 * g.bd, g.bd * g.bd, g.a * g.bd, g.eta, g.bd + g.a, table.one(), table.zero()):
+        with pytest.raises(ValueError):
+            DifferentialIdeal(g.rewrites, gen, db, repl)
+    for dgen in (db * 2, g.a * db, db + g.differential("a"), db * g.differential("a"),
+                 SuperForm.zero(table)):
+        with pytest.raises(ValueError):
+            DifferentialIdeal(g.rewrites, g.bd, dgen, repl)
+
+
 def test_localized_model_kills_random_ideal_members(g):
     """Any multiple of the relation or of its differential must vanish."""
     rng = random.Random(37)
@@ -249,8 +301,9 @@ def _laws_one_form(table, rng):
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_zero_test_agrees_with_the_projection_on_shifted_pairs(seed):
     """is_zero_mod against project(...).is_zero on the benchmark's equal-mod
-    pairs: a 1-form omega and omega shifted by an ideal element.  An
-    unexpanded projection expands to the same class when its terms are read."""
+    pairs: a 1-form omega and omega shifted by an ideal element.  A
+    projection's zero test, read before its terms, agrees with the expanded
+    terms, and the projection equals a fresh one."""
     g = group_space()
     table, rng = g.table, random.Random(seed)
     rel = g.a * g.ad + g.b * g.bd - table.one()
@@ -261,7 +314,10 @@ def test_zero_test_agrees_with_the_projection_on_shifted_pairs(seed):
     other = _laws_one_form(table, rng)
     for x in (omega - shifted, omega, omega - other, shifted - other):
         assert g.localizer.is_zero_mod(x) == g.localizer.project(x).is_zero
-        assert g.localizer.project(x, expand=False) == g.localizer.project(x)
+        proj = g.localizer.project(x)
+        zero = proj.is_zero
+        assert zero == (not proj.terms)
+        assert proj == g.localizer.project(x)
     assert g.localizer.is_zero_mod(omega - shifted)
     assert g.equal_mod(omega, shifted)
 
@@ -341,7 +397,6 @@ def test_pullback_da_dastar_matches_numeric_oracle(g):
 
 
 def test_pullback_volume_form_orientation():
-    from supersphere.monopole import coordinate_volume_form
     vol = coordinate_volume_form().body_project()
     dens = chart_pullback(vol, base_chart())
     assert dens.to_trigpoly() == TrigPoly.monomial(q=1)  # + sin theta d theta d phi
@@ -366,6 +421,43 @@ def test_form_serialization_roundtrip(g):
     omega = (g.a * g.differential("a*") * g.differential("eta")
              + rat(1, 8) * g.differential("eta") * g.differential("eta"))
     assert SuperForm.from_obj(g.table, omega.to_obj()) == omega
+
+
+def test_from_obj_sorts_each_wedge_as_the_product_chain(g):
+    """An unsorted wedge is signed, a repeated even differential gives zero
+    and a repeated d eta is kept, as in the chain of wedge products."""
+    coeff = g.a * g.etad + rat(1, 2) * g.eta
+    wedges = (["b", "a"], ["eta*", "a", "eta"], ["a", "b", "a"], ["eta", "eta"],
+              ["eta*", "eta", "eta"], ["b*", "eta", "b", "eta"])
+    for wedge in wedges:
+        chain = SuperForm.from_element(coeff)
+        for name in wedge:
+            chain = chain * g.differential(name)
+        assert SuperForm.from_obj(g.table, [{"coeff": coeff.to_obj(), "wedge": wedge}]) == chain
+    da_db = {"coeff": coeff.to_obj(), "wedge": ["a", "b"]}
+    db_da = {"coeff": coeff.to_obj(), "wedge": ["b", "a"]}
+    assert SuperForm.from_obj(g.table, [db_da]) == -SuperForm.from_obj(g.table, [da_db])
+    assert SuperForm.from_obj(g.table, [da_db, db_da]).is_zero
+    assert SuperForm.from_obj(g.table, [{"coeff": coeff.to_obj(), "wedge": ["a", "b", "a"]}]).is_zero
+    assert not SuperForm.from_obj(g.table, [{"coeff": coeff.to_obj(), "wedge": ["eta", "eta"]}]).is_zero
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from((1, 2)))
+def test_d_of_a_form_is_the_sum_of_dc_wedge_dw(seed, degree):
+    """d(sum_w c_w dw) = sum_w d(c_w) ^ (1 dw), each product by
+    SuperForm.__mul__, on random 1-forms and 2-forms."""
+    table, rng = group_space().table, random.Random(seed)
+    omega = SuperForm.zero(table)
+    for _ in range(rng.randint(1, 4)):
+        piece = SuperForm.from_element(random_element(table, rng))
+        for _ in range(degree):
+            piece = piece * SuperForm.differential(table, rng.choice(table.names))
+        omega = omega + piece
+    want = SuperForm.zero(table)
+    for w, c in omega.terms.items():
+        want = want + d(c) * SuperForm(table, {w: table.one()})
+    assert d(omega) == want
 
 
 def test_forms_over_different_tables_do_not_add(g):
