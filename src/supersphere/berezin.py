@@ -15,8 +15,9 @@ Gauss-Legendre rule.
 
 chern_number builds no form: it pulls each body component of psi back once,
 takes the pullback of its diamond by conjugation and sums the Jacobians of
-the pairs into one density; chern_integral of monopole.chern_form_body is its
-oracle.
+the pairs into one density; chern_integral of monopole.chern_form_body, the
+pairing of the same bodies, is its oracle.  CLI chern integrates the printed
+form, CHERN_SCALAR dA of the verified connection A, with chern_integral.
 """
 
 from __future__ import annotations

@@ -583,9 +583,10 @@ def _positive_int(value: str) -> int:
     return n
 
 
-# the largest n chern and projector take.  Both build monomials of degree up
-# to 2n + 2, a component of psi with eta eta* (degree n + 2) times a diamonded
-# one (degree n), and a monomial's degree stays below 2**EXP_BITS.
+# the largest n chern and projector take.  projector builds monomials of
+# degree up to 2n + 2, a component of psi with eta eta* (degree n + 2) times a
+# diamonded one (degree n); chern's stop at 2n + 1, in the products
+# psi_alpha (d psi_alpha)^dia.  A monomial's degree stays below 2**EXP_BITS.
 N_MAX = (2 ** EXP_BITS - 3) // 2
 
 

@@ -565,7 +565,7 @@ def _form_of(rows: list, factor: Scalar, space: GroupSpace | None = None) -> Sup
                              for wedge, words in rows})
 
 
-_ONE, _MINUS_ONE, _QUARTER, _EIGHTH = rat(1), rat(-1), rat(1, 4), rat(1, 8)
+_ONE, _QUARTER, _EIGHTH = rat(1), rat(1, 4), rat(1, 8)
 
 
 def connection_form(psi_vec: PsiVector) -> SuperForm:
@@ -637,33 +637,31 @@ def chern_form(sign: str, n: int) -> SuperForm:
 
 
 def chern_form_body(sign: str, n: int) -> SuperForm:
-    """Body projection of the Chern form, from the pairing of the body psi.
+    """Body projection of the Chern form, from the pairing of psi_body.
 
     The body map is an algebra morphism that commutes with d, wedge products
-    and the diamond, so pairing the differentials of the body components
-    gives the body of -(1/(2 pi i)) <d psi|d psi>; the test suite checks it
-    against the body of the Str(p (dp)^2) oracle.  The body components hold
-    no odd generator, so the pairing is a body form as it stands.  No
+    and the diamond, so pairing the differentials of the nonzero bodies of
+    psi's components gives the body of -(1/(2 pi i)) <d psi|d psi>; the test
+    suite checks it against the body of the Str(p (dp)^2) oracle.  The bodies
+    hold no odd generator, so the pairing is a body form as it stands.  No
     relation reduction is needed: the chart pullback evaluates the constraint
     exactly.
     """
-    vec = psi(sign, n)
-    return _pairing_chern_form([c.body() for c in vec.components])
+    return _pairing_chern_form(psi_body(sign, n))
 
 
 def chern_form_canonical(sign: str, n: int) -> SuperForm:
-    """The paper's expanded expression of C1, verified against the pairing route.
+    """The paper's expanded expression of C1, CHERN_SCALAR dA from the verified
+    connection A.
 
-    Raises SuperAlgebraError when -(1/(2 pi i)) <d psi|d psi> and the
-    expanded expression disagree modulo the differential ideal.  A form is
-    zero modulo the ideal exactly when a nonzero multiple of it is, so the
-    one zero test runs on the unscaled pairing products plus the expression
-    divided by -CHERN_SCALAR, and no form is scaled.
+    C1 = CHERN_SCALAR <d psi|d psi>, and three steps make it CHERN_SCALAR dA:
+    connection_form checks <psi|d psi> = A modulo the differential ideal, in
+    one zero test; d<psi|d psi> = <d psi|d psi> term for term, as
+    d((d psi_alpha)^dia) = d d(psi_alpha^dia) = 0; and d maps the ideal into
+    itself, so d of the checked identity is <d psi|d psi> = dA modulo it.
+    Raises SuperAlgebraError when the connection check fails.
     """
-    dpsi = [d(c) for c in psi(sign, n).components]
-    _verified([x * x.diamond() for x in dpsi], _intermediate_table(n, _signed(sign, _MINUS_ONE)),
-              "Chern, n=%d" % n)
-    return chern_intermediate_form(sign, n)
+    return d(connection_form(psi(sign, n))) * CHERN_SCALAR
 
 
 def chern_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
@@ -679,19 +677,13 @@ def chern_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> Sup
 
 
 def chern_intermediate_form(sign: str, n: int) -> SuperForm:
-    """The equivalent expanded expression:
+    """The equivalent expanded expression
     -(1/(2 pi i)) [(da da* + db db*)(n - 1/4 eta eta*)
-    + 1/4 (a da* + b db*)(eta deta* - eta* deta) + 1/4 deta deta*]."""
-    return _intermediate_table(n, _signed(sign, CHERN_SCALAR))
-
-
-def _intermediate_table(n: int, factor: Scalar) -> SuperForm:
-    q = _QUARTER
-    body = [(n, ()), (-q, ("eta", "eta*"))]
-    return _form_of([(("a", "a*"), body), (("b", "b*"), body),
-                     (("a*", "eta"), [(-q, ("a", "eta*"))]), (("a*", "eta*"), [(q, ("a", "eta"))]),
-                     (("b*", "eta"), [(-q, ("b", "eta*"))]), (("b*", "eta*"), [(q, ("b", "eta"))]),
-                     (("eta", "eta*"), [(q, ())])], factor)
+    + 1/4 (a da* + b db*)(eta deta* - eta* deta) + 1/4 deta deta*],
+    which is CHERN_SCALAR dA for A = connection_closed_form(sign, n).  It is
+    the Chern form modulo the ideal because <psi|d psi> = A there, d of that
+    pairing is <d psi|d psi> term for term (d d = 0) and d keeps the ideal."""
+    return d(connection_closed_form(sign, n)) * CHERN_SCALAR
 
 
 def coordinate_chern_form(sign: str, n: int) -> SuperForm:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supersphere import cli, monopole
+from supersphere import cli, forms, monopole
 from supersphere.algebra import ODD, Element, MonomialOverflowError
 from supersphere.berezin import chern_number
 from supersphere.cli import main
@@ -172,8 +172,9 @@ def test_n_above_the_degree_limit_is_a_usage_error(capsys, command):
 
 def test_degree_limit_is_the_largest_monomial_that_fits(monkeypatch, capsys):
     """N_MAX is the largest n whose largest monomial, of degree 2n + 2, fits in
-    the packed layout, and 2n + 2 is the largest degree chern and projector
-    build: every monomial built is recorded at small n."""
+    the packed layout; 2n + 2 is the largest degree projector builds and
+    2n + 1 the largest chern builds: every monomial built is recorded at
+    small n."""
     table = group_space().table
     a = table.index["a"]
     table.monomial([(a, 2 * cli.N_MAX + 2)])
@@ -198,12 +199,30 @@ def test_degree_limit_is_the_largest_monomial_that_fits(monkeypatch, capsys):
         # every product and monomial built then passes through _checked
         monkeypatch.setattr(t, "_limit", 0)
     for n in (1, 2, 3):
-        for argv in (("chern",), ("projector", "--coords", "base")):
+        for argv, largest in ((("chern",), 2 * n + 1),
+                              (("projector", "--coords", "base"), 2 * n + 2)):
             degrees.clear()
             code, _, _ = run_cli(capsys, *argv, "--sign", "plus", "--n", str(n),
                                  "--format", "json")
             assert code == 0
-            assert max(degrees) == 2 * n + 2, (argv, n)
+            assert max(degrees) == largest, (argv, n)
+
+
+def test_chern_wedges_no_two_forms_of_positive_degree(monkeypatch, capsys):
+    """chern builds its 2-form by d of the verified connection, so every
+    wedge product it takes has a 0-form factor: the degrees of each pair of
+    wedged terms sum to at most 1."""
+    degrees = []
+    wedge_into = forms.wedge_into
+
+    def record(out, table, left, right, factors):
+        degrees.extend(len(w1) + len(w2) for w1 in left for w2 in right)
+        return wedge_into(out, table, left, right, factors)
+
+    monkeypatch.setattr(forms, "wedge_into", record)
+    code, _, _ = run_cli(capsys, "chern", "--sign", "minus", "--n", "3", "--format", "json")
+    assert code == 0
+    assert degrees and max(degrees) == 1
 
 
 def test_projector_base_golden_self_check(capsys):

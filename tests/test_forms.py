@@ -322,6 +322,19 @@ def test_zero_test_agrees_with_the_projection_on_shifted_pairs(seed):
     assert g.equal_mod(omega, shifted)
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_d_maps_the_ideal_into_itself(seed):
+    """d(f r + h dr) is in the ideal for a function f and a 1-form h, with
+    r = aa* + bb* - 1, so d of an identity modulo the ideal holds modulo it."""
+    g = group_space()
+    table, rng = g.table, random.Random(seed)
+    rel = g.a * g.ad + g.b * g.bd - table.one()
+    member = _laws_one_form(table, rng) * d(rel) + random_element(table, rng) * rel
+    assert g.localizer.is_zero_mod(member)
+    assert g.localizer.is_zero_mod(d(member))
+
+
 def test_pullback_of_low_degree_forms_is_zero(g):
     """Only 2-forms have a d theta ^ d phi component."""
     s = base_space()

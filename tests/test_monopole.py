@@ -583,6 +583,16 @@ def test_connection_closed_form(g):
             assert connection_form(vec) == want, (sign, n)
 
 
+def test_d_of_the_connection_pairing_is_the_curvature_pairing(g):
+    """d<psi|d psi> = <d psi|d psi> term for term, with no reduction: the
+    step from the verified connection to the Chern form."""
+    for n in range(1, 9):
+        for sign in (MINUS, PLUS):
+            vec = psi(sign, n)
+            dpsi = [d(c) for c in vec.components]
+            assert d(pairing(vec, dpsi)) == pairing(dpsi, dpsi), (sign, n)
+
+
 @pytest.mark.parametrize("build, oracle", [
     (connection_closed_form, connection_closed_form_by_algebra),
     (chern_closed_form, chern_closed_form_by_algebra),
