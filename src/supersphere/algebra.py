@@ -423,7 +423,8 @@ class Element:
         return Element(algebra, out)
 
     def __add__(self, other: "Element | Scalar | RationalLike") -> "Element":
-        return Element.sum(self.algebra, (self, self._coerce(other)))
+        other = self._coerce(other)
+        return NotImplemented if other is None else Element.sum(self.algebra, (self, other))
 
     __radd__ = __add__
 
@@ -431,17 +432,21 @@ class Element:
         return Element._nonzero(self.algebra, {m: -s for m, s in self.terms.items()})
 
     def __sub__(self, other: "Element | Scalar | RationalLike") -> "Element":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return NotImplemented if other is None else other - self
 
-    def _coerce(self, other) -> "Element":
+    def _coerce(self, other) -> "Element | None":
+        """other in this algebra, or None, so that + and - return NotImplemented
+        and leave an operand such as a SuperForm to its own reflected method."""
         if isinstance(other, Element):
             return other
         if isinstance(other, (Scalar, int, Fraction)):
             return self.algebra.scalar(other)
-        raise TypeError("cannot coerce %r into the algebra" % (other,))
+        return None
 
     def __mul__(self, other):
         # the Element test comes first: the abstract Fraction check is slow

@@ -13,19 +13,27 @@ The whole-angle TrigPoly expansion with Wallis formulas is the exact oracle
 for the integrator; the test suite adds a numeric one, a product
 Gauss-Legendre rule.
 
+A chart whose entries are all unit monomials, as the group section chart,
+is read once into a table of exponent vectors (hc, hs, k) per generator, and
+each body monomial pulls back to the one key its exponents dot that table,
+with its own coefficient.  A chart with a multi-term entry, as the base
+chart, pulls back through products of the powers of its entries; on the
+group section chart that route is the tests' oracle.
+
 chern_number builds no form: it pulls each body component of psi back once,
 takes the pullback of its diamond by conjugation and sums the Jacobians of
 the pairs into one density; chern_integral of monopole.chern_form_body, the
 pairing of the same bodies, is its oracle.  CLI chern integrates the printed
 form, CHERN_SCALAR dA of the verified connection A, with chern_integral.
+Both pull back through _element_pullback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import mul
-from typing import Callable
+from typing import Callable, Optional, Union
 
 from .algebra import Element, GeneratorTable
 from .forms import SuperForm
@@ -80,28 +88,62 @@ def _chart_powers(table: GeneratorTable, chart: Chart) -> Callable[[int, int], P
     return power
 
 
-def _add_into(out: dict[tuple[int, int, int], Scalar], f: PhaseHalfAngle) -> None:
-    """Add the terms of f into out."""
-    for key, c in f.terms.items():
-        out[key] = out[key] + c if key in out else c
-
-
 _ONE = PhaseHalfAngle.constant(1)
+_UNIT = Scalar.one()
+
+# A chart as _element_pullback reads it: each generator's (hc, hs, k), or
+# None where the chart lacks it, for a chart of unit monomials; the chart's
+# powers for any other
+ChartReading = Union[tuple[Optional[tuple[int, int, int]], ...], Callable[[int, int], PhaseHalfAngle]]
 
 
-def _element_pullback(x: Element, power: Callable[[int, int], PhaseHalfAngle]) -> PhaseHalfAngle:
-    """The body element x through the chart of `power`, a ring homomorphism."""
+def _read_chart(table: GeneratorTable, chart: Chart) -> ChartReading:
+    """chart read once against the generators of table.  When every entry is
+    one monomial with coefficient 1, as in the group section chart, the
+    reading is a table of exponent vectors; otherwise, as in the base chart,
+    it is _chart_powers."""
+    rows: list[tuple[int, int, int] | None] = [None] * len(table.names)
+    for name, expr in chart.items():
+        if len(expr.terms) != 1 or _UNIT not in expr.terms.values():
+            return _chart_powers(table, chart)
+        if name in table.index:
+            rows[table.index[name]] = next(iter(expr.terms))
+    return tuple(rows)
+
+
+
+
+def _element_pullback(x: Element, reading: ChartReading) -> PhaseHalfAngle:
+    """The body element x through a chart read by _read_chart, a ring homomorphism.
+
+    Through a table of exponent vectors each monomial of x goes to one key,
+    the dot product of its exponents with the table, and keeps its own
+    coefficient.  Through the powers of a chart with a multi-term entry each
+    monomial is the product of its generators' powers times its coefficient.
+    """
     table = x.algebra
     value: dict[tuple[int, int, int], Scalar] = {}
     for mono, scal in x.terms.items():
         even, odd = table.factors(mono)
         if odd:
             raise ChartError("form still contains odd generators; body-project first")
-        factors = [power(idx, exp) for idx, exp in even]
-        part = reduce(mul, factors) if factors else _ONE
-        for key, c in part.terms.items():
-            c = c * scal
-            value[key] = value[key] + c if key in value else c
+        if callable(reading):
+            factors = [reading(idx, exp) for idx, exp in even]
+            part = reduce(mul, factors) if factors else _ONE
+            for key, c in part.terms.items():
+                c = c * scal
+                value[key] = value[key] + c if key in value else c
+            continue
+        hc = hs = k = 0
+        for idx, exp in even:
+            row = reading[idx]
+            if row is None:
+                raise ChartError("chart does not supply generator %r" % table.names[idx])
+            hc += exp * row[0]
+            hs += exp * row[1]
+            k += exp * row[2]
+        key = (hc, hs, k)
+        value[key] = value[key] + scal if key in value else scal
     return PhaseHalfAngle(value)
 
 
@@ -149,15 +191,17 @@ def chart_pullback(omega: SuperForm, chart: Chart) -> PhaseHalfAngle:
     top component and contribute nothing, but are validated all the same.
     """
     table = omega.algebra
+    reading = _read_chart(table, chart)
     power = _chart_powers(table, chart)
     top: dict[tuple[int, int, int], Scalar] = {}
     for w, coeff in omega.terms.items():
         if any(table.parities[i] for i in w):
             raise ChartError("form still contains odd differentials; body-project first")
-        value = _element_pullback(coeff, power)
+        value = _element_pullback(coeff, reading)
         exprs = [power(idx, 1) for idx in w]
         if len(exprs) == 2:
-            _add_into(top, value * _jacobian(*exprs))
+            for key, c in (value * _jacobian(*exprs)).terms.items():
+                top[key] = top[key] + c if key in top else c
     return PhaseHalfAngle(top)
 
 
@@ -198,6 +242,12 @@ _CHERN_HALF_I = CHERN_SCALAR * _HALF_I
 _GROUP_CHART = group_section_chart()    # read only
 
 
+@cache
+def _group_reading(table: GeneratorTable) -> ChartReading:
+    """The group section chart read against table, once per table."""
+    return _read_chart(table, _GROUP_CHART)
+
+
 def chern_number(sign: str, n: int) -> int:
     """Exact first Chern number: +n for the '-' family, -n for '+'.
 
@@ -210,12 +260,12 @@ def chern_number(sign: str, n: int) -> int:
     the pullback of chern_form_body.
     """
     body = psi_body(sign, n)
-    power = _chart_powers(body[0].algebra, _GROUP_CHART)
+    reading = _group_reading(body[0].algebra)
     top: dict[tuple[int, int, int], Scalar] = {}
     for comp in body:
-        f = _element_pullback(comp, power)
+        f = _element_pullback(comp, reading)
         _add_jacobian(top, f, f.conjugate())
-    return _group_chern_integral(PhaseHalfAngle(top) * _CHERN_HALF_I)
+    return _group_chern_integral(PhaseHalfAngle({key: c * _CHERN_HALF_I for key, c in top.items()}))
 
 
 def berezin_integral(omega: SuperForm) -> Scalar:

@@ -452,6 +452,30 @@ def binomial_sum_is_zero(terms: Iterable[tuple[int, Scalar, int, int]]) -> bool:
     return True
 
 
+def weighted_sum(terms: Iterable[tuple[Scalar, int]], den: int) -> Scalar:
+    """sum s * w / den over (s, w), each weight w an int.
+
+    Each (radical, pi) component is summed as two integers over den times the
+    lcm of its records' denominators and canonicalised once, so no gcd is
+    taken per term.
+    """
+    by_part: dict[tuple[int, int], list[tuple[Record, int]]] = {}
+    for s, w in terms:
+        for part, rec in s._parts.items():
+            by_part.setdefault(part, []).append((rec, w))
+    out: dict[tuple[int, int], Record] = {}
+    for part, rows in by_part.items():
+        lcm = math.lcm(*(d for (_, _, d), _ in rows))
+        re_sum = im_sum = 0
+        for (re, im, d), w in rows:
+            w *= lcm // d
+            re_sum += re * w
+            im_sum += im * w
+        if re_sum or im_sum:
+            out[part] = _canon(re_sum, im_sum, lcm * den)
+    return Scalar(out)
+
+
 # a map key -> Gaussian rational as (den, [(key, re, im), ...]): each value is
 # (re + i*im)/den over one common denominator
 GaussianVector = tuple[int, list[tuple[Hashable, int, int]]]

@@ -5,7 +5,8 @@ cos^hc(theta/2) sin^hs(theta/2) e^(i k phi) with exact Scalar coefficients,
 closed under d/dtheta, d/dphi (berezin._jacobian takes both in one pass)
 and complex conjugation.  integrate_half_angle integrates one over
 theta in [0, pi], phi in [0, 2 pi] in closed form: each monomial gives a
-Beta value B((hc+1)/2, (hs+1)/2) times 2 pi for k = 0, and nothing else.
+Beta value B((hc+1)/2, (hs+1)/2) times 2 pi for k = 0, and nothing else, and
+the Beta values are summed as integers over one denominator.
 
 TrigPoly stores cos^p(theta) sin^q(theta) cos^r(phi) sin^s(phi) monomials
 with q, s in {0, 1} after eliminating sin^2 = 1 - cos^2.  It, the whole-angle
@@ -17,12 +18,12 @@ quadrature oracle over both representations lives in the test suite.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
 from typing import Mapping
 
-from .scalars import Scalar, rat
+from .scalars import Scalar, weighted_sum
 
 
 class ChartError(Exception):
@@ -259,28 +260,46 @@ def integrate_half_angle(f: PhaseHalfAngle) -> Scalar:
     """Exact double integral over theta in [0, pi], phi in [0, 2 pi].
 
     The phase integrates to 2 pi for k = 0 and to 0 otherwise, and
-    int_0^pi cos^hc(t/2) sin^hs(t/2) dt = B((hc+1)/2, (hs+1)/2):
-    p! q!/(p+q+1)! for hc = 2p+1, hs = 2q+1, and
-    pi (2p)! (2q)!/(4^(p+q) p! q! (p+q)!) for hc = 2p, hs = 2q.
-    Every monomial needs hc + hs even, as for to_trigpoly.
+    int_0^pi cos^hc(t/2) sin^hs(t/2) dt = B((hc+1)/2, (hs+1)/2), a rational
+    for odd hc and pi times a rational for even hc (_beta_sum).  The terms of
+    each kind are summed as integers over one common denominator.  Every
+    monomial needs hc + hs even, as for to_trigpoly; the term-by-term sum of
+    Beta values is a test oracle.
     """
-    flat = []
+    odd, even = [], []
     for (hc, hs, k), v in f.terms.items():
         _check_whole_angle(hc, hs)
         if not k:
-            flat.append((hc, hs, v))
-    # one running table: no factorial argument below exceeds max(hc, hs)
-    top = max((max(hc, hs) for hc, hs, _ in flat), default=0)
-    fact = list(accumulate(range(1, top + 1), mul, initial=1))
-    odd = even = Scalar.zero()      # the rational and the pi-times-rational parts
-    for hc, hs, v in flat:
-        p, q = hc >> 1, hs >> 1
-        if hc & 1:
-            odd = odd + v * rat(fact[p] * fact[q], fact[p + q + 1])
-        else:
-            even = even + v * rat(fact[hc] * fact[hs],
-                                  4 ** (p + q) * fact[p] * fact[q] * fact[p + q])
-    return odd * _TWO_PI + even * _TWO_PI_SQUARED
+            (odd if hc & 1 else even).append((hc >> 1, hs >> 1, v))
+    return _beta_sum(odd, 1) * _TWO_PI + _beta_sum(even, 0) * _TWO_PI_SQUARED
+
+
+def _beta_sum(terms: list[tuple[int, int, Scalar]], odd: int) -> Scalar:
+    """sum v B over (p, q, v) of one kind, the factor pi of the even kind left out.
+
+    With s = p + q + odd and m the largest s, the odd kind (hc = 2p+1,
+    hs = 2q+1) has B = p! q!/s! = p! q! (m!/s!)/m!, and the even kind
+    (hc = 2p, hs = 2q) has B/pi = (2p)! (2q)!/(4^s p! q! s!)
+    = [(2p)!/p!] [(2q)!/q!] 4^(m-s) (m!/s!)/(4^m m!).  So every Beta value is
+    an integer over m! or 4^m m!, read off one running table of j! or
+    (2j)!/j! and one m!/s! per distinct s.
+    """
+    if not terms:
+        return Scalar()
+    m = max(p + q for p, q, _ in terms) + odd
+    top = max(max(p, q) for p, q, _ in terms)
+    # j! for the odd kind, (2j)!/j! = 2 (2j - 1) (2j - 2)!/(j - 1)! for the even
+    table = list(accumulate(range(1, top + 1), lambda g, j: g * (j if odd else 4 * j - 2),
+                            initial=1))
+    tails: dict[int, int] = {}
+    weighted = []
+    for p, q, v in terms:
+        s = p + q + odd
+        tail = tails.get(s)
+        if tail is None:
+            tail = tails[s] = math.prod(range(s + 1, m + 1))
+        weighted.append((v, table[p] * table[q] * tail << (0 if odd else 2 * (m - s))))
+    return weighted_sum(weighted, math.factorial(m) << (0 if odd else 2 * m))
 
 
 def _phase_to_trig(k: int) -> TrigPoly:

@@ -441,6 +441,33 @@ def jacobian_by_partials(u: PhaseHalfAngle, v: PhaseHalfAngle) -> PhaseHalfAngle
     return partial_theta(u) * partial_phi(v) - partial_phi(u) * partial_theta(v)
 
 
+# -- the half-angle integral, one Beta value per term ---------------------------
+# trig.integrate_half_angle sums each kind's Beta values as integers over one
+# common denominator; this adds them as Scalars term by term, the route it
+# replaced.
+
+def integrate_half_angle_by_terms(f: PhaseHalfAngle) -> Scalar:
+    """Exact double integral over theta in [0, pi], phi in [0, 2 pi]: for
+    k = 0, v times 2 pi B((hc+1)/2, (hs+1)/2), each Beta value reduced on
+    its own; every monomial needs hc + hs even."""
+    odd = even = Scalar.zero()      # the rational and the pi-times-rational parts
+    fact = [1]
+    for (hc, hs, k), v in f.terms.items():
+        if (hc + hs) % 2:
+            raise ValueError("cos^%d sin^%d of the half angle has no whole-angle form" % (hc, hs))
+        if k:
+            continue
+        while len(fact) <= max(hc, hs):
+            fact.append(fact[-1] * len(fact))
+        p, q = hc >> 1, hs >> 1
+        if hc & 1:
+            odd = odd + v * rat(fact[p] * fact[q], fact[p + q + 1])
+        else:
+            even = even + v * rat(fact[hc] * fact[hs],
+                                  4 ** (p + q) * fact[p] * fact[q] * fact[p + q])
+    return odd * Scalar.of(2, 0, 1, 1) + even * Scalar.of(2, 0, 1, 2)
+
+
 # -- numeric quadrature -------------------------------------------------------
 
 QUAD_ORDER = 64   # Gauss-Legendre points per axis

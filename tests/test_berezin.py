@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 import supersphere.berezin as berezin
 from supersphere.berezin import (BASE_CHART_VOLUME, FOUR_PI, GROUP_CHART_VOLUME, _add_jacobian,
-                                 _chart_powers, _element_pullback, _jacobian, base_chart,
-                                 berezin_chern_number, berezin_integral, chart_pullback,
-                                 chern_number, group_section_chart)
+                                 _chart_powers, _element_pullback, _jacobian, _read_chart,
+                                 base_chart, berezin_chern_number, berezin_integral,
+                                 chart_pullback, chern_number, group_section_chart)
 from supersphere.forms import SuperForm, d
 from supersphere.monopole import (MINUS, PLUS, base_coordinates, base_space,
                                   chern_form_body, coordinate_chern_form, group_space)
 from supersphere.scalars import Scalar
 from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
 
-from oracles import coordinate_volume_form, evaluate_trigpoly, jacobian_by_partials, quad_oracle
+from oracles import (coordinate_volume_form, evaluate_trigpoly, integrate_half_angle_by_terms,
+                     jacobian_by_partials, quad_oracle)
 
 
 # Oracle for the chart normalisers: each chart's integral of the reference
@@ -150,6 +151,40 @@ def test_half_angle_integral_matches_wallis_oracle(f):
     assert integrate_half_angle(f) == wallis_integrate(f.to_trigpoly())
 
 
+# large exponents, most terms at phase 0, and coefficients that mix several
+# (radical, pi) parts, so both kinds share output parts
+_large_even_keys = st.tuples(st.integers(0, 60), st.integers(0, 59),
+                             st.sampled_from([0, 0, 0, 1, -2])).map(
+    lambda key: (key[0], key[1] + (key[0] + key[1]) % 2, key[2]))
+_mixed_coeffs = st.lists(_coeffs, min_size=1, max_size=3).map(sum)
+large_half_angle_polys = st.dictionaries(_large_even_keys, _mixed_coeffs, max_size=8).map(PhaseHalfAngle)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(large_half_angle_polys)
+@example(PhaseHalfAngle({(60, 0, 0): Scalar.of(1, 0, 1, -1), (59, 1, 0): Scalar.of(3),
+                         (1, 59, 0): Scalar.of(0, 1, 2), (0, 60, 0): Scalar.of(5, 0, 2, 1)}))
+def test_half_angle_integral_matches_the_per_term_oracle(f):
+    assert integrate_half_angle(f) == integrate_half_angle_by_terms(f)
+
+
+@pytest.mark.parametrize("n", [64, 257, 1000])
+def test_half_angle_integral_of_the_chern_density_matches_the_per_term_oracle(monkeypatch, n):
+    # the density chern_number integrates, at exponents up to 2n + 1
+    densities = []
+    original = berezin.integrate_half_angle
+
+    def recording(f):
+        densities.append(f)
+        return original(f)
+    monkeypatch.setattr(berezin, "integrate_half_angle", recording)
+    for sign, want in ((MINUS, n), (PLUS, -n)):
+        densities.clear()
+        assert chern_number(sign, n) == want
+        [top] = densities
+        assert integrate_half_angle(top) == integrate_half_angle_by_terms(top)
+
+
 def test_quad_oracle_takes_half_angle_polynomials():
     assert abs(quad_oracle(PhaseHalfAngle.monomial(1, 1, coeff=2)) - 4 * math.pi) < 1e-9
     f = PhaseHalfAngle({(4, 2, 0): Scalar.of(1, 2), (3, 1, -1): Scalar.of(5)})
@@ -165,7 +200,8 @@ def test_chart_normalizers():
 
 def test_chern_number_pulls_back_once(monkeypatch):
     # chern_number pulls psi back before pairing: it builds no form, so it
-    # neither wedges nor calls chart_pullback
+    # neither wedges nor calls chart_pullback; and it pulls each monomial back
+    # by its exponents, so it multiplies no half-angle polynomials
     calls = []
     original = berezin.chart_pullback
 
@@ -180,8 +216,15 @@ def test_chern_number_pulls_back_once(monkeypatch):
         wedges.append(args)
         return wedge(*args)
     monkeypatch.setattr(SuperForm, "__mul__", counting_wedge)
+    products = []
+    product = PhaseHalfAngle.__mul__
+
+    def counting_product(*args):
+        products.append(args)
+        return product(*args)
+    monkeypatch.setattr(PhaseHalfAngle, "__mul__", counting_product)
     assert chern_number(MINUS, 2) == 2
-    assert calls == [] and wedges == []
+    assert calls == [] and wedges == [] and products == []
     assert berezin_integral(coordinate_volume_form()) == Scalar.of(4, 0, 1, 1)
     assert len(calls) == 1
 
@@ -226,9 +269,11 @@ _CHARTED = st.one_of(
 @given(_CHARTED)
 def test_element_pullback_is_multiplicative(case):
     chart, f, g = case
-    power = _chart_powers(f.algebra, chart)
-    assert _element_pullback(f * g, power) == _element_pullback(f, power) * _element_pullback(g, power)
-    assert _element_pullback(f + g, power) == _element_pullback(f, power) + _element_pullback(g, power)
+    reading = _read_chart(f.algebra, chart)
+    assert (_element_pullback(f * g, reading)
+            == _element_pullback(f, reading) * _element_pullback(g, reading))
+    assert (_element_pullback(f + g, reading)
+            == _element_pullback(f, reading) + _element_pullback(g, reading))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -267,8 +312,34 @@ _RADICAL_GROUP_BODIES = st.lists(
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_RADICAL_GROUP_BODIES)
 def test_section_chart_turns_the_diamond_into_conjugation(x):
-    power = _chart_powers(_GROUP_TABLE, group_section_chart())
-    assert _element_pullback(x.diamond(), power) == _element_pullback(x, power).conjugate()
+    reading = _read_chart(_GROUP_TABLE, group_section_chart())
+    assert _element_pullback(x.diamond(), reading) == _element_pullback(x, reading).conjugate()
+
+
+def test_read_chart_takes_exponents_only_from_unit_monomials():
+    names = _GROUP_TABLE.names
+    assert _read_chart(_GROUP_TABLE, group_section_chart()) == tuple(
+        {"a": (1, 0, 1), "a*": (1, 0, -1), "b": (0, 1, 0), "b*": (0, 1, 0)}.get(name)
+        for name in names)
+    assert callable(_read_chart(_BASE_TABLE, base_chart()))
+    # a unit monomial with another coefficient is read as powers too
+    scaled = dict(group_section_chart(), b=PhaseHalfAngle.monomial(hs=1, coeff=2))
+    assert callable(_read_chart(_GROUP_TABLE, scaled))
+
+
+_LONG_GROUP_BODIES = st.lists(
+    st.tuples(_coeffs, st.lists(st.sampled_from(["a", "a*", "b", "b*"]), max_size=9)),
+    max_size=6).map(_GROUP_TABLE.element)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_LONG_GROUP_BODIES)
+def test_exponent_pullback_matches_the_power_route(x):
+    # the powers of the chart's entries, the route a multi-term chart takes,
+    # are the oracle for the exponent table on the group section chart
+    chart = group_section_chart()
+    assert (_element_pullback(x, _read_chart(_GROUP_TABLE, chart))
+            == _element_pullback(x, _chart_powers(_GROUP_TABLE, chart)))
 
 
 @pytest.mark.parametrize("table, word, chart, match", [
@@ -276,11 +347,13 @@ def test_section_chart_turns_the_diamond_into_conjugation(x):
     (_BASE_TABLE, ["x1", "xi+"], base_chart(), "odd generators"),
     (_GROUP_TABLE, ["a", "b*"], base_chart(), "does not supply generator 'a'"),
     (_BASE_TABLE, ["x0", "x2"], {"x0": base_chart()["x0"]}, "does not supply generator 'x2'"),
+    (_GROUP_TABLE, ["a", "b*"], {"a": group_section_chart()["a"]}, "does not supply generator 'b\\*'"),
 ])
 def test_element_pullback_rejects_what_the_chart_cannot_take(table, word, chart, match):
     x = table.element([(1, word)])
-    with pytest.raises(ChartError, match=match):
-        _element_pullback(x, _chart_powers(table, chart))
+    for reading in (_read_chart(table, chart), _chart_powers(table, chart)):
+        with pytest.raises(ChartError, match=match):
+            _element_pullback(x, reading)
     # two even differentials, so only the coefficient x can fail
     u, v = [table.element([(1, [name])])
             for name, parity in zip(table.names, table.parities) if not parity][:2]

@@ -484,6 +484,17 @@ def test_forms_over_different_tables_do_not_add(g):
         SuperForm.sum(g.table, [g.differential("a"), base.table.gen("x1")])
 
 
+def test_an_element_adds_to_a_form_on_either_side(g):
+    # Element + SuperForm leaves the sum to SuperForm.__radd__ and __rsub__
+    x = g.a * g.ad + g.eta * g.etad
+    f = d(g.b) + g.b * g.differential("a*")
+    assert x + f == f + x
+    assert x - f == -(f - x)
+    assert (x + f).terms[()] == x and (x - f).terms[(2,)] == -g.table.one()
+    with pytest.raises(TypeError):
+        x + "form"
+
+
 # canonical wedges over a, a*, b, b*, eta, eta*: deta ^ deta survives
 _WEDGES = ((), (0,), (2,), (0, 3), (4,), (4, 4), (1, 5))
 _TERMS = st.lists(st.tuples(st.sampled_from(_WEDGES), st.integers(-2, 2),
