@@ -562,8 +562,8 @@ class Element:
                         s = -s
             # conj((re + i im)/den) times s is (s re - i s im)/den
             s *= sign
-            out[img] = Scalar({k: (s * re, -s * im, den)
-                               for k, (re, im, den) in coeff._parts.items()})
+            out[img] = Scalar(tuple([(rad, pi, s * re, -s * im, den)
+                                     for rad, pi, re, im, den in coeff._parts]))
         return Element._nonzero(alg, out)
 
     # -- substitution ---------------------------------------------------------

@@ -49,13 +49,13 @@ def _element_writer(table: GeneratorTable, pad: str) -> Callable[[Element], str]
     quoted = [encode_basestring_ascii(name) for name in table.names]
     inner = "\n" + pad + " "
     tails: dict[Monomial, str] = {}
-    # keyed by the records in dict order: equal scalars whose parts were
-    # inserted in another order miss, but reduced_parts sorts, so they give the
-    # same text.  A projector up to n = 8 has fewer than _COEFF_TEXTS distinct
-    # coefficients (80 among 1,136 terms at n = 4), so nothing is cleared.  At
-    # n = 16 it has 27,418 among 147,240 terms: holding them all adds 13 MB to
-    # the 89 MB peak of CLI projector, while clearing at _COEFF_TEXTS keeps
-    # 57,631 of the 119,822 hits (47,349 within one entry) for under 1 MB.
+    # keyed by the scalar's sorted record tuple, so equal scalars share one
+    # text however they were built.  A projector up to n = 8 has fewer than
+    # _COEFF_TEXTS distinct coefficients (80 among 1,136 terms at n = 4), so
+    # nothing is cleared.  At n = 16 it has 27,418 among 147,240 terms:
+    # holding them all adds 6 MB to the 65 MB peak of CLI projector, while
+    # clearing at _COEFF_TEXTS keeps 57,631 of the 119,822 hits (47,349
+    # within one entry) for under 0.1 MB.
     heads: dict[tuple, list[str]] = {}
 
     def tail(mono: Monomial) -> str:
@@ -71,12 +71,11 @@ def _element_writer(table: GeneratorTable, pad: str) -> Callable[[Element], str]
             text = tails.get(mono)
             if text is None:
                 text = tails[mono] = tail(mono)
-            key = tuple(s._parts.items())
-            head = heads.get(key)
+            head = heads.get(s._parts)
             if head is None:
                 if len(heads) >= _COEFF_TEXTS:
                     heads.clear()
-                head = heads[key] = [coeff % fields for fields in s.reduced_parts()]
+                head = heads[s._parts] = [coeff % fields for fields in s.reduced_parts()]
             texts += [h + text for h in head]
         return "[" + inner + ("," + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
     return render

@@ -7,11 +7,12 @@ most one component ever survives, but exact integration of trigonometric
 polynomials legitimately produces sums of distinct pi powers, so the sum form
 is kept closed under + and *.
 
-Each component is stored as a record of plain integers (re, im, den) standing
-for (re + i*im)/den, in canonical form: den > 0, gcd(re, im, den) = 1, and a
-zero component is dropped.  Equal scalars therefore have equal records, so
-equality and hashing are dict operations, and arithmetic never builds a
-``Fraction``.
+Each component is stored as one record of plain integers
+(radical, pi, re, im, den) standing for (re + i*im)/den * sqrt(radical) *
+pi**pi, in canonical form: den > 0, gcd(re, im, den) = 1, and a zero
+component is dropped.  A scalar keeps its records in one tuple sorted by
+(radical, pi).  Equal scalars therefore have equal tuples, so equality and
+hashing are tuple operations, and arithmetic never builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ RationalLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 
-# one canonical component: (re, im, den) for (re + i*im)/den
-Record = tuple[int, int, int]
+# one canonical component (radical, pi, re, im, den):
+# (re + i*im)/den * sqrt(radical) * pi**pi
+Record = tuple[int, int, int, int, int]
 
 
 def squarefree_split(m: int) -> tuple[int, int]:
@@ -45,79 +47,89 @@ def squarefree_split(m: int) -> tuple[int, int]:
     return g, m0
 
 
-def _canon(re: int, im: int, den: int) -> Record:
+def _canon(rad: int, pi: int, re: int, im: int, den: int) -> Record:
     """Divide out gcd(re, im, den); den > 0 and (re, im) != (0, 0)."""
     g = gcd(re, im, den)
     if g == 1:
-        return (re, im, den)
-    return (re // g, im // g, den // g)
+        return (rad, pi, re, im, den)
+    return (rad, pi, re // g, im // g, den // g)
 
 
-def _record(re: RationalLike, im: RationalLike) -> Record | None:
-    """The canonical record of re + i*im, or None when it is zero."""
-    if type(re) is int and type(im) is int:
-        return (re, im, 1) if re or im else None
-    re, im = Fraction(re), Fraction(im)
-    if not re and not im:
-        return None
-    # over the lcm of two reduced denominators the record is already canonical
-    den = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
-    return (re.numerator * (den // re.denominator),
-            im.numerator * (den // im.denominator), den)
+def _times(x: Record, y: Record) -> Record:
+    """The product of two records; a product of nonzero Gaussian rationals is nonzero."""
+    m1, k1, re1, im1, d1 = x
+    m2, k2, re2, im2, d2 = y
+    # both radicands are squarefree, so with g = gcd(m1, m2)
+    # sqrt(m1) * sqrt(m2) = g * sqrt((m1/g) * (m2/g))
+    g = gcd(m1, m2)
+    return _canon((m1 // g) * (m2 // g), k1 + k2,
+                  (re1 * re2 - im1 * im2) * g, (re1 * im2 + im1 * re2) * g, d1 * d2)
 
 
-def _accumulate(parts: dict, key: tuple[int, int], rec: Record) -> None:
-    """Add the record rec to parts[key], dropping the component if it cancels."""
-    old = parts.get(key)
-    if old is None:
-        parts[key] = rec
-        return
-    re1, im1, d1 = old
-    re2, im2, d2 = rec
+def _plus(x: Record, y: Record) -> Record | None:
+    """The sum of two records of one (radical, pi), or None when they cancel."""
+    rad, pi, re1, im1, d1 = x
+    _, _, re2, im2, d2 = y
     g = gcd(d1, d2)
     f1, f2 = d2 // g, d1 // g
     re = re1 * f1 + re2 * f2
     im = im1 * f1 + im2 * f2
-    if re or im:
-        parts[key] = _canon(re, im, d1 * f1)
-    else:
-        del parts[key]
+    return _canon(rad, pi, re, im, d1 * f1) if re or im else None
 
 
-def _parts_of(value) -> dict | None:
-    """The parts of a Scalar, int or Fraction; None for any other type."""
+def _collect(records: Iterable[Record]) -> "Scalar":
+    """The sum of records, merged by (radical, pi) in one dict and sorted once."""
+    parts: dict[tuple[int, int], Record] = {}
+    for rec in records:
+        key = rec[0], rec[1]
+        old = parts.get(key)
+        if old is None:
+            parts[key] = rec
+        elif (rec := _plus(old, rec)) is None:
+            del parts[key]
+        else:
+            parts[key] = rec
+    return Scalar(tuple(sorted(parts.values())))
+
+
+def _parts_of(value) -> tuple[Record, ...] | None:
+    """The records of a Scalar, int or Fraction; None for any other type."""
     if isinstance(value, Scalar):
         return value._parts
     if isinstance(value, (int, Fraction)):
-        rec = _record(value, 0)
-        return {(1, 0): rec} if rec else {}
+        return ((1, 0, value.numerator, 0, value.denominator),) if value else ()
     return None
 
 
 class Scalar:
     """Immutable exact coefficient; do not mutate after construction.
 
-    ``Scalar(parts)`` takes parts that are already canonical: squarefree
-    radicands and canonical records, no zero component.  ``Scalar.of`` builds
-    a scalar from arbitrary rationals and radicand.
+    ``Scalar(parts)`` takes a tuple of records that is already canonical:
+    sorted by (radical, pi), squarefree radicands, canonical records, no zero
+    component.  ``Scalar.of`` builds a scalar from arbitrary rationals and
+    radicand.
     """
 
     __slots__ = ("_parts",)
 
-    def __init__(self, parts: dict[tuple[int, int], Record] | None = None):
-        self._parts = parts if parts is not None else {}
+    def __init__(self, parts: tuple[Record, ...] = ()):
+        self._parts = parts
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(re: RationalLike = 0, im: RationalLike = 0, radical: int = 1, pi: int = 0) -> "Scalar":
-        rec = _record(re, im)
-        if rec is None:
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))
+                and type(radical) is int and type(pi) is int):
+            raise TypeError("Scalar.of takes int or Fraction parts and an int radical and pi, "
+                            "got %r" % ((re, im, radical, pi),))
+        # over the lcm of two reduced denominators the record is canonical
+        den = math.lcm(re.denominator, im.denominator)
+        re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+        if not re and not im:
             return Scalar()
         g, m0 = squarefree_split(radical)
-        if g != 1:
-            rec = _canon(rec[0] * g, rec[1] * g, rec[2])
-        return Scalar({(m0, pi): rec})
+        return Scalar((_canon(m0, pi, re * g, im * g, den),))
 
     @staticmethod
     def zero() -> "Scalar":
@@ -160,15 +172,14 @@ class Scalar:
     def components(self) -> list[tuple[int, int, Fraction, Fraction]]:
         """Sorted (radical, pi, re, im) tuples."""
         return [(rad, pi, Fraction(re, den), Fraction(im, den))
-                for (rad, pi), (re, im, den) in sorted(self._parts.items())]
+                for rad, pi, re, im, den in self._parts]
 
-    def _single(self) -> tuple[int, int, Record]:
+    def _single(self) -> Record:
         if not self._parts:
-            return (1, 0, (0, 0, 1))
+            return (1, 0, 0, 0, 1)
         if len(self._parts) > 1:
             raise ValueError("scalar %s is not a single radical/pi component" % (self,))
-        (rad, pi), rec = next(iter(self._parts.items()))
-        return (rad, pi, rec)
+        return self._parts[0]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -176,17 +187,23 @@ class Scalar:
         op = _parts_of(other)
         if op is None:
             return NotImplemented
+        parts = self._parts
         if not op:
             return self
-        merged = dict(self._parts)
-        for key, rec in op.items():
-            _accumulate(merged, key, rec)
-        return Scalar(merged)
+        if not parts:
+            return Scalar(op)
+        if len(parts) == 1 == len(op):
+            x, y = parts[0], op[0]
+            if x[0] != y[0] or x[1] != y[1]:
+                return Scalar((x, y) if x < y else (y, x))
+            rec = _plus(x, y)
+            return Scalar((rec,) if rec else ())
+        return _collect(parts + op)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({k: (-re, -im, den) for k, (re, im, den) in self._parts.items()})
+        return Scalar(tuple([(rad, pi, -re, -im, den) for rad, pi, re, im, den in self._parts]))
 
     def __sub__(self, other: "Scalar | RationalLike") -> "Scalar":
         if not isinstance(other, (Scalar, int, Fraction)):
@@ -194,38 +211,45 @@ class Scalar:
         return self + (-Scalar.coerce(other))
 
     def __rsub__(self, other: "Scalar | RationalLike") -> "Scalar":
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
+        parts = self._parts
+        if type(other) is int:
+            # each record keeps its (radical, pi), so no merge and no sort
+            if not other:
+                return Scalar()
+            if len(parts) == 1:
+                rad, pi, re, im, den = parts[0]
+                return Scalar((_canon(rad, pi, re * other, im * other, den),))
+            return Scalar(tuple([_canon(rad, pi, re * other, im * other, den)
+                                 for rad, pi, re, im, den in parts]))
         op = _parts_of(other)
         if op is None:
             return NotImplemented
-        out: dict[tuple[int, int], Record] = {}
-        for (m1, k1), (re1, im1, d1) in self._parts.items():
-            for (m2, k2), (re2, im2, d2) in op.items():
-                # both radicands are squarefree, so with g = gcd(m1, m2)
-                # sqrt(m1) * sqrt(m2) = g * sqrt((m1/g) * (m2/g))
-                g = gcd(m1, m2)
-                # a product of nonzero Gaussian rationals is nonzero
-                _accumulate(out, ((m1 // g) * (m2 // g), k1 + k2),
-                            _canon((re1 * re2 - im1 * im2) * g, (re1 * im2 + im1 * re2) * g, d1 * d2))
-        return Scalar(out)
+        if len(parts) == 1 == len(op):
+            return Scalar((_times(parts[0], op[0]),))
+        return _collect(_times(x, y) for x in parts for y in op)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         """Inverse of a single-component scalar: 1/(g sqrt(m) pi^k)."""
-        rad, pi, (re, im, den) = self._single()
+        rad, pi, re, im, den = self._single()
         if not re and not im:
             raise ZeroDivisionError("scalar zero has no inverse")
         # den/(re + i im) = den (re - i im)/(re^2 + im^2), and 1/sqrt(m) = sqrt(m)/m
-        return Scalar({(rad, -pi): _canon(den * re, -den * im, (re * re + im * im) * rad)})
+        return Scalar((_canon(rad, -pi, den * re, -den * im, (re * re + im * im) * rad),))
 
     def __truediv__(self, other: "Scalar | RationalLike") -> "Scalar":
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
         return self * Scalar.coerce(other).inverse()
 
     def conjugate(self) -> "Scalar":
-        return Scalar({k: (re, -im, den) for k, (re, im, den) in self._parts.items()})
+        return Scalar(tuple([(rad, pi, re, -im, den) for rad, pi, re, im, den in self._parts]))
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -237,24 +261,25 @@ class Scalar:
 
     def __hash__(self) -> int:
         # a purely rational scalar equals its Fraction, so it hashes as one
-        if not self._parts:
+        parts = self._parts
+        if not parts:
             return hash(_ZERO)
-        (key, (re, im, den)), *rest = self._parts.items()
-        if not rest and key == (1, 0) and im == 0:
+        rad, pi, re, im, den = parts[0]
+        if len(parts) == 1 and rad == 1 and not pi and not im:
             return hash(Fraction(re, den))
-        return hash(tuple(sorted(self._parts.items())))
+        return hash(parts)
 
     # -- numeric / display ---------------------------------------------------
 
     def to_complex(self) -> complex:
         total = 0j
-        for (rad, pi), (re, im, den) in self._parts.items():
+        for rad, pi, re, im, den in self._parts:
             total += complex(re / den, im / den) * math.sqrt(rad) * math.pi ** pi
         return total
 
     def as_int(self) -> int:
         """Exact integer value; raises ValueError if not an exact integer."""
-        rad, pi, (re, im, den) = self._single()
+        rad, pi, re, im, den = self._single()
         if rad != 1 or pi != 0 or im != 0 or den != 1:
             raise ValueError("scalar %s is not an exact integer" % (self,))
         return re
@@ -283,7 +308,7 @@ class Scalar:
         """Sorted components as (re num, re den, im num, im den, radical, pi),
         each part reduced on its own: the numbers to_obj lays out."""
         out = []
-        for (rad, pi), (re, im, den) in sorted(self._parts.items()):
+        for rad, pi, re, im, den in self._parts:
             g_re, g_im = gcd(re, den), gcd(im, den)
             out.append((re // g_re, den // g_re, im // g_im, den // g_im, rad, pi))
         return out
@@ -296,7 +321,7 @@ class Scalar:
     @staticmethod
     def from_obj(obj: Iterable[dict]) -> "Scalar":
         """to_obj's components, each one record over the lcm of its two denominators."""
-        parts: dict[tuple[int, int], Record] = {}
+        records = []
         for comp in obj:
             (re, re_den), (im, im_den) = comp["re"], comp["im"]
             den = abs(re_den * im_den) // gcd(re_den, im_den)
@@ -306,8 +331,8 @@ class Scalar:
                 g, m0 = 1, comp.get("radical", 1)
                 if m0 != 1:
                     g, m0 = squarefree_split(m0)
-                _accumulate(parts, (m0, comp.get("pi", 0)), _canon(re * g, im * g, den))
-        return Scalar(parts)
+                records.append(_canon(m0, comp.get("pi", 0), re * g, im * g, den))
+        return Scalar(tuple(records)) if len(records) <= 1 else _collect(records)
 
 
 def rat(num: int, den: int = 1) -> Scalar:
@@ -318,7 +343,7 @@ def rat(num: int, den: int = 1) -> Scalar:
         return Scalar()
     if den < 0:
         num, den = -num, -den
-    return Scalar({(1, 0): _canon(num, 0, den)})
+    return Scalar((_canon(1, 0, num, 0, den),))
 
 
 def sqrt_binomials(n: int) -> list[Scalar]:
@@ -339,7 +364,7 @@ def sqrt_binomials(n: int) -> list[Scalar]:
                     spf[q] = p
     exps: dict[int, int] = {}
     g = m0 = 1
-    row = [Scalar({(1, 0): (1, 0, 1)})]
+    row = [Scalar(((1, 0, 1, 0, 1),))]
     for k in range(n):
         for x, step in ((n - k, 1), (k + 1, -1)):
             while x > 1:
@@ -355,7 +380,7 @@ def sqrt_binomials(n: int) -> list[Scalar]:
                     m0 //= p
                     if step > 0:
                         g *= p
-        row.append(Scalar({(m0, 0): (g, 0, 1)}))
+        row.append(Scalar(((m0, 0, g, 0, 1),)))
     return row
 
 
@@ -375,20 +400,20 @@ def _binomial_parts(terms: Iterable[tuple[int, Scalar, int, int]]) -> tuple[int,
     """(N, parts) for sum sign * s * t^m * (1 - t)^l over (sign, s, m, l).
 
     N is the largest m + l.  Each (radical, pi) component of the s is one part
-    (key, den, [(re, im, m, l), ...]): the records over the part's common
-    denominator den, with the sign folded in.
+    (key, den, [(re, im, m, l), ...]), in key order: the records over the
+    part's common denominator den, with the sign folded in.
     """
     by_key: dict[tuple[int, int], list] = {}
     top = 0
     for sign, s, m, l in terms:
         top = max(top, m + l)
-        for key, rec in s._parts.items():
-            by_key.setdefault(key, []).append((sign, rec, m, l))
+        for rad, pi, re, im, d in s._parts:
+            by_key.setdefault((rad, pi), []).append((sign, re, im, d, m, l))
     parts = []
-    for key, recs in by_key.items():
-        den = math.lcm(*(rec[2] for _, rec, _, _ in recs))
+    for key, recs in sorted(by_key.items()):
+        den = math.lcm(*(rec[3] for rec in recs))
         parts.append((key, den, [(sign * (den // d) * re, sign * (den // d) * im, m, l)
-                                 for sign, (re, im, d), m, l in recs]))
+                                 for sign, re, im, d, m, l in recs]))
     return top, parts
 
 
@@ -415,8 +440,8 @@ def binomial_sum(terms: Iterable[tuple[int, Scalar, int, int]]) -> tuple[Scalar,
                 if c:
                     _add_row(acc, m, c, row)
         dense.append((key, re_list, im_list, den))
-    out = [Scalar({key: _canon(re_list[k], im_list[k], den)
-                   for key, re_list, im_list, den in dense if re_list[k] or im_list[k]})
+    out = [Scalar(tuple(_canon(rad, pi, re_list[k], im_list[k], den)
+                        for (rad, pi), re_list, im_list, den in dense if re_list[k] or im_list[k]))
            for k in range(top + 1)]
     while out and out[-1].is_zero:
         out.pop()
@@ -461,19 +486,19 @@ def weighted_sum(terms: Iterable[tuple[Scalar, int]], den: int) -> Scalar:
     """
     by_part: dict[tuple[int, int], list[tuple[Record, int]]] = {}
     for s, w in terms:
-        for part, rec in s._parts.items():
-            by_part.setdefault(part, []).append((rec, w))
-    out: dict[tuple[int, int], Record] = {}
-    for part, rows in by_part.items():
-        lcm = math.lcm(*(d for (_, _, d), _ in rows))
+        for rec in s._parts:
+            by_part.setdefault(rec[:2], []).append((rec, w))
+    out = []
+    for (rad, pi), rows in sorted(by_part.items()):
+        lcm = math.lcm(*(rec[4] for rec, _ in rows))
         re_sum = im_sum = 0
-        for (re, im, d), w in rows:
+        for (_, _, re, im, d), w in rows:
             w *= lcm // d
             re_sum += re * w
             im_sum += im * w
         if re_sum or im_sum:
-            out[part] = _canon(re_sum, im_sum, lcm * den)
-    return Scalar(out)
+            out.append(_canon(rad, pi, re_sum, im_sum, lcm * den))
+    return Scalar(tuple(out))
 
 
 # a map key -> Gaussian rational as (den, [(key, re, im), ...]): each value is
@@ -486,11 +511,12 @@ def gaussian_vector(values: Mapping[Hashable, Scalar]) -> GaussianVector | None:
     or None when one of them carries a radical or a power of pi."""
     recs = []
     for key, s in values.items():
-        if s._parts.keys() != {(1, 0)}:
+        parts = s._parts
+        if len(parts) != 1 or parts[0][0] != 1 or parts[0][1]:
             return None
-        recs.append((key, s._parts[1, 0]))
-    den = math.lcm(*(d for _, (_, _, d) in recs))
-    return den, [(key, re * (den // d), im * (den // d)) for key, (re, im, d) in recs]
+        recs.append((key, parts[0]))
+    den = math.lcm(*(rec[4] for _, rec in recs))
+    return den, [(key, re * (den // d), im * (den // d)) for key, (_, _, re, im, d) in recs]
 
 
 def combine(terms: Iterable[tuple[Scalar, GaussianVector]]) -> dict[Hashable, Scalar]:
@@ -503,10 +529,11 @@ def combine(terms: Iterable[tuple[Scalar, GaussianVector]]) -> dict[Hashable, Sc
     """
     by_part: dict[tuple[int, int], list] = {}
     for s, (den, recs) in terms:
-        for part, (re, im, d) in s._parts.items():
-            by_part.setdefault(part, []).append((re, im, d * den, recs))
-    out: dict[Hashable, dict] = {}
-    for part, rows in by_part.items():
+        for rad, pi, re, im, d in s._parts:
+            by_part.setdefault((rad, pi), []).append((re, im, d * den, recs))
+    # in key order, so each output key's records come sorted
+    out: dict[Hashable, list[Record]] = {}
+    for (rad, pi), rows in sorted(by_part.items()):
         den = math.lcm(*(d for _, _, d, _ in rows))
         acc: dict[Hashable, list[int]] = {}
         for s_re, s_im, d, recs in rows:
@@ -521,5 +548,5 @@ def combine(terms: Iterable[tuple[Scalar, GaussianVector]]) -> dict[Hashable, Sc
                     got[1] += s_re * im + s_im * re
         for key, (re, im) in acc.items():
             if re or im:
-                out.setdefault(key, {})[part] = _canon(re, im, den)
-    return {key: Scalar(parts) for key, parts in out.items()}
+                out.setdefault(key, []).append(_canon(rad, pi, re, im, den))
+    return {key: Scalar(tuple(recs)) for key, recs in out.items()}

@@ -118,7 +118,7 @@ def sqrt_binomial(n: int, k: int) -> Scalar:
         g *= p ** (e >> 1)
         if e & 1:
             m0 *= p
-    return Scalar({(m0, 0): (g, 0, 1)})
+    return Scalar(((m0, 0, g, 0, 1),))
 
 
 # Words signed by an insertion sort, the oracle for GeneratorTable.element,

@@ -534,16 +534,22 @@ def test_json_writer_matches_stdlib(obj):
     assert _written(obj).getvalue() == json.dumps(obj, indent=1, default=Element.to_obj) + "\n"
 
 
-def test_json_writer_shares_coefficient_texts_within_one_call():
+def test_json_writer_shares_coefficient_texts_within_one_call(monkeypatch):
     """One call over many Elements that share coefficients: equal multi-part
-    scalars built in either order, one coefficient at two indents, and more
-    distinct coefficients than a writer keeps, so its cache is cleared and
-    refilled mid-document."""
+    scalars built in either order, which store one record tuple and so share
+    one coefficient text, one coefficient at two indents, and more distinct
+    coefficients than a writer keeps, so its cache is cleared and refilled
+    mid-document."""
     table = _g.table
     monos = [table.one(), _g.a * _g.ad, _g.eta * _g.bd, _g.eta * _g.etad]
     two = Scalar.of(1, 0, 2) + Scalar.of(Fraction(1, 3), -1, 1, 1)
     owt = Scalar.of(Fraction(1, 3), -1, 1, 1) + Scalar.of(1, 0, 2)
-    assert two == owt and list(two._parts) != list(owt._parts)
+    assert two == owt and two._parts == owt._parts
+    render, texts = cli._element_writer(table, ""), []
+    reduced_parts = Scalar.reduced_parts
+    monkeypatch.setattr(Scalar, "reduced_parts", lambda s: texts.append(s) or reduced_parts(s))
+    assert render(two * monos[1]) == render(owt * monos[1]) and texts == [two]
+    monkeypatch.undo()
     shared = [two * m + owt * monos[1] for m in monos]
     count = cli._COEFF_TEXTS + 100
     many = [sum((Scalar.of(k + 1, k % 5, 1 + k % 2) * m for m in monos), table.zero())

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: Gaussian rationals, radicals, pi powers."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -316,3 +317,72 @@ def test_rat_matches_fraction_route(p, q):
     assert x == Scalar.of(Fraction(p, q))
     assert hash(x) == hash(Fraction(p, q))
     assert rat(p) == Scalar.of(p)
+
+
+def test_floats_do_not_enter_exact_scalars():
+    """A float operand is refused on either side of every operator, and
+    Scalar.of takes only int or Fraction parts and an int radical and pi (a
+    bool would be written to JSON as true)."""
+    one = Scalar.one()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right in ((one, 1.5), (1.5, one)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    for args in ((0.1,), (1, 0.5), (1, 0, 2.0), (1, 0, 1, 1.0), (Fraction(1, 2), 0, "2"),
+                 (1, 0, True), (1, 0, 1, True)):
+        with pytest.raises(TypeError):
+            Scalar.of(*args)
+    with pytest.raises(TypeError):
+        Scalar.coerce(0.5)
+
+
+def _invert(x: Scalar) -> Scalar:
+    return x.inverse() if x.is_simple and not x.is_zero else x
+
+
+# scalars built through every constructor and operation that makes records,
+# an int factor and a rational addend included
+built_scalars = st.recursive(
+    st.one_of(st.builds(Scalar.of, rationals, rationals, st.integers(1, 60), st.integers(-2, 2)),
+              st.builds(rat, st.integers(-6, 6), st.integers(-12, 12).filter(bool))),
+    lambda kids: st.one_of(
+        st.builds(operator.add, kids, kids), st.builds(operator.sub, kids, kids),
+        st.builds(operator.mul, kids, kids), st.builds(operator.mul, kids, st.integers(-4, 4)),
+        st.builds(operator.add, kids, rationals), st.builds(operator.neg, kids),
+        st.builds(_invert, kids), st.builds(Scalar.conjugate, kids),
+        st.builds(lambda x: Scalar.from_obj(x.to_obj()), kids)),
+    max_leaves=8)
+
+
+def _assert_canonical(x: Scalar) -> None:
+    """Sorted records, one per (radical, pi), each canonical and nonzero."""
+    parts = x._parts
+    assert type(parts) is tuple
+    keys = [rec[:2] for rec in parts]
+    assert keys == sorted(set(keys))
+    for rad, pi, re, im, den in parts:
+        assert all(type(v) is int for v in (rad, pi, re, im, den))
+        assert squarefree_split(rad) == (1, rad)
+        assert den > 0 and math.gcd(re, im, den) == 1 and (re or im)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(built_scalars, built_scalars, built_scalars)
+def test_storage_is_one_canonical_record_tuple(a, b, c):
+    """Every route gives sorted canonical records, so equal values have equal
+    tuples and equal hashes, and unequal values unequal tuples; a rational
+    value hashes as its Fraction."""
+    for x in (a, b, a + b, a - b, a * b, a * 3, -a, a.conjugate(), _invert(a),
+              Scalar.from_obj(a.to_obj())):
+        _assert_canonical(x)
+    assert (a == b) == (a._parts == b._parts) == (as_ref(a) == as_ref(b))
+    for x, y in ((a * b, b * a), ((a * b) * c, a * (b * c)), (a * (b + c), a * b + a * c),
+                 (a + b - b, a), (Scalar.from_obj(a.to_obj()), a), (-(-a), a),
+                 (a.conjugate().conjugate(), a), (a * 3, a + a + a)):
+        assert x == y and x._parts == y._parts and hash(x) == hash(y)
+    for x in (a, a * b, a * a.conjugate()):
+        ref = as_ref(x)
+        if set(ref) <= {(1, 0)} and all(not im for _, im in ref.values()):
+            value = ref[1, 0][0] if ref else Fraction(0)
+            assert x == value and hash(x) == hash(value)
+            assert hash(rat(value.numerator, value.denominator)) == hash(value)
