@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -77,19 +78,30 @@ def _plus(x: Record, y: Record) -> Record | None:
     return _canon(rad, pi, re, im, d1 * f1) if re or im else None
 
 
-def _collect(records: Iterable[Record]) -> "Scalar":
-    """The sum of records, merged by (radical, pi) in one dict and sorted once."""
-    parts: dict[tuple[int, int], Record] = {}
-    for rec in records:
-        key = rec[0], rec[1]
-        old = parts.get(key)
-        if old is None:
-            parts[key] = rec
-        elif (rec := _plus(old, rec)) is None:
-            del parts[key]
-        else:
-            parts[key] = rec
-    return Scalar(tuple(sorted(parts.values())))
+def _by_part(rows: Iterable[tuple[Record, object]]) -> list[tuple[int, int, int, list[tuple]]]:
+    """(record, payload) rows grouped by the record's (radical, pi), in key
+    order: one (radical, pi, den, [(re, im, payload), ...]) per part, with den
+    the lcm of the part's denominators and each re, im over den."""
+    by_key: dict[tuple[int, int], list[tuple[Record, object]]] = {}
+    for row in rows:
+        by_key.setdefault(row[0][:2], []).append(row)
+    parts = []
+    for (rad, pi), group in sorted(by_key.items()):
+        den = math.lcm(*(rec[4] for rec, _ in group))
+        parts.append((rad, pi, den, [(re * f, im * f, payload)
+                                     for (_, _, re, im, d), payload in group for f in (den // d,)]))
+    return parts
+
+
+def _collect(rows: Iterable[tuple[Record, int]], den: int) -> "Scalar":
+    """sum record * w / den over (record, w), canonicalised once per (radical, pi)."""
+    out = []
+    for rad, pi, lcm, group in _by_part(rows):
+        re_sum = sum(re * w for re, _, w in group)
+        im_sum = sum(im * w for _, im, w in group)
+        if re_sum or im_sum:
+            out.append(_canon(rad, pi, re_sum, im_sum, lcm * den))
+    return Scalar(tuple(out))
 
 
 def _parts_of(value) -> tuple[Record, ...] | None:
@@ -123,12 +135,12 @@ class Scalar:
                 and type(radical) is int and type(pi) is int):
             raise TypeError("Scalar.of takes int or Fraction parts and an int radical and pi, "
                             "got %r" % ((re, im, radical, pi),))
+        g, m0 = squarefree_split(radical)
         # over the lcm of two reduced denominators the record is canonical
         den = math.lcm(re.denominator, im.denominator)
         re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
         if not re and not im:
             return Scalar()
-        g, m0 = squarefree_split(radical)
         return Scalar((_canon(m0, pi, re * g, im * g, den),))
 
     @staticmethod
@@ -198,7 +210,7 @@ class Scalar:
                 return Scalar((x, y) if x < y else (y, x))
             rec = _plus(x, y)
             return Scalar((rec,) if rec else ())
-        return _collect(parts + op)
+        return _collect([(rec, 1) for rec in parts + op], 1)
 
     __radd__ = __add__
 
@@ -231,7 +243,7 @@ class Scalar:
             return NotImplemented
         if len(parts) == 1 == len(op):
             return Scalar((_times(parts[0], op[0]),))
-        return _collect(_times(x, y) for x in parts for y in op)
+        return _collect(((_times(x, y), 1) for x in parts for y in op), 1)
 
     __rmul__ = __mul__
 
@@ -320,19 +332,21 @@ class Scalar:
 
     @staticmethod
     def from_obj(obj: Iterable[dict]) -> "Scalar":
-        """to_obj's components, each one record over the lcm of its two denominators."""
-        records = []
+        """to_obj's components, each one record over the lcm of its two
+        denominators, summed by (radical, pi); int fields only."""
+        rows = []
         for comp in obj:
             (re, re_den), (im, im_den) = comp["re"], comp["im"]
+            rad, pi = comp.get("radical", 1), comp.get("pi", 0)
+            if not all(type(v) is int for v in (re, re_den, im, im_den, rad, pi)):
+                raise TypeError("scalar component %r has a field that is not an int" % (comp,))
+            if not re_den or not im_den:
+                raise ValueError("scalar component %r has a zero denominator" % (comp,))
+            # to_obj writes squarefree radicands, almost all 1
+            g, m0 = (1, 1) if rad == 1 else squarefree_split(rad)
             den = abs(re_den * im_den) // gcd(re_den, im_den)
-            re, im = re * (den // re_den), im * (den // im_den)
-            if re or im:
-                # to_obj writes squarefree radicands, almost all 1
-                g, m0 = 1, comp.get("radical", 1)
-                if m0 != 1:
-                    g, m0 = squarefree_split(m0)
-                records.append(_canon(m0, comp.get("pi", 0), re * g, im * g, den))
-        return Scalar(tuple(records)) if len(records) <= 1 else _collect(records)
+            rows.append(((m0, pi, re * (den // re_den) * g, im * (den // im_den) * g, den), 1))
+        return _collect(rows, 1)
 
 
 def rat(num: int, den: int = 1) -> Scalar:
@@ -386,8 +400,8 @@ def sqrt_binomials(n: int) -> list[Scalar]:
 
 @lru_cache(maxsize=None)
 def _binomial_row(g: int) -> tuple[int, ...]:
-    """The binomial coefficients C(g, j), j = 0..g."""
-    return tuple(math.comb(g, j) for j in range(g + 1))
+    """The binomial coefficients C(g, j), j = 0..g, each from the one before."""
+    return tuple(accumulate(range(g), lambda c, j: c * (g - j) // (j + 1), initial=1))
 
 
 @lru_cache(maxsize=None)
@@ -396,31 +410,29 @@ def _one_minus_t_power(l: int) -> tuple[int, ...]:
     return tuple(-c if k & 1 else c for k, c in enumerate(_binomial_row(l)))
 
 
-def _binomial_parts(terms: Iterable[tuple[int, Scalar, int, int]]) -> tuple[int, list[tuple]]:
-    """(N, parts) for sum sign * s * t^m * (1 - t)^l over (sign, s, m, l).
-
-    N is the largest m + l.  Each (radical, pi) component of the s is one part
-    (key, den, [(re, im, m, l), ...]), in key order: the records over the
-    part's common denominator den, with the sign folded in.
+def _dense_parts(terms: Iterable[tuple[int, Scalar, int, int]],
+                 row_of: Callable[[int, int, int], tuple[int, ...]]
+                 ) -> Iterator[tuple[int, int, int, list[int], list[int]]]:
+    """Each (radical, pi) part of sum sign * s * t^m * row over (sign, s, m, l),
+    in key order, as (radical, pi, den, re, im): the coefficients of t^0..t^N
+    as two dense integer lists over the part's common denominator den.  N is
+    the largest m + l, and row_of(N, m, l) gives the coefficients of the
+    term's row, added from t^m on; a one-entry row costs one addition.
     """
-    by_key: dict[tuple[int, int], list] = {}
-    top = 0
-    for sign, s, m, l in terms:
-        top = max(top, m + l)
-        for rad, pi, re, im, d in s._parts:
-            by_key.setdefault((rad, pi), []).append((sign, re, im, d, m, l))
-    parts = []
-    for key, recs in sorted(by_key.items()):
-        den = math.lcm(*(rec[3] for rec in recs))
-        parts.append((key, den, [(sign * (den // d) * re, sign * (den // d) * im, m, l)
-                                 for sign, re, im, d, m, l in recs]))
-    return top, parts
-
-
-def _add_row(acc: list[int], start: int, c: int, row: tuple[int, ...]) -> None:
-    """acc[start + k] += c * row[k] for each k."""
-    end = start + len(row)
-    acc[start:end] = [x + c * y for x, y in zip(acc[start:end], row)]
+    terms = list(terms)
+    top = max((m + l for _, _, m, l in terms), default=0)
+    for rad, pi, den, group in _by_part((rec, (sign, m, l))
+                                        for sign, s, m, l in terms for rec in s._parts):
+        re_acc, im_acc = [0] * (top + 1), [0] * (top + 1)
+        for re, im, (sign, m, l) in group:
+            row = row_of(top, m, l)
+            for acc, c in ((re_acc, sign * re), (im_acc, sign * im)):
+                if c and len(row) == 1:
+                    acc[m] += c
+                elif c:
+                    end = m + len(row)
+                    acc[m:end] = [x + c * y for x, y in zip(acc[m:end], row)]
+        yield rad, pi, den, re_acc, im_acc
 
 
 def binomial_sum(terms: Iterable[tuple[int, Scalar, int, int]]) -> tuple[Scalar, ...]:
@@ -430,22 +442,13 @@ def binomial_sum(terms: Iterable[tuple[int, Scalar, int, int]]) -> tuple[Scalar,
     Each (radical, pi) component is summed as two dense integer lists over
     one common denominator, so the expansion multiplies plain integers only.
     """
-    top, parts = _binomial_parts(terms)
-    dense = []
-    for key, den, recs in parts:
-        re_list, im_list = [0] * (top + 1), [0] * (top + 1)
-        for re, im, m, l in recs:
-            row = _one_minus_t_power(l)
-            for acc, c in ((re_list, re), (im_list, im)):
-                if c:
-                    _add_row(acc, m, c, row)
-        dense.append((key, re_list, im_list, den))
-    out = [Scalar(tuple(_canon(rad, pi, re_list[k], im_list[k], den)
-                        for (rad, pi), re_list, im_list, den in dense if re_list[k] or im_list[k]))
-           for k in range(top + 1)]
-    while out and out[-1].is_zero:
-        out.pop()
-    return tuple(out)
+    coeffs: dict[int, list[Record]] = {}
+    parts = _dense_parts(terms, lambda top, m, l: _one_minus_t_power(l))
+    for rad, pi, den, re_acc, im_acc in parts:
+        for k, (re, im) in enumerate(zip(re_acc, im_acc)):
+            if re or im:
+                coeffs.setdefault(k, []).append(_canon(rad, pi, re, im, den))
+    return tuple(Scalar(tuple(coeffs.get(k, ()))) for k in range(max(coeffs, default=-1) + 1))
 
 
 def binomial_sum_is_zero(terms: Iterable[tuple[int, Scalar, int, int]]) -> bool:
@@ -459,46 +462,15 @@ def binomial_sum_is_zero(terms: Iterable[tuple[int, Scalar, int, int]]) -> bool:
     CAGD 29 (2012) 379-419).  So the sum is zero exactly when every summed
     coefficient is, and a term with m + l = N costs one addition.
     """
-    top, parts = _binomial_parts(terms)
-    for _, _, recs in parts:
-        re_acc, im_acc = [0] * (top + 1), [0] * (top + 1)
-        for re, im, m, l in recs:
-            g = top - m - l
-            if not g:
-                re_acc[m] += re
-                im_acc[m] += im
-                continue
-            row = _binomial_row(g)
-            for acc, c in ((re_acc, re), (im_acc, im)):
-                if c:
-                    _add_row(acc, m, c, row)
-        if any(re_acc) or any(im_acc):
-            return False
-    return True
+    parts = _dense_parts(terms, lambda top, m, l: _binomial_row(top - m - l))
+    return not any(any(re_acc) or any(im_acc) for _, _, _, re_acc, im_acc in parts)
 
 
 def weighted_sum(terms: Iterable[tuple[Scalar, int]], den: int) -> Scalar:
-    """sum s * w / den over (s, w), each weight w an int.
-
-    Each (radical, pi) component is summed as two integers over den times the
-    lcm of its records' denominators and canonicalised once, so no gcd is
-    taken per term.
-    """
-    by_part: dict[tuple[int, int], list[tuple[Record, int]]] = {}
-    for s, w in terms:
-        for rec in s._parts:
-            by_part.setdefault(rec[:2], []).append((rec, w))
-    out = []
-    for (rad, pi), rows in sorted(by_part.items()):
-        lcm = math.lcm(*(rec[4] for rec, _ in rows))
-        re_sum = im_sum = 0
-        for (_, _, re, im, d), w in rows:
-            w *= lcm // d
-            re_sum += re * w
-            im_sum += im * w
-        if re_sum or im_sum:
-            out.append(_canon(rad, pi, re_sum, im_sum, lcm * den))
-    return Scalar(tuple(out))
+    """sum s * w / den over (s, w), each weight w an int: two integers per
+    (radical, pi) over den times the lcm of the part's denominators,
+    canonicalised once, so no gcd is taken per term."""
+    return _collect(((rec, w) for s, w in terms for rec in s._parts), den)
 
 
 # a map key -> Gaussian rational as (den, [(key, re, im), ...]): each value is
@@ -527,18 +499,13 @@ def combine(terms: Iterable[tuple[Scalar, GaussianVector]]) -> dict[Hashable, Sc
     Gaussian vector, so a component's radical and pi power pass to the sum
     unchanged and each output key gets one canonical record per component.
     """
-    by_part: dict[tuple[int, int], list] = {}
-    for s, (den, recs) in terms:
-        for rad, pi, re, im, d in s._parts:
-            by_part.setdefault((rad, pi), []).append((re, im, d * den, recs))
+    rows = (((rad, pi, re, im, d * den), recs)
+            for s, (den, recs) in terms for rad, pi, re, im, d in s._parts)
     # in key order, so each output key's records come sorted
     out: dict[Hashable, list[Record]] = {}
-    for (rad, pi), rows in sorted(by_part.items()):
-        den = math.lcm(*(d for _, _, d, _ in rows))
+    for rad, pi, den, group in _by_part(rows):
         acc: dict[Hashable, list[int]] = {}
-        for s_re, s_im, d, recs in rows:
-            f = den // d
-            s_re, s_im = s_re * f, s_im * f
+        for s_re, s_im, recs in group:
             for key, re, im in recs:
                 got = acc.get(key)
                 if got is None:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supersphere.scalars import (Scalar, binomial_sum, binomial_sum_is_zero, rat,
-                                 sqrt_binomials, squarefree_split)
+from supersphere.scalars import (Scalar, binomial_sum, binomial_sum_is_zero, combine,
+                                 gaussian_vector, rat, sqrt_binomials, squarefree_split,
+                                 weighted_sum)
 
 from oracles import sqrt_binomial
 
@@ -244,6 +245,63 @@ def test_bernstein_zero_test_agrees_with_the_dense_sum(terms, elevated):
         assert binomial_sum_is_zero(items)
 
 
+# two coefficients of two (radical, pi) parts each, over unequal denominators
+_MULTI = [[(Fraction(1, 2), Fraction(-1, 3), 1, 0), (Fraction(2, 5), 0, 2, 1)],
+          [(Fraction(1, 3), 1, 1, 0), (Fraction(-1, 4), Fraction(1, 6), 2, 1)]]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@example(terms=[], den=1)
+@example(terms=[(_MULTI[0], 3), (_MULTI[1], -5)], den=7)
+@given(st.lists(st.tuples(sums, st.integers(-10**6, 10**6)), max_size=5), st.integers(1, 36))
+def test_weighted_sum_matches_scalar_arithmetic(terms, den):
+    """sum s * w / den against Scalar arithmetic; the terms with each weight
+    negated added cancel to exactly zero."""
+    items = [(build(xs), w) for xs, w in terms]
+    want = Scalar.zero()
+    for s, w in items:
+        want = want + s * w
+    got = weighted_sum(items, den)
+    _assert_canonical(got)
+    assert got == want / den
+    assert weighted_sum(items + [(s, -w) for s, w in items], den) == Scalar.zero()
+
+
+gaussians = st.builds(Scalar.of, rationals, rationals).filter(lambda x: not x.is_zero)
+vectors = st.dictionaries(st.sampled_from("abc"), gaussians, max_size=3)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@example(terms=[])
+@example(terms=[(_MULTI[0], {"a": Scalar.of(Fraction(1, 2)), "b": Scalar.of(0, Fraction(2, 3))}),
+                (_MULTI[1], {"b": Scalar.of(Fraction(3, 4), 1)})])
+@given(st.lists(st.tuples(sums, vectors), max_size=4))
+def test_combine_matches_scalar_arithmetic(terms):
+    """sum s * v over Gaussian vectors v against Scalar arithmetic, key by
+    key with zeros dropped; the terms with each s negated added cancel to no
+    key at all."""
+    items = [(build(xs), gaussian_vector(v)) for xs, v in terms]
+    want: dict = {}
+    for xs, v in terms:
+        for key, c in v.items():
+            want[key] = want.get(key, Scalar.zero()) + build(xs) * c
+    got = combine(items)
+    for x in got.values():
+        _assert_canonical(x)
+    assert got == {key: x for key, x in want.items() if not x.is_zero}
+    assert combine(items + [(-s, v) for s, v in items]) == {}
+
+
+def test_gaussian_vector_refuses_radicals_pi_powers_and_sums():
+    x = Scalar.of(Fraction(1, 2), Fraction(1, 3))
+    assert gaussian_vector({"x": x, "y": Scalar.of(2)}) == (6, [("x", 3, 2), ("y", 12, 0)])
+    assert gaussian_vector({}) == (1, [])
+    for bad in (Scalar.sqrt_int(2), Scalar.pi_power(1), Scalar.of(1, 2, 1, -1),
+                Scalar.of(3, 0, 5, 2), Scalar.one() + Scalar.sqrt_int(3),
+                Scalar.one() + Scalar.pi_power(2)):
+        assert gaussian_vector({"x": x, "y": bad}) is None
+
+
 def _to_obj_by_fractions(x: Scalar) -> list[dict]:
     """The serialization read off components(), one Fraction per part."""
     return [{"re": [re.numerator, re.denominator], "im": [im.numerator, im.denominator],
@@ -295,14 +353,25 @@ def test_from_obj_reduces_and_signs_its_input():
     assert Scalar.from_obj([comp((3, -6), (0, -5))]) == rat(-1, 2)
     assert Scalar.from_obj([comp((1, 1), (0, 1), 12, 1)]) == Scalar.of(2, 0, 3, 1)
     assert Scalar.from_obj([comp((1, 2), (1, 1)), comp((-2, 4), (-3, 3))]).is_zero
-    assert Scalar.from_obj([comp((0, 7), (0, -3), 0)]).is_zero
     for re, im in (((1, 0), (0, 1)), ((1, 2), (1, 0)), ((0, 0), (0, 0))):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError):
             Scalar.from_obj([comp(re, im)])
     assert Scalar.from_obj([comp((1, 1), (0, 1), 8)]) == Scalar.of(2, 0, 2)
-    for radical in (0, -3):
+    # a bad radicand is refused for a zero value too, as Scalar.of refuses it
+    for re, radical in (((1, 1), 0), ((1, 1), -3), ((0, 7), 0), ((0, 1), -5)):
         with pytest.raises(ValueError):
-            Scalar.from_obj([comp((1, 1), (0, 1), radical)])
+            Scalar.from_obj([comp(re, (0, -3), radical)])
+
+
+def test_from_obj_refuses_fields_that_are_not_ints():
+    """A float or bool radical, pi or part is refused, not stored in a record."""
+    good = {"re": [1, 2], "im": [0, 1], "radical": 2, "pi": 1}
+    for field, bad in (("radical", 2.0), ("radical", True), ("pi", 1.5), ("pi", True),
+                       ("pi", "1"), ("re", [1.0, 2]), ("re", [1, 2.0]), ("im", [0, True]),
+                       ("im", [Fraction(1, 2), 1])):
+        with pytest.raises(TypeError):
+            Scalar.from_obj([{**good, field: bad}])
+    assert Scalar.from_obj([good]) == Scalar.of(Fraction(1, 2), 0, 2, 1)
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
@@ -334,6 +403,13 @@ def test_floats_do_not_enter_exact_scalars():
             Scalar.of(*args)
     with pytest.raises(TypeError):
         Scalar.coerce(0.5)
+
+
+def test_of_checks_the_radicand_of_a_zero_value_too():
+    for args in ((0, 0, 0), (0, 0, -5), (1, 0, 0), (Fraction(1, 2), 1, -3)):
+        with pytest.raises(ValueError):
+            Scalar.of(*args)
+    assert Scalar.of(0, 0, 12).is_zero and Scalar.of(0, 0, 12, 3).is_zero
 
 
 def _invert(x: Scalar) -> Scalar:
