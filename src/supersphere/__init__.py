@@ -18,11 +18,10 @@ from .forms import SuperForm, DifferentialIdeal, d
 from .trig import (TrigPoly, PhaseHalfAngle, integrate_half_angle, wallis_integrate,
                    ChartError)
 from .monopole import (group_space, base_space, group_element,
-                       osp_fixtures, base_coordinates, inversion_identities,
+                       osp_fixtures, coordinate_images, inversion_identities,
                        psi, psi_body, pairing, projector, connection_form,
-                       connection_closed_form, curvature, chern_form,
-                       chern_form_canonical, chern_closed_form,
-                       chern_intermediate_form, chern_form_body,
+                       connection_closed_form, chern_form,
+                       chern_form_canonical, chern_closed_form, chern_form_body,
                        coordinate_chern_form,
                        check_equivariance, section_to_equivariant,
                        element_to_base, projector_to_base,

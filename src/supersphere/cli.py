@@ -582,7 +582,8 @@ def _positive_int(value: str) -> int:
     return n
 
 
-# the largest n chern and projector take.  projector builds monomials of
+# the largest n chern and projector take, and the largest n_max of verify,
+# whose suites build psi and p up to n_max.  projector builds monomials of
 # degree up to 2n + 2, a component of psi with eta eta* (degree n + 2) times a
 # diamonded one (degree n); chern's stop at 2n + 1, in the products
 # psi_alpha (d psi_alpha)^dia.  A monomial's degree stays below 2**EXP_BITS.
@@ -622,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_proj.set_defaults(func=cmd_projector)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
-    p_ver.add_argument("--n-max", type=_positive_int, default=4)
+    p_ver.add_argument("--n-max", type=_charge_n, default=4)
     p_ver.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p_ver.add_argument("--format", choices=["text", "json"], default="text")
     p_ver.set_defaults(func=cmd_verify)

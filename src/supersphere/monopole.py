@@ -193,8 +193,6 @@ class NilpotentExpReport:
     element (it does).
     """
 
-    product_form: SuperMatrix
-    sum_form: SuperMatrix
     difference: SuperMatrix
     product_equals_sum: bool
     bch_equal: bool
@@ -224,34 +222,19 @@ def nilpotent_exp_report() -> NilpotentExpReport:
     # the squared series terminates: third power vanishes identically
     cube = total @ total @ total
     terminates = all(e.is_zero for row in cube.entries for e in row)
-    return NilpotentExpReport(product, sum_form, diff, zero, bch_equal,
-                              sum_matches, terminates)
+    return NilpotentExpReport(diff, zero, bch_equal, sum_matches, terminates)
 
 
 # ---------------------------------------------------------------------------
 # coordinates
 
-@dataclass
-class CoordinateSet:
-    """Sphere coordinates as expressions in the group generators."""
+def coordinate_images(space: GroupSpace | None = None) -> dict[str, Element]:
+    """The sphere coordinates x0, x1, x2, xi-, xi+ by base generator name, as
+    group expressions read off the orbit map s (2/i A0) s^dagger.
 
-    x0: Element
-    x1: Element
-    x2: Element
-    xim: Element
-    xip: Element
-
-    def images(self) -> dict[str, Element]:
-        """Map from base-algebra generator names to group expressions."""
-        return {"x0": self.x0, "x1": self.x1, "x2": self.x2,
-                "xi-": self.xim, "xi+": self.xip}
-
-
-def base_coordinates() -> CoordinateSet:
-    """Extract the coordinates from the orbit map s (2/i A0) s^dagger.
-
-    The result is expanded over the fixture basis 2/i A_k and 2 R_alpha; a
-    failure of the expansion raises ExpansionError.
+    The orbit matrix is expanded over the fixture basis 2/i A_k and 2 R_alpha;
+    a failure of the expansion raises ExpansionError.  ``space`` is not read:
+    the only group algebra is group_space().
     """
     g = group_space()
     s = group_element()
@@ -278,13 +261,7 @@ def base_coordinates() -> CoordinateSet:
     for got, want in checks:
         if not (got - want).is_zero:
             raise ExpansionError("orbit matrix is not in the span of the fixture basis")
-    return CoordinateSet(x0, x1, x2, xim, xip)
-
-
-def coordinate_images(space: GroupSpace | None = None) -> dict[str, Element]:
-    """Base generator names to group expressions.  ``space`` is not read: the
-    only group algebra is group_space()."""
-    return base_coordinates().images()
+    return {"x0": x0, "x1": x1, "x2": x2, "xi-": xim, "xi+": xip}
 
 
 @dataclass
@@ -314,8 +291,8 @@ def inversion_identities() -> list[IdentityCheck]:
 def sphere_relation_check() -> bool:
     """sum x_mu^2 + 2 xi- xi+ reduces to 1."""
     g = group_space()
-    c = base_coordinates()
-    total = c.x0 ** 2 + c.x1 ** 2 + c.x2 ** 2 + 2 * (c.xim * c.xip)
+    c = coordinate_images()
+    total = c["x0"] ** 2 + c["x1"] ** 2 + c["x2"] ** 2 + 2 * (c["xi-"] * c["xi+"])
     return g.rewrites.reduce(total - g.table.one()).is_zero
 
 
@@ -329,10 +306,6 @@ class PsiVector:
     sign: str
     n: int
     components: list[Element]
-
-    @property
-    def algebra(self) -> GeneratorTable:
-        return self.components[0].algebra
 
     def block_parity(self, alpha: int) -> int:
         return 1 if alpha < self.n else 0
@@ -356,12 +329,16 @@ def _binomial_powers(table: GeneratorTable, sign: str, n: int) -> list[Element]:
             for k, root in enumerate(sqrt_binomials(n))]
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+
+
 def psi_body(sign: str, n: int) -> list[Element]:
     """The nonzero bodies of the components of psi(sign, n), which are its
     n + 1 even components without their factor 1 - eta eta*/8."""
     sign = normalize_sign(sign)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_n(n)
     return _binomial_powers(group_space().table, sign, n)
 
 
@@ -582,16 +559,11 @@ def connection_form(psi_vec: PsiVector) -> SuperForm:
 def connection_closed_form(sign: str, n: int) -> SuperForm:
     """(n - 1/4 eta eta*)(a da* + b db*) + 1/8 (eta deta* + eta* deta), negated
     for the + sign."""
+    _check_n(n)
     return _form_of([(("a*",), [(n, ("a",)), (-_QUARTER, ("a", "eta", "eta*"))]),
                      (("b*",), [(n, ("b",)), (-_QUARTER, ("b", "eta", "eta*"))]),
                      (("eta",), [(_EIGHTH, ("eta*",))]), (("eta*",), [(_EIGHTH, ("eta",))])],
                     _signed(sign, _ONE))
-
-
-def curvature(proj: Projector) -> SuperMatrix:
-    """p (dp)^2 with entrywise exterior derivative and wedge products."""
-    dp = proj.matrix.map_entries(d)
-    return proj.matrix @ dp @ dp
 
 
 def supertrace_p_dp_dp(proj: Projector) -> SuperForm:
@@ -667,6 +639,7 @@ def chern_form_canonical(sign: str, n: int) -> SuperForm:
 def chern_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
     """-(1/(2 pi i)) [n (da da* + db db*) + 1/4 d(a eta*) d(eta a*)
     + 1/4 d(b eta*) d(eta b*)], negated for the + sign."""
+    _check_n(n)
     q = _QUARTER
     body = [(n, ()), (-q, ("eta", "eta*"))]
     return _form_of([(("a", "a*"), body), (("b", "b*"), body),
@@ -674,16 +647,6 @@ def chern_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> Sup
                      (("b", "eta"), [(q, ("b*", "eta*"))]), (("b*", "eta*"), [(q, ("b", "eta"))]),
                      (("eta", "eta*"), [(q, ("a", "a*")), (q, ("b", "b*"))])],
                     _signed(sign, CHERN_SCALAR), space)
-
-
-def chern_intermediate_form(sign: str, n: int) -> SuperForm:
-    """The equivalent expanded expression
-    -(1/(2 pi i)) [(da da* + db db*)(n - 1/4 eta eta*)
-    + 1/4 (a da* + b db*)(eta deta* - eta* deta) + 1/4 deta deta*],
-    which is CHERN_SCALAR dA for A = connection_closed_form(sign, n).  It is
-    the Chern form modulo the ideal because <psi|d psi> = A there, d of that
-    pairing is <d psi|d psi> term for term (d d = 0) and d keeps the ideal."""
-    return d(connection_closed_form(sign, n)) * CHERN_SCALAR
 
 
 def coordinate_chern_form(sign: str, n: int) -> SuperForm:
@@ -701,6 +664,7 @@ def coordinate_chern_form(sign: str, n: int) -> SuperForm:
     Berezin integrals are unaffected.
     """
     sign = normalize_sign(sign)
+    _check_n(n)
     s = base_space()
     one = s.table.one()
     i = Scalar.i()

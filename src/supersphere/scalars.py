@@ -156,15 +156,6 @@ class Scalar:
         return Scalar.of(0, 1)
 
     @staticmethod
-    def sqrt_int(m: int) -> "Scalar":
-        """Exact sqrt of a positive integer, reduced to g*sqrt(m0)."""
-        return Scalar.of(1, 0, radical=m)
-
-    @staticmethod
-    def pi_power(k: int) -> "Scalar":
-        return Scalar.of(1, 0, 1, k)
-
-    @staticmethod
     def coerce(value: "Scalar | RationalLike") -> "Scalar":
         if isinstance(value, Scalar):
             return value
@@ -282,12 +273,6 @@ class Scalar:
         return hash(parts)
 
     # -- numeric / display ---------------------------------------------------
-
-    def to_complex(self) -> complex:
-        total = 0j
-        for rad, pi, re, im, den in self._parts:
-            total += complex(re / den, im / den) * math.sqrt(rad) * math.pi ** pi
-        return total
 
     def as_int(self) -> int:
         """Exact integer value; raises ValueError if not an exact integer."""

@@ -473,13 +473,19 @@ def integrate_half_angle_by_terms(f: PhaseHalfAngle) -> Scalar:
 QUAD_ORDER = 64   # Gauss-Legendre points per axis
 
 
+def to_complex(x: Scalar) -> complex:
+    """x as a complex float: the sum of (re + i im) sqrt(m) pi^k over its components."""
+    return sum((complex(re, im) * math.sqrt(rad) * math.pi ** pi
+                for rad, pi, re, im in x.components()), 0j)
+
+
 def evaluate_trigpoly(f: TrigPoly, theta: float, phi: float) -> complex:
     """f at one point: sum c cos^p(theta) sin^q(theta) cos^r(phi) sin^s(phi)."""
     total = 0j
     ct, st = math.cos(theta), math.sin(theta)
     cp, sp = math.cos(phi), math.sin(phi)
     for (p, q, r, s), c in f.terms.items():
-        total += c.to_complex() * ct ** p * st ** q * cp ** r * sp ** s
+        total += to_complex(c) * ct ** p * st ** q * cp ** r * sp ** s
     return total
 
 
@@ -490,11 +496,11 @@ def evaluate_grid(f: PhaseHalfAngle | TrigPoly, thetas, phis):
         ct, st = np.cos(thetas), np.sin(thetas)
         cp, sp = np.cos(phis), np.sin(phis)
         for (p, q, r, s), c in f.terms.items():
-            total += c.to_complex() * np.outer(ct ** p * st ** q, cp ** r * sp ** s)
+            total += to_complex(c) * np.outer(ct ** p * st ** q, cp ** r * sp ** s)
     else:
         ch, sh = np.cos(thetas / 2), np.sin(thetas / 2)
         for (hc, hs, k), v in f.terms.items():
-            total += v.to_complex() * np.outer(ch ** hc * sh ** hs, np.exp(1j * k * phis))
+            total += to_complex(v) * np.outer(ch ** hc * sh ** hs, np.exp(1j * k * phis))
     return total
 
 

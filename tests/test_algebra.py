@@ -393,7 +393,7 @@ def test_graded_inverse(table, gens, group_rewrites):
 
 def test_element_serialization_roundtrip(table, gens):
     x = (rat(1, 2) * gens["a"] * gens["eta"] - Scalar.i() * gens["b"] ** 2
-         + table.scalar(Scalar.sqrt_int(8)))
+         + table.scalar(Scalar.of(1, 0, 8)))
     assert Element.from_obj(table, x.to_obj()) == x
 
 
@@ -634,7 +634,7 @@ def test_multiply_vectors_raises_on_degree_overflow():
         rewrites.multiply_vectors(high, (1, [(table.monomial([(x2, 2)]), 3, 0)]))
 
 
-@pytest.mark.parametrize("factor", [Scalar.sqrt_int(2), rat(1, 2)])
+@pytest.mark.parametrize("factor", [Scalar.of(1, 0, 2), rat(1, 2)])
 def test_multiply_vectors_needs_a_gaussian_integer_replacement(table, gens, factor):
     rewrites = RewriteSystem(table, gens["b"] * gens["b*"],
                              factor * (table.one() - gens["a"] * gens["a*"]))

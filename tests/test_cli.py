@@ -158,13 +158,22 @@ def test_usage_error_for_non_integer_n(capsys):
         assert "_positive_int" not in err, argv
 
 
-@pytest.mark.parametrize("command", ["chern", "projector"])
-def test_n_above_the_degree_limit_is_a_usage_error(capsys, command):
+@pytest.mark.parametrize("command, n_args, dest", [
+    ("chern", ["--sign", "minus", "--n"], "n"),
+    ("projector", ["--sign", "minus", "--n"], "n"),
+    ("verify", ["--n-max"], "n_max"),
+], ids=["chern", "projector", "verify"])
+def test_n_above_the_degree_limit_is_a_usage_error(monkeypatch, capsys, command, n_args, dest):
     """The parser takes n = N_MAX and rejects N_MAX + 1 with exit 2 and a
-    usage message; no pipeline runs at either size."""
-    args = cli.build_parser().parse_args([command, "--sign", "minus", "--n", str(cli.N_MAX)])
-    assert args.n == cli.N_MAX
-    code, out, err = run_cli(capsys, command, "--sign", "minus", "--n", str(cli.N_MAX + 1))
+    usage message; no pipeline or verify suite runs at either size."""
+    def boom(n_max):
+        raise AssertionError("suite ran at n_max = %d" % n_max)
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, boom)
+    args = cli.build_parser().parse_args([command, *n_args, str(cli.N_MAX)])
+    assert getattr(args, dest) == cli.N_MAX
+    code, out, err = run_cli(capsys, command, *n_args, str(cli.N_MAX + 1))
     assert code == 2 and out == ""
     assert err.startswith("usage: supersphere %s" % command)
     assert "n must be at most %d" % cli.N_MAX in err

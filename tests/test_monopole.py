@@ -18,12 +18,12 @@ from supersphere.berezin import chern_number
 from supersphere.forms import SuperForm, d
 from supersphere.matrices import BlockShape, EVEN_FIRST, SuperMatrix, sdet
 from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionError,
-                                  base_coordinates, base_space, check_equivariance,
+                                  base_space, check_equivariance,
                                   chern_closed_form, chern_form, chern_form_body,
-                                  chern_form_canonical, chern_intermediate_form,
+                                  chern_form_canonical,
                                   connection_closed_form, connection_form,
                                   coordinate_chern_form,
-                                  coordinate_images, curvature, element_to_base,
+                                  coordinate_images, element_to_base,
                                   EquivarianceReport, group_element,
                                   group_identities_report, group_space,
                                   inversion_identities, nilpotent_exp_report,
@@ -102,30 +102,30 @@ def test_exponential_product_vs_sum(g):
 # -- coordinates -------------------------------------------------------------------
 
 def test_coordinates_match_displayed_formulas(g):
-    c = base_coordinates()
+    c = coordinate_images()
     one = g.table.one()
     fer = one - rat(1, 4) * g.eta * g.etad
     i = Scalar.i()
     R = g.rewrites
-    assert R.reduce(c.x0 - (g.a * g.ad - g.b * g.bd) * fer).is_zero
-    assert R.reduce(c.x0 - (2 * (g.a * g.ad) - one) * fer).is_zero
-    assert R.reduce(c.x1 - (g.a * g.bd + g.b * g.ad) * fer).is_zero
-    assert R.reduce(c.x2 - i * (g.a * g.bd - g.b * g.ad) * fer).is_zero
-    assert R.reduce(c.xim - rat(-1, 2) * (g.a * g.etad + g.eta * g.bd)).is_zero
-    assert R.reduce(c.xip - rat(1, 2) * (g.eta * g.ad - g.b * g.etad)).is_zero
+    assert R.reduce(c["x0"] - (g.a * g.ad - g.b * g.bd) * fer).is_zero
+    assert R.reduce(c["x0"] - (2 * (g.a * g.ad) - one) * fer).is_zero
+    assert R.reduce(c["x1"] - (g.a * g.bd + g.b * g.ad) * fer).is_zero
+    assert R.reduce(c["x2"] - i * (g.a * g.bd - g.b * g.ad) * fer).is_zero
+    assert R.reduce(c["xi-"] - rat(-1, 2) * (g.a * g.etad + g.eta * g.bd)).is_zero
+    assert R.reduce(c["xi+"] - rat(1, 2) * (g.eta * g.ad - g.b * g.etad)).is_zero
 
 
 def test_coordinates_reality_properties(g):
-    c = base_coordinates()
+    c = coordinate_images()
     R = g.rewrites
-    for x in (c.x0, c.x1, c.x2):
+    for x in (c["x0"], c["x1"], c["x2"]):
         assert R.reduce(x.diamond() - x).is_zero
         assert x.parity() == "even"
-    assert R.reduce(c.xim.diamond() - c.xip).is_zero
-    assert R.reduce(c.xip.diamond() + c.xim).is_zero
-    assert c.xim.parity() == "odd" and c.xip.parity() == "odd"
+    assert R.reduce(c["xi-"].diamond() - c["xi+"]).is_zero
+    assert R.reduce(c["xi+"].diamond() + c["xi-"]).is_zero
+    assert c["xi-"].parity() == "odd" and c["xi+"].parity() == "odd"
     # fermionic coordinates have no body
-    assert c.xim.body().is_zero and c.xip.body().is_zero
+    assert c["xi-"].body().is_zero and c["xi+"].body().is_zero
 
 
 def test_sphere_relation(g):
@@ -133,8 +133,8 @@ def test_sphere_relation(g):
 
 
 def test_quarter_eta_identity(g):
-    c = base_coordinates()
-    target = rat(1, 4) * g.eta * g.etad - c.xim * c.xip
+    c = coordinate_images()
+    target = rat(1, 4) * g.eta * g.etad - c["xi-"] * c["xi+"]
     assert g.rewrites.reduce(target).is_zero
 
 
@@ -158,8 +158,8 @@ def test_inversion_identities_check_the_emission_table(g, monkeypatch):
 def test_inversion_identities_degenerate_without_eta(g):
     """With eta = 0 the fermionic identities collapse to 0 = 0."""
     kill = {"eta": g.table.zero(), "eta*": g.table.zero()}
-    c = base_coordinates()
-    for expr in (c.xim, c.xip):
+    c = coordinate_images()
+    for expr in (c["xi-"], c["xi+"]):
         assert expr.substitute(kill, g.table).is_zero
 
 
@@ -175,7 +175,7 @@ def test_psi_minus_one_components(g):
 def test_psi_minus_two_has_sqrt2(g):
     v = psi(MINUS, 2)
     e8 = g.table.one() - rat(1, 8) * g.eta * g.etad
-    assert v.components[3] == g.table.scalar(Scalar.sqrt_int(2)) * e8 * g.a * g.b
+    assert v.components[3] == g.table.scalar(Scalar.of(1, 0, 2)) * e8 * g.a * g.b
     assert v.components[1] == rat(1, 2) * g.eta * g.b
 
 
@@ -217,6 +217,16 @@ def test_psi_body_is_the_nonzero_body_of_psi(sign):
 def test_psi_body_checks_sign_and_n(sign, n):
     with pytest.raises(ValueError):
         psi_body(sign, n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [connection_closed_form, chern_closed_form,
+                                   coordinate_chern_form])
+def test_closed_forms_check_n_as_psi_does(build, n):
+    """A closed form exists for the n that psi takes, and no other."""
+    for sign in (MINUS, PLUS):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            build(sign, n)
 
 
 def test_psi_normalized(g):
@@ -556,7 +566,7 @@ def test_section_to_equivariant_unit_slots(g):
     got = section_to_equivariant(MINUS, n, f)
     e8 = g.table.one() - rat(1, 8) * g.eta * g.etad
     import math
-    want = g.table.scalar(Scalar.sqrt_int(math.comb(n, k))) * e8 * \
+    want = g.table.scalar(Scalar.of(1, 0, math.comb(n, k))) * e8 * \
         g.a ** (n - k) * g.b ** k
     assert got == want
 
@@ -596,11 +606,12 @@ def test_d_of_the_connection_pairing_is_the_curvature_pairing(g):
 @pytest.mark.parametrize("build, oracle", [
     (connection_closed_form, connection_closed_form_by_algebra),
     (chern_closed_form, chern_closed_form_by_algebra),
-    (chern_intermediate_form, chern_intermediate_form_by_algebra),
+    (chern_form_canonical, chern_intermediate_form_by_algebra),
 ], ids=["connection", "chern-closed", "chern-intermediate"])
 def test_closed_forms_from_term_tables_match_the_form_algebra(g, build, oracle):
-    """Each closed form read from its term table is, term for term, the form
-    that sums and wedge products of differentials build."""
+    """Each closed form read from its term table, and the verified Chern form
+    (d of the first, times CHERN_SCALAR), is term for term the form that sums
+    and wedge products of differentials build."""
     for n in (*range(1, 9), 64):
         for sign in (MINUS, PLUS):
             assert build(sign, n) == oracle(sign, n), (sign, n)
@@ -626,7 +637,8 @@ def test_curvature_entries_are_even_two_forms(g):
     """Form degree 2 throughout, Grassmann-even in the block sense: the
     parity of each entry matches the row/column type parities."""
     proj = projector(psi(MINUS, 1))
-    cur = curvature(proj)
+    dp = proj.matrix.map_entries(d)
+    cur = proj.matrix @ dp @ dp
     shape = proj.matrix.shape
     for i, row in enumerate(cur.entries):
         for j, entry in enumerate(row):
@@ -647,7 +659,8 @@ def test_curvature_equals_outer_kernel_up_to_convention_sign(g):
     for n in (1, 2):
         vec = psi(MINUS, n)
         proj = projector(vec)
-        cur = curvature(proj)
+        dp = proj.matrix.map_entries(d)
+        cur = proj.matrix @ dp @ dp
         kernel = pairing([d(c) for c in vec.components],
                          [d(c) for c in vec.components])
         # |psi> K <psi| = p K, as K is Grassmann-even
@@ -674,12 +687,12 @@ def test_chern_form_chain(g):
         for sign in (MINUS, PLUS):
             computed = chern_form(sign, n)
             assert g.equal_mod(computed, chern_closed_form(sign, n)), (sign, n)
-            assert g.equal_mod(computed, chern_intermediate_form(sign, n)), (sign, n)
+            assert g.equal_mod(computed, chern_form_canonical(sign, n)), (sign, n)
 
 
 def test_chern_form_smoncf_lines_equal_under_display_reduction(g):
     for n in (1, 2):
-        lhs = g.ideal.reduce(chern_intermediate_form(MINUS, n))
+        lhs = g.ideal.reduce(chern_form_canonical(MINUS, n))
         rhs = g.ideal.reduce(chern_closed_form(MINUS, n))
         assert lhs == rhs
 
@@ -711,20 +724,24 @@ def test_chern_pairing_route_at_larger_n(g):
 def test_chern_form_is_the_intermediate_form_for_its_own_n_only(g):
     """The Bernstein zero test on the pairing route up to n = 64: the pairing
     form minus the expanded expression is zero at n and not at n + 1, where
-    the verified route raises, and the zero test agrees with the projection."""
-    for n in range(1, 65):
-        for sign in (MINUS, PLUS):
+    the verified route raises, and the zero test agrees with the projection.
+    The expanded expression at n is chern_form_canonical(sign, n), built once
+    per n and reused as the n + 1 form of the step before."""
+    for sign in (MINUS, PLUS):
+        expanded = chern_form_canonical(sign, 1)
+        for n in range(1, 65):
             computed = chern_form(sign, n)
-            same = computed - chern_intermediate_form(sign, n)
-            off = computed - chern_intermediate_form(sign, n + 1)
+            expanded_next = chern_form_canonical(sign, n + 1)
+            same = computed - expanded
+            off = computed - expanded_next
             assert g.localizer.is_zero_mod(same), (sign, n)
             assert not g.localizer.is_zero_mod(off), (sign, n)
             if n in (1, 2, 8, 64):
                 assert g.localizer.project(same).is_zero
                 assert not g.localizer.project(off).is_zero
                 with pytest.raises(SuperAlgebraError, match="disagrees"):
-                    monopole._verified([computed], -chern_intermediate_form(sign, n + 1),
-                                       "Chern")
+                    monopole._verified([computed], -expanded_next, "Chern")
+            expanded = expanded_next
 
 
 def _scaled(vec):
@@ -927,7 +944,7 @@ def test_base_converter_rejects_an_image_off_the_gaussian_rationals(g, monkeypat
     base = base_space()
     units = dict(_invariant_units())
     mono, image = units["a a*"]
-    units["a a*"] = (mono, image * Scalar.sqrt_int(2))
+    units["a a*"] = (mono, image * Scalar.of(1, 0, 2))
     monkeypatch.setattr(monopole, "_invariant_units", lambda: units)
     to_base = _base_converter()
     assert to_base(g.b * g.bd) == _element_to_base_oracle(g.b * g.bd, g, base)

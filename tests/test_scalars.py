@@ -1,18 +1,21 @@
 """Exact scalar arithmetic: Gaussian rationals, radicals, pi powers."""
 
+import ast
 import math
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import supersphere
 from supersphere.scalars import (Scalar, binomial_sum, binomial_sum_is_zero, combine,
                                  gaussian_vector, rat, sqrt_binomials, squarefree_split,
                                  weighted_sum)
 
-from oracles import sqrt_binomial
+from oracles import sqrt_binomial, to_complex
 
 
 def test_squarefree_split():
@@ -25,14 +28,14 @@ def test_squarefree_split():
 
 
 def test_radical_products():
-    assert Scalar.sqrt_int(2) * Scalar.sqrt_int(2) == Scalar.of(2)
-    assert Scalar.sqrt_int(2) * Scalar.sqrt_int(3) == Scalar.sqrt_int(6)
-    assert Scalar.sqrt_int(6) * Scalar.sqrt_int(10) == Scalar.of(2, 0, 15)
-    assert Scalar.sqrt_int(12) == Scalar.of(2, 0, 3)
+    assert Scalar.of(1, 0, 2) * Scalar.of(1, 0, 2) == Scalar.of(2)
+    assert Scalar.of(1, 0, 2) * Scalar.of(1, 0, 3) == Scalar.of(1, 0, 6)
+    assert Scalar.of(1, 0, 6) * Scalar.of(1, 0, 10) == Scalar.of(2, 0, 15)
+    assert Scalar.of(1, 0, 12) == Scalar.of(2, 0, 3)
 
 
 def test_pi_exponents_add():
-    assert Scalar.pi_power(1) * Scalar.pi_power(2) == Scalar.pi_power(3)
+    assert Scalar.of(1, 0, 1, 1) * Scalar.of(1, 0, 1, 2) == Scalar.of(1, 0, 1, 3)
     assert Scalar.of(2, 0, 1, -1) * Scalar.of(Fraction(1, 2), 0, 1, 1) == Scalar.one()
 
 
@@ -64,8 +67,8 @@ def test_mixed_component_sums():
     x = Scalar.of(1) + Scalar.of(1, 0, 2)          # 1 + sqrt(2): kept as two parts
     assert not x.is_simple
     assert x + (-x) == Scalar.zero()
-    y = x * Scalar.sqrt_int(2)                     # sqrt2 + 2
-    assert y == Scalar.sqrt_int(2) + Scalar.of(2)
+    y = x * Scalar.of(1, 0, 2)                     # sqrt2 + 2
+    assert y == Scalar.of(1, 0, 2) + Scalar.of(2)
     with pytest.raises(ValueError):
         x.inverse()
 
@@ -73,7 +76,7 @@ def test_mixed_component_sums():
 def test_as_int():
     assert Scalar.of(5).as_int() == 5
     assert Scalar.zero().as_int() == 0
-    for bad in (Scalar.of(Fraction(1, 2)), Scalar.sqrt_int(2), Scalar.pi_power(1),
+    for bad in (Scalar.of(Fraction(1, 2)), Scalar.of(1, 0, 2), Scalar.of(1, 0, 1, 1),
                 Scalar.of(1, 1)):
         with pytest.raises(ValueError):
             bad.as_int()
@@ -95,7 +98,45 @@ def test_repr_signs_the_imaginary_part():
 def test_to_complex():
     x = Scalar.of(1, 1, 2, 1)
     want = complex(1, 1) * math.sqrt(2) * math.pi
-    assert abs(x.to_complex() - want) < 1e-12
+    assert abs(to_complex(x) - want) < 1e-12
+
+
+def _float_uses(source: str) -> list[str]:
+    """Each float or complex literal, float() or complex() call, and math.pi
+    or math.sqrt in the source, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            what = repr(node.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "complex")):
+            what = node.func.id + "()"
+        elif (isinstance(node, ast.Attribute) and node.attr in ("pi", "sqrt")
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            what = "math." + node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names = [a.name for a in node.names if a.name in ("pi", "sqrt")]
+            if not names:
+                continue
+            what = "from math import " + ", ".join(names)
+        else:
+            continue
+        found.append("%d: %s" % (node.lineno, what))
+    return found
+
+
+def test_package_has_no_floating_point():
+    """The package computes exactly: no module but cli.py, which only times its
+    checks, has a float or complex literal, calls float() or complex(), or
+    reads math.pi or math.sqrt."""
+    assert len(_float_uses("x = complex(re / den, im / den) * math.sqrt(m) * math.pi ** k\n"
+                           "y = float(0.5) + 1j\nfrom math import gcd, pi\n")) == 7
+    package = Path(supersphere.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {"cli.py", "scalars.py", "monopole.py"} <= {path.name for path in modules}
+    found = {path.name: _float_uses(path.read_text())
+             for path in modules if path.name != "cli.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {}
 
 
 def test_sqrt_binomial_matches_trial_division():
@@ -103,7 +144,7 @@ def test_sqrt_binomial_matches_trial_division():
         row = sqrt_binomials(n)
         assert len(row) == n + 1
         for k in range(n + 1):
-            want = Scalar.sqrt_int(math.comb(n, k))
+            want = Scalar.of(1, 0, math.comb(n, k))
             assert row[k] == want and sqrt_binomial(n, k) == want, (n, k)
     with pytest.raises(ValueError):
         sqrt_binomial(3, 4)
@@ -296,9 +337,9 @@ def test_gaussian_vector_refuses_radicals_pi_powers_and_sums():
     x = Scalar.of(Fraction(1, 2), Fraction(1, 3))
     assert gaussian_vector({"x": x, "y": Scalar.of(2)}) == (6, [("x", 3, 2), ("y", 12, 0)])
     assert gaussian_vector({}) == (1, [])
-    for bad in (Scalar.sqrt_int(2), Scalar.pi_power(1), Scalar.of(1, 2, 1, -1),
-                Scalar.of(3, 0, 5, 2), Scalar.one() + Scalar.sqrt_int(3),
-                Scalar.one() + Scalar.pi_power(2)):
+    for bad in (Scalar.of(1, 0, 2), Scalar.of(1, 0, 1, 1), Scalar.of(1, 2, 1, -1),
+                Scalar.of(3, 0, 5, 2), Scalar.one() + Scalar.of(1, 0, 3),
+                Scalar.one() + Scalar.of(1, 0, 1, 2)):
         assert gaussian_vector({"x": x, "y": bad}) is None
 
 
