@@ -30,7 +30,7 @@ from .monopole import (group_space, base_space, group_element,
                        supertrace_p_dp_dp)
 from .berezin import (chern_number, chern_integral, berezin_integral,
                       berezin_chern_number, chart_pullback, group_section_chart,
-                      base_chart, ExactnessError)
+                      ExactnessError)
 from .linear import solve_exact, expand_in_basis
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ from typing import Callable
 
 from . import monopole
 from .algebra import EXP_BITS, Element, GeneratorTable, Monomial
-from .berezin import (base_chart, berezin_chern_number, chart_pullback, chern_integral,
-                      chern_number, group_section_chart)
+from .berezin import (berezin_chern_number, chart_pullback, chern_integral, chern_number,
+                      group_section_chart, orbit_pullback)
 from .forms import SuperForm, d
 from .matrices import SuperMatrix
 from .monopole import (MINUS, PLUS, base_space, chern_form_canonical,
@@ -444,12 +444,11 @@ def suite_chern(n_max: int) -> list[Check]:
     def integral(_, n):
         # the whole-angle Wallis oracle, not the Beta values used in production
         for sign in (MINUS, PLUS):
-            densities = [chart_pullback(monopole.chern_form_body(sign, n),
-                                        group_section_chart())]
+            forms = [monopole.chern_form_body(sign, n)]
             if n <= 2:
-                densities.append(chart_pullback(
-                    monopole.coordinate_chern_form(sign, n).body_project(), base_chart()))
-            for top in densities:
+                forms.append(orbit_pullback(monopole.coordinate_chern_form(sign, n)))
+            for form in forms:
+                top = chart_pullback(form, group_section_chart())
                 if integrate_half_angle(top) != wallis_integrate(top.to_trigpoly()):
                     return "half-angle integral vs Wallis route, sign %s" % sign
 

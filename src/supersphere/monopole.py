@@ -330,6 +330,8 @@ def _binomial_powers(table: GeneratorTable, sign: str, n: int) -> list[Element]:
 
 
 def _check_n(n: int) -> None:
+    if type(n) is not int:
+        raise TypeError("n must be an int, not %s" % type(n).__name__)
     if n < 1:
         raise ValueError("n must be a positive integer")
 

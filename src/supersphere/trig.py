@@ -1,6 +1,6 @@
 """Exact half-angle polynomials on the (theta, phi) rectangle and their integrals.
 
-PhaseHalfAngle is the working representation for chart pullbacks: monomials
+PhaseHalfAngle holds the pullbacks through berezin's one chart: monomials
 cos^hc(theta/2) sin^hs(theta/2) e^(i k phi) with exact Scalar coefficients,
 closed under d/dtheta, d/dphi (berezin._jacobian takes both in one pass)
 and complex conjugation.  integrate_half_angle integrates one over

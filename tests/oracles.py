@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from supersphere.algebra import (Element, GeneratorTable, RewriteSystem, SubstitutionMap,
                                  EVEN, ODD)
+from supersphere.berezin import FOUR_PI
 from supersphere.forms import (DifferentialIdeal, SuperForm, d, sort_wedge, sum_entries,
                                wedge_grassmann_parity)
 from supersphere.localized import TorusForm
@@ -17,7 +19,7 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, base_space, chern_form,
                                   coordinate_chern_form, coordinate_images, group_space,
                                   normalize_sign)
 from supersphere.scalars import Scalar, rat
-from supersphere.trig import PhaseHalfAngle, TrigPoly
+from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle
 
 
 # The tuple monomial kernel, the oracle for the packed one of supersphere.algebra.
@@ -439,6 +441,86 @@ def partial_phi(f: PhaseHalfAngle) -> PhaseHalfAngle:
 def jacobian_by_partials(u: PhaseHalfAngle, v: PhaseHalfAngle) -> PhaseHalfAngle:
     """The d theta ^ d phi coefficient of du ^ dv, from four derivatives."""
     return partial_theta(u) * partial_phi(v) - partial_phi(u) * partial_theta(v)
+
+
+# -- the cartesian chart of the base -------------------------------------------
+# berezin_integral pulls a form in the sphere coordinates back along the orbit
+# map and through the group section chart, whose entries are unit monomials;
+# this chart of the base and its pullback through powers of its entries, the
+# route it replaced, are its oracle.
+
+def base_chart() -> dict[str, PhaseHalfAngle]:
+    """x0 = cos t, x1 = sin t cos phi, x2 = sin t sin phi."""
+    cs = PhaseHalfAngle.monomial(hc=1, hs=1)
+    plus = PhaseHalfAngle.monomial(k=1)
+    minus = PhaseHalfAngle.monomial(k=-1)
+    return {
+        "x0": PhaseHalfAngle.monomial(hc=2) - PhaseHalfAngle.monomial(hs=2),
+        "x1": cs * (plus + minus),
+        "x2": cs * (plus - minus) * Scalar.of(0, -1),
+    }
+
+
+# the base chart's integral of the reference volume form against
+# d theta ^ d phi; the tests derive it again from the volume form
+BASE_CHART_VOLUME = FOUR_PI
+
+
+def chart_powers(table: GeneratorTable, chart) -> Callable[[int, int], PhaseHalfAngle]:
+    """power(idx, exp): the chart expression of generator idx to the power
+    exp; each power is built once per returned function."""
+    powers: dict[int, list[PhaseHalfAngle]] = {}
+
+    def power(idx: int, exp: int) -> PhaseHalfAngle:
+        pows = powers.get(idx)
+        if pows is None:
+            name = table.names[idx]
+            if name not in chart:
+                raise ChartError("chart does not supply generator %r" % name)
+            pows = powers[idx] = [chart[name]]
+        while len(pows) < exp:
+            pows.append(pows[-1] * pows[0])
+        return pows[exp - 1]
+    return power
+
+
+def element_pullback_by_powers(x: Element, power) -> PhaseHalfAngle:
+    """The body element x through the powers of a chart: each monomial is
+    the product of its generators' powers times its coefficient."""
+    table = x.algebra
+    out = PhaseHalfAngle.zero()
+    for mono, scal in x.terms.items():
+        even, odd = table.factors(mono)
+        if odd:
+            raise ChartError("form still contains odd generators; body-project first")
+        part = PhaseHalfAngle.constant(scal)
+        for idx, exp in even:
+            part = part * power(idx, exp)
+        out = out + part
+    return out
+
+
+def chart_pullback_by_powers(omega: SuperForm, chart) -> PhaseHalfAngle:
+    """The d theta ^ d phi density of a body-projected form through any
+    chart, by the powers of its entries and the four partial derivatives."""
+    table = omega.algebra
+    power = chart_powers(table, chart)
+    top = PhaseHalfAngle.zero()
+    for w, coeff in omega.terms.items():
+        if any(table.parities[i] for i in w):
+            raise ChartError("form still contains odd differentials; body-project first")
+        value = element_pullback_by_powers(coeff, power)
+        exprs = [power(idx, 1) for idx in w]
+        if len(exprs) == 2:
+            top = top + value * jacobian_by_partials(*exprs)
+    return top
+
+
+def base_chart_integral(omega: SuperForm) -> Scalar:
+    """The Berezin integral of a form in the sphere coordinates through the
+    base chart, normalised so that the reference volume integrates to 4 pi."""
+    top = chart_pullback_by_powers(omega.body_project(), base_chart())
+    return integrate_half_angle(top) * FOUR_PI / BASE_CHART_VOLUME
 
 
 # -- the half-angle integral, one Beta value per term ---------------------------

@@ -9,23 +9,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import supersphere.berezin as berezin
-from supersphere.berezin import (BASE_CHART_VOLUME, FOUR_PI, GROUP_CHART_VOLUME, _add_jacobian,
-                                 _chart_powers, _element_pullback, _jacobian, _read_chart,
-                                 base_chart, berezin_chern_number, berezin_integral,
-                                 chart_pullback, chern_number, group_section_chart)
+from supersphere.berezin import (FOUR_PI, GROUP_CHART_VOLUME, ExactnessError, _add_jacobian,
+                                 _element_pullback, _jacobian, _read_chart,
+                                 berezin_chern_number, berezin_integral, chart_pullback,
+                                 chern_integral, chern_number, group_section_chart,
+                                 orbit_pullback)
 from supersphere.forms import SuperForm, d
-from supersphere.monopole import (MINUS, PLUS, base_space, chern_form_body,
+from supersphere.monopole import (MINUS, PLUS, base_space, chern_closed_form, chern_form_body,
                                   coordinate_chern_form, coordinate_images, group_space)
-from supersphere.scalars import Scalar
+from supersphere.scalars import Scalar, rat
 from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
 
-from oracles import (coordinate_volume_form, evaluate_trigpoly, integrate_half_angle_by_terms,
-                     jacobian_by_partials, quad_oracle, to_complex)
+from oracles import (BASE_CHART_VOLUME, base_chart, base_chart_integral, chart_powers,
+                     chart_pullback_by_powers, coordinate_volume_form,
+                     element_pullback_by_powers, evaluate_trigpoly,
+                     integrate_half_angle_by_terms, jacobian_by_partials, quad_oracle, to_complex)
 
 
 # Oracle for the chart normalisers: each chart's integral of the reference
 # volume form, derived from the volume forms themselves.  Production uses the
-# constants GROUP_CHART_VOLUME and BASE_CHART_VOLUME instead.
+# constant GROUP_CHART_VOLUME instead, and the base chart is itself an oracle.
 
 def group_volume_body_form():
     """The reference volume form pushed to the group generators, body part."""
@@ -41,7 +44,7 @@ def group_chart_normalizer(chart=None):
 
 
 def base_chart_normalizer(chart=None):
-    dens = chart_pullback(coordinate_volume_form().body_project(), chart or base_chart())
+    dens = chart_pullback_by_powers(coordinate_volume_form().body_project(), chart or base_chart())
     return wallis_integrate(dens.to_trigpoly())
 
 
@@ -196,6 +199,8 @@ def test_chart_normalizers():
     # the constants production divides by are these derivations
     assert base_chart_normalizer() == BASE_CHART_VOLUME == Scalar.of(4, 0, 1, 1)
     assert group_chart_normalizer() == GROUP_CHART_VOLUME == Scalar.of(-4, 0, 1, 1)
+    # the orbit map takes the reference volume form to the group one
+    assert orbit_pullback(coordinate_volume_form()) == group_volume_body_form()
 
 
 def test_chern_number_pulls_back_once(monkeypatch):
@@ -258,32 +263,58 @@ def _body_elements(table, names):
 
 _GROUP_TABLE = group_space().table
 _BASE_TABLE = base_space().table
+_BASE_NAMES = ["x0", "x1", "x2"]
+# each chart with the element and form pullbacks taken through it: production's
+# through the group section chart, the powers oracle's through the base chart
+_GROUP_ROUTE = (group_section_chart(),
+                lambda x: _element_pullback(x, _read_chart(_GROUP_TABLE, group_section_chart())),
+                chart_pullback)
+_BASE_ROUTE = (base_chart(),
+               lambda x: element_pullback_by_powers(x, chart_powers(_BASE_TABLE, base_chart())),
+               chart_pullback_by_powers)
 _CHARTED = st.one_of(
-    st.tuples(st.just(group_section_chart()), _body_elements(_GROUP_TABLE, ["a", "a*", "b", "b*"]),
+    st.tuples(st.just(_GROUP_ROUTE), _body_elements(_GROUP_TABLE, ["a", "a*", "b", "b*"]),
               _body_elements(_GROUP_TABLE, ["a", "a*", "b", "b*"])),
-    st.tuples(st.just(base_chart()), _body_elements(_BASE_TABLE, ["x0", "x1", "x2"]),
-              _body_elements(_BASE_TABLE, ["x0", "x1", "x2"])))
+    st.tuples(st.just(_BASE_ROUTE), _body_elements(_BASE_TABLE, _BASE_NAMES),
+              _body_elements(_BASE_TABLE, _BASE_NAMES)))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_CHARTED)
 def test_element_pullback_is_multiplicative(case):
-    chart, f, g = case
-    reading = _read_chart(f.algebra, chart)
-    assert (_element_pullback(f * g, reading)
-            == _element_pullback(f, reading) * _element_pullback(g, reading))
-    assert (_element_pullback(f + g, reading)
-            == _element_pullback(f, reading) + _element_pullback(g, reading))
+    (_, pull, _), f, g = case
+    assert pull(f * g) == pull(f) * pull(g)
+    assert pull(f + g) == pull(f) + pull(g)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_CHARTED)
 def test_chart_pullback_obeys_the_chain_rule(case):
-    chart, f, g = case
-    power = _chart_powers(f.algebra, chart)
-    want = _jacobian(_element_pullback(f, power), _element_pullback(g, power))
-    assert chart_pullback(d(f) * d(g), chart) == want
-    assert chart_pullback(d(g) * d(f), chart) == -want
+    (chart, _, form_pullback), f, g = case
+    power = chart_powers(f.algebra, chart)
+    want = _jacobian(element_pullback_by_powers(f, power), element_pullback_by_powers(g, power))
+    assert form_pullback(d(f) * d(g), chart) == want
+    assert form_pullback(d(g) * d(f), chart) == -want
+
+
+# sums of up to three body 2-forms c dx dy over x0, x1, x2, c of degree <= 3
+_BASE_BODY_TWO_FORMS = st.lists(
+    st.tuples(_body_elements(_BASE_TABLE, _BASE_NAMES), st.permutations(_BASE_NAMES)),
+    min_size=1, max_size=3).map(lambda terms: SuperForm.sum(_BASE_TABLE, [
+        c * d(_BASE_TABLE.gen(x)) * d(_BASE_TABLE.gen(y)) for c, (x, y, _) in terms]))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_BASE_BODY_TWO_FORMS)
+def test_berezin_integral_matches_the_base_chart_oracle(omega):
+    # the orbit map and the group section chart against the cartesian chart
+    assert berezin_integral(omega) == base_chart_integral(omega)
+
+
+for _n in range(1, 5):
+    for _sign in (MINUS, PLUS):
+        test_berezin_integral_matches_the_base_chart_oracle = example(coordinate_chern_form(
+            _sign, _n))(test_berezin_integral_matches_the_base_chart_oracle)
 
 
 # any (hc, hs, k), odd hc + hs included: the Jacobian needs no whole angle
@@ -321,10 +352,12 @@ def test_read_chart_takes_exponents_only_from_unit_monomials():
     assert _read_chart(_GROUP_TABLE, group_section_chart()) == tuple(
         {"a": (1, 0, 1), "a*": (1, 0, -1), "b": (0, 1, 0), "b*": (0, 1, 0)}.get(name)
         for name in names)
-    assert callable(_read_chart(_BASE_TABLE, base_chart()))
-    # a unit monomial with another coefficient is read as powers too
+    with pytest.raises(ChartError, match="'x0' is not a unit monomial"):
+        _read_chart(_BASE_TABLE, base_chart())
+    # a unit monomial with another coefficient is refused too
     scaled = dict(group_section_chart(), b=PhaseHalfAngle.monomial(hs=1, coeff=2))
-    assert callable(_read_chart(_GROUP_TABLE, scaled))
+    with pytest.raises(ChartError, match="'b' is not a unit monomial"):
+        _read_chart(_GROUP_TABLE, scaled)
 
 
 _LONG_GROUP_BODIES = st.lists(
@@ -339,7 +372,7 @@ def test_exponent_pullback_matches_the_power_route(x):
     # are the oracle for the exponent table on the group section chart
     chart = group_section_chart()
     assert (_element_pullback(x, _read_chart(_GROUP_TABLE, chart))
-            == _element_pullback(x, _chart_powers(_GROUP_TABLE, chart)))
+            == element_pullback_by_powers(x, chart_powers(_GROUP_TABLE, chart)))
 
 
 @pytest.mark.parametrize("table, word, chart, match", [
@@ -350,15 +383,27 @@ def test_exponent_pullback_matches_the_power_route(x):
     (_GROUP_TABLE, ["a", "b*"], {"a": group_section_chart()["a"]}, "does not supply generator 'b\\*'"),
 ])
 def test_element_pullback_rejects_what_the_chart_cannot_take(table, word, chart, match):
+    # the powers oracle takes any chart; production takes unit monomials only
+    unit = all(len(expr.terms) == 1 for expr in chart.values())
     x = table.element([(1, word)])
-    for reading in (_read_chart(table, chart), _chart_powers(table, chart)):
+    with pytest.raises(ChartError, match=match):
+        element_pullback_by_powers(x, chart_powers(table, chart))
+    if unit:
         with pytest.raises(ChartError, match=match):
-            _element_pullback(x, reading)
+            _element_pullback(x, _read_chart(table, chart))
     # two even differentials, so only the coefficient x can fail
     u, v = [table.element([(1, [name])])
             for name, parity in zip(table.names, table.parities) if not parity][:2]
     with pytest.raises(ChartError, match=match):
+        chart_pullback_by_powers(x * d(u) * d(v), chart)
+    with pytest.raises(ChartError, match=match if unit else "is not a unit monomial"):
         chart_pullback(x * d(u) * d(v), chart)
+
+
+def test_berezin_integral_takes_forms_in_the_sphere_coordinates():
+    g = group_space()
+    with pytest.raises(ChartError, match="not written in the sphere coordinates"):
+        berezin_integral(g.a * g.differential("a*") * g.differential("b"))
 
 
 def test_chern_numbers_small():
@@ -395,8 +440,12 @@ def test_chern_number_orientation_invariance():
         for sign, want in ((MINUS, n), (PLUS, -n)):
             top = chart_pullback(chern_form_body(sign, n), group_mirror)
             assert integrate_half_angle(top) * FOUR_PI / -GROUP_CHART_VOLUME == want
-            top = chart_pullback(coordinate_chern_form(sign, n).body_project(), base_mirror)
+            top = chart_pullback_by_powers(coordinate_chern_form(sign, n).body_project(),
+                                           base_mirror)
             assert integrate_half_angle(top) * FOUR_PI / -BASE_CHART_VOLUME == want
+            # the coordinate path, pulled back along the orbit map
+            top = chart_pullback(orbit_pullback(coordinate_chern_form(sign, n)), group_mirror)
+            assert integrate_half_angle(top) * FOUR_PI / -GROUP_CHART_VOLUME == want
 
 
 def test_chern_number_requires_positive_n():
@@ -440,6 +489,11 @@ def test_paths_agree():
     for n in (1, 2):
         for sign in (MINUS, PLUS):
             assert chern_number(sign, n) == berezin_chern_number(sign, n)
+
+
+def test_chern_integral_of_half_a_chern_form_is_an_exactness_error():
+    with pytest.raises(ExactnessError, match="Chern integral is not an exact integer: 1/2"):
+        chern_integral(chern_closed_form(MINUS, 1) * rat(1, 2))
 
 
 def test_nonintegral_value_raises():

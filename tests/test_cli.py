@@ -73,6 +73,15 @@ def test_chern_form_failure_exits_1(capsys, monkeypatch):
     assert "exactness failure: pairing route disagrees" in err
 
 
+def test_chern_of_half_the_form_is_an_exactness_failure(capsys, monkeypatch):
+    right = cli.chern_form_canonical
+    monkeypatch.setattr(cli, "chern_form_canonical", lambda sign, n: right(sign, n) * Fraction(1, 2))
+    code, out, err = run_cli(capsys, "chern", "--sign", "minus", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert "exactness failure: Chern integral is not an exact integer: 1/2" in err
+
+
 def test_chern_builds_psi_once_and_integrates_the_printed_form(capsys, monkeypatch):
     calls = []
     right = monopole.psi

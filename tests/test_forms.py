@@ -9,15 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supersphere.algebra import EVEN, ODD, AlgebraMismatchError, GeneratorTable, ParityError
-from supersphere.berezin import base_chart, chart_pullback, group_section_chart
+from supersphere.berezin import chart_pullback, group_section_chart, orbit_pullback
 from supersphere.forms import DifferentialIdeal, SuperForm, d
 from supersphere.monopole import base_space, chern_closed_form, chern_form, group_space
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 from supersphere.trig import ChartError, TrigPoly
 
-from oracles import (SubstitutionLocalizer, coordinate_volume_form, ideal_reduce_to_fixpoint,
-                     partial_phi, partial_theta, split_parts_wedge, to_complex)
+from oracles import (SubstitutionLocalizer, base_chart, chart_pullback_by_powers,
+                     coordinate_volume_form, ideal_reduce_to_fixpoint, partial_phi, partial_theta,
+                     split_parts_wedge, to_complex)
 
 ORACLE = SubstitutionLocalizer()
 
@@ -338,8 +339,9 @@ def test_d_maps_the_ideal_into_itself(seed):
 def test_pullback_of_low_degree_forms_is_zero(g):
     """Only 2-forms have a d theta ^ d phi component."""
     s = base_space()
-    assert chart_pullback(SuperForm.from_element(s.x1 * s.x2), base_chart()).is_zero
-    assert chart_pullback(s.differential("x0").body_project(), base_chart()).is_zero
+    for low in (SuperForm.from_element(s.x1 * s.x2), s.differential("x0").body_project()):
+        assert chart_pullback_by_powers(low, base_chart()).is_zero
+        assert chart_pullback(orbit_pullback(low), group_section_chart()).is_zero
     assert chart_pullback(g.a * g.differential("b*"), group_section_chart()).is_zero
 
 
@@ -395,12 +397,12 @@ def test_pullback_da_dastar_matches_numeric_oracle(g):
     # exact value: (i/2) sin theta
     assert dens.to_trigpoly() == TrigPoly.monomial(q=1, coeff=Scalar.of(0, Fraction(1, 2)))
     rng = random.Random(38)
-    cases = [(g, ("a", "a*", "b", "b*"), group_section_chart()),
-             (base_space(), ("x0", "x1", "x2"), base_chart())]
-    for space, names, chart in cases:
+    cases = [(g, ("a", "a*", "b", "b*"), group_section_chart(), chart_pullback),
+             (base_space(), ("x0", "x1", "x2"), base_chart(), chart_pullback_by_powers)]
+    for space, names, chart, pullback in cases:
         for _ in range(30):
             omega, spec = _random_body_two_form(rng, space, names)
-            dens = chart_pullback(omega, chart)
+            dens = pullback(omega, chart)
             for _ in range(2):
                 theta, phi = rng.uniform(0.1, math.pi - 0.1), rng.uniform(0, 2 * math.pi)
                 want = sum(to_complex(c) * math.prod(_ev(chart[nm], theta, phi) for nm in word)
@@ -411,8 +413,11 @@ def test_pullback_da_dastar_matches_numeric_oracle(g):
 
 def test_pullback_volume_form_orientation():
     vol = coordinate_volume_form().body_project()
-    dens = chart_pullback(vol, base_chart())
+    dens = chart_pullback_by_powers(vol, base_chart())
     assert dens.to_trigpoly() == TrigPoly.monomial(q=1)  # + sin theta d theta d phi
+    # along the orbit map the group section chart reflects phi
+    dens = chart_pullback(orbit_pullback(vol), group_section_chart())
+    assert dens.to_trigpoly() == TrigPoly.monomial(q=1, coeff=-1)
 
 
 def test_pullback_requires_body_projection(g):
@@ -426,8 +431,13 @@ def test_pullback_requires_body_projection(g):
 def test_pullback_missing_generator():
     s = base_space()
     chart = {"x0": base_chart()["x0"]}
-    with pytest.raises(ChartError):
-        chart_pullback((s.x1 * s.differential("x1")).body_project(), chart)
+    with pytest.raises(ChartError, match="does not supply generator 'x1'"):
+        chart_pullback_by_powers((s.x1 * s.differential("x1")).body_project(), chart)
+    # a differential whose generator the chart lacks
+    g = group_space()
+    chart = {name: group_section_chart()[name] for name in ("a", "a*", "b*")}
+    with pytest.raises(ChartError, match="does not supply generator 'b'"):
+        chart_pullback(g.a * g.differential("a*") * g.differential("b"), chart)
 
 
 def test_form_serialization_roundtrip(g):

@@ -229,6 +229,18 @@ def test_closed_forms_check_n_as_psi_does(build, n):
             build(sign, n)
 
 
+@pytest.mark.parametrize("n", [Fraction(3, 2), 2.0, True])
+@pytest.mark.parametrize("build", [psi, psi_body, chern_number, connection_closed_form,
+                                   chern_closed_form, coordinate_chern_form,
+                                   chern_form_canonical])
+def test_n_must_be_an_int(build, n):
+    """No Fraction, float or bool stands for a charge, as none does for a
+    radical or a power of pi in Scalar.of."""
+    for sign in (MINUS, PLUS):
+        with pytest.raises(TypeError, match="n must be an int"):
+            build(sign, n)
+
+
 def test_psi_normalized(g):
     one = g.table.one()
     for n in (1, 2, 3):
