@@ -18,15 +18,14 @@ from .forms import SuperForm, DifferentialIdeal, d
 from .trig import (TrigPoly, PhaseHalfAngle, integrate_half_angle, wallis_integrate,
                    ChartError)
 from .monopole import (group_space, base_space, group_element,
-                       osp_fixtures, coordinate_images, inversion_identities,
+                       osp_fixtures, coordinate_images,
                        psi, psi_body, pairing, projector, connection_form,
                        connection_closed_form, chern_form,
                        chern_form_canonical, chern_closed_form, chern_form_body,
                        coordinate_chern_form,
-                       check_equivariance, section_to_equivariant,
-                       element_to_base, projector_to_base,
-                       nilpotent_exp_report, group_identities_report,
-                       sphere_relation_check, PsiVector, Projector,
+                       check_group_identities, check_inversion_identities,
+                       check_nilpotent_exp, check_equivariance, section_to_equivariant,
+                       element_to_base, projector_to_base, PsiVector, Projector,
                        supertrace_p_dp_dp)
 from .berezin import (chern_number, chern_integral, berezin_integral,
                       berezin_chern_number, chart_pullback, group_section_chart,

@@ -408,10 +408,14 @@ class Element:
     def sum(algebra: GeneratorTable, items: Iterable["Element"]) -> "Element":
         """The sum of the items, added into one dict and filtered for zeros once.
 
-        Raises AlgebraMismatchError when an item lives over another table.
+        Raises TypeError for an item that is not an Element and
+        AlgebraMismatchError when an item lives over another table.
         """
         out: dict[Monomial, Scalar] = {}
         for x in items:
+            if type(x) is not Element:
+                raise TypeError("Element.sum takes Elements, not %s; forms.sum_entries "
+                                "sums Elements and forms" % type(x).__name__)
             if x.algebra is not algebra and x.algebra != algebra:
                 raise AlgebraMismatchError("elements live over different generator tables")
             if not out:
@@ -470,6 +474,8 @@ class Element:
         return NotImplemented
 
     def __pow__(self, n: int) -> "Element":
+        if type(n) is not int:
+            raise TypeError("the exponent must be an int, not %s" % type(n).__name__)
         if n < 0:
             raise ValueError("negative powers are not defined; use graded_inverse")
         result = self.algebra.one()

@@ -18,16 +18,16 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import monopole
-from .algebra import EXP_BITS, Element, GeneratorTable, Monomial
-from .berezin import (berezin_chern_number, chart_pullback, chern_integral, chern_number,
-                      group_section_chart, orbit_pullback)
+from .algebra import EXP_BITS, Element, GeneratorTable, Monomial, SuperAlgebraError
+from .berezin import (ExactnessError, berezin_chern_number, chart_pullback, chern_integral,
+                      chern_number, group_section_chart, orbit_pullback)
 from .forms import SuperForm, d
 from .matrices import SuperMatrix
-from .monopole import (MINUS, PLUS, base_space, chern_form_canonical,
-                       check_equivariance, connection_form, group_space,
-                       group_identities_report, inversion_identities,
-                       nilpotent_exp_report, projector, projector_to_base, psi)
-from .trig import integrate_half_angle, wallis_integrate
+from .monopole import (MINUS, PLUS, base_space, check_equivariance, check_group_identities,
+                       check_inversion_identities, check_nilpotent_exp,
+                       chern_form_canonical, connection_form, group_space, projector,
+                       projector_to_base, psi)
+from .trig import ChartError, integrate_half_angle, wallis_integrate
 
 
 # most coefficient texts one Element writer keeps (see _element_writer)
@@ -354,12 +354,6 @@ def suite_forms(n_max: int) -> list[Check]:
 def suite_monopole(n_max: int) -> list[Check]:
     g = group_space()
 
-    def exp_factorization():
-        rep = nilpotent_exp_report()
-        if not (rep.bch_equal and rep.sum_matches_group_factor
-                and rep.terminates_at_order_two):
-            return "exponential factorization structure"
-
     def golden_projectors():
         for sign in (MINUS, PLUS):
             name = "p_%s_1.json" % _SIGN_WORDS[sign]
@@ -393,11 +387,6 @@ def suite_monopole(n_max: int) -> list[Check]:
         if projector(psi(MINUS, n)).matrix.supertranspose() != projector(psi(PLUS, n)).matrix:
             return "supertranspose pair"
 
-    def equivariance(sign, n):
-        rep = check_equivariance(sign, n)
-        if not (rep.psi_covariant and rep.projector_invariant):
-            return rep
-
     def connection(sign, n):
         # raises, and so fails the check, unless <psi|d psi> is its closed form
         a_form = connection_form(psi(sign, n))
@@ -405,17 +394,15 @@ def suite_monopole(n_max: int) -> list[Check]:
             return "anti-hermiticity"
 
     return [
-        _run("group element unitarity, Sdet, sphere relation",
-             lambda: next((i.name for i in group_identities_report() if not i.holds), None)),
-        _run("coordinate inversion identities",
-             lambda: next((i.name for i in inversion_identities() if not i.holds), None)),
-        _run("odd exponential factorization (commutator-corrected)", exp_factorization),
+        _run("group element unitarity, Sdet, sphere relation", check_group_identities),
+        _run("coordinate inversion identities", check_inversion_identities),
+        _run("odd exponential factorization (commutator-corrected)", check_nilpotent_exp),
         _run("golden projector matrices (signs minus and plus, n = 1)", golden_projectors),
         _run("golden connection 1-form (sign minus, n = 1)", golden_connection),
         *_each_n("projector identities", proj_ident, n_max),
         *_each_n("projector = |psi><psi| entrywise", outer, n_max),
         *_each_n("supertranspose exchanges the charge families", st_pair, n_max, (None,)),
-        *_each_n("circle equivariance", equivariance, n_max),
+        *_each_n("circle equivariance", check_equivariance, n_max),
         *_each_n("connection 1-form", connection, n_max),
     ]
 
@@ -488,7 +475,7 @@ def cmd_chern(args) -> int:
         form = chern_form_canonical(args.sign, n)
         # the printed number is the integral of the printed form
         charge = chern_integral(form)
-    except Exception as ex:
+    except (SuperAlgebraError, ExactnessError, ChartError) as ex:
         print("exactness failure: %s" % ex, file=sys.stderr)
         return 1
     k_label = {"charge": charge, "parity": "even"}
@@ -519,7 +506,7 @@ def cmd_projector(args) -> int:
     if args.coords == "base":
         try:
             mat = projector_to_base(proj)
-        except Exception as ex:
+        except SuperAlgebraError as ex:
             print("coordinate emission failed: %s" % ex, file=sys.stderr)
             return 1
         algebra = "base"

@@ -98,11 +98,15 @@ class SuperForm:
         """The sum of the items; an Element item is a form of degree 0.
 
         Every coefficient goes into one wedge -> monomial dict through
-        add_terms.  Raises AlgebraMismatchError when an item lives over
-        another table.
+        add_terms.  Raises TypeError for an item that is neither a form nor an
+        Element and AlgebraMismatchError when an item lives over another
+        table.
         """
         out: dict[Wedge, dict[Monomial, Scalar]] = {}
         for x in items:
+            if not isinstance(x, (SuperForm, Element)):
+                raise TypeError("SuperForm.sum takes forms and Elements, not %s"
+                                % type(x).__name__)
             if x.algebra is not algebra and x.algebra != algebra:
                 raise AlgebraMismatchError("forms live over different generator tables")
             for w, c in (x.terms.items() if isinstance(x, SuperForm) else (((), x),)):

@@ -180,27 +180,36 @@ def group_element() -> SuperMatrix:
     return SuperMatrix(block_shape_1_2(), rows, parity=0)
 
 
-@dataclass
-class NilpotentExpReport:
-    """Comparison of the two odd exponential factorizations.
+def check_group_identities() -> str | tuple[str, Element] | None:
+    """None when the group element is unitary with unit superdeterminant and
+    its coordinates satisfy the sphere relation sum x_mu^2 + 2 xi- xi+ = 1,
+    else the first identity that fails; a superdeterminant comes with its
+    difference from 1."""
+    g = group_space()
+    s = group_element()
+    ident = SuperMatrix.identity(s.shape, g.table)
+    if (s @ s.dagger()).reduce(g.rewrites) != ident:
+        return "s s-dagger = 1"
+    if (s.dagger() @ s).reduce(g.rewrites) != ident:
+        return "s-dagger s = 1"
+    det = sdet(s, g.rewrites) - g.table.one()
+    if not det.is_zero:
+        return ("Sdet(s) = 1", det)
+    c = coordinate_images()
+    total = c["x0"] ** 2 + c["x1"] ** 2 + c["x2"] ** 2 + 2 * (c["xi-"] * c["xi+"])
+    if not g.rewrites.reduce(total - g.table.one()).is_zero:
+        return "sphere relation"
 
-    The product exp(eta R+) exp(eta* R-) and the sum form
-    exp(eta R+ + eta* R-) differ by the exact commutator correction
-    (1/2)[eta R+, eta* R-]; `product_equals_sum` records whether the naive
-    equality holds (it does not), `bch_equal` whether the corrected identity
-    exp(X)exp(Y) = exp(X+Y+[X,Y]/2) holds, and `sum_matches_group_factor`
-    whether the sum form reproduces the odd factor of the parametrized group
-    element (it does).
+
+def check_nilpotent_exp() -> str | None:
+    """None when the two odd exponential factorizations behave as stated,
+    else the first statement that fails, with X = eta R+ and Y = eta* R-.
+
+    The naive product exp(X) exp(Y) is not exp(X + Y): the two differ by the
+    exact commutator correction, and exp(X) exp(Y) = exp(X + Y + [X, Y]/2)
+    holds as [X, [X, Y]] = 0.  The sum form exp(X + Y) is the odd factor of
+    the parametrized group element, and (X + Y)^3 = 0.
     """
-
-    difference: SuperMatrix
-    product_equals_sum: bool
-    bch_equal: bool
-    sum_matches_group_factor: bool
-    terminates_at_order_two: bool
-
-
-def nilpotent_exp_report() -> NilpotentExpReport:
     g = group_space()
     fix = osp_fixtures()
     X = fix["R+"].scale(g.eta)
@@ -208,21 +217,18 @@ def nilpotent_exp_report() -> NilpotentExpReport:
     product = exp_nilpotent(X, g.table) @ exp_nilpotent(Y, g.table)
     total = X + Y
     sum_form = exp_nilpotent(total, g.table)
-    diff = product - sum_form
-    zero = all(e.is_zero for row in diff.entries for e in row)
-    # BCH correction: exp(X)exp(Y) = exp(X + Y + [X, Y]/2) for [X,[X,Y]] = 0
-    comm = (X @ Y - Y @ X).scale(Scalar.of(Fraction(1, 2)))
-    bch = exp_nilpotent(total + comm, g.table)
-    bch_equal = all((a - b).is_zero for r1, r2 in zip(product.entries, bch.entries)
-                    for a, b in zip(r1, r2))
+    if product == sum_form:
+        return "exp(X) exp(Y) = exp(X + Y), with no commutator correction"
+    comm = (X @ Y - Y @ X).scale(rat(1, 2))
+    if product != exp_nilpotent(total + comm, g.table):
+        return "exp(X) exp(Y) != exp(X + Y + [X, Y]/2)"
     s_odd = group_element().substitute(
         {"a": g.table.one(), "a*": g.table.one(),
          "b": g.table.zero(), "b*": g.table.zero()})
-    sum_matches = sum_form == s_odd
-    # the squared series terminates: third power vanishes identically
-    cube = total @ total @ total
-    terminates = all(e.is_zero for row in cube.entries for e in row)
-    return NilpotentExpReport(diff, zero, bch_equal, sum_matches, terminates)
+    if sum_form != s_odd:
+        return "exp(X + Y) is not the odd factor of the group element"
+    if not all(e.is_zero for row in (total @ total @ total).entries for e in row):
+        return "(X + Y)^3 != 0"
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +270,9 @@ def coordinate_images(space: GroupSpace | None = None) -> dict[str, Element]:
     return {"x0": x0, "x1": x1, "x2": x2, "xi-": xim, "xi+": xip}
 
 
-@dataclass
-class IdentityCheck:
-    name: str
-    holds: bool
-    witness: Element | None = None
-
-
-def inversion_identities() -> list[IdentityCheck]:
-    """Verify the inversion formulas expressing the bilinear invariants in x, xi.
+def check_inversion_identities() -> str | None:
+    """None when the inversion formulas expressing the bilinear invariants in
+    x, xi hold, else the names of those that fail, joined by ", ".
 
     Substitutes the coordinate expressions into each base image of the
     emission table and reduces against its group monomial; mismatches are
@@ -280,20 +280,10 @@ def inversion_identities() -> list[IdentityCheck]:
     """
     g = group_space()
     images = coordinate_images()
-    out = []
-    for name, (mono, image) in _invariant_units().items():
-        unit = Element(g.table, {mono: Scalar.one()})
-        diff = g.rewrites.reduce(unit - image.substitute(images, g.table))
-        out.append(IdentityCheck(name, diff.is_zero, None if diff.is_zero else diff))
-    return out
-
-
-def sphere_relation_check() -> bool:
-    """sum x_mu^2 + 2 xi- xi+ reduces to 1."""
-    g = group_space()
-    c = coordinate_images()
-    total = c["x0"] ** 2 + c["x1"] ** 2 + c["x2"] ** 2 + 2 * (c["xi-"] * c["xi+"])
-    return g.rewrites.reduce(total - g.table.one()).is_zero
+    failed = [name for name, (mono, image) in _invariant_units().items()
+              if not g.rewrites.reduce(Element(g.table, {mono: Scalar.one()})
+                                       - image.substitute(images, g.table)).is_zero]
+    return ", ".join(failed) or None
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +474,9 @@ def _has_charge(x: Element, charge: int) -> bool:
     return all(u1_charge(x.algebra, mono) == charge for mono in x.terms)
 
 
-@dataclass
-class EquivarianceReport:
-    sign: str
-    n: int
-    psi_covariant: bool
-    projector_invariant: bool
-
-
-def check_equivariance(sign: str, n: int) -> EquivarianceReport:
-    """psi picks up w^n (sign -) or (w*)^n (sign +); p is invariant.
+def check_equivariance(sign: str, n: int) -> str | None:
+    """None when psi picks up w^n (sign -) or (w*)^n (sign +) and p is
+    invariant, else the first psi component or projector entry that does not.
 
     Decided by the U(1) charge grading: every monomial of every reduced psi
     component has charge n (sign -) or -n (sign +), and every monomial of
@@ -503,10 +486,13 @@ def check_equivariance(sign: str, n: int) -> EquivarianceReport:
     g = group_space()
     vec = psi(sign, n)
     want = n if sign == MINUS else -n
-    covariant = all(_has_charge(g.rewrites.reduce(c), want) for c in vec.components)
-    invariant = all(_has_charge(entry, 0)
-                    for row in projector(vec).matrix.entries for entry in row)
-    return EquivarianceReport(sign, n, covariant, invariant)
+    for alpha, c in enumerate(vec.components):
+        if not _has_charge(g.rewrites.reduce(c), want):
+            return "psi component %d is not of charge %d" % (alpha, want)
+    for alpha, row in enumerate(projector(vec).matrix.entries):
+        for beta, entry in enumerate(row):
+            if not _has_charge(entry, 0):
+                return "projector entry (%d, %d) is not of charge 0" % (alpha, beta)
 
 
 def section_to_equivariant(sign: str, n: int, f) -> Element:
@@ -806,21 +792,3 @@ def projector_to_base(proj: Projector) -> SuperMatrix:
     to_base = _base_converter()
     entries = proj.matrix.entries
     return _self_adjoint(proj.matrix.shape, lambda alpha, beta: to_base(entries[alpha][beta]))
-
-
-def group_identities_report() -> list[IdentityCheck]:
-    """Unitarity and unit superdeterminant of the group element."""
-    g = group_space()
-    s = group_element()
-    ident = SuperMatrix.identity(s.shape, g.table)
-    ssd = (s @ s.dagger()).reduce(g.rewrites)
-    sds = (s.dagger() @ s).reduce(g.rewrites)
-    det = sdet(s, g.rewrites)
-    out = [
-        IdentityCheck("s s-dagger = 1", ssd == ident),
-        IdentityCheck("s-dagger s = 1", sds == ident),
-        IdentityCheck("Sdet(s) = 1", det == g.table.one(),
-                      None if det == g.table.one() else det - g.table.one()),
-        IdentityCheck("sphere relation", sphere_relation_check()),
-    ]
-    return out

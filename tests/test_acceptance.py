@@ -11,12 +11,12 @@ from supersphere.berezin import berezin_chern_number, chern_number
 from supersphere.forms import d
 from supersphere.matrices import SuperMatrix, sdet
 from supersphere.monopole import (MINUS, PLUS, base_space, chern_closed_form,
-                                  chern_form, check_equivariance,
+                                  chern_form, check_equivariance, check_group_identities,
+                                  check_inversion_identities,
                                   connection_closed_form, connection_form,
                                   coordinate_images, group_element, group_space,
-                                  inversion_identities, pairing, projector,
-                                  projector_to_base, psi, sphere_relation_check,
-                                  supertrace_p_dp_dp)
+                                  pairing, projector, projector_to_base, psi,
+                                  supertrace_p_dp_dp, _invariant_units)
 from supersphere.scalars import Scalar
 from supersphere.tests_support import random_element, random_supermatrix
 from supersphere.trig import PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
@@ -112,18 +112,16 @@ def test_criterion_6_group_identities():
     assert (s @ s.dagger()).reduce(g.rewrites) == ident
     assert (s.dagger() @ s).reduce(g.rewrites) == ident
     assert sdet(s, g.rewrites) == g.table.one()
-    assert sphere_relation_check()
-    checks = inversion_identities()
-    assert len(checks) == 9 and all(item.holds for item in checks)
+    # the sphere relation is the last identity check_group_identities decides
+    assert check_group_identities() is None
+    assert len(_invariant_units()) == 9 and check_inversion_identities() is None
     _report(6, "group unitarity, Sdet = 1, sphere relation, inversion identities")
 
 
 def test_criterion_7_equivariance():
     for n in range(1, 4):
         for sign in (MINUS, PLUS):
-            rep = check_equivariance(sign, n)
-            assert rep.psi_covariant, (sign, n)
-            assert rep.projector_invariant, (sign, n)
+            assert check_equivariance(sign, n) is None, (sign, n)
     _report(7, "psi covariance and projector invariance under the circle action, n=1..3")
 
 

@@ -12,6 +12,7 @@ from supersphere.algebra import (EVEN, EXP_BITS, ODD, AlgebraMismatchError, Elem
                                  ParityError,
                                  RewriteSystem, RewriteOrderError,
                                  UnknownGeneratorError, graded_inverse)
+from supersphere.forms import SuperForm
 from supersphere.monopole import base_space, group_space
 from supersphere.scalars import Scalar, gaussian_vector, rat
 from supersphere.tests_support import random_element
@@ -118,6 +119,22 @@ def test_sum_rejects_another_table(table, gens):
         Element.sum(table, [gens["a"], other.gen("a")])
     with pytest.raises(AlgebraMismatchError):
         gens["b"] + other.gen("a")
+
+
+def test_sum_refuses_an_item_that_is_not_an_element(table, gens):
+    # a form belongs in forms.sum_entries; summed here it would put a wedge
+    # key and an Element coefficient among the monomial terms
+    form = SuperForm.differential(table, "a")
+    with pytest.raises(TypeError, match="sum_entries"):
+        Element.sum(table, [gens["a"], form])
+    with pytest.raises(TypeError):
+        Element.sum(table, [gens["a"], 3])
+
+
+@pytest.mark.parametrize("n", [True, 1.5, 2.0, Fraction(2)])
+def test_power_refuses_an_exponent_that_is_not_an_int(gens, n):
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        gens["a"] ** n
 
 
 def test_reduce_rejects_another_table(table, group_rewrites):

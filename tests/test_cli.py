@@ -26,6 +26,8 @@ from supersphere.monopole import base_space, group_space, projector, projector_t
 from supersphere.scalars import Scalar
 from supersphere.tests_support import random_element
 
+from test_monopole import _doubled_group_element
+
 
 def run_cli(capsys, *argv):
     try:
@@ -80,6 +82,19 @@ def test_chern_of_half_the_form_is_an_exactness_failure(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "exactness failure: Chern integral is not an exact integer: 1/2" in err
+
+
+@pytest.mark.parametrize("function, argv", [
+    ("chern_form_canonical", ["chern", "--sign", "minus", "--n", "1"]),
+    ("projector_to_base", ["projector", "--sign", "minus", "--n", "1", "--coords", "base"]),
+])
+def test_a_fault_in_the_program_is_not_a_verdict(monkeypatch, function, argv):
+    # exit 1 means a verification failed; any other exception propagates
+    def broken(*args):
+        raise KeyError("bug")
+    monkeypatch.setattr(cli, function, broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(argv)
 
 
 def test_chern_builds_psi_once_and_integrates_the_printed_form(capsys, monkeypatch):
@@ -435,6 +450,44 @@ def test_verify_catches_drift_from_the_golden_forms(capsys, monkeypatch, suite, 
     code, statuses = _verify_statuses(capsys, suite)
     assert code == 1
     assert statuses[check] == "fail"
+
+
+# each tamper reads the unpatched function through its default argument
+def _doubled_inversion_image(right=monopole._invariant_units):
+    units = dict(right())
+    mono, image = units["b a*"]
+    units["b a*"] = (mono, image * 2)
+    return units
+
+
+def _charged_projector(vec, right=monopole.projector):
+    proj = right(vec)
+    proj.matrix.entries[0][0] = proj.matrix.entries[0][0] + group_space().a   # charge +1
+    return proj
+
+
+@pytest.mark.parametrize("function, tamper, witnesses", [
+    ("_invariant_units", _doubled_inversion_image,
+     {"coordinate inversion identities": "b a*"}),
+    ("group_element", _doubled_group_element,
+     {"group element unitarity, Sdet, sphere relation": "s s-dagger = 1",
+      "odd exponential factorization (commutator-corrected)":
+          "exp(X + Y) is not the odd factor of the group element"}),
+    ("projector", _charged_projector,
+     {"circle equivariance": "projector entry (0, 0) is not of charge 0"}),
+])
+def test_verify_reports_the_witness_of_a_broken_identity(capsys, monkeypatch, function, tamper,
+                                                         witnesses):
+    monkeypatch.setattr(monopole, function, tamper)
+    code, out, err = run_cli(capsys, "verify", "--suite", "monopole", "--n-max", "1",
+                             "--format", "json")
+    assert code == 1
+    assert "Traceback" not in out + err
+    checks = json.loads(out)["checks"]
+    for name, witness in witnesses.items():
+        named = [c for c in checks if c["name"] == name]
+        assert named and all(c["status"] == "fail" and c["witness"] == repr(witness)
+                             for c in named), named
 
 
 def test_verify_fails_the_connection_check_for_a_psi_that_is_not_normalized(capsys,

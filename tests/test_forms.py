@@ -494,6 +494,12 @@ def test_forms_over_different_tables_do_not_add(g):
         SuperForm.sum(g.table, [g.differential("a"), base.table.gen("x1")])
 
 
+def test_form_sum_refuses_an_item_that_is_neither_a_form_nor_an_element(g):
+    for item in (3, Scalar.one(), "form"):
+        with pytest.raises(TypeError, match="forms and Elements"):
+            SuperForm.sum(g.table, [g.differential("a"), item])
+
+
 def test_an_element_adds_to_a_form_on_either_side(g):
     # Element + SuperForm leaves the sum to SuperForm.__radd__ and __rsub__
     x = g.a * g.ad + g.eta * g.etad

@@ -16,20 +16,19 @@ from supersphere import monopole
 from supersphere.algebra import EVEN, ODD, Element, GeneratorTable, SuperAlgebraError
 from supersphere.berezin import chern_number
 from supersphere.forms import SuperForm, d
-from supersphere.matrices import BlockShape, EVEN_FIRST, SuperMatrix, sdet
+from supersphere.matrices import BlockShape, EVEN_FIRST, SuperMatrix, exp_nilpotent, sdet
 from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionError,
-                                  base_space, check_equivariance,
+                                  base_space, check_equivariance, check_group_identities,
+                                  check_inversion_identities, check_nilpotent_exp,
                                   chern_closed_form, chern_form, chern_form_body,
                                   chern_form_canonical,
                                   connection_closed_form, connection_form,
                                   coordinate_chern_form,
                                   coordinate_images, element_to_base,
-                                  EquivarianceReport, group_element,
-                                  group_identities_report, group_space,
-                                  inversion_identities, nilpotent_exp_report,
+                                  group_element, group_space,
                                   osp_fixtures, pairing, projector,
                                   projector_to_base, psi, psi_body, section_to_equivariant,
-                                  sphere_relation_check, supertrace_p_dp_dp, u1_charge,
+                                  supertrace_p_dp_dp, u1_charge,
                                   Projector, PsiVector, block_shape_1_2,
                                   _base_converter, _invariant_units, _signed_outer)
 from supersphere.scalars import Scalar, rat
@@ -72,15 +71,51 @@ def test_group_element_at_unit_parameters(g):
     assert s == SuperMatrix.identity(BlockShape(1, 2, EVEN_FIRST), g.table)
 
 
-def test_group_identities_report(g):
-    assert all(item.holds for item in group_identities_report())
+def test_group_identities_hold(g):
+    assert check_group_identities() is None
+
+
+def _doubled_group_element():
+    s = group_element()
+    s.entries[1][1] = s.entries[1][1] * 2
+    return s
+
+
+def test_group_identities_name_the_first_that_fails(g, monkeypatch):
+    monkeypatch.setattr(monopole, "group_element", _doubled_group_element)
+    assert check_group_identities() == "s s-dagger = 1"
+
+
+def test_group_identities_give_the_superdeterminant_difference(g, monkeypatch):
+    # i s stays unitary, and Sdet(i s) = i / i^2 = -i
+    right = monopole.group_element
+    monkeypatch.setattr(monopole, "group_element", lambda: right().scale(Scalar.i()))
+    assert check_group_identities() == ("Sdet(s) = 1", g.table.scalar(Scalar.of(-1, -1)))
+
+
+def test_group_identities_check_the_sphere_relation(g, monkeypatch):
+    right = monopole.coordinate_images
+
+    def scaled_x0():
+        images = right()
+        images["x0"] = images["x0"] * 2
+        return images
+    monkeypatch.setattr(monopole, "coordinate_images", scaled_x0)
+    assert check_group_identities() == "sphere relation"
 
 
 # -- nilpotent exponentials ------------------------------------------------------
 
+def _odd_exponents(g):
+    fix = osp_fixtures()
+    return fix["R+"].scale(g.eta), fix["R-"].scale(g.etad)
+
+
 def test_exponential_series_terminates_at_order_two(g):
-    rep = nilpotent_exp_report()
-    assert rep.terminates_at_order_two
+    X, Y = _odd_exponents(g)
+    total = X + Y
+    assert all(e.is_zero for row in (total @ total @ total).entries for e in row)
+    assert check_nilpotent_exp() is None
 
 
 def test_exponential_product_vs_sum(g):
@@ -90,13 +125,37 @@ def test_exponential_product_vs_sum(g):
     (1/8) eta eta* diag(0, 1, -1); the corrected factorization holds and the
     sum form is the odd factor of the parametrized group element.
     """
-    rep = nilpotent_exp_report()
-    assert rep.product_equals_sum is False
+    X, Y = _odd_exponents(g)
+    difference = (exp_nilpotent(X, g.table) @ exp_nilpotent(Y, g.table)
+                  - exp_nilpotent(X + Y, g.table))
     fix = osp_fixtures()
     bch_term = fix["A0"].scale(Scalar.of(0, Fraction(-1, 4)) * (g.eta * g.etad))
-    assert rep.difference == bch_term
-    assert rep.bch_equal
-    assert rep.sum_matches_group_factor
+    assert difference == bch_term
+    assert check_nilpotent_exp() is None
+
+
+def test_exponential_check_refuses_a_product_equal_to_the_sum(g, monkeypatch):
+    # with R- = 0 the commutator vanishes and the naive equality holds
+    right = monopole.osp_fixtures
+
+    def no_r_minus():
+        fix = right()
+        fix["R-"] = fix["R-"].scale(0)
+        return fix
+    monkeypatch.setattr(monopole, "osp_fixtures", no_r_minus)
+    assert check_nilpotent_exp() == "exp(X) exp(Y) = exp(X + Y), with no commutator correction"
+
+
+def test_exponential_check_catches_a_wrong_commutator_correction(g, monkeypatch):
+    # the series cut after the linear term breaks exp(X) exp(Y) = exp(X + Y + [X, Y]/2)
+    monkeypatch.setattr(monopole, "exp_nilpotent",
+                        lambda x, table: SuperMatrix.identity(x.shape, table) + x)
+    assert check_nilpotent_exp() == "exp(X) exp(Y) != exp(X + Y + [X, Y]/2)"
+
+
+def test_exponential_check_compares_the_group_factor(g, monkeypatch):
+    monkeypatch.setattr(monopole, "group_element", _doubled_group_element)
+    assert check_nilpotent_exp() == "exp(X + Y) is not the odd factor of the group element"
 
 
 # -- coordinates -------------------------------------------------------------------
@@ -129,7 +188,9 @@ def test_coordinates_reality_properties(g):
 
 
 def test_sphere_relation(g):
-    assert sphere_relation_check()
+    c = coordinate_images()
+    total = c["x0"] ** 2 + c["x1"] ** 2 + c["x2"] ** 2 + 2 * (c["xi-"] * c["xi+"])
+    assert g.rewrites.reduce(total - g.table.one()).is_zero
 
 
 def test_quarter_eta_identity(g):
@@ -139,10 +200,8 @@ def test_quarter_eta_identity(g):
 
 
 def test_inversion_identities_hold(g):
-    checks = inversion_identities()
-    assert len(checks) == 9
-    for item in checks:
-        assert item.holds, item.name
+    assert len(_invariant_units()) == 9
+    assert check_inversion_identities() is None
 
 
 def test_inversion_identities_check_the_emission_table(g, monkeypatch):
@@ -152,7 +211,10 @@ def test_inversion_identities_check_the_emission_table(g, monkeypatch):
     mono, image = units["b a*"]
     units["b a*"] = (mono, -image)
     monkeypatch.setattr(monopole, "_invariant_units", lambda: units)
-    assert [item.name for item in inversion_identities() if not item.holds] == ["b a*"]
+    assert check_inversion_identities() == "b a*"
+    mono, image = units["a a*"]
+    units["a a*"] = (mono, image * 2)
+    assert check_inversion_identities() == "a a*, b a*"
 
 
 def test_inversion_identities_degenerate_without_eta(g):
@@ -413,11 +475,10 @@ def test_projector_sign_placement_uniquely_fixed(g):
 
 # -- equivariance ----------------------------------------------------------------------
 
-def test_equivariance_reports(g):
+def test_equivariance_holds(g):
     for n in (1, 2, 3):
         for sign in (MINUS, PLUS):
-            rep = check_equivariance(sign, n)
-            assert rep.psi_covariant and rep.projector_invariant, (sign, n)
+            assert check_equivariance(sign, n) is None, (sign, n)
 
 
 def u1_images() -> dict[str, Element]:
@@ -442,27 +503,29 @@ def _lift(x: Element) -> Element:
     return x.substitute({}, CIRCLE_TABLE)
 
 
-def _substitution_report(sign, n) -> EquivarianceReport:
-    """psi(a w, ...) = w^n psi (or w*^n) and p(a w, ...) = p, by substitution.
+def _substitution_check(sign, n) -> str | None:
+    """psi(a w, ...) = w^n psi (or w*^n) and p(a w, ...) = p, by substitution:
+    None, or the first psi component or projector entry that fails, worded as
+    check_equivariance words it.
 
     Reads psi and projector through the module, so a patched one is checked.
     """
     images = u1_images()
     vec = monopole.psi(sign, n)
     w_pow = CIRCLE_TABLE.gen("w" if sign == MINUS else "w*") ** n
-    covariant = all(
-        circle_reduce(c.substitute(images, CIRCLE_TABLE) - w_pow * _lift(c)).is_zero
-        for c in vec.components)
-    invariant = all(
-        circle_reduce(e.substitute(images, CIRCLE_TABLE) - _lift(e)).is_zero
-        for row in monopole.projector(vec).matrix.entries for e in row)
-    return EquivarianceReport(sign, n, covariant, invariant)
+    for alpha, c in enumerate(vec.components):
+        if not circle_reduce(c.substitute(images, CIRCLE_TABLE) - w_pow * _lift(c)).is_zero:
+            return "psi component %d is not of charge %d" % (alpha, n if sign == MINUS else -n)
+    for alpha, row in enumerate(monopole.projector(vec).matrix.entries):
+        for beta, e in enumerate(row):
+            if not circle_reduce(e.substitute(images, CIRCLE_TABLE) - _lift(e)).is_zero:
+                return "projector entry (%d, %d) is not of charge 0" % (alpha, beta)
 
 
 def test_charge_check_matches_substitution_oracle():
     for n in (1, 2):
         for sign in (MINUS, PLUS):
-            assert check_equivariance(sign, n) == _substitution_report(sign, n), (sign, n)
+            assert check_equivariance(sign, n) == _substitution_check(sign, n), (sign, n)
 
 
 def test_wrong_charge_in_psi_component_is_caught(g, monkeypatch):
@@ -475,9 +538,9 @@ def test_wrong_charge_in_psi_component_is_caught(g, monkeypatch):
         return PsiVector(vec.sign, vec.n, comps)
 
     monkeypatch.setattr(monopole, "psi", bad_psi)
-    rep = check_equivariance(MINUS, 2)
-    assert not rep.psi_covariant
-    assert rep == _substitution_report(MINUS, 2)
+    witness = check_equivariance(MINUS, 2)
+    assert witness == "psi component 4 is not of charge 2"
+    assert witness == _substitution_check(MINUS, 2)
 
 
 def test_zero_of_wrong_charge_is_not_a_witness(g, monkeypatch):
@@ -493,9 +556,8 @@ def test_zero_of_wrong_charge_is_not_a_witness(g, monkeypatch):
         return PsiVector(vec.sign, vec.n, comps)
 
     monkeypatch.setattr(monopole, "psi", padded_psi)
-    rep = check_equivariance(MINUS, 1)
-    assert rep.psi_covariant
-    assert rep == _substitution_report(MINUS, 1)
+    assert check_equivariance(MINUS, 1) is None
+    assert _substitution_check(MINUS, 1) is None
 
 
 def test_wrong_charge_in_projector_entry_is_caught(g, monkeypatch):
@@ -508,9 +570,9 @@ def test_wrong_charge_in_projector_entry_is_caught(g, monkeypatch):
         return Projector(proj.sign, proj.n, SuperMatrix(proj.matrix.shape, rows, parity=0))
 
     monkeypatch.setattr(monopole, "projector", bad_projector)
-    rep = check_equivariance(PLUS, 2)
-    assert rep.psi_covariant and not rep.projector_invariant
-    assert rep == _substitution_report(PLUS, 2)
+    witness = check_equivariance(PLUS, 2)
+    assert witness == "projector entry (0, 0) is not of charge 0"
+    assert witness == _substitution_check(PLUS, 2)
 
 
 def _charges(x: Element) -> set[int]:
