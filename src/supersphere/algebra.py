@@ -266,6 +266,19 @@ class GeneratorTable:
                     acc[0] += re
                     acc[1] += im
 
+    def partials(self, mono: Monomial) -> list[tuple[int, int, Monomial]]:
+        """(g, c, mono / g) per generator g of mono, so that d(mono) is the sum
+        of c (mono / g) dg: c is the exponent of an even g, and for an odd g
+        the sign of moving dg rightwards past the odd factors after it."""
+        even, odd = self.factors(mono)
+        units = self.units
+        out = [(i, e, mono - units[i]) for i, e in even]
+        sign = 1 if len(odd) & 1 else -1
+        for i in odd:
+            out.append((i, sign, mono - units[i]))
+            sign = -sign
+        return out
+
     def divide(self, mono: Monomial, i: int) -> Monomial:
         """The quotient of mono by generator i, which must divide it; for an
         odd generator, the sign of moving it out is the caller's."""
@@ -419,7 +432,7 @@ class Element:
             if x.algebra is not algebra and x.algebra != algebra:
                 raise AlgebraMismatchError("elements live over different generator tables")
             if not out:
-                # the first terms are copied whole, so a binary + costs one dict copy
+                # the first terms are copied whole
                 out.update(x.terms)
                 continue
             for m, s in x.terms.items():
@@ -428,7 +441,7 @@ class Element:
 
     def __add__(self, other: "Element | Scalar | RationalLike") -> "Element":
         other = self._coerce(other)
-        return NotImplemented if other is None else Element.sum(self.algebra, (self, other))
+        return NotImplemented if other is None else self._plus(other, False)
 
     __radd__ = __add__
 
@@ -437,11 +450,22 @@ class Element:
 
     def __sub__(self, other: "Element | Scalar | RationalLike") -> "Element":
         other = self._coerce(other)
-        return NotImplemented if other is None else self + (-other)
+        return NotImplemented if other is None else self._plus(other, True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is None else other - self
+        return NotImplemented if other is None else other._plus(self, True)
+
+    def _plus(self, other: "Element", negate: bool) -> "Element":
+        """self + other, or self - other if negate, from one copy of self's terms."""
+        self._check(other)
+        out = dict(self.terms)
+        for m, s in other.terms.items():
+            s = -s if negate else s
+            out[m] = s = out[m] + s if m in out else s
+            if s.is_zero:
+                del out[m]
+        return Element._nonzero(self.algebra, out)
 
     def _coerce(self, other) -> "Element | None":
         """other in this algebra, or None, so that + and - return NotImplemented
@@ -777,30 +801,29 @@ class RewriteSystem:
         return vecs[k][1]
 
 
+def unit_body(u: Element, context: str = "") -> Scalar:
+    """u's body when it is one nonzero constant, else InvertibilityError led by context."""
+    odd_mask = u.algebra._odd_mask
+    if [m for m in u.terms if not m & odd_mask] != [ONE_MONO]:
+        raise InvertibilityError("%sbody of %r is not an invertible scalar" % (context, u))
+    return u.terms[ONE_MONO]
+
+
 def graded_inverse(u: Element, rewrites: RewriteSystem | None = None) -> Element:
     """Inverse of c(1 + nu) with c an invertible scalar and nu nilpotent soul.
 
-    The series sum((-nu)^k) terminates because every non-body monomial
-    contains an odd generator.  Raises InvertibilityError when the reduced
-    body is not a nonzero multiple of 1.
+    The series sum((-nu)^k) terminates: every non-body monomial contains an
+    odd generator, which no product or rule (its lead is even) takes away.
+    Raises InvertibilityError when the reduced body is not a nonzero constant.
     """
     if rewrites is not None:
         u = rewrites.reduce(u)
-    body = u.body()
-    c = body.constant_term()
-    if c.is_zero or len(body.terms) != 1:
-        raise InvertibilityError("body of %r is not an invertible scalar" % (u,))
-    c_inv = c.inverse()
+    c_inv = unit_body(u).inverse()
     nu = u.soul() * c_inv
-    powers = [u.algebra.one()]
-    guard = sum(1 for p in u.algebra.parities if p == ODD) + 1
-    for _ in range(guard):
-        power = -(powers[-1] * nu)
+    powers, power = [], u.algebra.one()
+    while not power.is_zero:
+        powers.append(power)
+        power = -(power * nu)
         if rewrites is not None:
             power = rewrites.reduce(power)
-        if power.is_zero:
-            break
-        powers.append(power)
-    else:
-        raise InvertibilityError("nilpotent series for %r did not terminate" % (u,))
     return Element.sum(u.algebra, powers) * c_inv

@@ -109,12 +109,12 @@ class SuperForm:
                                 % type(x).__name__)
             if x.algebra is not algebra and x.algebra != algebra:
                 raise AlgebraMismatchError("forms live over different generator tables")
-            for w, c in (x.terms.items() if isinstance(x, SuperForm) else (((), x),)):
+            for w, c in form_terms(x).items():
                 add_terms(out, w, c.terms)
         return form_of(algebra, out)
 
     def __add__(self, other) -> "SuperForm":
-        return SuperForm.sum(self.algebra, (self, self._coerce(other)))
+        return self._plus(other, False)
 
     __radd__ = __add__
 
@@ -122,7 +122,17 @@ class SuperForm:
         return SuperForm(self.algebra, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other) -> "SuperForm":
-        return self + (-self._coerce(other))
+        return self._plus(other, True)
+
+    def _plus(self, other, negate: bool) -> "SuperForm":
+        """self + other, or self - other when negate is set, from one copy of self's terms."""
+        other = self._coerce(other)
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
+            raise AlgebraMismatchError("forms live over different generator tables")
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = (-c if negate else c) if w not in out else out[w]._plus(c, negate)
+        return SuperForm(self.algebra, out)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -290,6 +300,11 @@ def add_terms(out: dict[Wedge, dict[Monomial, Scalar]], wedge: Wedge,
         acc[m] = acc[m] + s if m in acc else s
 
 
+def form_terms(x: Element | SuperForm) -> Mapping[Wedge, Element]:
+    """The terms of x as a form: an Element is the form {(): x} of degree 0."""
+    return x.terms if isinstance(x, SuperForm) else {(): x}
+
+
 def sum_entries(items: Sequence[Element | SuperForm]) -> Element | SuperForm:
     """The sum of a nonempty list of Elements and forms, for matrix entries
     and pairings that may hold either kind: an Element unless a form is
@@ -301,36 +316,29 @@ def sum_entries(items: Sequence[Element | SuperForm]) -> Element | SuperForm:
 
 
 def d(x: Element | SuperForm) -> SuperForm:
-    """Exterior derivative.
-
-    On a monomial written in canonical order, each factor f contributes
-    (monomial with f removed) * df with the sign of moving df rightwards past
-    the remaining factors (odd-odd swaps only).
-    """
-    if isinstance(x, Element):
-        table = x.algebra
-        # dividing by one generator is injective, so distinct monomials give
-        # distinct quotients and no two terms meet in the coefficient of dg
-        out: dict[Wedge, dict[Monomial, Scalar]] = {}
-        for mono, coeff in x.terms.items():
-            even_part, odd_part = table.factors(mono)
-            for i, e in even_part:
-                out.setdefault((i,), {})[table.divide(mono, i)] = coeff * e
-            for k, i in enumerate(odd_part):
-                out.setdefault((i,), {})[table.divide(mono, i)] = (
-                    coeff if (len(odd_part) - k - 1) % 2 == 0 else -coeff)
-        return form_of(table, out)
-    if isinstance(x, SuperForm):
-        # d(c dw) = dc ^ dw: each differential of c is sorted into w
-        table = x.algebra
-        out = {}
-        for w, c in x.terms.items():
-            for (i,), ci in d(c).terms.items():
-                merged = sort_wedge(table, (i,) + w)
-                if merged is not None:
-                    add_terms(out, merged[1], ci.terms, merged[0] < 0)
-        return form_of(table, out)
-    raise TypeError("d expects an Element or SuperForm")
+    """Exterior derivative in one pass, d(c dw) = dc ^ dw, with an Element the
+    form of degree 0: each partial of a monomial of c (GeneratorTable.partials)
+    goes straight into its coefficient of dg ^ dw, sorted once per (w, g)."""
+    if not isinstance(x, (Element, SuperForm)):
+        raise TypeError("d expects an Element or SuperForm")
+    table = x.algebra
+    out: dict[Wedge, dict[Monomial, Scalar]] = {}
+    for w, c in form_terms(x).items():
+        # g -> (coefficient dict of the sorted dg ^ dw, its sign), or () when it vanishes
+        targets: dict[int, tuple] = {}
+        for mono, coeff in c.terms.items():
+            for i, e, q in table.partials(mono):
+                t = targets.get(i)
+                if t is None:
+                    merged = sort_wedge(table, (i,) + w) if w else (1, (i,))
+                    t = targets[i] = (() if merged is None
+                                      else (out.setdefault(merged[1], {}), merged[0]))
+                if t:
+                    acc, sign = t
+                    e *= sign
+                    s = coeff if e == 1 else -coeff if e == -1 else coeff * e
+                    acc[q] = acc[q] + s if q in acc else s
+    return form_of(table, out)
 
 
 class DifferentialIdeal:
@@ -362,14 +370,12 @@ class DifferentialIdeal:
         """The coefficients in normal form, then each term q * gen * dgen ^ rest
         rewritten once, to q * replacement ^ rest with its coefficients in
         normal form."""
-        if isinstance(omega, Element):
-            omega = SuperForm.from_element(omega)
         table, gi, di, reduce = self.algebra, self.gen, self.dgen, self.rewrites.reduce
         if omega.algebra is not table and omega.algebra != table:
             raise AlgebraMismatchError("form lives over a different generator table")
         out: dict[Wedge, dict[Monomial, Scalar]] = {}
         pieces: dict[Wedge, dict[Monomial, Scalar]] = {}
-        for w, c in omega.terms.items():
+        for w, c in form_terms(omega).items():
             terms = reduce(c).terms
             quots = [(table.divide(m, gi), s) for m, s in terms.items()
                      if table.exponent(m, gi)] if di in w else ()

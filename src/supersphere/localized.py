@@ -12,7 +12,7 @@ zero in the Bernstein basis and never written in powers of t.
 from __future__ import annotations
 
 from .algebra import AlgebraMismatchError, Element, GeneratorTable
-from .forms import SuperForm, sort_wedge
+from .forms import SuperForm, form_terms, sort_wedge
 from .scalars import Scalar, binomial_sum, binomial_sum_is_zero
 
 
@@ -131,15 +131,13 @@ class LocalizedModel:
         """The class of x modulo the ideal; x must live over the group table.
         The polynomials are left as sums of t^m (1 - t)^l until ``terms``
         is read, which ``is_zero`` does not need."""
-        if isinstance(x, Element):
-            x = SuperForm.from_element(x)
         if x.algebra is not self.table and x.algebra != self.table:
             raise AlgebraMismatchError("the localized model takes forms over the group table, "
                                        "not over %r" % (x.algebra,))
         a, ad, b, bd = self._a, self._ad, self._b, self._bd
         exponent, odd_factors = self.table.exponent, self.table.odd_factors
         groups: dict[tuple, list] = {}
-        for wedge, coeff in x.terms.items():
+        for wedge, coeff in form_terms(x).items():
             images = self._wedge_images(wedge)
             for mono, s in coeff.terms.items():
                 odd = odd_factors(mono)

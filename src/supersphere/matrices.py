@@ -17,12 +17,13 @@ the charge +-1 projector pair simultaneously:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .algebra import (ODD, AlgebraMismatchError, Element, GeneratorTable, InvertibilityError,
-                      ParityError, RewriteSystem, graded_inverse)
-from .forms import SuperForm, form_of, sum_entries, wedge_into
+                      ParityError, RewriteSystem, graded_inverse, unit_body)
+from .forms import SuperForm, form_of, form_terms, sum_entries, wedge_into
 from .scalars import Scalar
 
 EVEN_FIRST = "even_first"
@@ -146,14 +147,19 @@ class SuperMatrix:
             raise ShapeError("shape mismatch: %r vs %r" % (self.shape, other.shape))
 
     def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
-        self._check_shape(other)
-        parity = self.parity if self.parity == other.parity else None
-        rows = [[a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)]
-        return SuperMatrix(self.shape, rows, parity)
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self + (-other)
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other, op: Callable) -> "SuperMatrix":
+        if not isinstance(other, SuperMatrix):
+            return NotImplemented
+        self._check_shape(other)
+        parity = self.parity if self.parity == other.parity else None
+        rows = [[op(a, b) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.entries, other.entries)]
+        return SuperMatrix(self.shape, rows, parity)
 
     def __neg__(self) -> "SuperMatrix":
         return SuperMatrix(self.shape, [[-e for e in row] for row in self.entries], self.parity)
@@ -167,6 +173,8 @@ class SuperMatrix:
         of other holds a form, and an Element otherwise.  Raises
         AlgebraMismatchError when an entry lives over another table.
         """
+        if not isinstance(other, SuperMatrix):
+            return NotImplemented
         self._check_shape(other)
         d = range(self.shape.dim)
         x, y = self.entries, other.entries
@@ -188,7 +196,7 @@ class SuperMatrix:
                 if form_rows[i] or form_cols[j]:
                     out: dict = {}
                     for k in d:
-                        wedge_into(out, table, _form_terms(x[i][k]), _form_terms(y[k][j]),
+                        wedge_into(out, table, form_terms(x[i][k]), form_terms(y[k][j]),
                                    form_factors[k][j])
                     row.append(form_of(table, out))
                 else:
@@ -293,11 +301,6 @@ class SuperMatrix:
         return SuperMatrix(shape, rows, obj.get("parity"))
 
 
-def _form_terms(e: Element | SuperForm) -> dict:
-    """The terms of e as a form: an Element is a form of degree 0."""
-    return e.terms if isinstance(e, SuperForm) else {(): e}
-
-
 def graded_bracket(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
     """[X, Y] = XY - (-1)^(|X||Y|) YX on homogeneous matrices."""
     px = x._require_parity()
@@ -329,30 +332,27 @@ def _det(entries: list[list[Element]], algebra: GeneratorTable) -> Element:
 
 
 def _matrix_inverse_even(entries: list[list[Element]], algebra: GeneratorTable,
-                         rewrites: RewriteSystem) -> list[list[Element]]:
-    """Adjugate over determinant; entries must be even elements."""
+                         rewrites: RewriteSystem) -> tuple[list[list[Element]], Element]:
+    """(inverse, det^-1): adjugate over determinant; entries must be even elements."""
     d = len(entries)
-    det = rewrites.reduce(_det(entries, algebra))
-    det_inv = graded_inverse(det, rewrites)
+    det_inv = graded_inverse(rewrites.reduce(_det(entries, algebra)), rewrites)
     if d == 1:
-        return [[det_inv]]
+        return [[det_inv]], det_inv
     inv = [[algebra.zero()] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            minor = [[entries[r][c] for c in range(d) if c != j]
-                     for r in range(d) if r != i]
+            minor = [[entries[r][c] for c in range(d) if c != j] for r in range(d) if r != i]
             cof = _det(minor, algebra)
-            if (i + j) % 2:
-                cof = -cof
-            inv[j][i] = rewrites.reduce(cof * det_inv)
-    return inv
+            inv[j][i] = rewrites.reduce((-cof if (i + j) % 2 else cof) * det_inv)
+    return inv, det_inv
 
 
 def sdet(x: SuperMatrix, rewrites: RewriteSystem) -> Element:
-    """Superdeterminant det(A - B D^-1 C) det(D^-1) of an even matrix.
+    """Superdeterminant det(A - B D^-1 C) det(D)^-1 of an even matrix, from
+    one inverse: the det(D)^-1 that D^-1 is built from.
 
-    A is the even-type block and D the odd-type block; both must be
-    invertible over the even subring modulo the rewrite system.
+    A is the even-type block and D the odd-type block; for every shape both
+    must be invertible over the even subring modulo the rewrite system.
     """
     if x._require_parity() != 0:
         raise ParityError("superdeterminant is defined for even matrices")
@@ -362,10 +362,8 @@ def sdet(x: SuperMatrix, rewrites: RewriteSystem) -> Element:
     B = [[x.entries[i][j] for j in odd_idx] for i in even_idx]
     C = [[x.entries[i][j] for j in even_idx] for i in odd_idx]
     D = [[x.entries[i][j] for j in odd_idx] for i in odd_idx]
-    if not odd_idx:
-        return rewrites.reduce(_det(A, algebra))
     try:
-        D_inv = _matrix_inverse_even(D, algebra, rewrites)
+        D_inv, det_D_inv = _matrix_inverse_even(D, algebra, rewrites)
     except InvertibilityError as ex:
         raise InvertibilityError("odd-type block is not invertible: %s" % ex) from None
     m, n = len(even_idx), len(odd_idx)
@@ -374,10 +372,8 @@ def sdet(x: SuperMatrix, rewrites: RewriteSystem) -> Element:
         -(B[i][k] * D_inv[k][l] * C[l][j]) for k in range(n) for l in range(n)]))
         for j in range(m)] for i in range(m)]
     det_schur = rewrites.reduce(_det(schur, algebra))
-    # the GL precondition wants the even-type block invertible as well
-    graded_inverse(det_schur, rewrites)
-    det_D = rewrites.reduce(_det(D, algebra))
-    return rewrites.reduce(det_schur * graded_inverse(det_D, rewrites))
+    unit_body(det_schur, "even-type block is not invertible: ")
+    return rewrites.reduce(det_schur * det_D_inv)
 
 
 def exp_nilpotent(x: SuperMatrix, algebra: GeneratorTable) -> SuperMatrix:

@@ -234,6 +234,8 @@ class Scalar:
             return NotImplemented
         if len(parts) == 1 == len(op):
             return Scalar((_times(parts[0], op[0]),))
+        if not parts or not op:
+            return Scalar()
         return _collect(((_times(x, y), 1) for x in parts for y in op), 1)
 
     __rmul__ = __mul__

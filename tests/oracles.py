@@ -9,12 +9,12 @@ from typing import Callable
 import numpy as np
 
 from supersphere.algebra import (Element, GeneratorTable, RewriteSystem, SubstitutionMap,
-                                 EVEN, ODD)
+                                 EVEN, ODD, graded_inverse)
 from supersphere.berezin import FOUR_PI
-from supersphere.forms import (DifferentialIdeal, SuperForm, d, sort_wedge, sum_entries,
-                               wedge_grassmann_parity)
+from supersphere.forms import (DifferentialIdeal, SuperForm, add_terms, d, form_of, sort_wedge,
+                               sum_entries, wedge_grassmann_parity)
 from supersphere.localized import TorusForm
-from supersphere.matrices import SuperMatrix
+from supersphere.matrices import SuperMatrix, _blocks, _det
 from supersphere.monopole import (CHERN_SCALAR, MINUS, base_space, chern_form,
                                   coordinate_chern_form, coordinate_images, group_space,
                                   normalize_sign)
@@ -202,6 +202,32 @@ def split_parts_wedge(x: SuperForm, y: SuperForm) -> SuperForm:
     return SuperForm(table, out)
 
 
+# The exterior derivative by recursion, the oracle for the one-pass forms.d:
+# d of an Element is built as a form, and d of a form takes d(c) of every
+# coefficient as a form of its own and sorts each differential into w.
+
+def d_by_recursion(x: Element | SuperForm) -> SuperForm:
+    table = x.algebra
+    out: dict = {}
+    if isinstance(x, Element):
+        # dividing by one generator is injective, so distinct monomials give
+        # distinct quotients and no two terms meet in the coefficient of dg
+        for mono, coeff in x.terms.items():
+            even_part, odd_part = table.factors(mono)
+            for i, e in even_part:
+                out.setdefault((i,), {})[table.divide(mono, i)] = coeff * e
+            for k, i in enumerate(odd_part):
+                out.setdefault((i,), {})[table.divide(mono, i)] = (
+                    coeff if (len(odd_part) - k - 1) % 2 == 0 else -coeff)
+        return form_of(table, out)
+    for w, c in x.terms.items():
+        for (i,), ci in d_by_recursion(c).terms.items():
+            merged = sort_wedge(table, (i,) + w)
+            if merged is not None:
+                add_terms(out, merged[1], ci.terms, merged[0] < 0)
+    return form_of(table, out)
+
+
 # The differential ideal's rule to a fixpoint, the oracle for the one-pass
 # DifferentialIdeal.reduce: each search finds one monomial q * gen in the
 # coefficient of a wedge that holds dgen, splits it off and adds the piece
@@ -257,6 +283,45 @@ def matmul_by_entries(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
     if x.parity is not None and y.parity is not None:
         parity = (x.parity + y.parity) % 2
     return SuperMatrix(x.shape, rows, parity)
+
+
+# The superdeterminant by three inverses, the oracle for sdet's one inverse:
+# det D is inverted inside D^-1 and again for the result, and det(A - B D^-1 C)
+# is inverted only to check that it can be.
+
+def _inverse_by_adjugate(entries: list[list[Element]], algebra: GeneratorTable,
+                         rewrites: RewriteSystem) -> list[list[Element]]:
+    d = len(entries)
+    det_inv = graded_inverse(rewrites.reduce(_det(entries, algebra)), rewrites)
+    if d == 1:
+        return [[det_inv]]
+    inv = [[algebra.zero()] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            minor = [[entries[r][c] for c in range(d) if c != j] for r in range(d) if r != i]
+            cof = _det(minor, algebra)
+            inv[j][i] = rewrites.reduce((-cof if (i + j) % 2 else cof) * det_inv)
+    return inv
+
+
+def sdet_by_three_inverses(x: SuperMatrix, rewrites: RewriteSystem) -> Element:
+    algebra = rewrites.algebra
+    even_idx, odd_idx = _blocks(x)
+    A = [[x.entries[i][j] for j in even_idx] for i in even_idx]
+    B = [[x.entries[i][j] for j in odd_idx] for i in even_idx]
+    C = [[x.entries[i][j] for j in even_idx] for i in odd_idx]
+    D = [[x.entries[i][j] for j in odd_idx] for i in odd_idx]
+    if not odd_idx:
+        return rewrites.reduce(_det(A, algebra))
+    D_inv = _inverse_by_adjugate(D, algebra, rewrites)
+    m, n = len(even_idx), len(odd_idx)
+    schur = [[rewrites.reduce(Element.sum(algebra, [A[i][j]] + [
+        -(B[i][k] * D_inv[k][l] * C[l][j]) for k in range(n) for l in range(n)]))
+        for j in range(m)] for i in range(m)]
+    det_schur = rewrites.reduce(_det(schur, algebra))
+    graded_inverse(det_schur, rewrites)
+    det_D = rewrites.reduce(_det(D, algebra))
+    return rewrites.reduce(det_schur * graded_inverse(det_D, rewrites))
 
 
 # The circle action by substitution, the oracle for the charge tests: the group

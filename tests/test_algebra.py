@@ -113,6 +113,41 @@ def test_sum_matches_normalising_the_merged_words(groups, cancel):
     assert got == table.element([cw for words in groups for cw in words])
 
 
+_OPERANDS = st.one_of(_WORDS, st.integers(-2, 2), st.sampled_from(
+    (Fraction(1, 3), Fraction(0), Scalar.of(1, -1), Scalar.of(0, 1, 2), Scalar.zero())))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@example(x=[(1, ["a"]), (2, ["eta", "b"])], y=[(1, ["a"]), (2, ["eta", "b"])])
+@example(x=[(1, ["a"]), (-1, [])], y=[(1, ["a"]), (-1, [])])
+@example(x=[(3, [])], y=3)
+@example(x=[(1, ["a"]), (1, [])], y=Fraction(1, 3))
+@example(x=[], y=Scalar.of(0, 1, 2))
+@given(_WORDS, _OPERANDS)
+def test_binary_add_and_sub_match_the_sum(x, y):
+    """x + y, x - y and the reflected forms against Element.sum, with y an
+    Element, int, Fraction or Scalar; equal x and y cancel to exactly zero."""
+    table = group_space().table
+    x = table.element(x)
+    y_elem = table.element(y) if isinstance(y, list) else table.scalar(y)
+    y = y_elem if isinstance(y, list) else y
+    plus, minus = Element.sum(table, [x, y_elem]), Element.sum(table, [x, -y_elem])
+    reflected = Element.sum(table, [y_elem, -x])
+    for got, want in ((x + y, plus), (y + x, plus), (x - y, minus), (y - x, reflected)):
+        assert type(got) is Element and got.terms == want.terms
+        assert not any(s.is_zero for s in got.terms.values())
+    assert (x - x).terms == {} and (x + (-x)).terms == {}
+
+
+def test_binary_add_and_sub_leave_their_operands_alone(table, gens):
+    x = gens["a"] + 2 * gens["eta"] * gens["eta*"]
+    y = gens["a"] - gens["b"]
+    before = (dict(x.terms), dict(y.terms))
+    assert x - y == 2 * gens["eta"] * gens["eta*"] + gens["b"]
+    assert 3 - x == -gens["a"] - 2 * gens["eta"] * gens["eta*"] + 3
+    assert (dict(x.terms), dict(y.terms)) == before
+
+
 def test_sum_rejects_another_table(table, gens):
     other = GeneratorTable.build(conjugate_pairs=[("a", "a*", EVEN)])
     with pytest.raises(AlgebraMismatchError):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from supersphere.algebra import EVEN, ODD, AlgebraMismatchError, GeneratorTable, ParityError
 from supersphere.berezin import chart_pullback, group_section_chart, orbit_pullback
+from supersphere import forms
 from supersphere.forms import DifferentialIdeal, SuperForm, d
 from supersphere.monopole import base_space, chern_closed_form, chern_form, group_space
 from supersphere.scalars import Scalar, rat
@@ -17,8 +18,8 @@ from supersphere.tests_support import random_element
 from supersphere.trig import ChartError, TrigPoly
 
 from oracles import (SubstitutionLocalizer, base_chart, chart_pullback_by_powers,
-                     coordinate_volume_form, ideal_reduce_to_fixpoint, partial_phi, partial_theta,
-                     split_parts_wedge, to_complex)
+                     coordinate_volume_form, d_by_recursion, ideal_reduce_to_fixpoint,
+                     partial_phi, partial_theta, split_parts_wedge, to_complex)
 
 ORACLE = SubstitutionLocalizer()
 
@@ -581,6 +582,48 @@ def test_wedge_product_matches_the_split_parts_product(left, right, square):
     y = x if square else _factor(table, right)
     assert (x * y).terms == split_parts_wedge(x, y).terms
     assert (y * x).terms == split_parts_wedge(y, x).terms
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@example(terms=[((), 1, ["eta", "eta*"])])
+@example(terms=[((4,), 1, ["a", "eta*"]), ((5,), -1, ["eta", "b"])])
+@example(terms=[((0, 5), 2, ["eta", "eta*"]), ((1, 4), 1, ["eta*", "a"])])
+@given(_FACTOR)
+def test_d_matches_the_recursive_oracle(terms):
+    """The one-pass d against d(c) taken as a form of its own and sorted into
+    each wedge, on forms of degree 0 to 2 and on their Element coefficients."""
+    table = group_space().table
+    omega = _factor(table, terms)
+    assert d(omega).terms == d_by_recursion(omega).terms
+    for c in omega.terms.values():
+        assert d(c).terms == d_by_recursion(c).terms
+
+
+@pytest.mark.parametrize("word", [["e1", "e2", "e1*"], ["a", "e2*", "e1", "a", "e2"],
+                                  ["e2*", "e1*", "e2", "a", "e1"], ["e2", "a", "e1"]])
+def test_d_signs_each_of_up_to_four_odd_factors(word):
+    """Beyond the two odd generators of the group table: dg moves rightwards
+    past every odd factor after g."""
+    table = GeneratorTable.build(conjugate_pairs=[("a", "a*", EVEN), ("e1", "e1*", ODD),
+                                                  ("e2", "e2*", ODD)])
+    x = table.element([(Scalar.of(2, 1), word)])
+    omega = x * SuperForm.differential(table, "e2") * SuperForm.differential(table, "a")
+    for y in (x, omega):
+        assert d(y).terms == d_by_recursion(y).terms
+
+
+def test_d_of_a_form_makes_no_inner_call_of_d(g, monkeypatch):
+    calls = []
+    one_pass = forms.d
+
+    def counted(x):
+        calls.append(x)
+        return one_pass(x)
+    monkeypatch.setattr(forms, "d", counted)
+    omega = (g.a * g.eta * g.differential("b")
+             + g.b * g.etad * g.differential("eta") * g.differential("a"))
+    assert forms.d(omega) == d_by_recursion(omega)
+    assert len(calls) == 1
 
 
 def test_wedge_product_rejects_another_table(g):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supersphere import matrices
 from supersphere.algebra import (AlgebraMismatchError, Element, GeneratorTable,
-                                 InvertibilityError, ParityError)
+                                 InvertibilityError, ParityError, graded_inverse)
 from supersphere.forms import SuperForm, d
 from supersphere.linear import expand_in_basis, solve_exact
 from supersphere.matrices import (BlockShape, EVEN_FIRST, ODD_FIRST, ShapeError,
@@ -19,7 +20,7 @@ from supersphere.monopole import (MINUS, PLUS, group_element, group_space, osp_f
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_supermatrix
 
-from oracles import matmul_by_entries
+from oracles import matmul_by_entries, sdet_by_three_inverses
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +340,84 @@ def test_sdet_laws_random(g):
         sx, sy = sdet(x, g.rewrites), sdet(y, g.rewrites)
         assert g.rewrites.reduce(sdet(x @ y, g.rewrites) - sx * sy).is_zero
         assert g.rewrites.reduce(sdet(x.supertranspose(), g.rewrites) - sx).is_zero
+
+
+_SDET_SHAPES = [BlockShape(1, 1), BlockShape(2, 1), BlockShape(1, 2), BlockShape(2, 2),
+                BlockShape(2, 1, ODD_FIRST), BlockShape(1, 2, ODD_FIRST)]
+
+
+def _invertible_even_matrix(table, rng, shape):
+    """An even matrix with both diagonal blocks invertible: within a block the
+    bodies are constant and upper triangular with a nonzero diagonal, so the
+    adjugate route of a block larger than 1 x 1 is met too."""
+    x = random_supermatrix(table, rng, parity=0, shape=shape)
+    for i in range(shape.dim):
+        for j in range(shape.dim):
+            if shape.type_parity(i) == shape.type_parity(j):
+                body = rng.choice([1, 2, 3, -1, -2]) if i == j else rng.randint(-2, 2) * (i < j)
+                x.entries[i][j] = table.scalar(body) + x.entries[i][j].soul()
+    return x
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(_SDET_SHAPES), st.integers(0, 2 ** 32 - 1))
+def test_sdet_matches_the_three_inverse_oracle(shape, seed):
+    g = group_space()
+    rng = random.Random(seed)
+    x, y = (_invertible_even_matrix(g.table, rng, shape) for _ in range(2))
+    sx = sdet(x, g.rewrites)
+    assert sx == sdet_by_three_inverses(x, g.rewrites)
+    assert sdet(x @ y, g.rewrites) == g.rewrites.reduce(sx * sdet(y, g.rewrites))
+
+
+def test_sdet_makes_one_inverse(g, monkeypatch):
+    calls = []
+
+    def counted(u, rewrites=None):
+        calls.append(u)
+        return graded_inverse(u, rewrites)
+    monkeypatch.setattr(matrices, "graded_inverse", counted)
+    rng = random.Random(28)
+    for shape in _SDET_SHAPES:
+        x = _invertible_even_matrix(g.table, rng, shape)
+        calls.clear()
+        assert sdet(x, g.rewrites) == sdet_by_three_inverses(x, g.rewrites)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shape, rows, block", [
+    (BlockShape(2, 0), [[1, 2], [2, 4]], "even"),
+    (BlockShape(2, 0), [["a", 0], [0, 1]], "even"),
+    (BlockShape(1, 1), [[0, 0], [0, 1]], "even"),
+    (BlockShape(1, 1), [[1, 0], [0, 0]], "odd"),
+    (BlockShape(1, 1), [["a", 0], [0, 1]], "even"),
+    (BlockShape(2, 1), [[1, 2, 0], [2, 4, 0], [0, 0, 1]], "even"),
+    (BlockShape(2, 1), [[1, 0, 0], [0, 1, 0], [0, 0, "b"]], "odd"),
+])
+def test_sdet_names_the_block_that_is_not_invertible(g, shape, rows, block):
+    """One rule for every shape: both blocks invertible, whatever their sizes."""
+    x = SuperMatrix(shape, [[g.table.gen(v) if isinstance(v, str) else g.table.scalar(v)
+                             for v in row] for row in rows], 0)
+    with pytest.raises(InvertibilityError, match="^%s-type block is not invertible: body of "
+                       % block):
+        sdet(x, g.rewrites)
+
+
+def test_sdet_of_an_invertible_even_only_matrix(g):
+    x = SuperMatrix.from_rational(BlockShape(2, 0), g.table, [[2, 1], [0, 3]])
+    assert sdet(x, g.rewrites) == g.table.scalar(6)
+    ad = SuperMatrix(BlockShape(0, 2), [[g.table.scalar(2), g.a], [g.table.zero(),
+                                                                   g.table.scalar(4)]], 0)
+    assert sdet(ad, g.rewrites) == g.table.scalar(rat(1, 8))
+
+
+@pytest.mark.parametrize("other", [3, Fraction(1, 2), Scalar.one(), "matrix"])
+def test_matrix_operators_refuse_an_operand_that_is_not_a_matrix(g, other):
+    x = SuperMatrix.identity(BlockShape(1, 1), g.table)
+    for op in (lambda: x + other, lambda: x - other, lambda: x @ other,
+               lambda: other + x, lambda: other - x, lambda: other @ x):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_exp_nilpotent_identity(g, fixtures):

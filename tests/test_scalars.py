@@ -73,6 +73,23 @@ def test_mixed_component_sums():
         x.inverse()
 
 
+@pytest.mark.parametrize("zero", [0, Fraction(0), Scalar.zero()])
+def test_a_zero_factor_gives_zero_with_no_collection(zero, monkeypatch):
+    """A zero operand returns zero before the per-part collection, on either
+    side and with a multi-part or one-record scalar on the other."""
+    multi = Scalar.of(1, 2) + Scalar.of(3, 0, 2) + Scalar.of(-1, 0, 1, 2)
+    calls = []
+    collect = supersphere.scalars._collect
+    monkeypatch.setattr(supersphere.scalars, "_collect",
+                        lambda *args: calls.append(args) or collect(*args))
+    for x in (multi, Scalar.of(Fraction(2, 3), -1), Scalar.zero()):
+        for got in (x * zero, zero * x):
+            assert type(got) is Scalar and got.is_zero and got == Scalar.zero()
+    assert calls == []
+    # the patch is seen: a product of nonzero multi-part scalars collects once
+    assert not (multi * multi).is_zero and len(calls) == 1
+
+
 def test_as_int():
     assert Scalar.of(5).as_int() == 5
     assert Scalar.zero().as_int() == 0
