@@ -39,7 +39,7 @@ from typing import Optional
 from .algebra import Element, GeneratorTable
 from .forms import SuperForm
 from .monopole import (CHERN_SCALAR, base_space, coordinate_chern_form, coordinate_images,
-                       group_space, psi_body)
+                       group_space, psi_body, u1_charge)
 from .scalars import Scalar
 from .trig import ChartError, PhaseHalfAngle, integrate_half_angle
 
@@ -184,6 +184,23 @@ def _group_integral(top: PhaseHalfAngle) -> Scalar:
     return integrate_half_angle(top) * _GROUP_NORMALIZER
 
 
+def _form_integral(omega: SuperForm) -> Scalar:
+    """The integral of a body form through the group section chart; a refused
+    form with terms of nonzero U(1) charge, no form on the sphere, names them."""
+    try:
+        return _group_integral(chart_pullback(omega, _GROUP_CHART))
+    except ChartError:
+        table = omega.algebra
+        if table != group_space().table:
+            raise
+        charges = {u1_charge(table, mono, w)
+                   for w, coeff in omega.terms.items() for mono in coeff.terms} - {0}
+        if not charges:
+            raise
+        raise ChartError("the form is not U(1)-invariant: it has terms of charge %s"
+                         % ", ".join(map(str, sorted(charges)))) from None
+
+
 def chern_integral(omega: SuperForm) -> int:
     """Exact integral of a Chern 2-superform written in the group generators.
 
@@ -192,8 +209,7 @@ def chern_integral(omega: SuperForm) -> int:
     chart satisfies a a* + b b* = 1, so forms equal modulo the differential
     ideal give the same value.  The result must be an exact integer.
     """
-    return _exact_int(_group_integral(chart_pullback(omega.body_project(), _GROUP_CHART)),
-                      "Chern integral")
+    return _exact_int(_form_integral(omega.body_project()), "Chern integral")
 
 
 _CHERN_HALF_I = CHERN_SCALAR * _HALF_I
@@ -247,7 +263,7 @@ def berezin_integral(omega: SuperForm) -> Scalar:
     Body projection sends xi and d xi to zero; what remains is pulled back
     along the orbit map and integrated as chern_integral integrates.
     """
-    return _group_integral(chart_pullback(orbit_pullback(omega), _GROUP_CHART))
+    return _form_integral(orbit_pullback(omega))
 
 
 def berezin_chern_number(sign: str, n: int) -> int:

@@ -25,8 +25,8 @@ from .forms import SuperForm, d
 from .matrices import SuperMatrix
 from .monopole import (MINUS, PLUS, base_space, check_equivariance, check_group_identities,
                        check_inversion_identities, check_nilpotent_exp,
-                       chern_form_canonical, connection_form, group_space, projector,
-                       projector_to_base, psi)
+                       chern_form_canonical, connection_form, group_space, Projector,
+                       projector, projector_to_base, psi)
 from .trig import ChartError, integrate_half_angle, wallis_integrate
 
 
@@ -65,9 +65,16 @@ def _element_writer(table: GeneratorTable, pad: str) -> Callable[[Element], str]
         odd = "[" + ",".join(p3 + quoted[i] for i in odd_part) + p2 + "]" if odd_part else "[]"
         return '"even": ' + even + "," + p2 + '"odd": ' + odd + inner + "}"
 
+    sep, close = "," + inner, "\n" + pad + "]"
+
     def render(x: Element) -> str:
-        texts = []
-        for mono, s in x.sorted_terms():
+        terms = x.terms
+        if not terms:
+            return "[]"
+        # each part's coefficient text, monomial text and separator, in one list
+        out = ["[" + inner]
+        for mono in sorted(terms, reverse=True):
+            s = terms[mono]
             text = tails.get(mono)
             if text is None:
                 text = tails[mono] = tail(mono)
@@ -76,8 +83,10 @@ def _element_writer(table: GeneratorTable, pad: str) -> Callable[[Element], str]
                 if len(heads) >= _COEFF_TEXTS:
                     heads.clear()
                 head = heads[s._parts] = [coeff % fields for fields in s.reduced_parts()]
-            texts += [h + text for h in head]
-        return "[" + inner + ("," + inner).join(texts) + "\n" + pad + "]" if texts else "[]"
+            for h in head:
+                out += h, text, sep
+        out[-1] = close
+        return "".join(out)
     return render
 
 
@@ -357,7 +366,7 @@ def suite_monopole(n_max: int) -> list[Check]:
     def golden_projectors():
         for sign in (MINUS, PLUS):
             name = "p_%s_1.json" % _SIGN_WORDS[sign]
-            if _fixture_differs(projector_to_base(projector(psi(sign, 1))), name):
+            if _fixture_differs(projector_to_base(psi(sign, 1)), name):
                 return "sign %s projector differs from %s" % (_SIGN_WORDS[sign], name)
 
     def golden_connection():
@@ -502,17 +511,18 @@ def cmd_projector(args) -> int:
         print("no golden file for --sign %s --n %d --coords %s (golden files exist "
               "for --n 1 --coords base)" % (args.sign, n, args.coords), file=sys.stderr)
         return 2
-    proj = projector(psi(args.sign, n))
+    vec = psi(args.sign, n)
     if args.coords == "base":
         try:
-            mat = projector_to_base(proj)
+            proj = Projector(vec.sign, n, projector_to_base(vec))
         except SuperAlgebraError as ex:
             print("coordinate emission failed: %s" % ex, file=sys.stderr)
             return 1
         algebra = "base"
     else:
-        mat = proj.matrix
+        proj = projector(vec)
         algebra = "group"
+    mat = proj.matrix
     if args.self_check:
         name = "p_%s_1.json" % args.sign
         if _fixture_differs(mat, name):

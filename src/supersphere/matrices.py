@@ -335,7 +335,7 @@ def _matrix_inverse_even(entries: list[list[Element]], algebra: GeneratorTable,
                          rewrites: RewriteSystem) -> tuple[list[list[Element]], Element]:
     """(inverse, det^-1): adjugate over determinant; entries must be even elements."""
     d = len(entries)
-    det_inv = graded_inverse(rewrites.reduce(_det(entries, algebra)), rewrites)
+    det_inv = graded_inverse(_det(entries, algebra), rewrites)
     if d == 1:
         return [[det_inv]], det_inv
     inv = [[algebra.zero()] * d for _ in range(d)]

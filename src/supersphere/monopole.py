@@ -422,12 +422,22 @@ def _self_adjoint(shape: BlockShape, upper) -> SuperMatrix:
     dim = shape.dim
     tau = [shape.storage_parity(i) for i in range(dim)]
     rows: list[list] = [[None] * dim for _ in range(dim)]
+    # each distinct monomial of the matrix is walked to its diamond image once
+    images: dict[Monomial, tuple[Monomial, int]] = {}
     for i in range(dim):
         for j in range(i, dim):
             entry = rows[i][j] = upper(i, j)
             if j > i:
-                rows[j][i] = entry._diamond(-1 if tau[j] * (tau[j] + tau[i]) % 2 else 1)
+                rows[j][i] = entry._diamond(-1 if tau[j] * (tau[j] + tau[i]) % 2 else 1, images)
     return SuperMatrix(shape, rows, parity=0)
+
+
+def _upper_entry(psi_vec: PsiVector, space: GroupSpace | None = None):
+    """The function (alpha, beta) -> p[alpha][beta] in rewrite normal form,
+    which projector and projector_to_base call for alpha <= beta only."""
+    dia = psi_vec.diamonded()
+    reduce = (space or group_space()).rewrites.reduce
+    return lambda alpha, beta: reduce(_outer_entry(psi_vec, dia, alpha, beta))
 
 
 def projector(psi_vec: PsiVector, space: GroupSpace | None = None) -> Projector:
@@ -437,11 +447,7 @@ def projector(psi_vec: PsiVector, space: GroupSpace | None = None) -> Projector:
     Only the entries with alpha <= beta are multiplied and reduced;
     _self_adjoint mirrors the rest.
     """
-    g = space or group_space()
-    dia = psi_vec.diamonded()
-    reduce = g.rewrites.reduce
-    matrix = _self_adjoint(projector_shape(psi_vec.n),
-                           lambda alpha, beta: reduce(_outer_entry(psi_vec, dia, alpha, beta)))
+    matrix = _self_adjoint(projector_shape(psi_vec.n), _upper_entry(psi_vec, space))
     return Projector(psi_vec.sign, psi_vec.n, matrix)
 
 
@@ -463,11 +469,13 @@ def projector(psi_vec: PsiVector, space: GroupSpace | None = None) -> Projector:
 U1_CHARGE = {"a": 1, "b": 1, "eta": 1, "a*": -1, "b*": -1, "eta*": -1}
 
 
-def u1_charge(table: GeneratorTable, mono: Monomial) -> int:
-    """U(1) charge of a monomial over the group generators."""
+def u1_charge(table: GeneratorTable, mono: Monomial, wedge: tuple[int, ...] = ()) -> int:
+    """U(1) charge of a monomial over the group generators, times the
+    differentials of the generators in wedge, each of its generator's charge."""
     names = table.names
     even, odd = table.factors(mono)
-    return sum(U1_CHARGE[names[i]] * e for i, e in even) + sum(U1_CHARGE[names[i]] for i in odd)
+    return (sum(U1_CHARGE[names[i]] * e for i, e in even)
+            + sum(U1_CHARGE[names[i]] for i in (*odd, *wedge)))
 
 
 def _has_charge(x: Element, charge: int) -> bool:
@@ -782,13 +790,13 @@ def element_to_base(x: Element) -> Element:
     return _base_converter()(x)
 
 
-def projector_to_base(proj: Projector) -> SuperMatrix:
-    """The projector with every entry rewritten in sphere coordinates.
+def projector_to_base(psi_vec: PsiVector) -> SuperMatrix:
+    """The projector of psi_vec with every entry written in sphere coordinates.
 
-    Only the entries with alpha <= beta are converted, by one converter, so
-    each distinct monomial of the matrix is imaged once; _self_adjoint mirrors
-    the rest, since image(u^dia) = image(u)^dia for every bilinear invariant u.
+    Only the entries with alpha <= beta are built, each converted as it is
+    reduced, by one converter, so each distinct monomial is imaged once;
+    _self_adjoint mirrors the rest, since image(u^dia) = image(u)^dia for
+    every bilinear invariant u.  No group projector is built.
     """
-    to_base = _base_converter()
-    entries = proj.matrix.entries
-    return _self_adjoint(proj.matrix.shape, lambda alpha, beta: to_base(entries[alpha][beta]))
+    to_base, entry = _base_converter(), _upper_entry(psi_vec)
+    return _self_adjoint(projector_shape(psi_vec.n), lambda a, b: to_base(entry(a, b)))

@@ -51,9 +51,9 @@ def test_criterion_2_golden_projector():
             pulled = golden.entries[i][j].substitute(images, g.table)
             assert g.rewrites.reduce(pulled - proj.entries[i][j]).is_zero, (i, j)
     # and the emitted coordinate matrix is the golden one on the nose
-    assert projector_to_base(projector(psi(MINUS, 1))) == golden
+    assert projector_to_base(psi(MINUS, 1)) == golden
     golden_plus = SuperMatrix.from_obj(base.table, _fixture("p_plus_1.json")["matrix"])
-    st = projector_to_base(projector(psi(MINUS, 1)))  # base-coordinate matrix
+    st = projector_to_base(psi(MINUS, 1))  # base-coordinate matrix
     st_group = projector(psi(MINUS, 1)).matrix.supertranspose()
     for i in range(3):
         for j in range(3):

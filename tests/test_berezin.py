@@ -406,6 +406,27 @@ def test_berezin_integral_takes_forms_in_the_sphere_coordinates():
         berezin_integral(g.a * g.differential("a*") * g.differential("b"))
 
 
+def test_the_integral_names_the_charge_of_a_form_it_refuses(monkeypatch):
+    """A form of odd U(1) charge meets a half-angle monomial of odd degree in
+    the chart; the refusal names the charge, differentials counted, and not
+    the chart's monomial.  Every form in the sphere coordinates pulls back
+    along the orbit map to charge 0, so berezin_integral meets the refusal
+    only through a pullback that is not the orbit map's."""
+    g = group_space()
+    da, dad, db = (g.differential(name) for name in ("a", "a*", "b"))
+    charge_one = g.a * da * dad
+    with pytest.raises(ChartError, match=r"not U\(1\)-invariant: it has terms of charge 1$"):
+        chern_integral(charge_one)
+    # charges 1 and 2 are named, and the charge 0 terms are left out
+    mixed = charge_one + g.a * g.a * db * dad + g.a * g.ad * db * dad
+    with pytest.raises(ChartError, match=r"it has terms of charge 1, 2$"):
+        chern_integral(mixed)
+    assert chern_integral(g.a * g.ad * db * dad) == 0
+    monkeypatch.setattr(berezin, "orbit_pullback", lambda omega: charge_one)
+    with pytest.raises(ChartError, match=r"not U\(1\)-invariant: it has terms of charge 1$"):
+        berezin_integral(coordinate_volume_form())
+
+
 def test_chern_numbers_small():
     for n in (1, 2, 3):
         assert chern_number(MINUS, n) == n

@@ -97,6 +97,22 @@ def test_a_fault_in_the_program_is_not_a_verdict(monkeypatch, function, argv):
         main(argv)
 
 
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_projector_in_base_coordinates_builds_no_group_projector(capsys, monkeypatch, sign):
+    """The base path converts each upper entry as it is built from psi, so
+    the group projector, whose lower triangle it never reads, is not built."""
+    want = run_cli(capsys, "projector", "--sign", sign, "--n", "3", "--coords", "base",
+                   "--format", "json")
+    assert want[0] == 0
+
+    def broken(*args, **kwargs):
+        raise KeyError("the group projector was built")
+    monkeypatch.setattr(cli, "projector", broken)
+    monkeypatch.setattr(monopole, "projector", broken)
+    assert run_cli(capsys, "projector", "--sign", sign, "--n", "3", "--coords", "base",
+                   "--format", "json") == want
+
+
 def test_chern_builds_psi_once_and_integrates_the_printed_form(capsys, monkeypatch):
     calls = []
     right = monopole.psi
@@ -287,8 +303,7 @@ def test_projector_json_roundtrip(capsys, sign, n, coords):
     assert code == 0
     payload = json.loads(out)
     assert payload["charge"] == (n if sign == "minus" else -n)
-    proj = projector(psi(sign, n))
-    want = projector_to_base(proj) if coords == "base" else proj.matrix
+    want = projector_to_base(psi(sign, n)) if coords == "base" else projector(psi(sign, n)).matrix
     table = (base_space() if coords == "base" else group_space()).table
     mat = SuperMatrix.from_obj(table, payload["matrix"])
     assert mat == want
@@ -630,7 +645,7 @@ def test_json_writer_shares_coefficient_texts_within_one_call(monkeypatch):
 
 
 def test_json_writer_streams_large_payloads():
-    mat = projector_to_base(projector(psi("-", 4)))
+    mat = projector_to_base(psi("-", 4))
     payload = {"n": 4, "matrix": mat.to_obj()}
     out = _written(payload)
     assert len(out.chunks) > 1
@@ -657,8 +672,9 @@ def test_projector_json_is_the_to_obj_document(capsys, n, sign, coords):
     code, out, _ = run_cli(capsys, "projector", "--sign", sign, "--n", str(n),
                            "--coords", coords, "--format", "json")
     assert code == 0
-    proj = projector(psi(sign, n))
-    mat = projector_to_base(proj) if coords == "base" else proj.matrix
+    vec = psi(sign, n)
+    proj = projector(vec)
+    mat = projector_to_base(vec) if coords == "base" else proj.matrix
     want = {"sign": sign, "n": n, "coords": coords, "charge": proj.charge,
             "matrix": mat.to_obj()}
     assert out == json.dumps(want, indent=1) + "\n"

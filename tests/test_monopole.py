@@ -30,15 +30,17 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
                                   projector_to_base, psi, psi_body, section_to_equivariant,
                                   supertrace_p_dp_dp, u1_charge,
                                   Projector, PsiVector, block_shape_1_2,
-                                  _base_converter, _invariant_units, _signed_outer)
+                                  _base_converter, _invariant_units, _self_adjoint,
+                                  _signed_outer)
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 
 from oracles import (CIRCLE_TABLE, chern_closed_form_by_algebra,
                      chern_intermediate_form_by_algebra, circle_reduce,
                      connection_closed_form_by_algebra, coordinate_chern_form_corrected,
-                     coordinate_chern_report, factor_invariants, psi_from_words,
-                     random_factorization, sqrt_binomial)
+                     coordinate_chern_report, factor_invariants,
+                     projector_to_base_via_group, psi_from_words, random_factorization,
+                     sqrt_binomial)
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +417,7 @@ def test_golden_projectors_via_coordinate_emission(g):
     base = base_space()
     for sign, fname in ((MINUS, "p_minus_1.json"), (PLUS, "p_plus_1.json")):
         want = SuperMatrix.from_obj(base.table, _fixture(fname)["matrix"])
-        got = projector_to_base(projector(psi(sign, 1)))
+        got = projector_to_base(psi(sign, 1))
         assert got == want, sign
 
 
@@ -875,7 +877,7 @@ def test_coordinate_chern_variants_share_body(g):
 def test_element_to_base_roundtrip_n2(g):
     images = coordinate_images()
     proj = projector(psi(MINUS, 2))
-    emitted = projector_to_base(proj)
+    emitted = projector_to_base(psi(MINUS, 2))
     for i in range(5):
         for j in range(5):
             pulled = emitted.entries[i][j].substitute(images, g.table)
@@ -915,7 +917,7 @@ def _unit_group(g, name):
 def test_projector_to_base_matches_per_monomial_oracle(g, sign, n):
     base = base_space()
     proj = projector(psi(sign, n))
-    emitted = projector_to_base(proj)
+    emitted = projector_to_base(psi(sign, n))
     for row, got_row in zip(proj.matrix.entries, emitted.entries):
         for entry, got in zip(row, got_row):
             assert got == _element_to_base_oracle(entry, g, base)
@@ -929,7 +931,41 @@ def test_projector_to_base_matches_entrywise_conversion(g, sign, n):
     proj = projector(psi(sign, n))
     to_base = _base_converter()
     want = [[to_base(e) for e in row] for row in proj.matrix.entries]
-    assert projector_to_base(proj).entries == want
+    assert projector_to_base(psi(sign, n)).entries == want
+
+
+@pytest.mark.parametrize("sign", [MINUS, PLUS])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_projector_to_base_matches_the_group_projector_route(sign, n):
+    """Each upper entry converted as it is built from psi, with no group
+    projector, equals the same entry of the whole group projector converted."""
+    want = projector_to_base_via_group(psi(sign, n))
+    got = projector_to_base(psi(sign, n))
+    for i, (want_row, got_row) in enumerate(zip(want.entries, got.entries)):
+        for j, (w, x) in enumerate(zip(want_row, got_row)):
+            assert x == w, (sign, n, i, j)
+
+
+@pytest.mark.parametrize("coords", ["group", "base"])
+def test_mirror_walks_each_distinct_monomial_once(monkeypatch, coords):
+    """_self_adjoint diamonds each distinct monomial of the strict upper
+    triangle once per matrix: one lookup of its odd factors' image per walk."""
+    vec = psi(PLUS, 3)
+    mat = projector(vec).matrix if coords == "group" else projector_to_base(vec)
+    table = mat.entries[0][0].algebra
+    odd_images, walks = table._odd_diamond, []
+
+    class Counting(dict):
+        def __getitem__(self, bits):
+            walks.append(bits)
+            return odd_images[bits]
+    monkeypatch.setattr(table, "_odd_diamond", Counting())
+    dim = mat.shape.dim
+    assert _self_adjoint(mat.shape, lambda i, j: mat.entries[i][j]) == mat
+    strict = [mat.entries[i][j] for i in range(dim) for j in range(i + 1, dim)]
+    distinct = set().union(*(x.terms for x in strict))
+    assert len(walks) == len(distinct)
+    assert len(distinct) < sum(len(x.terms) for x in strict)
 
 
 def test_base_converter_commutes_with_diamond(g):
@@ -1050,11 +1086,11 @@ def test_projector_to_base_builds_its_table_per_call(monkeypatch):
     conversion, so a second call builds every image again instead of holding
     them for the process."""
     calls = _count_multiplications(monkeypatch)
-    proj = projector(psi(MINUS, 2))
-    first = projector_to_base(proj)
+    vec = psi(MINUS, 2)
+    first = projector_to_base(vec)
     built = len(calls)
     assert built > 0
-    assert projector_to_base(proj) == first
+    assert projector_to_base(vec) == first
     assert len(calls) == 2 * built
 
 
@@ -1077,9 +1113,9 @@ def test_base_converter_images_each_monomial_once(monkeypatch):
 def test_projector_to_base_multiplications_are_bounded(monkeypatch, sign, n):
     """Each distinct monomial of the upper triangle costs one
     multiply_vectors call, 2 (n + 1)^2 - 1 calls in all."""
-    proj = projector(psi(sign, n))
+    vec = psi(sign, n)
     calls = _count_multiplications(monkeypatch)
-    projector_to_base(proj)
+    projector_to_base(vec)
     assert 0 < len(calls) <= 2 * (n + 1) ** 2 - 1
 
 
