@@ -576,15 +576,16 @@ class Element:
 
     def _diamond(self, sign: int, images: dict | None = None) -> "Element":
         """sign * self.diamond() for sign = +-1, each coefficient conjugated
-        and signed in one pass over its records; images, when given, keeps
-        each monomial's (image, sign) for the next element that has it."""
+        and signed in one pass over its records; images keeps each
+        monomial's (image, sign), so elements that share it walk it once."""
         alg = self.algebra
         odd_mask, odd_images, even_images = alg._odd_mask, alg._odd_diamond, alg._even_diamond
+        if images is None:
+            images = {}
         out: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
-            if images is not None and mono in images:
-                img, s = images[mono]
-            else:
+            got = images.get(mono)
+            if got is None:
                 # the odd factors keep their written order, then re-sort
                 img, s = odd_images[mono & odd_mask]
                 # even factors map independently of order
@@ -594,8 +595,8 @@ class Element:
                         img += e * unit
                         if flips and e & 1:
                             s = -s
-                if images is not None:
-                    images[mono] = img, s
+                got = images[mono] = img, s
+            img, s = got
             # conj((re + i im)/den) times s is (s re - i s im)/den
             s *= sign
             out[img] = Scalar(tuple([(rad, pi, s * re, -s * im, den)
@@ -785,13 +786,8 @@ class RewriteSystem:
         # q * lead^k -> q * replacement^k as in reduce; the replacement shares
         # no generator with the lead, so what it writes needs no rewrite
         lead, fields = self.lead, self._lead_fields
-        if len(fields) == 1:
-            # a lead in one generator, as x0^2: k is one field read, no min
-            ((shift, e),) = fields
-            ks = [(mono, k) for mono in out if (k := (mono >> shift & _FIELD) // e)]
-        else:
-            ks = [(mono, k) for mono in out
-                  if (k := min((mono >> shift & _FIELD) // e for shift, e in fields))]
+        ks = [(mono, k) for mono in out
+              if (k := min((mono >> shift & _FIELD) // e for shift, e in fields))]
         for mono, k in ks:
             re, im = out.pop(mono)
             self.algebra._multiply_records(out, [(mono - k * lead, re, im)], self._vector(k))

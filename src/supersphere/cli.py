@@ -23,8 +23,8 @@ from .berezin import (ExactnessError, berezin_chern_number, chart_pullback, cher
                       chern_number, group_section_chart, orbit_pullback)
 from .forms import SuperForm, d
 from .matrices import SuperMatrix
-from .monopole import (MINUS, PLUS, base_space, check_equivariance, check_group_identities,
-                       check_inversion_identities, check_nilpotent_exp,
+from .monopole import (MINUS, PLUS, CoordinateEmissionError, base_space, check_equivariance,
+                       check_group_identities, check_inversion_identities, check_nilpotent_exp,
                        chern_form_canonical, connection_form, group_space, Projector,
                        projector, projector_to_base, psi)
 from .trig import ChartError, integrate_half_angle, wallis_integrate
@@ -515,7 +515,7 @@ def cmd_projector(args) -> int:
     if args.coords == "base":
         try:
             proj = Projector(vec.sign, n, projector_to_base(vec))
-        except SuperAlgebraError as ex:
+        except CoordinateEmissionError as ex:
             print("coordinate emission failed: %s" % ex, file=sys.stderr)
             return 1
         algebra = "base"

@@ -798,5 +798,8 @@ def projector_to_base(psi_vec: PsiVector) -> SuperMatrix:
     _self_adjoint mirrors the rest, since image(u^dia) = image(u)^dia for
     every bilinear invariant u.  No group projector is built.
     """
+    if not isinstance(psi_vec, PsiVector):
+        raise TypeError("projector_to_base takes the psi vector, as in "
+                        "projector_to_base(psi(sign, n)), not %s" % type(psi_vec).__name__)
     to_base, entry = _base_converter(), _upper_entry(psi_vec)
     return _self_adjoint(projector_shape(psi_vec.n), lambda a, b: to_base(entry(a, b)))

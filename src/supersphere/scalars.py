@@ -494,17 +494,12 @@ def combine(terms: Iterable[tuple[Scalar, GaussianVector]]) -> dict[Hashable, Sc
         acc: dict[Hashable, list[int]] = {}
         for s_re, s_im, recs in group:
             for key, re, im in recs:
-                # a real coefficient scales each part of a record by s_re alone
-                if s_im:
-                    re, im = s_re * re - s_im * im, s_re * im + s_im * re
-                else:
-                    re, im = s_re * re, s_re * im
                 got = acc.get(key)
                 if got is None:
-                    acc[key] = [re, im]
+                    acc[key] = [s_re * re - s_im * im, s_re * im + s_im * re]
                 else:
-                    got[0] += re
-                    got[1] += im
+                    got[0] += s_re * re - s_im * im
+                    got[1] += s_re * im + s_im * re
         for key, (re, im) in acc.items():
             if re or im:
                 out.setdefault(key, []).append(_canon(rad, pi, re, im, den))

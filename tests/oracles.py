@@ -15,9 +15,9 @@ from supersphere.forms import (DifferentialIdeal, SuperForm, add_terms, d, form_
                                sum_entries, wedge_grassmann_parity)
 from supersphere.localized import TorusForm
 from supersphere.matrices import SuperMatrix, _blocks, _det
-from supersphere.monopole import (CHERN_SCALAR, MINUS, PsiVector, base_space, chern_form,
+from supersphere.monopole import (CHERN_SCALAR, MINUS, base_space, chern_form,
                                   coordinate_chern_form, coordinate_images, group_space,
-                                  normalize_sign, projector, _base_converter, _self_adjoint)
+                                  normalize_sign)
 from supersphere.scalars import Scalar, rat
 from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle
 
@@ -474,15 +474,6 @@ def random_factorization(table: GeneratorTable, mono, names, rng) -> tuple[str, 
             counts[gen] -= 1
         chosen.append(name)
     return tuple(chosen)
-
-
-def projector_to_base_via_group(psi_vec: PsiVector) -> SuperMatrix:
-    """The base projector by the route projector_to_base replaced: the whole
-    group projector, lower triangle included, then one converter on each of
-    its upper entries, then the mirror."""
-    proj = projector(psi_vec).matrix
-    to_base = _base_converter()
-    return _self_adjoint(proj.shape, lambda alpha, beta: to_base(proj.entries[alpha][beta]))
 
 
 # -- derivatives of half-angle polynomials -------------------------------------

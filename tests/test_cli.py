@@ -22,7 +22,8 @@ from supersphere.berezin import chern_number
 from supersphere.cli import main
 from supersphere.forms import DifferentialIdeal, SuperForm
 from supersphere.matrices import SuperMatrix
-from supersphere.monopole import base_space, group_space, projector, projector_to_base, psi
+from supersphere.monopole import (CoordinateEmissionError, base_space, group_space, projector,
+                                  projector_to_base, psi)
 from supersphere.scalars import Scalar
 from supersphere.tests_support import random_element
 
@@ -94,6 +95,29 @@ def test_a_fault_in_the_program_is_not_a_verdict(monkeypatch, function, argv):
         raise KeyError("bug")
     monkeypatch.setattr(cli, function, broken)
     with pytest.raises(KeyError, match="bug"):
+        main(argv)
+
+
+def test_the_base_path_reports_only_a_refused_conversion(capsys, monkeypatch):
+    """An entry the converter refuses ends in exit 1; an algebra error while
+    the entries are built from psi is a fault and propagates, as it does on
+    the group path."""
+    argv = ["projector", "--sign", "minus", "--n", "1", "--coords", "base"]
+
+    def refusing():
+        def to_base(x):
+            raise CoordinateEmissionError("refused")
+        return to_base
+    monkeypatch.setattr(monopole, "_base_converter", refusing)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "coordinate emission failed: refused" in err
+    monkeypatch.undo()
+
+    def overflowing(*args):
+        raise MonomialOverflowError("overflow")
+    monkeypatch.setattr(monopole, "_outer_entry", overflowing)
+    with pytest.raises(MonomialOverflowError, match="overflow"):
         main(argv)
 
 

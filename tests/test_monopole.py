@@ -38,9 +38,8 @@ from supersphere.tests_support import random_element
 from oracles import (CIRCLE_TABLE, chern_closed_form_by_algebra,
                      chern_intermediate_form_by_algebra, circle_reduce,
                      connection_closed_form_by_algebra, coordinate_chern_form_corrected,
-                     coordinate_chern_report, factor_invariants,
-                     projector_to_base_via_group, psi_from_words, random_factorization,
-                     sqrt_binomial)
+                     coordinate_chern_report, factor_invariants, psi_from_words,
+                     random_factorization, sqrt_binomial)
 
 
 @pytest.fixture(scope="module")
@@ -924,26 +923,20 @@ def test_projector_to_base_matches_per_monomial_oracle(g, sign, n):
 
 
 @pytest.mark.parametrize("sign", [MINUS, PLUS])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_projector_to_base_matches_entrywise_conversion(g, sign, n):
-    """The mirrored lower triangle equals converting every entry."""
-    base = base_space()
-    proj = projector(psi(sign, n))
-    to_base = _base_converter()
-    want = [[to_base(e) for e in row] for row in proj.matrix.entries]
-    assert projector_to_base(psi(sign, n)).entries == want
-
-
-@pytest.mark.parametrize("sign", [MINUS, PLUS])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_projector_to_base_matches_the_group_projector_route(sign, n):
-    """Each upper entry converted as it is built from psi, with no group
-    projector, equals the same entry of the whole group projector converted."""
-    want = projector_to_base_via_group(psi(sign, n))
-    got = projector_to_base(psi(sign, n))
-    for i, (want_row, got_row) in enumerate(zip(want.entries, got.entries)):
-        for j, (w, x) in enumerate(zip(want_row, got_row)):
-            assert x == w, (sign, n, i, j)
+def test_projector_to_base_matches_entrywise_conversion(g, sign, n):
+    """Converting each upper entry as it is built from psi, then mirroring,
+    equals converting every reduced product of the full outer matrix, the
+    lower triangle included, with no mirror on the way."""
+    vec = psi(sign, n)
+    to_base = _base_converter()
+    want = [[to_base(g.rewrites.reduce(e)) for e in row] for row in _signed_outer(vec)]
+    assert projector_to_base(vec).entries == want
+
+
+def test_projector_to_base_takes_the_psi_vector():
+    with pytest.raises(TypeError, match=r"projector_to_base\(psi\(sign, n\)\), not Projector"):
+        projector_to_base(projector(psi(MINUS, 1)))
 
 
 @pytest.mark.parametrize("coords", ["group", "base"])
