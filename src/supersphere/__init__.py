@@ -21,7 +21,7 @@ from .monopole import (group_space, base_space, group_element,
                        osp_fixtures, coordinate_images,
                        psi, psi_body, pairing, projector, connection_form,
                        connection_closed_form, chern_form,
-                       chern_form_canonical, chern_closed_form, chern_form_body,
+                       chern_form_canonical, chern_closed_form,
                        coordinate_chern_form,
                        check_group_identities, check_inversion_identities,
                        check_nilpotent_exp, check_equivariance, section_to_equivariant,

@@ -24,9 +24,10 @@ whose volume constant is +4 pi.
 
 chern_number builds no form: it pulls each body component of psi back once,
 takes the pullback of its diamond by conjugation and sums the Jacobians of
-the pairs into one density; chern_integral of monopole.chern_form_body, the
-pairing of the same bodies, is its oracle.  CLI chern integrates the printed
-form, CHERN_SCALAR dA of the verified connection A, with chern_integral.
+the pairs into one density; chern_integral of monopole.chern_form of
+psi_body, the pairing of the same bodies, is its oracle.  CLI chern
+integrates the printed form, CHERN_SCALAR dA of the verified connection A,
+with chern_integral.
 All pull back through _element_pullback.
 """
 
@@ -230,7 +231,7 @@ def chern_number(sign: str, n: int) -> int:
     -(1/(2 pi i)) <d psi|d psi> is CHERN_SCALAR times the sum of the Jacobians
     of each pulled-back body of psi (psi_body; the odd components have none)
     and its conjugate.  No form is built; the tests check the density against
-    the pullback of chern_form_body.
+    the pullback of chern_form(psi_body(sign, n)).
     """
     body = psi_body(sign, n)
     reading = _group_reading(body[0].algebra)

@@ -420,7 +420,7 @@ def suite_chern(n_max: int) -> list[Check]:
     g = group_space()
 
     def golden_chern_form():
-        if _fixture_differs(chern_form_canonical(MINUS, 1), "c1_minus_1.json"):
+        if _fixture_differs(chern_form_canonical(psi(MINUS, 1)), "c1_minus_1.json"):
             return "chern_form_canonical(-, 1) differs from c1_minus_1.json"
 
     def chern(sign, n):
@@ -440,7 +440,7 @@ def suite_chern(n_max: int) -> list[Check]:
     def integral(_, n):
         # the whole-angle Wallis oracle, not the Beta values used in production
         for sign in (MINUS, PLUS):
-            forms = [monopole.chern_form_body(sign, n)]
+            forms = [monopole.chern_form(monopole.psi_body(sign, n))]
             if n <= 2:
                 forms.append(orbit_pullback(monopole.coordinate_chern_form(sign, n)))
             for form in forms:
@@ -481,7 +481,7 @@ SUITES = {
 def cmd_chern(args) -> int:
     n = args.n
     try:
-        form = chern_form_canonical(args.sign, n)
+        form = chern_form_canonical(psi(args.sign, n))
         # the printed number is the integral of the printed form
         charge = chern_integral(form)
     except (SuperAlgebraError, ExactnessError, ChartError) as ex:

@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .algebra import (ONE_MONO, Element, GeneratorTable, Monomial, RewriteSystem, EVEN,
                       ODD, SuperAlgebraError)
@@ -148,8 +148,8 @@ def block_shape_1_2() -> BlockShape:
 
 
 def osp_fixtures(space: GroupSpace | None = None) -> dict[str, SuperMatrix]:
-    """The five generator matrices: A0, A1, A2 even, R+, R- odd."""
-    g = space or group_space()
+    """The five generator matrices: A0, A1, A2 even, R+, R- odd; ``space`` is not read."""
+    g = group_space()
     sh = block_shape_1_2()
     half_i = Scalar.of(0, Fraction(1, 2))
     half = Fraction(1, 2)
@@ -240,7 +240,7 @@ def coordinate_images(space: GroupSpace | None = None) -> dict[str, Element]:
 
     The orbit matrix is expanded over the fixture basis 2/i A_k and 2 R_alpha;
     a failure of the expansion raises ExpansionError.  ``space`` is not read:
-    the only group algebra is group_space().
+    the only group algebra is group_space(), and bench/workloads.py passes it.
     """
     g = group_space()
     s = group_element()
@@ -305,9 +305,10 @@ class PsiVector:
 
 
 @functools.cache
-def _psi_factors(g: GroupSpace) -> tuple[Element, Element, Element]:
+def _psi_factors() -> tuple[Element, Element, Element]:
     """eta/2, eta*/2 and 1 - eta eta*/8, the factors of psi's components,
-    built once per space: at small n they cost as much as the components."""
+    built once: at small n they cost as much as the components."""
+    g = group_space()
     return rat(1, 2) * g.eta, rat(1, 2) * g.etad, g.table.one() - rat(1, 8) * g.eta * g.etad
 
 
@@ -319,19 +320,20 @@ def _binomial_powers(table: GeneratorTable, sign: str, n: int) -> list[Element]:
             for k, root in enumerate(sqrt_binomials(n))]
 
 
-def _check_n(n: int) -> None:
+def _family(sign: str, n: int) -> str:
+    """The normalized sign of the family (sign, n), once n is checked."""
+    sign = normalize_sign(sign)
     if type(n) is not int:
         raise TypeError("n must be an int, not %s" % type(n).__name__)
     if n < 1:
         raise ValueError("n must be a positive integer")
+    return sign
 
 
 def psi_body(sign: str, n: int) -> list[Element]:
     """The nonzero bodies of the components of psi(sign, n), which are its
     n + 1 even components without their factor 1 - eta eta*/8."""
-    sign = normalize_sign(sign)
-    _check_n(n)
-    return _binomial_powers(group_space().table, sign, n)
+    return _binomial_powers(group_space().table, _family(sign, n), n)
 
 
 def psi(sign: str, n: int, space: GroupSpace | None = None) -> PsiVector:
@@ -342,16 +344,22 @@ def psi(sign: str, n: int, space: GroupSpace | None = None) -> PsiVector:
 
     with (u, v, h) = (a, b, eta) for sign minus and (a*, b*, eta*) for plus;
     the even components are psi_body's times the last factor, and the
-    Element products supply every sign.
+    Element products supply every sign.  ``space`` is not read.
     """
-    body = psi_body(sign, n)
-    sign = normalize_sign(sign)
-    g = space or group_space()
-    half_eta, half_etad, norm_factor = _psi_factors(g)
+    sign = _family(sign, n)
+    table = group_space().table
+    half_eta, half_etad, norm_factor = _psi_factors()
     half_h = half_eta if sign == MINUS else half_etad
-    comps = [half_h * x for x in _binomial_powers(g.table, sign, n - 1)]
-    comps.extend(x * norm_factor for x in body)
+    comps = [half_h * x for x in _binomial_powers(table, sign, n - 1)]
+    comps.extend(x * norm_factor for x in _binomial_powers(table, sign, n))
     return PsiVector(sign, n, comps)
+
+
+def _require_psi(psi_vec, call: str) -> None:
+    """Refuse anything but a PsiVector where psi is the input."""
+    if not isinstance(psi_vec, PsiVector):
+        raise TypeError("takes the psi vector, as in %s, not %s"
+                        % (call, type(psi_vec).__name__))
 
 
 def pairing(phi, chi):
@@ -432,11 +440,11 @@ def _self_adjoint(shape: BlockShape, upper) -> SuperMatrix:
     return SuperMatrix(shape, rows, parity=0)
 
 
-def _upper_entry(psi_vec: PsiVector, space: GroupSpace | None = None):
+def _upper_entry(psi_vec: PsiVector):
     """The function (alpha, beta) -> p[alpha][beta] in rewrite normal form,
     which projector and projector_to_base call for alpha <= beta only."""
     dia = psi_vec.diamonded()
-    reduce = (space or group_space()).rewrites.reduce
+    reduce = group_space().rewrites.reduce
     return lambda alpha, beta: reduce(_outer_entry(psi_vec, dia, alpha, beta))
 
 
@@ -445,9 +453,10 @@ def projector(psi_vec: PsiVector, space: GroupSpace | None = None) -> Projector:
     each entry in rewrite normal form.
 
     Only the entries with alpha <= beta are multiplied and reduced;
-    _self_adjoint mirrors the rest.
+    _self_adjoint mirrors the rest.  ``space`` is not read.
     """
-    matrix = _self_adjoint(projector_shape(psi_vec.n), _upper_entry(psi_vec, space))
+    _require_psi(psi_vec, "projector(psi(sign, n))")
+    matrix = _self_adjoint(projector_shape(psi_vec.n), _upper_entry(psi_vec))
     return Projector(psi_vec.sign, psi_vec.n, matrix)
 
 
@@ -490,10 +499,9 @@ def check_equivariance(sign: str, n: int) -> str | None:
     component has charge n (sign -) or -n (sign +), and every monomial of
     every projector entry has charge 0.
     """
-    sign = normalize_sign(sign)
     g = group_space()
     vec = psi(sign, n)
-    want = n if sign == MINUS else -n
+    want = n if vec.sign == MINUS else -n
     for alpha, c in enumerate(vec.components):
         if not _has_charge(g.rewrites.reduce(c), want):
             return "psi component %d is not of charge %d" % (alpha, want)
@@ -503,13 +511,14 @@ def check_equivariance(sign: str, n: int) -> str | None:
                 return "projector entry (%d, %d) is not of charge 0" % (alpha, beta)
 
 
-def section_to_equivariant(sign: str, n: int, f) -> Element:
+def section_to_equivariant(psi_vec: PsiVector, f) -> Element:
     """Image of a section column under the module isomorphism: sum psi_alpha f_alpha."""
-    vec = psi(sign, n)
+    _require_psi(psi_vec, "section_to_equivariant(psi(sign, n), f)")
     f_list = list(f)
-    if len(f_list) != 2 * n + 1:
+    if len(f_list) != len(psi_vec.components):
         raise ValueError("section must have 2n+1 components")
-    return Element.sum(group_space().table, [pa * fa for pa, fa in zip(vec.components, f_list)])
+    return Element.sum(group_space().table,
+                       [pa * fa for pa, fa in zip(psi_vec.components, f_list)])
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +533,15 @@ def _verified(products: list, negated_closed: SuperForm, what: str) -> None:
         raise SuperAlgebraError("%s: pairing route disagrees with the closed form" % what)
 
 
-def _signed(sign: str, scale: Scalar) -> Scalar:
-    """scale for sign minus, -scale for sign plus."""
-    return scale if normalize_sign(sign) == MINUS else -scale
+def _signed(sign: str, n: int, scale: Scalar) -> Scalar:
+    """scale for the sign-minus family (sign, n), -scale for sign plus."""
+    return scale if _family(sign, n) == MINUS else -scale
 
 
-def _form_of(rows: list, factor: Scalar, space: GroupSpace | None = None) -> SuperForm:
+def _form_of(rows: list, factor: Scalar) -> SuperForm:
     """factor times the form of a term table: each row (wedge, words) is the
     term element(words) d(wedge), its wedge written in canonical order."""
-    table = (space or group_space()).table
+    table = group_space().table
     return SuperForm(table, {tuple(table.index[x] for x in wedge):
                              table.element([(c * factor, word) for c, word in words])
                              for wedge, words in rows})
@@ -546,6 +555,7 @@ def connection_form(psi_vec: PsiVector) -> SuperForm:
 
     Raises SuperAlgebraError when psi is not normalized or its sign label is wrong.
     """
+    _require_psi(psi_vec, "connection_form(psi(sign, n))")
     comps = psi_vec.components
     closed = connection_closed_form(psi_vec.sign, psi_vec.n)
     _verified([c * d(c).diamond() for c in comps], -closed, "connection, n=%d" % psi_vec.n)
@@ -555,11 +565,10 @@ def connection_form(psi_vec: PsiVector) -> SuperForm:
 def connection_closed_form(sign: str, n: int) -> SuperForm:
     """(n - 1/4 eta eta*)(a da* + b db*) + 1/8 (eta deta* + eta* deta), negated
     for the + sign."""
-    _check_n(n)
     return _form_of([(("a*",), [(n, ("a",)), (-_QUARTER, ("a", "eta", "eta*"))]),
                      (("b*",), [(n, ("b",)), (-_QUARTER, ("b", "eta", "eta*"))]),
                      (("eta",), [(_EIGHTH, ("eta*",))]), (("eta*",), [(_EIGHTH, ("eta",))])],
-                    _signed(sign, _ONE))
+                    _signed(sign, n, _ONE))
 
 
 def supertrace_p_dp_dp(proj: Projector) -> SuperForm:
@@ -579,14 +588,9 @@ def supertrace_p_dp_dp(proj: Projector) -> SuperForm:
 CHERN_SCALAR = Scalar.of(0, Fraction(1, 2), 1, -1)  # -(1/(2 pi i)) = i/(2 pi)
 
 
-def _pairing_chern_form(components: list[Element]) -> SuperForm:
-    """-(1/(2 pi i)) <d psi|d psi> for the given psi components."""
-    dpsi = [d(c) for c in components]
-    return pairing(dpsi, dpsi) * CHERN_SCALAR
-
-
-def chern_form(sign: str, n: int) -> SuperForm:
-    """First Chern 2-superform of the projector, from the O(d) pairing.
+def chern_form(components: Sequence[Element]) -> SuperForm:
+    """First Chern 2-superform -(1/(2 pi i)) <d psi|d psi> of the psi with
+    the given components, such as psi(sign, n).components, from the pairing.
 
     Under the pairing and outer-product conventions fixed here the exact
     identity Str(p (dp)^2) = -<d psi|d psi> holds for normalized psi (two odd
@@ -600,25 +604,21 @@ def chern_form(sign: str, n: int) -> SuperForm:
     d = 2n + 1; supertrace_p_dp_dp stays as the test oracle.  The form is
     returned as computed, not rewritten: chern_form_canonical gives the
     verified representative.
+
+    Given the nonzero bodies of psi's components instead, such as
+    psi_body(sign, n), it returns the body projection of the Chern form: the
+    body map is an algebra morphism that commutes with d, wedge products and
+    the diamond, so pairing the differentials of the bodies gives the body of
+    -(1/(2 pi i)) <d psi|d psi>; the test suite checks it against the body of
+    the Str(p (dp)^2) oracle.  The bodies hold no odd generator, so the
+    pairing is a body form as it stands.  No relation reduction is needed:
+    the chart pullback evaluates the constraint exactly.
     """
-    return _pairing_chern_form(psi(sign, n).components)
+    dpsi = [d(c) for c in components]
+    return pairing(dpsi, dpsi) * CHERN_SCALAR
 
 
-def chern_form_body(sign: str, n: int) -> SuperForm:
-    """Body projection of the Chern form, from the pairing of psi_body.
-
-    The body map is an algebra morphism that commutes with d, wedge products
-    and the diamond, so pairing the differentials of the nonzero bodies of
-    psi's components gives the body of -(1/(2 pi i)) <d psi|d psi>; the test
-    suite checks it against the body of the Str(p (dp)^2) oracle.  The bodies
-    hold no odd generator, so the pairing is a body form as it stands.  No
-    relation reduction is needed: the chart pullback evaluates the constraint
-    exactly.
-    """
-    return _pairing_chern_form(psi_body(sign, n))
-
-
-def chern_form_canonical(sign: str, n: int) -> SuperForm:
+def chern_form_canonical(psi_vec: PsiVector) -> SuperForm:
     """The paper's expanded expression of C1, CHERN_SCALAR dA from the verified
     connection A.
 
@@ -629,20 +629,20 @@ def chern_form_canonical(sign: str, n: int) -> SuperForm:
     itself, so d of the checked identity is <d psi|d psi> = dA modulo it.
     Raises SuperAlgebraError when the connection check fails.
     """
-    return d(connection_form(psi(sign, n))) * CHERN_SCALAR
+    _require_psi(psi_vec, "chern_form_canonical(psi(sign, n))")
+    return d(connection_form(psi_vec)) * CHERN_SCALAR
 
 
 def chern_closed_form(sign: str, n: int, space: GroupSpace | None = None) -> SuperForm:
     """-(1/(2 pi i)) [n (da da* + db db*) + 1/4 d(a eta*) d(eta a*)
-    + 1/4 d(b eta*) d(eta b*)], negated for the + sign."""
-    _check_n(n)
+    + 1/4 d(b eta*) d(eta b*)], negated for the + sign.  ``space`` is not read."""
     q = _QUARTER
     body = [(n, ()), (-q, ("eta", "eta*"))]
     return _form_of([(("a", "a*"), body), (("b", "b*"), body),
                      (("a", "eta"), [(q, ("a*", "eta*"))]), (("a*", "eta*"), [(q, ("a", "eta"))]),
                      (("b", "eta"), [(q, ("b*", "eta*"))]), (("b*", "eta*"), [(q, ("b", "eta"))]),
                      (("eta", "eta*"), [(q, ("a", "a*")), (q, ("b", "b*"))])],
-                    _signed(sign, CHERN_SCALAR), space)
+                    _signed(sign, n, CHERN_SCALAR))
 
 
 def coordinate_chern_form(sign: str, n: int) -> SuperForm:
@@ -659,8 +659,7 @@ def coordinate_chern_form(sign: str, n: int) -> SuperForm:
     suite checks that one-term correction.  Both have the same body, so
     Berezin integrals are unaffected.
     """
-    sign = normalize_sign(sign)
-    _check_n(n)
+    sign = _family(sign, n)
     s = base_space()
     one = s.table.one()
     i = Scalar.i()
@@ -798,8 +797,6 @@ def projector_to_base(psi_vec: PsiVector) -> SuperMatrix:
     _self_adjoint mirrors the rest, since image(u^dia) = image(u)^dia for
     every bilinear invariant u.  No group projector is built.
     """
-    if not isinstance(psi_vec, PsiVector):
-        raise TypeError("projector_to_base takes the psi vector, as in "
-                        "projector_to_base(psi(sign, n)), not %s" % type(psi_vec).__name__)
+    _require_psi(psi_vec, "projector_to_base(psi(sign, n))")
     to_base, entry = _base_converter(), _upper_entry(psi_vec)
     return _self_adjoint(projector_shape(psi_vec.n), lambda a, b: to_base(entry(a, b)))

@@ -17,7 +17,7 @@ from supersphere.localized import TorusForm
 from supersphere.matrices import SuperMatrix, _blocks, _det
 from supersphere.monopole import (CHERN_SCALAR, MINUS, base_space, chern_form,
                                   coordinate_chern_form, coordinate_images, group_space,
-                                  normalize_sign)
+                                  normalize_sign, psi)
 from supersphere.scalars import Scalar, rat
 from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle
 
@@ -695,7 +695,7 @@ def coordinate_chern_report(n: int) -> CoordinateChernReport:
     """
     g = group_space()
     images = coordinate_images()
-    group_form = chern_form(MINUS, n)
+    group_form = chern_form(psi(MINUS, n).components)
     verbatim = coordinate_chern_form(MINUS, n).substitute(images, g.table)
     corrected = coordinate_chern_form_corrected(MINUS, n).substitute(images, g.table)
     v_ok = g.equal_mod(verbatim, group_form)

@@ -97,10 +97,10 @@ def test_criterion_5_chern_form_chain():
                            [d(c) for c in vec.components])
             # under the conventions here Str(p (dp)^2) = -<d psi|d psi> exactly
             assert g.localizer.is_zero_mod(stra + kern), (sign, n)
-            computed = chern_form(sign, n)
+            computed = chern_form(vec.components)
             assert g.equal_mod(computed, chern_closed_form(sign, n)), (sign, n)
-        cm = chern_form(MINUS, n)
-        cp = chern_form(PLUS, n)
+        cm = chern_form(psi(MINUS, n).components)
+        cp = chern_form(psi(PLUS, n).components)
         assert g.equal_mod(cp, -cm), n
     _report(5, "Chern-form chain and C1(p+) = -C1(p-) for n=1..3")
 

@@ -15,8 +15,9 @@ from supersphere.berezin import (FOUR_PI, GROUP_CHART_VOLUME, ExactnessError, _a
                                  chern_integral, chern_number, group_section_chart,
                                  orbit_pullback)
 from supersphere.forms import SuperForm, d
-from supersphere.monopole import (MINUS, PLUS, base_space, chern_closed_form, chern_form_body,
-                                  coordinate_chern_form, coordinate_images, group_space)
+from supersphere.monopole import (MINUS, PLUS, base_space, chern_closed_form, chern_form,
+                                  coordinate_chern_form, coordinate_images, group_space,
+                                  pairing, psi_body)
 from supersphere.scalars import Scalar, rat
 from supersphere.trig import ChartError, PhaseHalfAngle, TrigPoly, integrate_half_angle, wallis_integrate
 
@@ -111,7 +112,7 @@ def test_quad_oracle_examples():
     assert quad_oracle(TrigPoly.zero()) == 0
     # pulled-back Chern density for n = 2 integrates to 2 x the normalizer,
     # the normalizer being the reference volume integral divided by 4 pi
-    dens = chart_pullback(chern_form_body(MINUS, 2), group_section_chart())
+    dens = chart_pullback(chern_form(psi_body(MINUS, 2)), group_section_chart())
     normalizer = to_complex(group_chart_normalizer()) / (4 * math.pi)
     assert abs(quad_oracle(dens) - 2 * normalizer) < 1e-9
     assert abs(quad_oracle(dens) - to_complex(wallis_integrate(dens.to_trigpoly()))) < 1e-9
@@ -248,7 +249,7 @@ def test_chern_number_density_is_the_pulled_back_form(monkeypatch):
         for sign, want in ((MINUS, n), (PLUS, -n)):
             densities.clear()
             assert chern_number(sign, n) == want
-            oracle = chart_pullback(chern_form_body(sign, n), group_section_chart())
+            oracle = chart_pullback(chern_form(psi_body(sign, n)), group_section_chart())
             assert densities == [oracle]
 
 
@@ -459,7 +460,7 @@ def test_chern_number_orientation_invariance():
     assert base_chart_normalizer(base_mirror) == -BASE_CHART_VOLUME
     for n in (1, 2):
         for sign, want in ((MINUS, n), (PLUS, -n)):
-            top = chart_pullback(chern_form_body(sign, n), group_mirror)
+            top = chart_pullback(chern_form(psi_body(sign, n)), group_mirror)
             assert integrate_half_angle(top) * FOUR_PI / -GROUP_CHART_VOLUME == want
             top = chart_pullback_by_powers(coordinate_chern_form(sign, n).body_project(),
                                            base_mirror)
@@ -510,6 +511,25 @@ def test_paths_agree():
     for n in (1, 2):
         for sign in (MINUS, PLUS):
             assert chern_number(sign, n) == berezin_chern_number(sign, n)
+
+
+@pytest.mark.parametrize("first, second", [
+    ((MINUS, 1), (MINUS, 1)), ((MINUS, 2), (MINUS, 3)), ((MINUS, 2), (PLUS, 1)),
+    ((PLUS, 1), (PLUS, 2)), ((MINUS, 3), (PLUS, 3)),
+])
+def test_chern_form_of_a_psi_outside_the_families(first, second):
+    """The body of a tensor product of two families is a normalized psi of no
+    family, with the entrywise products x y as components: its Chern form is
+    the sum of the factors' forms modulo the ideal, and integrates to the sum
+    of the two charges, additivity at body level.  The odd components and
+    their Koszul signs are left out."""
+    g = group_space()
+    bodies = [x * y for x in psi_body(*first) for y in psi_body(*second)]
+    assert g.rewrites.reduce(pairing(bodies, bodies)) == g.table.one()
+    form = chern_form(bodies)
+    assert g.equal_mod(form, chern_form(psi_body(*first)) + chern_form(psi_body(*second)))
+    charge = sum(n if sign == MINUS else -n for sign, n in (first, second))
+    assert chern_integral(form) == charge
 
 
 def test_chern_integral_of_half_a_chern_form_is_an_exactness_error():

@@ -67,7 +67,7 @@ def test_chern_form_failure_exits_1(capsys, monkeypatch):
     from supersphere import cli
     from supersphere.algebra import SuperAlgebraError
 
-    def broken(sign, n):
+    def broken(psi_vec):
         raise SuperAlgebraError("pairing route disagrees")
     monkeypatch.setattr(cli, "chern_form_canonical", broken)
     code, out, err = run_cli(capsys, "chern", "--sign", "minus", "--n", "1")
@@ -78,7 +78,7 @@ def test_chern_form_failure_exits_1(capsys, monkeypatch):
 
 def test_chern_of_half_the_form_is_an_exactness_failure(capsys, monkeypatch):
     right = cli.chern_form_canonical
-    monkeypatch.setattr(cli, "chern_form_canonical", lambda sign, n: right(sign, n) * Fraction(1, 2))
+    monkeypatch.setattr(cli, "chern_form_canonical", lambda psi_vec: right(psi_vec) * Fraction(1, 2))
     code, out, err = run_cli(capsys, "chern", "--sign", "minus", "--n", "1")
     assert code == 1
     assert out == ""
@@ -144,6 +144,8 @@ def test_chern_builds_psi_once_and_integrates_the_printed_form(capsys, monkeypat
     def counting(*args, **kwargs):
         calls.append(args)
         return right(*args, **kwargs)
+    # CLI chern builds psi and passes it; nothing below it builds another
+    monkeypatch.setattr(cli, "psi", counting)
     monkeypatch.setattr(monopole, "psi", counting)
     for n in (1, 2, 3, 4):
         for flag, sign in (("minus", "-"), ("plus", "+")):
@@ -714,7 +716,7 @@ def test_chern_json_is_the_to_obj_document(capsys, n, sign):
     charge = n if sign == "minus" else -n
     want = {"sign": sign, "n": n, "chern_number": charge,
             "k_label": {"charge": charge, "parity": "even"},
-            "chern_form": monopole.chern_form_canonical(sign, n).to_obj()}
+            "chern_form": monopole.chern_form_canonical(psi(sign, n)).to_obj()}
     assert out == json.dumps(want, indent=1) + "\n"
 
 

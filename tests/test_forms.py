@@ -12,7 +12,7 @@ from supersphere.algebra import EVEN, ODD, AlgebraMismatchError, GeneratorTable,
 from supersphere.berezin import chart_pullback, group_section_chart, orbit_pullback
 from supersphere import forms
 from supersphere.forms import DifferentialIdeal, SuperForm, d
-from supersphere.monopole import base_space, chern_closed_form, chern_form, group_space
+from supersphere.monopole import base_space, chern_closed_form, chern_form, group_space, psi
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
 from supersphere.trig import ChartError, TrigPoly
@@ -237,7 +237,7 @@ def test_torus_form_repr_is_bounded(g):
 
 
 def test_torus_form_reads_the_closed_form_difference(g):
-    diff = g.localizer.project(chern_form("-", 3)
+    diff = g.localizer.project(chern_form(psi("-", 3).components)
                                - chern_closed_form("-", 4))
     # -(1/(2 pi i)) (da da* + db db*), with db* pushed into the localization
     assert set(diff.terms) == {((0, 1), (), 0, 0), ((0, 2), (), -1, -1), ((1, 2), (), 1, -1)}

@@ -20,8 +20,7 @@ from supersphere.matrices import BlockShape, EVEN_FIRST, SuperMatrix, exp_nilpot
 from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionError,
                                   base_space, check_equivariance, check_group_identities,
                                   check_inversion_identities, check_nilpotent_exp,
-                                  chern_closed_form, chern_form, chern_form_body,
-                                  chern_form_canonical,
+                                  chern_closed_form, chern_form, chern_form_canonical,
                                   connection_closed_form, connection_form,
                                   coordinate_chern_form,
                                   coordinate_images, element_to_base,
@@ -293,12 +292,15 @@ def test_closed_forms_check_n_as_psi_does(build, n):
 
 
 @pytest.mark.parametrize("n", [Fraction(3, 2), 2.0, True])
-@pytest.mark.parametrize("build", [psi, psi_body, chern_number, connection_closed_form,
-                                   chern_closed_form, coordinate_chern_form,
-                                   chern_form_canonical])
+@pytest.mark.parametrize("build", [
+    psi, psi_body, chern_number, connection_closed_form, chern_closed_form,
+    coordinate_chern_form,
+    pytest.param(lambda sign, n: chern_form_canonical(psi(sign, n)), id="chern_form_canonical"),
+])
 def test_n_must_be_an_int(build, n):
     """No Fraction, float or bool stands for a charge, as none does for a
-    radical or a power of pi in Scalar.of."""
+    radical or a power of pi in Scalar.of.  The Chern form of CLI chern takes
+    psi, which refuses the n."""
     for sign in (MINUS, PLUS):
         with pytest.raises(TypeError, match="n must be an int"):
             build(sign, n)
@@ -631,14 +633,14 @@ def test_circle_action_is_right_multiplication(g):
 # -- sections and equivariant maps --------------------------------------------------------
 
 def test_section_to_equivariant_zero(g):
-    assert section_to_equivariant(MINUS, 2, [g.table.zero()] * 5).is_zero
+    assert section_to_equivariant(psi(MINUS, 2), [g.table.zero()] * 5).is_zero
 
 
 def test_section_to_equivariant_unit_slots(g):
     n, k = 3, 1
     f = [g.table.zero()] * (2 * n + 1)
     f[n + k] = g.table.one()           # unit vector in slot k of the even block
-    got = section_to_equivariant(MINUS, n, f)
+    got = section_to_equivariant(psi(MINUS, n), f)
     e8 = g.table.one() - rat(1, 8) * g.eta * g.etad
     import math
     want = g.table.scalar(Scalar.of(1, 0, math.comb(n, k))) * e8 * \
@@ -649,12 +651,12 @@ def test_section_to_equivariant_unit_slots(g):
 def test_section_to_equivariant_general_shape(g):
     n = 2
     f = [g.table.scalar(j + 1) for j in range(2 * n + 1)]
-    phi = section_to_equivariant(MINUS, n, f)
     v = psi(MINUS, n)
+    phi = section_to_equivariant(v, f)
     want = sum((comp * fj for comp, fj in zip(v.components, f)), g.table.zero())
     assert phi == want
     with pytest.raises(ValueError):
-        section_to_equivariant(MINUS, n, f[:-1])
+        section_to_equivariant(v, f[:-1])
 
 
 # -- connection forms -----------------------------------------------------------------------
@@ -681,7 +683,7 @@ def test_d_of_the_connection_pairing_is_the_curvature_pairing(g):
 @pytest.mark.parametrize("build, oracle", [
     (connection_closed_form, connection_closed_form_by_algebra),
     (chern_closed_form, chern_closed_form_by_algebra),
-    (chern_form_canonical, chern_intermediate_form_by_algebra),
+    (lambda sign, n: chern_form_canonical(psi(sign, n)), chern_intermediate_form_by_algebra),
 ], ids=["connection", "chern-closed", "chern-intermediate"])
 def test_closed_forms_from_term_tables_match_the_form_algebra(g, build, oracle):
     """Each closed form read from its term table, and the verified Chern form
@@ -760,28 +762,29 @@ def test_supertrace_curvature_vs_pairing(g):
 def test_chern_form_chain(g):
     for n in (1, 2):
         for sign in (MINUS, PLUS):
-            computed = chern_form(sign, n)
+            vec = psi(sign, n)
+            computed = chern_form(vec.components)
             assert g.equal_mod(computed, chern_closed_form(sign, n)), (sign, n)
-            assert g.equal_mod(computed, chern_form_canonical(sign, n)), (sign, n)
+            assert g.equal_mod(computed, chern_form_canonical(vec)), (sign, n)
 
 
 def test_chern_form_smoncf_lines_equal_under_display_reduction(g):
     for n in (1, 2):
-        lhs = g.ideal.reduce(chern_form_canonical(MINUS, n))
+        lhs = g.ideal.reduce(chern_form_canonical(psi(MINUS, n)))
         rhs = g.ideal.reduce(chern_closed_form(MINUS, n))
         assert lhs == rhs
 
 
 def test_chern_form_sign_flip(g):
     for n in (1, 2):
-        cm = chern_form(MINUS, n)
-        cp = chern_form(PLUS, n)
+        cm = chern_form(psi(MINUS, n).components)
+        cp = chern_form(psi(PLUS, n).components)
         assert g.equal_mod(cp, -cm)
 
 
 def test_chern_form_canonical_matches_fixture(g):
     want = SuperForm.from_obj(g.table, _fixture("c1_minus_1.json")["form"])
-    assert chern_form_canonical(MINUS, 1) == want
+    assert chern_form_canonical(psi(MINUS, 1)) == want
 
 
 def test_chern_pairing_route_at_larger_n(g):
@@ -793,20 +796,20 @@ def test_chern_pairing_route_at_larger_n(g):
     for n in range(1, 9):
         for sign in (MINUS, PLUS):
             want = g.ideal.reduce(chern_closed_form(sign, n))
-            assert chern_form_canonical(sign, n) == want, (sign, n)
+            assert chern_form_canonical(psi(sign, n)) == want, (sign, n)
 
 
 def test_chern_form_is_the_intermediate_form_for_its_own_n_only(g):
     """The Bernstein zero test on the pairing route up to n = 64: the pairing
     form minus the expanded expression is zero at n and not at n + 1, where
     the verified route raises, and the zero test agrees with the projection.
-    The expanded expression at n is chern_form_canonical(sign, n), built once
-    per n and reused as the n + 1 form of the step before."""
+    The expanded expression at n is chern_form_canonical(psi(sign, n)), built
+    once per n and reused as the n + 1 form of the step before."""
     for sign in (MINUS, PLUS):
-        expanded = chern_form_canonical(sign, 1)
+        expanded = chern_form_canonical(psi(sign, 1))
         for n in range(1, 65):
-            computed = chern_form(sign, n)
-            expanded_next = chern_form_canonical(sign, n + 1)
+            computed = chern_form(psi(sign, n).components)
+            expanded_next = chern_form_canonical(psi(sign, n + 1))
             same = computed - expanded
             off = computed - expanded_next
             assert g.localizer.is_zero_mod(same), (sign, n)
@@ -823,24 +826,18 @@ def _scaled(vec):
     return PsiVector(vec.sign, vec.n, [c * rat(2) for c in vec.components])
 
 
-def _chern_of_scaled_psi(monkeypatch):
-    original = monopole.psi
-    monkeypatch.setattr(monopole, "psi", lambda sign, n: _scaled(original(sign, n)))
-    return chern_form_canonical(MINUS, 1)
-
-
 @pytest.mark.parametrize("route", [
-    _chern_of_scaled_psi,
-    lambda _: connection_form(_scaled(psi(MINUS, 1))),
-    lambda _: connection_form(PsiVector(PLUS, 1, psi(MINUS, 1).components)),
-    lambda _: connection_form(PsiVector(MINUS, 2, psi(PLUS, 2).components)),
+    lambda: chern_form_canonical(_scaled(psi(MINUS, 1))),
+    lambda: connection_form(_scaled(psi(MINUS, 1))),
+    lambda: connection_form(PsiVector(PLUS, 1, psi(MINUS, 1).components)),
+    lambda: connection_form(PsiVector(MINUS, 2, psi(PLUS, 2).components)),
 ], ids=["chern-scaled-psi", "connection-scaled-psi", "connection-wrong-sign-label",
         "connection-plus-psi-labelled-minus"])
-def test_chern_form_canonical_raises_when_the_pairing_disagrees(g, monkeypatch, route):
+def test_chern_form_canonical_raises_when_the_pairing_disagrees(g, route):
     """A psi that is not normalized, or whose sign label is wrong, gives a
     pairing that is not the closed form, and the verified route raises."""
     with pytest.raises(SuperAlgebraError, match="disagrees"):
-        route(monkeypatch)
+        route()
 
 
 def test_chern_body_route_agrees_with_full_route(g):
@@ -849,7 +846,7 @@ def test_chern_body_route_agrees_with_full_route(g):
         for sign in (MINUS, PLUS):
             oracle = -supertrace_p_dp_dp(projector(psi(sign, n))) * CHERN_SCALAR
             full = oracle.body_project()
-            fast = chern_form_body(sign, n)
+            fast = chern_form(psi_body(sign, n))
             assert g.localizer.is_zero_mod(full - fast), (sign, n)
 
 
@@ -937,6 +934,29 @@ def test_projector_to_base_matches_entrywise_conversion(g, sign, n):
 def test_projector_to_base_takes_the_psi_vector():
     with pytest.raises(TypeError, match=r"projector_to_base\(psi\(sign, n\)\), not Projector"):
         projector_to_base(projector(psi(MINUS, 1)))
+
+
+@pytest.mark.parametrize("function, rest", [
+    (projector, ()), (projector_to_base, ()), (connection_form, ()),
+    (chern_form_canonical, ()), (section_to_equivariant, ([],)),
+])
+def test_what_takes_psi_refuses_anything_else(function, rest):
+    """Each function whose input is psi names its calling form when given
+    psi's component list instead, before any work."""
+    pattern = r"as in %s\(psi\(sign, n\)[^)]*\), not list" % function.__name__
+    with pytest.raises(TypeError, match=pattern):
+        function(psi(MINUS, 1).components, *rest)
+
+
+@pytest.mark.parametrize("build", [
+    lambda **kw: psi(PLUS, 2, **kw), lambda **kw: projector(psi(MINUS, 2), **kw),
+    lambda **kw: chern_closed_form(PLUS, 2, **kw), osp_fixtures, coordinate_images,
+], ids=["psi", "projector", "chern_closed_form", "osp_fixtures", "coordinate_images"])
+def test_the_space_parameters_are_not_read(g, build):
+    """These parameters exist only for bench/workloads.py's calls, which pass
+    group_space(); each function reads group_space() itself, so passing it
+    changes nothing."""
+    assert build(space=g) == build()
 
 
 @pytest.mark.parametrize("coords", ["group", "base"])
