@@ -739,6 +739,11 @@ class RewriteSystem:
         self._factors: list[list[tuple[Monomial, int, int, Scalar]]] = []
         self._vectors: list[GaussianVector | None] = []
 
+    @property
+    def relation(self) -> Element:
+        """lead - replacement, the element the rule sets to zero."""
+        return Element(self.algebra, {self.lead: Scalar.one()}) - self.replacement
+
     def _power(self, k: int) -> Element:
         pows = self._powers
         while len(pows) <= k:

@@ -343,7 +343,7 @@ def suite_forms(n_max: int) -> list[Check]:
                 return (x, y)
 
     def group_diff_relation():
-        rel = (g.a * d(g.ad) + g.ad * d(g.a) + g.b * d(g.bd) + g.bd * d(g.b))
+        rel = d(g.rewrites.relation)
         if not g.localizer.is_zero_mod(rel):
             return rel
 

@@ -183,8 +183,9 @@ class SuperForm:
         """Involution: coefficients conjugate, (dg)^dia = d(g^dia) factorwise."""
         return self._diamond(1)
 
-    def _diamond(self, sign: int) -> "SuperForm":
-        """sign * self.diamond() for sign = +-1, in one pass."""
+    def _diamond(self, sign: int, images: dict | None = None) -> "SuperForm":
+        """sign * self.diamond() for sign = +-1, in one pass; images is passed
+        on to the coefficients, as in Element._diamond."""
         table = self.algebra
         out: dict[Wedge, Element] = {}
         for w, c in self.terms.items():
@@ -194,7 +195,7 @@ class SuperForm:
             # the image permutes the differentials, so no two wedges meet
             merged = sort_wedge(table, [table.diamond_partner[i] for i in w])
             if merged is not None:
-                out[merged[1]] = c._diamond(s * merged[0])
+                out[merged[1]] = c._diamond(s * merged[0], images)
         return SuperForm(table, out)
 
     def body_project(self) -> "SuperForm":

@@ -40,8 +40,8 @@ class BlockShape:
     __slots__ = ("m", "n", "block_order")
 
     def __init__(self, m: int, n: int, block_order: str = EVEN_FIRST):
-        if m < 0 or n < 0:
-            raise ShapeError("block sizes must be nonnegative")
+        if any(type(k) is not int or k < 0 for k in (m, n)):
+            raise ShapeError("block sizes must be nonnegative ints, got %r and %r" % (m, n))
         if block_order not in (EVEN_FIRST, ODD_FIRST):
             raise ShapeError("block_order must be even_first or odd_first")
         self.m = m
@@ -93,6 +93,8 @@ class SuperMatrix:
         d = shape.dim
         if len(entries) != d or any(len(row) != d for row in entries):
             raise ShapeError("entries must form a %dx%d array" % (d, d))
+        if parity is not None and (type(parity) is not int or parity not in (0, 1)):
+            raise ParityError("parity must be None, 0 or 1, got %r" % (parity,))
         self.shape = shape
         self.entries = [list(row) for row in entries]
         self.parity = parity
@@ -249,17 +251,14 @@ class SuperMatrix:
 
         With tau the storage parity: (X^st)_ij = (-1)^((tau_i+|X|)(tau_i+tau_j)) X_ji.
         """
-        return self._signed_transpose(lambda e, sign: e if sign > 0 else -e, 0)
+        return self._signed_transpose(lambda e, sign: e if sign > 0 else -e, adjoint=False)
 
-    def _signed_transpose(self, entry: Callable, extra: int) -> "SuperMatrix":
-        """The matrix with (i, j) entry entry(X_ji, sign), sign the supertranspose
-        sign times (-1)^extra."""
+    def _signed_transpose(self, entry: Callable, adjoint: bool) -> "SuperMatrix":
+        """The matrix with (i, j) entry entry(X_ji, sign), sign the one entry
+        (i, j) of X^st, or of X^dagger when adjoint, takes from X_ji."""
         p = self._require_parity()
-        d = self.shape.dim
-        tau = [self.shape.storage_parity(i) for i in range(d)]
-        rows = [[entry(self.entries[j][i],
-                       -1 if ((tau[i] + p) * (tau[i] + tau[j]) + extra) % 2 else 1)
-                 for j in range(d)] for i in range(d)]
+        d, sign = self.shape.dim, _transpose_sign(self.shape, p, adjoint)
+        rows = [[entry(self.entries[j][i], sign(i, j)) for j in range(d)] for i in range(d)]
         return SuperMatrix(self.shape, rows, p)
 
     def supertrace(self):
@@ -276,8 +275,24 @@ class SuperMatrix:
         (XY)^dagger = (-1)^(|X||Y|) Y^dagger X^dagger, and reproduces the
         declared adjoints of the odd algebra generators.
         """
-        # each entry conjugated and signed in one pass
-        return self._signed_transpose(lambda e, sign: e._diamond(sign), self._require_parity())
+        # each entry conjugated and signed in one pass, one walk per monomial
+        images: dict = {}
+        return self._signed_transpose(lambda e, sign: e._diamond(sign, images), adjoint=True)
+
+    @staticmethod
+    def self_adjoint(shape: BlockShape, upper: Callable) -> "SuperMatrix":
+        """The even matrix X = X^dagger whose entry (i, j), i <= j, is upper(i, j);
+        each entry below the diagonal is mirrored with dagger's sign, each
+        distinct monomial walked to its diamond image once."""
+        dim, sign = shape.dim, _transpose_sign(shape, 0, adjoint=True)
+        rows: list[list] = [[None] * dim for _ in range(dim)]
+        images: dict = {}
+        for i in range(dim):
+            for j in range(i, dim):
+                entry = rows[i][j] = upper(i, j)
+                if j > i:
+                    rows[j][i] = entry._diamond(sign(j, i), images)
+        return SuperMatrix(shape, rows, parity=0)
 
     def reduce(self, rewrites: RewriteSystem) -> "SuperMatrix":
         return self.map_entries(rewrites.reduce)
@@ -299,6 +314,16 @@ class SuperMatrix:
         shape = BlockShape.from_obj(obj["shape"])
         rows = [[Element.from_obj(algebra, cell) for cell in row] for row in obj["entries"]]
         return SuperMatrix(shape, rows, obj.get("parity"))
+
+
+def _transpose_sign(shape: BlockShape, parity: int,
+                    adjoint: bool) -> Callable[[int, int], int]:
+    """(i, j) -> the sign entry (i, j) of X^st takes from X_ji, X of that parity:
+    (-1)^((tau_i + parity)(tau_i + tau_j)) with tau the storage parity, times
+    (-1)^parity for X^dagger when adjoint."""
+    tau = [shape.storage_parity(i) for i in range(shape.dim)]
+    extra = parity if adjoint else 0
+    return lambda i, j: -1 if ((tau[i] + parity) * (tau[i] + tau[j]) + extra) % 2 else 1
 
 
 def graded_bracket(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:

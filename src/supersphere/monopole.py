@@ -88,17 +88,15 @@ class GroupSpace:
 
 @functools.cache
 def group_space() -> GroupSpace:
-    """The group algebra, built on the first call and shared afterwards."""
+    """The group algebra, built on the first call and shared afterwards; the
+    ideal's form rule b* db -> b* db - d(b b* + a a* - 1) is derived from the
+    element rule's relation."""
     table = GeneratorTable.build(conjugate_pairs=[
         ("a", "a*", EVEN), ("b", "b*", EVEN), ("eta", "eta*", ODD)])
-    a, ad = table.gen("a"), table.gen("a*")
-    b, bd = table.gen("b"), table.gen("b*")
+    a, ad, b, bd = (table.gen(name) for name in ("a", "a*", "b", "b*"))
     rewrites = RewriteSystem(table, b * bd, table.one() - a * ad)
-    da = SuperForm.differential(table, "a")
-    dad = SuperForm.differential(table, "a*")
-    dbd = SuperForm.differential(table, "b*")
-    db_repl = -(a * dad + ad * da + b * dbd)
-    ideal = DifferentialIdeal(rewrites, bd, SuperForm.differential(table, "b"), db_repl)
+    db = SuperForm.differential(table, "b")
+    ideal = DifferentialIdeal(rewrites, bd, db, bd * db - d(rewrites.relation))
     return GroupSpace(table, rewrites, ideal, LocalizedModel(table))
 
 
@@ -182,9 +180,9 @@ def group_element() -> SuperMatrix:
 
 def check_group_identities() -> str | tuple[str, Element] | None:
     """None when the group element is unitary with unit superdeterminant and
-    its coordinates satisfy the sphere relation sum x_mu^2 + 2 xi- xi+ = 1,
-    else the first identity that fails; a superdeterminant comes with its
-    difference from 1."""
+    its coordinates satisfy the sphere relation of base_space()'s rule, which
+    coordinate emission reduces by, else the first identity that fails; a
+    superdeterminant comes with its difference from 1."""
     g = group_space()
     s = group_element()
     ident = SuperMatrix.identity(s.shape, g.table)
@@ -195,9 +193,8 @@ def check_group_identities() -> str | tuple[str, Element] | None:
     det = sdet(s, g.rewrites) - g.table.one()
     if not det.is_zero:
         return ("Sdet(s) = 1", det)
-    c = coordinate_images()
-    total = c["x0"] ** 2 + c["x1"] ** 2 + c["x2"] ** 2 + 2 * (c["xi-"] * c["xi+"])
-    if not g.rewrites.reduce(total - g.table.one()).is_zero:
+    sphere = base_space().rewrites.relation.substitute(coordinate_images(), g.table)
+    if not g.rewrites.reduce(sphere).is_zero:
         return "sphere relation"
 
 
@@ -236,38 +233,28 @@ def check_nilpotent_exp() -> str | None:
 
 def coordinate_images(space: GroupSpace | None = None) -> dict[str, Element]:
     """The sphere coordinates x0, x1, x2, xi-, xi+ by base generator name, as
-    group expressions read off the orbit map s (2/i A0) s^dagger.
+    group expressions read off the orbit map M = s (2/i A0) s^dagger.
 
-    The orbit matrix is expanded over the fixture basis 2/i A_k and 2 R_alpha;
-    a failure of the expansion raises ExpansionError.  ``space`` is not read:
-    the only group algebra is group_space(), and bench/workloads.py passes it.
+    M is compared with its expansion over the fixture basis, sum x_k 2/i A_k
+    + sum xi_a 2 R_a; a difference raises ExpansionError.  ``space`` is not
+    read: the only group algebra is group_space(), and bench/workloads.py
+    passes it.
     """
     g = group_space()
     s = group_element()
-    # (2/i) A0 = diag(0, 1, -1)
-    mid = SuperMatrix.from_rational(block_shape_1_2(), g.table,
-                                    [[0, 0, 0], [0, 1, 0], [0, 0, -1]], 0)
-    M = (s @ mid @ s.dagger()).reduce(g.rewrites)
-    half = rat(1, 2)
-    half_i = Scalar.of(0, Fraction(1, 2))
-    x0 = M.entries[1][1]
-    x1 = half * (M.entries[1][2] + M.entries[2][1])
-    x2 = half_i * (M.entries[1][2] - M.entries[2][1])
-    xip = -M.entries[0][1]
-    xim = M.entries[0][2]
-    # confirm M is exactly x_k (2/i A_k) + xi_a (2 R_a)
-    checks = [
-        (M.entries[0][0], g.table.zero()),
-        (M.entries[2][2], -x0),
-        (M.entries[1][2], x1 - Scalar.i() * x2),
-        (M.entries[2][1], x1 + Scalar.i() * x2),
-        (M.entries[2][0], -xip),
-        (M.entries[1][0], -xim),
-    ]
-    for got, want in checks:
-        if not (got - want).is_zero:
-            raise ExpansionError("orbit matrix is not in the span of the fixture basis")
-    return {"x0": x0, "x1": x1, "x2": x2, "xi-": xim, "xi+": xip}
+    fix = osp_fixtures()
+    two_over_i = Scalar.of(0, -2)
+    M = (s @ fix["A0"].scale(two_over_i) @ s.dagger()).reduce(g.rewrites)
+    m = M.entries
+    coords = {"x0": m[1][1], "x1": rat(1, 2) * (m[1][2] + m[2][1]),
+              "x2": Scalar.of(0, Fraction(1, 2)) * (m[1][2] - m[2][1]),
+              "xi-": m[0][2], "xi+": -m[0][1]}
+    expansion = (fix["A0"].scale(coords["x0"]) + fix["A1"].scale(coords["x1"])
+                 + fix["A2"].scale(coords["x2"])).scale(two_over_i)
+    expansion += (fix["R-"].scale(coords["xi-"]) + fix["R+"].scale(coords["xi+"])).scale(rat(2))
+    if M != expansion:
+        raise ExpansionError("orbit matrix is not in the span of the fixture basis")
+    return coords
 
 
 def check_inversion_identities() -> str | None:
@@ -296,9 +283,6 @@ class PsiVector:
     sign: str
     n: int
     components: list[Element]
-
-    def block_parity(self, alpha: int) -> int:
-        return 1 if alpha < self.n else 0
 
     def diamonded(self) -> list[Element]:
         return [c.diamond() for c in self.components]
@@ -394,11 +378,10 @@ def projector_shape(n: int) -> BlockShape:
 
 
 def _outer_entry(psi_vec: PsiVector, dia: list[Element], alpha: int, beta: int) -> Element:
-    """+-(psi_alpha psi_beta^dia), the Koszul sign placed as in _signed_outer."""
+    """+-(psi_alpha psi_beta^dia), the Koszul sign placed as in _signed_outer:
+    the first n components of psi are odd."""
     entry = psi_vec.components[alpha] * dia[beta]
-    if psi_vec.block_parity(alpha if psi_vec.sign == MINUS else beta):
-        entry = -entry
-    return entry
+    return -entry if (alpha if psi_vec.sign == MINUS else beta) < psi_vec.n else entry
 
 
 def _signed_outer(psi_vec: PsiVector) -> list[list]:
@@ -417,29 +400,6 @@ def _signed_outer(psi_vec: PsiVector) -> list[list]:
             for alpha in range(dim)]
 
 
-def _self_adjoint(shape: BlockShape, upper) -> SuperMatrix:
-    """The even matrix p = p^dagger whose entry (i, j), i <= j, is upper(i, j).
-
-    On an even matrix the adjoint is the entrywise diamond followed by the
-    supertranspose, so for i < j
-    p[j][i] = (-1)^(tau_j (tau_j + tau_i)) p[i][j]^dia
-    with tau the storage parity.  The diamond commutes with the group rewrite
-    b b* -> 1 - a a* and with the coordinate emission, so a mirrored entry of
-    a reduced or emitted projector is the one computing it would give.
-    """
-    dim = shape.dim
-    tau = [shape.storage_parity(i) for i in range(dim)]
-    rows: list[list] = [[None] * dim for _ in range(dim)]
-    # each distinct monomial of the matrix is walked to its diamond image once
-    images: dict[Monomial, tuple[Monomial, int]] = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            entry = rows[i][j] = upper(i, j)
-            if j > i:
-                rows[j][i] = entry._diamond(-1 if tau[j] * (tau[j] + tau[i]) % 2 else 1, images)
-    return SuperMatrix(shape, rows, parity=0)
-
-
 def _upper_entry(psi_vec: PsiVector):
     """The function (alpha, beta) -> p[alpha][beta] in rewrite normal form,
     which projector and projector_to_base call for alpha <= beta only."""
@@ -453,10 +413,11 @@ def projector(psi_vec: PsiVector, space: GroupSpace | None = None) -> Projector:
     each entry in rewrite normal form.
 
     Only the entries with alpha <= beta are multiplied and reduced;
-    _self_adjoint mirrors the rest.  ``space`` is not read.
+    self_adjoint mirrors the rest, as the diamond commutes with the rewrite
+    b b* -> 1 - a a*.  ``space`` is not read.
     """
     _require_psi(psi_vec, "projector(psi(sign, n))")
-    matrix = _self_adjoint(projector_shape(psi_vec.n), _upper_entry(psi_vec))
+    matrix = SuperMatrix.self_adjoint(projector_shape(psi_vec.n), _upper_entry(psi_vec))
     return Projector(psi_vec.sign, psi_vec.n, matrix)
 
 
@@ -794,9 +755,10 @@ def projector_to_base(psi_vec: PsiVector) -> SuperMatrix:
 
     Only the entries with alpha <= beta are built, each converted as it is
     reduced, by one converter, so each distinct monomial is imaged once;
-    _self_adjoint mirrors the rest, since image(u^dia) = image(u)^dia for
+    self_adjoint mirrors the rest, since image(u^dia) = image(u)^dia for
     every bilinear invariant u.  No group projector is built.
     """
     _require_psi(psi_vec, "projector_to_base(psi(sign, n))")
     to_base, entry = _base_converter(), _upper_entry(psi_vec)
-    return _self_adjoint(projector_shape(psi_vec.n), lambda a, b: to_base(entry(a, b)))
+    return SuperMatrix.self_adjoint(projector_shape(psi_vec.n),
+                                    lambda a, b: to_base(entry(a, b)))

@@ -148,6 +148,26 @@ def test_dagger_reproduces_group_adjoint(g):
     assert group_element().dagger() == want
 
 
+@pytest.mark.parametrize("sign", [MINUS, PLUS])
+@pytest.mark.parametrize("n", [1, 2])
+def test_dagger_of_a_matrix_of_forms_is_d_of_the_dagger(sign, n):
+    """The one diamond-image dict of dagger reaches the coefficients of form
+    entries too: (dp)^dagger = d(p^dagger), as (dg)^dia = d(g^dia)."""
+    p = projector(psi(sign, n)).matrix
+    assert p.map_entries(d).dagger() == p.dagger().map_entries(d)
+
+
+@pytest.mark.parametrize("order", [EVEN_FIRST, ODD_FIRST])
+def test_self_adjoint_mirrors_with_the_sign_of_dagger(g, order):
+    """self_adjoint fills the lower triangle from the upper one as dagger
+    would: H = X + X^dagger is rebuilt from its own upper triangle."""
+    rng = random.Random(43)
+    for _ in range(10):
+        x = random_supermatrix(g.table, rng, parity=0, shape=BlockShape(2, 2, order))
+        h = x + x.dagger()
+        assert SuperMatrix.self_adjoint(h.shape, lambda i, j: h.entries[i][j]) == h
+
+
 def test_matmul_identity_and_shape_errors(g):
     sh = BlockShape(1, 2, EVEN_FIRST)
     rng = random.Random(21)
@@ -312,6 +332,22 @@ def test_mixed_parity_rejected(g):
     for op in (lambda: x.supertranspose(), lambda: x.supertrace(), lambda: x.dagger()):
         with pytest.raises(ParityError):
             op()
+
+
+@pytest.mark.parametrize("parity", [2, "1", True, 1.0])
+def test_a_declared_parity_is_none_0_or_1(g, parity):
+    obj = SuperMatrix.identity(BlockShape(1, 1), g.table).to_obj()
+    obj["parity"] = parity
+    with pytest.raises(ParityError):
+        SuperMatrix.from_obj(g.table, obj)
+
+
+@pytest.mark.parametrize("size", [1.5, "1", -1, True])
+def test_block_sizes_are_nonnegative_ints(g, size):
+    obj = SuperMatrix.identity(BlockShape(1, 1), g.table).to_obj()
+    obj["shape"]["even"] = size
+    with pytest.raises(ShapeError):
+        SuperMatrix.from_obj(g.table, obj)
 
 
 def test_sdet_examples(g):

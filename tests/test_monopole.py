@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supersphere import monopole
-from supersphere.algebra import EVEN, ODD, Element, GeneratorTable, SuperAlgebraError
+from supersphere.algebra import (EVEN, ODD, Element, GeneratorTable, RewriteSystem,
+                                 SuperAlgebraError)
 from supersphere.berezin import chern_number
 from supersphere.forms import SuperForm, d
 from supersphere.matrices import BlockShape, EVEN_FIRST, SuperMatrix, exp_nilpotent, sdet
 from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionError,
+                                  ExpansionError,
                                   base_space, check_equivariance, check_group_identities,
                                   check_inversion_identities, check_nilpotent_exp,
                                   chern_closed_form, chern_form, chern_form_canonical,
@@ -29,7 +31,7 @@ from supersphere.monopole import (CHERN_SCALAR, MINUS, PLUS, CoordinateEmissionE
                                   projector_to_base, psi, psi_body, section_to_equivariant,
                                   supertrace_p_dp_dp, u1_charge,
                                   Projector, PsiVector, block_shape_1_2,
-                                  _base_converter, _invariant_units, _self_adjoint,
+                                  _base_converter, _invariant_units,
                                   _signed_outer)
 from supersphere.scalars import Scalar, rat
 from supersphere.tests_support import random_element
@@ -102,6 +104,39 @@ def test_group_identities_check_the_sphere_relation(g, monkeypatch):
         return images
     monkeypatch.setattr(monopole, "coordinate_images", scaled_x0)
     assert check_group_identities() == "sphere relation"
+
+
+def test_group_identities_check_the_rule_emission_reduces_by(monkeypatch):
+    """The sphere relation checked is base_space()'s own rule: with xi- xi+
+    in place of 2 xi- xi+ in it, the check fails."""
+    s = base_space()
+    one, x1, x2 = s.table.one(), s.x1, s.x2
+    wrong = RewriteSystem(s.table, s.x0 * s.x0, one - x1 ** 2 - x2 ** 2 - s.xim * s.xip)
+    monkeypatch.setattr(monopole, "base_space", lambda: dataclasses.replace(s, rewrites=wrong))
+    assert check_group_identities() == "sphere relation"
+
+
+def test_coordinates_are_checked_against_the_fixture_basis(monkeypatch):
+    """coordinate_images compares the orbit matrix with its expansion over
+    osp_fixtures(), so a drifted basis matrix raises."""
+    right = monopole.osp_fixtures
+
+    def doubled_a1():
+        fix = right()
+        fix["A1"] = fix["A1"].scale(rat(2))
+        return fix
+    monkeypatch.setattr(monopole, "osp_fixtures", doubled_a1)
+    with pytest.raises(ExpansionError):
+        coordinate_images()
+
+
+def test_the_ideal_rule_is_d_of_the_group_relation(g):
+    """The form rule b* db -> -(a da* + a* da + b db*), derived from d of
+    b b* + a a* - 1, is the written form term for term, and holds modulo the
+    ideal."""
+    written = -(g.a * d(g.ad) + g.ad * d(g.a) + g.b * d(g.bd))
+    assert g.ideal.replacement.terms == written.terms
+    assert g.equal_mod(g.bd * d(g.b), g.ideal.replacement)
 
 
 # -- nilpotent exponentials ------------------------------------------------------
@@ -455,9 +490,9 @@ def test_projector_sign_placement_uniquely_fixed(g):
             for beta in range(2 * n + 1):
                 entry = vec.components[alpha] * dia[beta]
                 sign = 1
-                if placement in ("row", "both") and vec.block_parity(alpha):
+                if placement in ("row", "both") and alpha < n:
                     sign = -sign
-                if placement in ("col", "both") and vec.block_parity(beta):
+                if placement in ("col", "both") and beta < n:
                     sign = -sign
                 row.append(g.rewrites.reduce(entry if sign > 0 else -entry))
             rows.append(row)
@@ -961,8 +996,9 @@ def test_the_space_parameters_are_not_read(g, build):
 
 @pytest.mark.parametrize("coords", ["group", "base"])
 def test_mirror_walks_each_distinct_monomial_once(monkeypatch, coords):
-    """_self_adjoint diamonds each distinct monomial of the strict upper
-    triangle once per matrix: one lookup of its odd factors' image per walk."""
+    """SuperMatrix.self_adjoint diamonds each distinct monomial of the strict
+    upper triangle once per matrix, and dagger each distinct monomial of the
+    matrix: one lookup of its odd factors' image per walk."""
     vec = psi(PLUS, 3)
     mat = projector(vec).matrix if coords == "group" else projector_to_base(vec)
     table = mat.entries[0][0].algebra
@@ -974,11 +1010,14 @@ def test_mirror_walks_each_distinct_monomial_once(monkeypatch, coords):
             return odd_images[bits]
     monkeypatch.setattr(table, "_odd_diamond", Counting())
     dim = mat.shape.dim
-    assert _self_adjoint(mat.shape, lambda i, j: mat.entries[i][j]) == mat
+    assert SuperMatrix.self_adjoint(mat.shape, lambda i, j: mat.entries[i][j]) == mat
     strict = [mat.entries[i][j] for i in range(dim) for j in range(i + 1, dim)]
     distinct = set().union(*(x.terms for x in strict))
     assert len(walks) == len(distinct)
     assert len(distinct) < sum(len(x.terms) for x in strict)
+    walks.clear()
+    assert mat.dagger() == mat
+    assert len(walks) == len(set().union(*(x.terms for row in mat.entries for x in row)))
 
 
 def test_base_converter_commutes_with_diamond(g):
